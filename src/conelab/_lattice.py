@@ -1,10 +1,19 @@
-"""Lattice window grids and shift-and-add kernels used by the DP modules.
+"""Lattice windows and the killed-walk kernel every oracle applies.
 
 A window is an axis-aligned integer box intersected with an open cone.
-Arrays live on the full box; a boolean mask selects the cone points.
+Arrays live on the full box; a boolean mask selects the window points.
+
+``KilledKernel`` is the one-step operator of the walk killed outside the
+window: a step moves mass by +z with probability p_z, mass landing off the
+mask is killed, and a cell whose step leaves the window while staying in the
+cone *leaks* (the window truncates it rather than the cone killing it).  The
+DP evolution, the survival scan, the harmonic fixed point, the truncated QSD
+kernel, the exit-position law and the conditioned chain all step through it;
+``shift_add`` is the single stencil primitive underneath.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -49,6 +58,16 @@ class WindowGrid:
             return 0.0
         return float(arr[tuple(off)])
 
+    def place(self, table, lo, shape):
+        """The masked values of ``table`` on the box ``lo + [0..shape)``.
+
+        Lattice points are matched through the two ``lo`` offsets; points of
+        the target box outside this window carry zero.
+        """
+        out = np.zeros(shape)
+        shift_add(out, np.where(self.mask, table, 0.0), self.lo - np.asarray(lo), 1.0)
+        return out
+
     def _state_index(self):
         if not hasattr(self, "_sidx"):
             sidx = -np.ones(self.shape, dtype=np.int64)
@@ -91,95 +110,102 @@ def make_grid(cone, L, M=None, pad=0):
 
 
 def shift_add(out, arr, z, w):
-    """out[x] += w * arr[x - z] wherever both indices stay inside the box."""
+    """out[x] += w * arr[x - z] wherever both indices stay inside their boxes."""
     src = []
     dst = []
-    for zi, n in zip(z, arr.shape):
+    for zi, n, m in zip(z, arr.shape, out.shape):
         zi = int(zi)
-        if zi >= 0:
-            dst.append(slice(zi, n))
-            src.append(slice(0, n - zi))
-        else:
-            dst.append(slice(0, n + zi))
-            src.append(slice(-zi, n))
-        if zi >= n or -zi >= n:
+        start = zi if zi > 0 else 0
+        stop = zi + n if zi + n < m else m
+        if stop <= start:
             return
+        dst.append(slice(start, stop))
+        src.append(slice(start - zi, stop - zi))
     out[tuple(dst)] += w * arr[tuple(src)]
 
 
-def evolve_measure(arr, support, probs, mask, out=None):
-    """One forward step of the killed walk: sum_z p_z arr(y - z), zeroed off-mask."""
-    if out is None:
-        out = np.zeros_like(arr)
-    else:
-        out[...] = 0.0
-    for z, p in zip(support, probs):
-        shift_add(out, arr, z, p)
-    out[~mask] = 0.0
-    return out
+class KilledKernel:
+    """One step of ``law`` on ``grid``, killed off the window mask.
 
-
-def evolve_survival(arr, support, probs, mask, out=None):
-    """One backward step: s'(x) = sum_z p_z s(x + z), zeroed off-mask."""
-    if out is None:
-        out = np.zeros_like(arr)
-    else:
-        out[...] = 0.0
-    for z, p in zip(support, probs):
-        shift_add(out, arr, -np.asarray(z), p)
-    out[~mask] = 0.0
-    return out
-
-
-def kernel_matrix(grid, support, probs):
-    """Sparse substochastic kernel P(x -> x+z) on the masked states (CSR)."""
-    sidx = grid._state_index()
-    rows, cols, vals = [], [], []
-    for z, p in zip(support, probs):
-        dst = np.full(grid.shape, -1, dtype=np.int64)
-        shift_fill(dst, sidx, np.asarray(z))
-        ok = grid.mask & (dst >= 0)
-        rows.append(sidx[ok])
-        cols.append(dst[ok])
-        vals.append(np.full(int(ok.sum()), p))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    n = grid.n_states
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def shift_fill(out, arr, z):
-    """out[x] = arr[x + z] where defined (used to look up shifted state indices)."""
-    src = []
-    dst = []
-    for zi, n in zip(z, arr.shape):
-        zi = int(zi)
-        if zi >= 0:
-            dst.append(slice(0, n - zi))
-            src.append(slice(zi, n))
-        else:
-            dst.append(slice(-zi, n))
-            src.append(slice(0, n + zi))
-        if zi >= n or -zi >= n:
-            return
-    out[tuple(dst)] = arr[tuple(src)]
-
-
-def leak_weights(grid, cone, support, probs):
-    """Per-cell probability of stepping out of the window while staying in the cone.
-
-    Mass landing on such cells is truncated by the window, not killed by the
-    cone; the DP monitors it to certify the window is large enough.
+    ``cone`` is needed only for ``leak`` and ``interior``.
     """
-    from .model import cone_contains
 
-    leak = np.zeros(grid.shape)
-    flat = grid.coords.reshape(-1, grid.dim)
-    for z, p in zip(support, probs):
-        in_mask_shifted = np.zeros(grid.shape, dtype=bool)
-        shift_fill(in_mask_shifted, grid.mask, np.asarray(z))
-        in_cone_shifted = cone_contains(cone, flat + np.asarray(z)).reshape(grid.shape)
-        leak += p * (in_cone_shifted & ~in_mask_shifted)
-    leak[~grid.mask] = 0.0
-    return leak
+    def __init__(self, grid, law, cone=None):
+        self.grid = grid
+        self.law = law
+        self.cone = cone
+        # shifts as plain ints: +z for push, -z for pull
+        self._push = list(zip(law.support.tolist(), law.probs))
+        self._pull = list(zip((-law.support).tolist(), law.probs))
+
+    @staticmethod
+    def _step(a, moves, out):
+        if out is None:
+            out = np.zeros(np.shape(a))
+        else:
+            out[...] = 0.0
+        for z, p in moves:
+            shift_add(out, a, z, p)
+        return out
+
+    def push(self, a, out=None):
+        """Unmasked forward step: out[y] = sum_z p_z a[y - z]."""
+        return self._step(a, self._push, out)
+
+    def pull(self, a, out=None):
+        """Unmasked backward step: out[x] = sum_z p_z a[x + z]."""
+        return self._step(a, self._pull, out)
+
+    def forward(self, a, out=None):
+        """Forward step of a measure, zeroed off the mask."""
+        out = self.push(a, out)
+        out[~self.grid.mask] = 0.0
+        return out
+
+    def backward(self, a, out=None):
+        """Backward step of a function, zeroed off the mask."""
+        out = self.pull(a, out)
+        out[~self.grid.mask] = 0.0
+        return out
+
+    def matrix(self):
+        """Sparse substochastic kernel P(x -> x+z) on the masked states (CSR)."""
+        grid = self.grid
+        sidx = grid._state_index() + 1       # 0 marks cells off the mask
+        rows, cols, vals = [], [], []
+        for minus_z, p in self._pull:
+            dst = np.zeros(grid.shape, dtype=np.int64)
+            shift_add(dst, sidx, minus_z, 1)     # dst[x] = sidx[x + z]
+            ok = grid.mask & (dst > 0)
+            rows.append(sidx[ok] - 1)
+            cols.append(dst[ok] - 1)
+            vals.append(np.full(int(ok.sum()), p))
+        n = grid.n_states
+        return sparse.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n)).tocsr()
+
+    @cached_property
+    def leak(self):
+        """Per-cell probability of stepping out of the window while staying in the cone.
+
+        Mass on such cells is truncated by the window, not killed by the
+        cone; the DP monitors it to certify the window is large enough.  The
+        box is widened by one step so neighbours beyond it are seen too.
+        """
+        from .model import cone_contains  # local import, avoids cycle
+
+        grid = self.grid
+        r = int(np.max(np.abs(self.law.support)))
+        wide = tuple(n + 2 * r for n in grid.shape)
+        coords = np.moveaxis(np.indices(wide), 0, -1) + (grid.lo - r)
+        escape = cone_contains(self.cone, coords.reshape(-1, grid.dim)).reshape(wide) \
+            & ~np.pad(grid.mask, r)
+        leak = self.pull(escape.astype(float))[tuple(slice(r, r + n) for n in grid.shape)]
+        leak[~grid.mask] = 0.0
+        return leak
+
+    @cached_property
+    def interior(self):
+        """Window cells all of whose one-step neighbours stay in the window or die."""
+        return self.grid.mask & (self.leak == 0.0)

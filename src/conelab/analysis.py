@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lattice import shift_add
+from ._lattice import KilledKernel
 from .cramer import solve_cramer_point
 from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
                         exit_time_pmf_rescaled, hazard_ratio, survival_scan)
@@ -315,15 +315,8 @@ def _check_exit_law(ctx):
     measured_law, outside = exit_position_law(ctx.series, prm.n_hi)
     grid = ctx.series.grid
     tabs = ctx.harmonic
-    uprime = np.zeros(grid.shape)
-    common = grid.mask
-    pts = grid.coords[common]
-    vals = np.array([tabs.Uprime_at(pt) for pt in pts])
-    uprime[common] = vals
-    profile = np.zeros(grid.shape)
-    for z, p in zip(ctx.law.support, ctx.law.probs):
-        shift_add(profile, uprime, np.asarray(z), p)
-    profile = np.where(outside, profile, 0.0)
+    uprime = np.where(grid.mask, tabs.grid.place(tabs.Uprime, grid.lo, grid.shape), 0.0)
+    profile = np.where(outside, KilledKernel(grid, ctx.law).push(uprime), 0.0)
     total = profile.sum()
     if total <= 0.0:
         raise ConfigError("exit profile has no mass on the window")

@@ -135,6 +135,10 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
         params.seed = int(seed)
     if workers is not None:
         params.workers = int(workers)
+    if params.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {params.workers}")
+    if params.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {params.seed}")
 
     sim = dict(data.get("simulate", {}) or {})
     _require_keys(sim, {"estimator", "x0", "n", "n_samples"}, "simulate")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lattice import evolve_measure, evolve_survival, leak_weights, make_grid, shift_add
+from ._lattice import KilledKernel, make_grid
 from .cramer import log_mgf, solve_cramer_point
 from .errors import ConfigError, WindowTooSmallError
 from .model import ConeSpec, StepLaw, cone_contains
@@ -59,7 +59,8 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     if np.any(x0 - grid.lo < 0) or np.any(x0 - grid.lo >= np.asarray(grid.shape)) \
             or not grid.mask[start_idx]:
         raise ConfigError(f"start {x0.tolist()} is outside the window (L = {L})")
-    leak = leak_weights(grid, cone, law.support, law.probs)
+    kernel = KilledKernel(grid, law, cone)
+    leak = kernel.leak
     retain = set(int(n) for n in retain)
     q = np.zeros(grid.shape)
     q[start_idx] = 1.0
@@ -72,7 +73,7 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     leak_max = 0.0
     for n in range(1, n_max + 1):
         leaked = float((q * leak).sum()) / rescale_by
-        out = evolve_measure(q, law.support, law.probs, grid.mask, out=out)
+        out = kernel.forward(q, out=out)
         out /= rescale_by
         q, out = out, q
         b_n = float(q.sum())
@@ -128,9 +129,7 @@ def exit_position_law(series, n):
         raise ConfigError(f"exit law at {n} needs the table retained at {n - 1}")
     q = series.tables[n - 1]
     grid = series.grid
-    full = np.zeros(grid.shape)
-    for z, p in zip(series.law.support, series.law.probs):
-        shift_add(full, q, z, p)
+    full = KilledKernel(grid, series.law).push(q)
     outside = ~cone_contains(series.cone, grid.coords.reshape(-1, grid.dim)) \
         .reshape(grid.shape)
     exit_mass = np.where(outside, full, 0.0)
@@ -174,74 +173,28 @@ def bridge_value(series, n, t, A, z, aux=None):
     return total / denom
 
 
-def dp_statistics(series, queries, aux=None):
-    """Evaluate a list of query dicts against a finished series.
-
-    Supported kinds: ``survival``, ``exit_time_pmf``, ``hazard``,
-    ``conditional``, ``exit_position``, ``bridge``.
-    """
-    results = []
-    for query in queries:
-        kind = query["kind"]
-        if kind == "survival":
-            n = query["n"]
-            results.append({"kind": kind, "n": n,
-                            "rescaled": series.survival[n],
-                            "raw_log": series.raw_survival_log(n)})
-        elif kind == "exit_time_pmf":
-            results.append({"kind": kind, "n": query["n"],
-                            "rescaled": exit_time_pmf_rescaled(series, query["n"])})
-        elif kind == "hazard":
-            results.append({"kind": kind, "n": query["n"],
-                            "value": hazard_ratio(series, query["n"])})
-        elif kind == "conditional":
-            results.append({"kind": kind, "n": query["n"],
-                            "law": conditional_law(series, query["n"])})
-        elif kind == "exit_position":
-            law, outside = exit_position_law(series, query["n"])
-            results.append({"kind": kind, "n": query["n"], "law": law,
-                            "outside_mask": outside})
-        elif kind == "bridge":
-            results.append({"kind": kind, "n": query["n"], "t": query["t"],
-                            "value": bridge_value(series, query["n"], query["t"],
-                                                  query["A"], query["z"], aux=aux)})
-        else:
-            raise ConfigError(f"unknown statistics query kind {kind!r}")
-    return results
-
-
 def check_tilt_identity(law, cramer, cone, x0, n_max=20):
     """Max absolute defect of q_n(x0, y) = c^n e^(h.(x0-y)) d_n(x0, y), n <= n_max.
 
     The drifted walk evolved under the original law and the driftless walk
     evolved under the tilted law are compared cell by cell; the identity is
     algebraic, so the defect is pure floating-point noise.  The window is
-    sized to hold every reachable point, removing truncation entirely.
+    sized to hold every reachable point, so nothing is truncated, and the
+    DP leak monitor checks exactly that.
     """
     if n_max > 40:
         raise ConfigError("identity check is meant for short horizons (n_max <= 40)")
     x0 = np.asarray(x0, dtype=int)
     pad = int(np.max(np.abs(law.support)))
     L = int(np.max(np.abs(x0))) + n_max * pad + 1
-    grid = make_grid(cone, L, pad=pad)
-    start = tuple(x0 - grid.lo)
-    q = np.zeros(grid.shape)
-    q[start] = 1.0
-    dmat = q.copy()
+    steps = range(1, n_max + 1)
+    drifted = dp_evolve(law, cone, x0, n_max, rescale_by=cramer.c, L=L, retain=steps)
+    driftless = dp_evolve(cramer.tilted, cone, x0, n_max, L=L, retain=steps)
+    grid = drifted.grid
     weight = np.exp((x0 @ cramer.h) - grid.coords.reshape(-1, grid.dim) @ cramer.h) \
         .reshape(grid.shape)
-    worst = 0.0
-    q_out = np.empty_like(q)
-    d_out = np.empty_like(q)
-    for _ in range(1, n_max + 1):
-        q_out = evolve_measure(q, law.support, law.probs, grid.mask, out=q_out)
-        q_out /= cramer.c
-        q, q_out = q_out, q
-        d_out = evolve_measure(dmat, cramer.tilted.support, cramer.tilted.probs,
-                               grid.mask, out=d_out)
-        dmat, d_out = d_out, dmat
-        worst = max(worst, float(np.max(np.abs(q - weight * dmat))))
-    return worst
+    return max(float(np.max(np.abs(drifted.tables[n] - weight * driftless.tables[n])))
+               for n in steps)
 
 
 def survival_scan(law, cone, starts, n_max, L=None, sigmas=8.0):
@@ -259,6 +212,7 @@ def survival_scan(law, cone, starts, n_max, L=None, sigmas=8.0):
                 + np.ceil(sigmas * sigma_max * np.sqrt(n_max))
                 + np.ceil(abs(float(np.linalg.norm(law.mean()))) * n_max))
     grid = make_grid(cone, L)
+    kernel = KilledKernel(grid, law)
     s = np.where(grid.mask, 1.0, 0.0)
     out = np.empty_like(s)
     idx = []
@@ -271,7 +225,7 @@ def survival_scan(law, cone, starts, n_max, L=None, sigmas=8.0):
     for j, ix in enumerate(idx):
         result[j, 0] = 1.0
     for n in range(1, n_max + 1):
-        out = evolve_survival(s, law.support, law.probs, grid.mask, out=out)
+        out = kernel.backward(s, out=out)
         s, out = out, s
         for j, ix in enumerate(idx):
             result[j, n] = s[ix]

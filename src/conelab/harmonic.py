@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from ._lattice import WindowGrid, kernel_matrix, leak_weights, make_grid, shift_add
+from ._lattice import KilledKernel, WindowGrid, make_grid
 from .errors import ConfigError, NumericsError, WindowTooSmallError
 from .model import check_acute_cone_condition, cone_contains
 
@@ -129,26 +129,22 @@ def build_V_tables(tilted, cone, ch, M, L=DEFAULT_WINDOW, n_iter=DEFAULT_N_ITER,
     grid = make_grid(cone, L, M=M, pad=pad)
     if grid.n_states == 0:
         raise ConfigError("window contains no cone points; increase L")
-    V, res_v = _solve_killed_harmonic(grid, cone, ch, M, tilted.support, tilted.probs,
+    ring_u = _ring_payoff(grid, cone, ch, M)
+    V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted, cone), ring_u, ch, M,
                                       method, n_iter, L)
-    rev = tilted.reversed()
-    Vp, res_vp = _solve_killed_harmonic(grid, cone, ch, M, rev.support, rev.probs,
-                                        method, n_iter, L)
+    Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed(), cone),
+                                        ring_u, ch, M, method, n_iter, L)
     return HarmonicTables(
         grid=grid, L=float(L), cone=cone, M=M, ch=ch,
         V=V, Vprime=Vp, convergence_residual=float(max(res_v, res_vp)),
     )
 
 
-def _solve_killed_harmonic(grid, cone, ch, M, support, probs, method, n_iter, L):
-    ring_u = _ring_payoff(grid, cone, ch, M)
-    b_box = np.zeros(grid.shape)
-    for z, p in zip(support, probs):
-        # b(x) += p * u(M(x+z)) for ring neighbours
-        shift_add(b_box, ring_u, -np.asarray(z), p)
-    b_box[~grid.mask] = 0.0
-    T = kernel_matrix(grid, support, probs)
-    b = b_box[grid.mask]
+def _solve_killed_harmonic(kernel, ring_u, ch, M, method, n_iter, L):
+    grid = kernel.grid
+    # b(x) = sum_z p_z u(M(x+z)) over ring neighbours
+    b = kernel.backward(ring_u)[grid.mask]
+    T = kernel.matrix()
     n = grid.n_states
     if method == "solve":
         A = sparse.eye(n, format="csr") - T
@@ -163,7 +159,7 @@ def _solve_killed_harmonic(grid, cone, ch, M, support, probs, method, n_iter, L)
     V = np.zeros(grid.shape)
     V[grid.mask] = v
     # residual of the mean-value equation at points whose neighbours stay inside
-    interior = grid.mask & (leak_weights(grid, cone, support, probs) == 0.0)
+    interior = kernel.interior
     resid = np.abs(T @ v + b - v)
     rel = np.zeros(grid.shape)
     rel[grid.mask] = resid / np.maximum(v, 1e-300)
@@ -292,28 +288,23 @@ def _shell_remainder(h, M, worst, p, d, r_ext):
     return float(term / (1.0 - q))
 
 
+def _defect(tables, table, law, c):
+    """Max relative defect of c table(x) = sum_z P(X=z) table(x+z) over interior x."""
+    kernel = KilledKernel(tables.grid, law, tables.cone)
+    interior = kernel.interior
+    rhs = kernel.pull(table)
+    lhs = c * table
+    return float(np.max(np.abs(rhs[interior] - lhs[interior]) / lhs[interior]))
+
+
 def c_harmonicity_residual(tables, law, c):
     """Max relative defect of c U(x) = sum_z P(X=z) U(x+z) over interior points."""
-    grid = tables.grid
-    interior = grid.mask & (leak_weights(grid, tables.cone, law.support, law.probs) == 0.0)
-    rhs = np.zeros(grid.shape)
-    for z, p in zip(law.support, law.probs):
-        shift_add(rhs, tables.U, -np.asarray(z), p)
-    lhs = c * tables.U
-    return float(np.max(np.abs(rhs[interior] - lhs[interior]) / lhs[interior]))
+    return _defect(tables, tables.U, law, c)
 
 
 def qsd_fixed_point_residual(tables, law, c):
     """Max relative defect of sum_x U'(x) P(x + X = y) = c U'(y) over interior y."""
-    grid = tables.grid
-    rev = law.reversed()
-    interior = grid.mask & (leak_weights(grid, tables.cone, rev.support, rev.probs) == 0.0)
-    rhs = np.zeros(grid.shape)
-    for z, p in zip(law.support, law.probs):
-        # contribution U'(y - z) * P(X = z)
-        shift_add(rhs, tables.Uprime, np.asarray(z), p)
-    lhs = c * tables.Uprime
-    return float(np.max(np.abs(rhs[interior] - lhs[interior]) / lhs[interior]))
+    return _defect(tables, tables.Uprime, law.reversed(), c)
 
 
 def tables_rows(tables):

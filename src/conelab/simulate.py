@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import leak_weights
+from ._lattice import KilledKernel
 from .errors import ConfigError
 from .model import cone_contains
 
@@ -142,7 +142,7 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     h, c = cramer.h, cramer.c
     support = law.support
     step_w = law.probs * np.exp(support @ h) / c   # (1/c) P(z) e^(h.z)
-    interior = grid.mask & (leak_weights(grid, tables.cone, support, law.probs) == 0.0)
+    interior = KilledKernel(grid, law, tables.cone).interior
     rng = _worker_rng(seed, 0)
     m = n_paths
     pos = np.tile(x0, (m, 1))

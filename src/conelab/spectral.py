@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from ._lattice import kernel_matrix, make_grid
+from ._lattice import KilledKernel, make_grid
 from .errors import ConfigError
 
 QSD_TOL = 1e-10
@@ -39,7 +39,7 @@ def truncated_kernel(law, cone, L):
     if L < 4 * int(np.max(np.abs(law.support))):
         raise ConfigError("window must be at least four step lengths wide")
     grid = make_grid(cone, L)
-    kernel = kernel_matrix(grid, law.support, law.probs)
+    kernel = KilledKernel(grid, law).matrix()
     return kernel, grid
 
 
@@ -99,9 +99,7 @@ def mu_as_table(result):
 def tv_distance_tables(table_a, grid_a, table_b, grid_b):
     """Total-variation distance between two measures given on possibly
     different windows; points absent from a window carry zero mass."""
-    pts = {}
-    for pt, v in zip(grid_a.points(), table_a[grid_a.mask]):
-        pts[tuple(pt)] = [v, 0.0]
-    for pt, v in zip(grid_b.points(), table_b[grid_b.mask]):
-        pts.setdefault(tuple(pt), [0.0, 0.0])[1] = v
-    return 0.5 * sum(abs(a - b) for a, b in pts.values())
+    lo = np.minimum(grid_a.lo, grid_b.lo)
+    shape = tuple(np.maximum(grid_a.lo + grid_a.shape, grid_b.lo + grid_b.shape) - lo)
+    diff = grid_a.place(table_a, lo, shape) - grid_b.place(table_b, lo, shape)
+    return float(0.5 * np.abs(diff).sum())

@@ -50,6 +50,26 @@ def test_unknown_key_rejected(tmp_path):
         parse_run_config(path)
 
 
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--seed", "-5"),
+                                         ("--workers", "-2")])
+def test_bad_seed_or_workers_exits_2(config_path, tmp_path, capsys, flag, value):
+    status = main(["simulate", "--config", str(config_path), flag, value,
+                   "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag[2:] in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, bad", [("workers: 2", "workers: 0"),
+                                       ("seed: 99", "seed: -1")])
+def test_bad_seed_or_workers_in_yaml_rejected(tmp_path, line, bad):
+    path = tmp_path / "bad.yaml"
+    path.write_text(NN4_YAML.replace(line, bad))
+    with pytest.raises(ConfigError, match=line.split(":")[0]):
+        parse_run_config(path)
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     status = main(["cramer", "--config", str(tmp_path / "nope.yaml")])
     assert status == 2

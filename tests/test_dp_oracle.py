@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conelab._lattice import kernel_matrix
+from conelab._lattice import KilledKernel
 from conelab.dp_oracle import (bridge_value, check_tilt_identity,
-                               dp_evolve, dp_statistics, exit_position_law,
+                               dp_evolve, exit_position_law,
                                exit_time_pmf_rescaled, halfspace_1d, hazard_ratio,
                                survival_scan)
 from conelab.errors import ConfigError, WindowTooSmallError
@@ -78,7 +78,7 @@ def test_rescaled_series_stays_in_range(ctx):
 def test_dp_matches_kernel_power(nn4, quadrant):
     # independent oracle: sparse-kernel matrix power on the same window
     series = dp_evolve(nn4, quadrant, [2, 2], 6, rescale_by=1.0, L=12, retain=[6])
-    kernel = kernel_matrix(series.grid, nn4.support, nn4.probs)
+    kernel = KilledKernel(series.grid, nn4).matrix()
     vec = np.zeros(series.grid.n_states)
     vec[series.grid.index_of(np.array([2, 2]))] = 1.0
     for _ in range(6):
@@ -158,10 +158,7 @@ def test_exit_mass_matches_pmf(ctx):
     n = ctx.params.n_hi
     q = series.tables[n - 1]
     grid = series.grid
-    from conelab._lattice import shift_add
-    full = np.zeros(grid.shape)
-    for z, p in zip(series.law.support, series.law.probs):
-        shift_add(full, q, z, p)
+    full = KilledKernel(grid, series.law).push(q)
     outside = ~cone_contains(series.cone, grid.coords.reshape(-1, 2)).reshape(grid.shape)
     exit_total = full[outside].sum()
     # the collected exit mass carries one less rescaling than the pmf
@@ -201,26 +198,6 @@ def test_start_validation(nn4, quadrant):
         dp_evolve(nn4, quadrant, [0, 1], 5)
     with pytest.raises(ConfigError, match="window"):
         dp_evolve(nn4, quadrant, [1, 70], 5, L=60)
-
-
-def test_statistics_dispatcher(ctx):
-    series = ctx.series
-    out = dp_statistics(series, [
-        {"kind": "survival", "n": 300},
-        {"kind": "exit_time_pmf", "n": 300},
-        {"kind": "hazard", "n": 300},
-        {"kind": "conditional", "n": 300},
-        {"kind": "exit_position", "n": 300},
-        {"kind": "bridge", "n": 300, "t": 0.5, "A": [np.array([1, 1])],
-         "z": np.array([2, 2])},
-    ])
-    assert out[0]["rescaled"] == series.survival[300]
-    assert out[2]["value"] == hazard_ratio(series, 300)
-    assert out[3]["law"].sum() == pytest.approx(1.0, abs=1e-12)
-    assert out[4]["law"].sum() == pytest.approx(1.0, abs=1e-12)
-    assert out[5]["value"] > 0.0
-    with pytest.raises(ConfigError):
-        dp_statistics(series, [{"kind": "nope"}])
 
 
 def test_survival_scan_matches_forward_dp(cramer_nn4, quadrant):

@@ -1,9 +1,28 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conelab._lattice import (evolve_measure, evolve_survival, kernel_matrix,
-                              leak_weights, make_grid, shift_add, shift_fill)
-from conelab.model import ConeSpec
+from conelab._lattice import KilledKernel, make_grid, shift_add
+from conelab.model import ConeSpec, StepLaw, cone_contains
+from conelab.spectral import tv_distance_tables
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "conelab"
+
+# (law fixture, cone, pad): nn4 and the diagonal law on the quadrant, and nn4
+# on a tilted wedge with an unpadded box, whose window-edge neighbours fall off it
+KERNEL_CASES = {
+    "nn4-quadrant": ("nn4", ConeSpec.orthant(2), 1),
+    "diagonal-quadrant": ("diagonal_law", ConeSpec.orthant(2), 1),
+    "nn4-wedge": ("nn4", ConeSpec.wedge2d(0.75 * np.pi, 0.3), 0),
+}
+
+
+@pytest.fixture(params=list(KERNEL_CASES))
+def kernel(request):
+    law, cone, pad = KERNEL_CASES[request.param]
+    return KilledKernel(make_grid(cone, 8, pad=pad), request.getfixturevalue(law), cone)
 
 
 def test_shift_add_directions():
@@ -26,59 +45,94 @@ def test_shift_add_clips_at_box_edge():
     assert out2.sum() == 0.0         # shift exceeds the box entirely
 
 
-def test_shift_fill_gathers():
+def test_pull_gathers(quadrant):
+    step = StepLaw(support=np.array([[1, 0]]), probs=np.array([1.0]))
     arr = np.arange(9.0).reshape(3, 3)
-    out = np.full((3, 3), -1.0)
-    shift_fill(out, arr, np.array([1, 0]))
+    out = KilledKernel(make_grid(quadrant, 3), step).pull(arr)
     # out[x] = arr[x + z]
     assert out[0, 0] == arr[1, 0]
     assert out[1, 2] == arr[2, 2]
-    assert np.all(out[2] == -1.0)    # no source beyond the edge
+    assert np.all(out[2] == 0.0)     # no source beyond the edge
 
 
-def test_evolve_measure_conserves_on_interior(quadrant, nn4):
+def test_forward_conserves_on_interior(quadrant, nn4):
     grid = make_grid(quadrant, 12, pad=1)
+    kernel = KilledKernel(grid, nn4)
     q = np.zeros(grid.shape)
     q[tuple(np.array([6, 6]) - grid.lo)] = 1.0
-    out = evolve_measure(q, nn4.support, nn4.probs, grid.mask)
+    out = kernel.forward(q)
     assert out.sum() == pytest.approx(1.0, abs=1e-15)
     # one step from the boundary loses the killed mass
     q2 = np.zeros(grid.shape)
     q2[tuple(np.array([1, 1]) - grid.lo)] = 1.0
-    out2 = evolve_measure(q2, nn4.support, nn4.probs, grid.mask)
+    out2 = kernel.forward(q2)
     assert out2.sum() == pytest.approx(0.25, abs=1e-15)
 
 
-def test_evolve_survival_is_adjoint_of_evolve_measure(quadrant, nn4):
+def test_backward_is_adjoint_of_forward(kernel):
     # <T mu, s> = <mu, T* s> for the killed kernel and any pair of states
     rng = np.random.default_rng(1)
-    grid = make_grid(quadrant, 8, pad=1)
+    grid = kernel.grid
     mu = np.where(grid.mask, rng.random(grid.shape), 0.0)
     s = np.where(grid.mask, rng.random(grid.shape), 0.0)
-    lhs = (evolve_measure(mu, nn4.support, nn4.probs, grid.mask) * s).sum()
-    rhs = (mu * evolve_survival(s, nn4.support, nn4.probs, grid.mask)).sum()
+    lhs = (kernel.forward(mu) * s).sum()
+    rhs = (mu * kernel.backward(s)).sum()
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_kernel_matrix_matches_evolve(quadrant, nn4):
-    grid = make_grid(quadrant, 8, pad=1)
-    kernel = kernel_matrix(grid, nn4.support, nn4.probs)
+def test_matrix_matches_forward(kernel):
+    grid = kernel.grid
     rng = np.random.default_rng(2)
     mu = np.where(grid.mask, rng.random(grid.shape), 0.0)
-    direct = evolve_measure(mu, nn4.support, nn4.probs, grid.mask)
+    direct = kernel.forward(mu)
     via_kernel = np.zeros(grid.shape)
-    via_kernel[grid.mask] = kernel.T @ mu[grid.mask]
+    via_kernel[grid.mask] = kernel.matrix().T @ mu[grid.mask]
     assert np.max(np.abs(direct - via_kernel)) < 1e-14
 
 
-def test_leak_weights_zero_strictly_inside(quadrant, nn4):
+def test_leak_and_interior_match_pointwise_rule(kernel):
+    # leak(x) = sum of p_z over steps landing in the cone but off the window
+    grid, law = kernel.grid, kernel.law
+    expected = np.zeros(grid.shape)
+    for x in grid.points():
+        for z, p in zip(law.support, law.probs):
+            y = x + z
+            if cone_contains(kernel.cone, y[None, :])[0] and grid.index_of(y) < 0:
+                expected[tuple(x - grid.lo)] += p
+    assert np.array_equal(kernel.leak, expected)
+    assert np.array_equal(kernel.interior, grid.mask & (expected == 0.0))
+    assert kernel.leak.any() and kernel.interior.any()
+
+
+def test_leak_zero_strictly_inside(quadrant, nn4):
     grid = make_grid(quadrant, 10, pad=1)
-    leak = leak_weights(grid, quadrant, nn4.support, nn4.probs)
+    leak = KilledKernel(grid, nn4, quadrant).leak
     # cone-boundary kills are not leaks; only window-edge cone points leak
     assert leak[tuple(np.array([1, 1]) - grid.lo)] == 0.0
     assert leak[tuple(np.array([5, 5]) - grid.lo)] == 0.0
     edge = tuple(np.array([10, 5]) - grid.lo)
     assert leak[edge] == pytest.approx(1.0 / 8.0)
+
+
+def test_tv_distance_matches_pointwise_fsum(quadrant):
+    # a padded DP box (lo = 1 - pad) against a QSD box (lo = 1)
+    rng = np.random.default_rng(3)
+    grid_a = make_grid(quadrant, 12, pad=2)
+    grid_b = make_grid(quadrant, 9)
+    assert grid_a.lo.tolist() == [-1, -1] and grid_b.lo.tolist() == [1, 1]
+    table_a = rng.random(grid_a.shape)
+    table_b = rng.random(grid_b.shape)
+    table_a /= table_a[grid_a.mask].sum()
+    table_b /= table_b[grid_b.mask].sum()
+    mass = {}
+    for pt, v in zip(grid_a.points(), table_a[grid_a.mask]):
+        mass[tuple(pt)] = [v, 0.0]
+    for pt, v in zip(grid_b.points(), table_b[grid_b.mask]):
+        mass.setdefault(tuple(pt), [0.0, 0.0])[1] = v
+    expected = 0.5 * math.fsum(abs(a - b) for a, b in mass.values())
+    tv = tv_distance_tables(table_a, grid_a, table_b, grid_b)
+    assert tv == pytest.approx(expected, abs=1e-15)
+    assert tv_distance_tables(table_b, grid_b, table_a, grid_a) == tv
 
 
 def test_grid_window_uses_whitened_norm(quadrant):
@@ -97,3 +151,14 @@ def test_grid_index_round_trip(quadrant):
         assert np.array_equal(grid.points()[idx], pt)
     assert grid.index_of(np.array([0, 3])) == -1
     assert grid.index_of(np.array([99, 1])) == -1
+
+
+def test_one_stencil_in_src():
+    # every killed-walk step goes through KilledKernel; a second hand-written
+    # stencil or interior rule elsewhere in the package fails here
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_lattice.py":
+            continue
+        text = path.read_text()
+        assert "shift_add(" not in text, path.name
+        assert "leak == 0" not in text, path.name
