@@ -129,7 +129,6 @@ class VerifyParams:
     scan_n_lo: int = 50
     seed: int = 20240718
     workers: int = 4
-    mc_samples: int = 1_000_000
 
     def retained_times(self):
         n = self.n_hi
@@ -187,13 +186,12 @@ class PipelineContext:
 
     @cached_property
     def qsd_sweep(self):
-        return {L: qsd_for_model(self.law, self.cone, L) for L in self.params.qsd_sweep}
+        return {L: qsd_for_model(self.law, self.cramer, self.cone, L)
+                for L in self.params.qsd_sweep}
 
     @cached_property
     def qsd(self):
-        sweep = self.qsd_sweep
-        L = self.params.qsd_window
-        return sweep[L] if L in sweep else qsd_for_model(self.law, self.cone, L)
+        return qsd_for_model(self.law, self.cramer, self.cone, self.params.qsd_window)
 
     @cached_property
     def exponent(self):

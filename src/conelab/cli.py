@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +47,6 @@ class RunConfig:
     zchain: dict
     out_dir: Path
     config_sha: str
-    raw: dict = field(default_factory=dict)
 
 
 def _fmt(x):
@@ -68,9 +67,29 @@ def _parse_prob(value, where):
 
 
 def _require_keys(section, allowed, where):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+
+
+def _need(section, key, where):
+    if key not in section:
+        raise ConfigError(f"{where}: missing key {key!r}")
+    return section[key]
+
+
+def _read(convert, value, where):
+    """``convert(value)``; a value it cannot take is a ConfigError naming ``where``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot read {value!r}") from exc
+
+
+def _int_tuple(values):
+    return tuple(int(v) for v in values)
 
 
 def parse_run_config(path, seed=None, workers=None, out_dir=None):
@@ -98,21 +117,27 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
         raise ConfigError("model.law.steps must be a nonempty list")
     support, probs = [], []
     for i, entry in enumerate(steps):
-        _require_keys(entry, {"step", "prob"}, f"model.law.steps[{i}]")
-        support.append([int(v) for v in entry["step"]])
-        probs.append(_parse_prob(entry["prob"], f"model.law.steps[{i}]"))
+        where = f"model.law.steps[{i}]"
+        _require_keys(entry, {"step", "prob"}, where)
+        support.append(_read(_int_tuple, _need(entry, "step", where), f"{where}.step"))
+        probs.append(_parse_prob(_need(entry, "prob", where), f"{where}.prob"))
+    if len({len(z) for z in support}) != 1:
+        raise ConfigError("model.law.steps: every step needs the same dimension")
     law = StepLaw(support=np.array(support, dtype=int), probs=np.array(probs))
 
     cone_sec = model.get("cone", {})
     _require_keys(cone_sec, {"kind", "dim", "beta", "theta0", "normal"}, "model.cone")
     kind = cone_sec.get("kind")
     if kind == "orthant":
-        cone = ConeSpec.orthant(int(cone_sec.get("dim", law.dim)))
+        cone = ConeSpec.orthant(_read(int, cone_sec.get("dim", law.dim), "model.cone.dim"))
     elif kind == "wedge2d":
-        cone = ConeSpec.wedge2d(float(cone_sec["beta"]),
-                                float(cone_sec.get("theta0", 0.0)))
+        cone = ConeSpec.wedge2d(
+            _read(float, _need(cone_sec, "beta", "model.cone"), "model.cone.beta"),
+            _read(float, cone_sec.get("theta0", 0.0), "model.cone.theta0"))
     elif kind == "halfspace":
-        cone = ConeSpec.halfspace(np.array(cone_sec["normal"], dtype=float))
+        cone = ConeSpec.halfspace(_read(lambda a: np.array(a, dtype=float),
+                                        _need(cone_sec, "normal", "model.cone"),
+                                        "model.cone.normal"))
     else:
         raise ConfigError(f"model.cone.kind: unknown kind {kind!r}")
 
@@ -123,14 +148,11 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
     params = VerifyParams()
     for key in allowed:
         if key in pipe:
-            value = pipe[key]
             if key in ("x0", "ratio_start", "bridge_endpoint", "qsd_sweep"):
-                value = tuple(int(v) for v in value)
-            elif key == "harmonic_window":
-                value = float(value)
+                convert = _int_tuple
             else:
-                value = int(value)
-            setattr(params, key, value)
+                convert = float if key == "harmonic_window" else int
+            setattr(params, key, _read(convert, pipe[key], f"pipeline.{key}"))
     if seed is not None:
         params.seed = int(seed)
     if workers is not None:
@@ -140,20 +162,19 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
     if params.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {params.seed}")
 
-    sim = dict(data.get("simulate", {}) or {})
+    sim = data.get("simulate") or {}
     _require_keys(sim, {"estimator", "x0", "n", "n_samples"}, "simulate")
-    sim.setdefault("estimator", "both")
-    sim.setdefault("x0", [5, 5])
-    sim.setdefault("n", 60)
-    sim.setdefault("n_samples", 1_000_000)
+    sim = {"estimator": "both", "x0": [5, 5], "n": 60, "n_samples": 1_000_000, **sim}
     if sim["estimator"] not in ("direct", "tilted", "both"):
         raise ConfigError("simulate.estimator must be direct, tilted, or both")
 
-    zchain = dict(data.get("zchain", {}) or {})
+    zchain = data.get("zchain") or {}
     _require_keys(zchain, {"x0", "n_steps", "n_paths"}, "zchain")
-    zchain.setdefault("x0", [1, 1])
-    zchain.setdefault("n_steps", 200)
-    zchain.setdefault("n_paths", 1000)
+    zchain = {"x0": [1, 1], "n_steps": 200, "n_paths": 1000, **zchain}
+    for section, values in (("simulate", sim), ("zchain", zchain)):
+        for key in sorted(values.keys() - {"estimator"}):
+            values[key] = _read(_int_tuple if key == "x0" else int, values[key],
+                                f"{section}.{key}")
 
     out = data.get("output", {}) or {}
     _require_keys(out, {"dir"}, "output")
@@ -161,7 +182,7 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
 
     return RunConfig(
         law=law, cone=cone, params=params, simulate=sim, zchain=zchain,
-        out_dir=out_path, config_sha=hashlib.sha256(blob).hexdigest(), raw=data,
+        out_dir=out_path, config_sha=hashlib.sha256(blob).hexdigest(),
     )
 
 
@@ -314,7 +335,7 @@ def _cmd_qsd(config, ctx, run_id):
     result = ctx.qsd
     print(f"window L = {result.L}: lambda = {result.lambda_:.9f} "
           f"(survival rate c = {ctx.cramer.c:.9f}), residual = {result.residual:.2e}, "
-          f"{result.iterations} iterations")
+          f"{result.iterations} shift-invert solves")
     d = ctx.law.dim
     pts = result.grid.points()
     order = np.lexsort(pts.T[::-1])

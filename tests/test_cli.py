@@ -70,6 +70,28 @@ def test_bad_seed_or_workers_in_yaml_rejected(tmp_path, line, bad):
         parse_run_config(path)
 
 
+STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
+
+
+@pytest.mark.parametrize("line, bad, named", [
+    ("- {step: [1, 0],  prob: 1/8}", "- {step: [1, 0]}",
+     "model.law.steps[0]: missing key 'prob'"),
+    ("cone: {kind: orthant, dim: 2}", "cone: {kind: wedge2d}",
+     "model.cone: missing key 'beta'"),
+    ("- {step: [1, 0],  prob: 1/8}", '- {step: [1, "x"], prob: 1/8}',
+     "model.law.steps[0].step: cannot read [1, 'x']"),
+    ("n_max: 96", "n_max: many", "pipeline.n_max: cannot read 'many'"),
+    (STEPS, "    steps: [1, 2]\n", "model.law.steps[0] must be a mapping"),
+], ids=["no-prob", "wedge-no-beta", "step-not-int", "n_max-not-int", "step-not-mapping"])
+def test_malformed_config_exits_2(tmp_path, capsys, line, bad, named):
+    path = tmp_path / "bad.yaml"
+    path.write_text(NN4_YAML.replace(line, bad))
+    status = main(["cramer", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     status = main(["cramer", "--config", str(tmp_path / "nope.yaml")])
     assert status == 2
@@ -179,10 +201,11 @@ def test_verify_all_reports_parity_failures(config_path, tmp_path, capsys):
     assert rows["exp_moment.convergent_at_critical"] == "True"
 
 
-def test_artifacts_byte_identical(config_path, tmp_path):
+@pytest.mark.parametrize("command", ["dp", "qsd"])
+def test_artifacts_byte_identical(config_path, tmp_path, command):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["dp", "--config", str(config_path), "--out", str(out_a)]) == 0
-    assert main(["dp", "--config", str(config_path), "--out", str(out_b)]) == 0
+    assert main([command, "--config", str(config_path), "--out", str(out_a)]) == 0
+    assert main([command, "--config", str(config_path), "--out", str(out_b)]) == 0
     files_a = sorted(p.name for p in out_a.iterdir())
     files_b = sorted(p.name for p in out_b.iterdir())
     assert files_a == files_b

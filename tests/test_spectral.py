@@ -3,8 +3,8 @@ import pytest
 
 from conelab.errors import ConfigError
 from conelab.model import StepLaw
-from conelab.spectral import (mu_as_table, qsd_power_iteration, truncated_kernel,
-                              tv_distance_tables)
+from conelab.spectral import (mu_as_table, qsd_for_model, qsd_power_iteration,
+                              truncated_kernel, tv_distance_tables)
 
 ROOT3 = np.sqrt(3.0)
 
@@ -64,15 +64,37 @@ def test_qsd_matches_normalized_harmonic_table(ctx):
     assert tv <= 0.01
 
 
-def test_disconnected_kernel_warns(quadrant):
-    law = StepLaw(support=np.array([[-2, 0], [0, -2]]), probs=np.array([0.5, 0.5]))
-    kernel, grid = truncated_kernel(law, quadrant, 8)
-    result = qsd_power_iteration(kernel, grid=grid, L=8, max_iter=2000)
-    assert result.warnings
+def test_disconnected_kernel_warns(diagonal_law, quadrant, diag_ctx):
+    # diagonal steps keep x1 + x2 mod 2: the window holds two closed classes
+    kernel, grid = truncated_kernel(diagonal_law, quadrant, 20)
+    result = qsd_power_iteration(kernel, grid, diag_ctx.cramer, 20)
+    assert len(result.warnings) == 1 and "2 strongly connected" in result.warnings[0]
+    named = [int(v) for v in result.warnings[0].split("[")[-1].rstrip("]").split(",")]
+    parity = grid.points().sum(axis=1) % 2
+    assert result.mu[parity != sum(named) % 2].sum() <= 1e-8
 
 
-def test_flagged_when_iteration_budget_too_small(nn4, quadrant):
-    kernel, grid = truncated_kernel(nn4, quadrant, 20)
-    result = qsd_power_iteration(kernel, grid=grid, L=20, max_iter=5)
-    assert not result.converged
-    assert result.iterations == 5
+@pytest.mark.parametrize("L", [20, 60])
+def test_nn4_qsd_matches_closed_form(nn4, quadrant, cramer_nn4, L):
+    # the tilted kernel is the simple random walk killed off [1, L]^2
+    result = qsd_for_model(nn4, cramer_nn4, quadrant, L)
+    c = cramer_nn4.c
+    assert abs(result.lambda_ - c * np.cos(np.pi / (L + 1))) / c <= 1e-12
+    x = result.grid.points()
+    exact = (3.0 ** (-x.sum(axis=1) / 2.0) * np.sin(np.pi * x[:, 0] / (L + 1))
+             * np.sin(np.pi * x[:, 1] / (L + 1)))
+    exact /= exact.sum()
+    assert 0.5 * np.abs(result.mu - exact).sum() <= 1e-12
+
+
+def test_diagonal_qsd_sweep(diagonal_law, quadrant, diag_ctx):
+    # at L = 80 the raw solve leaves entries near -4e-10 on the other class
+    lams = []
+    for L in (20, 30, 40, 60, 80):
+        result = qsd_for_model(diagonal_law, diag_ctx.cramer, quadrant, L)
+        assert result.converged and result.residual <= 1e-12
+        assert np.all(result.mu >= 0.0)
+        assert result.mu.sum() == pytest.approx(1.0, abs=1e-12)
+        lams.append(result.lambda_)
+    assert lams[-1] < diag_ctx.cramer.c
+    assert all(a <= b for a, b in zip(lams, lams[1:]))

@@ -30,9 +30,9 @@ def test_same_survival_series(nn4, quadrant, wedge, cramer_nn4):
     assert np.max(np.abs(a.survival - b.survival)) < 1e-15
 
 
-def test_same_perron_root(nn4, quadrant, wedge):
-    a = qsd_for_model(nn4, quadrant, 20)
-    b = qsd_for_model(nn4, wedge, 20)
+def test_same_perron_root(nn4, quadrant, wedge, cramer_nn4):
+    a = qsd_for_model(nn4, cramer_nn4, quadrant, 20)
+    b = qsd_for_model(nn4, cramer_nn4, wedge, 20)
     assert a.lambda_ == pytest.approx(b.lambda_, abs=1e-12)
 
 
