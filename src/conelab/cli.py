@@ -412,7 +412,10 @@ def main(argv=None):
                              f"one of {', '.join(SELECTORS)} or 'all'")
     parser.add_argument("--config", required=True, help="path to the YAML run config")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="Monte Carlo streams; estimates depend on (seed, samples, "
+                             "workers), not on the core count, and the streams run "
+                             "in a forked pool of min(workers, cores) processes")
     parser.add_argument("--out", default=None, help="output directory override")
     args = parser.parse_args(argv)
 

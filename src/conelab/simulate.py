@@ -1,12 +1,17 @@
 """Monte Carlo estimators: direct killed paths, tilted importance sampling,
 and the chain conditioned to stay in the cone forever.
 
-Randomness comes from counter-based Philox generators.  Worker ``w`` of a run
-with seed ``s`` draws from ``Philox(SeedSequence(entropy=s, spawn_key=(w,)))``
-and simulates its own block of samples; results are combined in worker order,
-so (seed, n_samples, workers) reproduces every estimate bit for bit.
+Randomness comes from counter-based Philox generators.  A run with seed ``s``
+and ``workers`` streams splits its samples into ``workers`` blocks; block
+``w`` draws from ``Philox(SeedSequence(entropy=s, spawn_key=(w,)))`` and the
+block results are merged in block order.  Estimates therefore depend on
+(seed, n_samples, workers) and reproduce bit for bit, whatever the core
+count: the blocks run in a forked process pool of min(workers, cores)
+processes, or in the calling process when that is one or the platform cannot
+fork.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,35 +47,93 @@ def _split_samples(n_samples, workers):
 
 
 def _simulate_killed(law, cone, x0, n, m, rng):
-    """Final increments and alive flags of m killed paths of length n."""
-    pos = np.tile(np.asarray(x0, dtype=np.int64), (m, 1))
-    alive = np.ones(m, dtype=bool)
+    """Final positions and alive flags of m killed paths of length n.
+
+    Survivors are kept compacted, one int64 row per coordinate, in their
+    original order, so each step draws the same uniforms for the same paths
+    as a loop over the full (m, d) array would.  A path that dies has its
+    exit position written to ``pos`` and leaves the compacted rows.
+    """
+    x0 = np.asarray(x0, dtype=np.int64)
+    pos = np.tile(x0, (m, 1))
+    alive = np.zeros(m, dtype=bool)
+    p = np.repeat(x0[:, None], m, axis=1)
+    live = np.arange(m)
     cdf = np.cumsum(law.probs)
+    steps = law.support.T.astype(np.int64)
+    last = law.support.shape[0] - 1
     for _ in range(n):
-        act = np.flatnonzero(alive)
-        if act.size == 0:
+        if live.size == 0:
             break
-        idx = np.searchsorted(cdf, rng.random(act.size), side="right")
-        idx = np.minimum(idx, law.support.shape[0] - 1)
-        pos[act] += law.support[idx]
-        alive[act] = cone_contains(cone, pos[act])
+        idx = np.searchsorted(cdf, rng.random(live.size), side="right")
+        idx = np.minimum(idx, last)
+        for row, step in zip(p, steps):
+            row += step.take(idx)
+        if cone.kind == "orthant":
+            inside = p[0] > 0
+            for row in p[1:]:
+                inside &= row > 0
+        else:
+            inside = cone_contains(cone, p.T)
+        if not inside.all():
+            dead = np.flatnonzero(~inside)
+            pos[live.take(dead)] = p.take(dead, axis=1).T
+            keep = np.flatnonzero(inside)
+            p, live = p.take(keep, axis=1), live.take(keep)
+    pos[live] = p.T
+    alive[live] = True
     return pos, alive
+
+
+def _direct_block(law, cone, x0, n, m, seed, worker):
+    _, alive = _simulate_killed(law, cone, x0, n, m, _worker_rng(seed, worker))
+    return int(alive.sum())
+
+
+def _tilted_block(tilted, h, cone, x0, n, m, seed, worker):
+    pos, alive = _simulate_killed(tilted, cone, x0, n, m, _worker_rng(seed, worker))
+    wts = np.where(alive, np.exp(-((pos - x0) @ h)), 0.0)
+    return float(wts.sum()), float((wts * wts).sum())
+
+
+def _run_blocks(block, args, n_samples, seed, workers):
+    """``block(*args, m, seed, w)`` for each non-empty block w, in block order.
+
+    Blocks run in a pool of at most one process per core, skipped with one
+    core or where fork is missing.  Fork is named (Python 3.14 defaults to
+    forkserver) because it keeps the imported scipy, which a fresh process
+    would import again; threads would cost more peak memory.  The pool
+    modules are imported here, so commands that never simulate skip them.
+    """
+    jobs = [(m, seed, w) for w, m in enumerate(_split_samples(n_samples, workers)) if m > 0]
+    procs = min(len(jobs), os.cpu_count() or 1)
+    if procs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(procs, mp_context=fork) as pool:
+                futures = [pool.submit(block, *args, *job) for job in jobs]
+                return [f.result() for f in futures]
+    return [block(*args, *job) for job in jobs]
+
+
+def _check_start(cone, x0, n_samples):
+    if n_samples < 1:
+        raise ConfigError("n_samples must be at least 1")
+    x0 = np.asarray(x0, dtype=int)
+    if x0.shape != (cone.dim,) or not cone_contains(cone, x0[None, :])[0]:
+        raise ConfigError(f"start {x0.tolist()} is not inside the open cone")
+    return x0
 
 
 def mc_survival(law, cone, x0, n, n_samples, seed, workers=1):
     """Direct estimate of P(tau_x0 > n) with binomial standard error."""
-    if n_samples < 1:
-        raise ConfigError("n_samples must be at least 1")
-    x0 = np.asarray(x0, dtype=int)
+    x0 = _check_start(cone, x0, n_samples)
     if n == 0:
         return McEstimate(1.0, 0.0, n_samples, seed, workers)
-    hits = 0
-    for w, m in enumerate(_split_samples(n_samples, workers)):
-        if m == 0:
-            continue
-        rng = _worker_rng(seed, w)
-        _, alive = _simulate_killed(law, cone, x0, n, m, rng)
-        hits += int(alive.sum())
+    hits = sum(_run_blocks(_direct_block, (law, cone, x0, n), n_samples, seed, workers))
     p_hat = hits / n_samples
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
     return McEstimate(float(p_hat), se, n_samples, seed, workers)
@@ -84,22 +147,16 @@ def is_survival(cramer, cone, x0, n, n_samples, seed, workers=1):
     gives an unbiased estimate of the original survival probability.  The
     value is assembled in log space, so long horizons cannot underflow.
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be at least 1")
-    x0 = np.asarray(x0, dtype=int)
+    x0 = _check_start(cone, x0, n_samples)
     if n == 0:
         return McEstimate(1.0, 0.0, n_samples, seed, workers)
     h, c = cramer.h, cramer.c
     sum_w = 0.0
     sum_w2 = 0.0
-    for w, m in enumerate(_split_samples(n_samples, workers)):
-        if m == 0:
-            continue
-        rng = _worker_rng(seed, w)
-        pos, alive = _simulate_killed(cramer.tilted, cone, x0, n, m, rng)
-        wts = np.where(alive, np.exp(-((pos - x0) @ h)), 0.0)
-        sum_w += float(wts.sum())
-        sum_w2 += float((wts * wts).sum())
+    for s, s2 in _run_blocks(_tilted_block, (cramer.tilted, h, cone, x0, n),
+                             n_samples, seed, workers):
+        sum_w += s
+        sum_w2 += s2
     mean_w = sum_w / n_samples
     if mean_w > 0.0:
         value = float(np.exp(n * np.log(c) + np.log(mean_w)))

@@ -201,8 +201,18 @@ def test_verify_all_reports_parity_failures(config_path, tmp_path, capsys):
     assert rows["exp_moment.convergent_at_critical"] == "True"
 
 
-@pytest.mark.parametrize("command", ["dp", "qsd"])
-def test_artifacts_byte_identical(config_path, tmp_path, command):
+@pytest.mark.parametrize("command, edits", [
+    ("dp", {}),
+    ("qsd", {}),
+    # four streams on a pool of processes: the merge must not follow completion order
+    ("simulate", {"workers: 2": "workers: 4", "n_samples: 20000": "n_samples: 4000"}),
+], ids=["dp", "qsd", "simulate"])
+def test_artifacts_byte_identical(tmp_path, command, edits):
+    text = NN4_YAML
+    for line, edited in edits.items():
+        text = text.replace(line, edited)
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(text)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main([command, "--config", str(config_path), "--out", str(out_a)]) == 0
     assert main([command, "--config", str(config_path), "--out", str(out_b)]) == 0
@@ -233,6 +243,16 @@ def test_numerical_error_exits_3(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert status == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_simulate_start_outside_cone_exits_2(tmp_path, capsys):
+    path = tmp_path / "edge.yaml"
+    path.write_text(NN4_YAML.replace("x0: [3, 3]", "x0: [0, 3]"))
+    status = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "start [0, 3]" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_changes_simulation(config_path, tmp_path):

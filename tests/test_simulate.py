@@ -1,9 +1,16 @@
+import concurrent.futures
+import os
+import re
+import time
+
 import numpy as np
 import pytest
 
+import conelab.simulate as simulate
 from conelab.dp_oracle import dp_evolve
 from conelab.errors import ConfigError
 from conelab.harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
+from conelab.model import ConeSpec, cone_contains
 from conelab.simulate import (_simulate_killed, _worker_rng, is_survival,
                               mc_survival, transience_indicator, z_chain)
 
@@ -67,6 +74,98 @@ def test_importance_weights_bounded(cramer_nn4, quadrant):
 def test_sample_count_validation(nn4, quadrant):
     with pytest.raises(ConfigError):
         mc_survival(nn4, quadrant, [1, 1], 5, 0, seed=0)
+
+
+@pytest.mark.parametrize("x0", [[0, 3], [3, -1], [1, 1, 1]],
+                         ids=["on-axis", "outside", "wrong-dimension"])
+def test_start_outside_open_cone_rejected(nn4, quadrant, cramer_nn4, x0):
+    # tau = 0 at a start outside the open cone, so an estimate would be wrong
+    named = re.escape(f"start {x0}")
+    with pytest.raises(ConfigError, match=named):
+        mc_survival(nn4, quadrant, x0, 2, 10_000, seed=1)
+    with pytest.raises(ConfigError, match=named):
+        is_survival(cramer_nn4, quadrant, x0, 2, 10_000, seed=1)
+
+
+def _reference_simulate_killed(law, cone, x0, n, m, rng):
+    """The uncompacted loop over the full (m, d) array."""
+    pos = np.tile(np.asarray(x0, dtype=np.int64), (m, 1))
+    alive = np.ones(m, dtype=bool)
+    cdf = np.cumsum(law.probs)
+    for _ in range(n):
+        act = np.flatnonzero(alive)
+        if act.size == 0:
+            break
+        idx = np.searchsorted(cdf, rng.random(act.size), side="right")
+        idx = np.minimum(idx, law.support.shape[0] - 1)
+        pos[act] += law.support[idx]
+        alive[act] = cone_contains(cone, pos[act])
+    return pos, alive
+
+
+@pytest.mark.parametrize("cone, x0", [
+    (ConeSpec.orthant(2), (2, 2)),
+    (ConeSpec.wedge2d(3 * np.pi / 4, theta0=np.pi / 8), (2, 3)),
+    (ConeSpec.halfspace(np.array([1.0, 2.0])), (1, 1)),
+], ids=["quadrant", "wedge", "halfspace"])
+@pytest.mark.parametrize("tilted", [False, True], ids=["direct", "tilted"])
+def test_compacted_loop_matches_reference(nn4, cramer_nn4, cone, x0, tilted):
+    law = cramer_nn4.tilted if tilted else nn4
+    pos, alive = _simulate_killed(law, cone, x0, 40, 5_000, _worker_rng(3, 1))
+    ref_pos, ref_alive = _reference_simulate_killed(law, cone, x0, 40, 5_000,
+                                                    _worker_rng(3, 1))
+    assert 0 < alive.sum() < alive.size
+    assert np.array_equal(pos, ref_pos)
+    assert np.array_equal(alive, ref_alive)
+
+
+# (value, std_error) of both estimators at x0 (2, 2), n = 30, seed 42,
+# workers 3, as computed by the serial uncompacted loop
+PINNED = {"direct": (0.00029, 3.807334369345566e-05),
+          "tilted": (0.00030295165427495624, 4.092072974484666e-06)}
+
+
+def _both(nn4, quadrant, cramer_nn4, n_samples, workers):
+    args = (quadrant, [2, 2], 30, n_samples)
+    direct = mc_survival(nn4, *args, seed=42, workers=workers)
+    tilted = is_survival(cramer_nn4, *args, seed=42, workers=workers)
+    return {"direct": (direct.value, direct.std_error),
+            "tilted": (tilted.value, tilted.std_error)}
+
+
+def test_pinned_estimates_independent_of_core_count(nn4, quadrant, cramer_nn4,
+                                                     monkeypatch):
+    assert _both(nn4, quadrant, cramer_nn4, 200_000, 3) == PINNED
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert _both(nn4, quadrant, cramer_nn4, 200_000, 3) == PINNED
+
+
+def _late_first_block(m, seed, worker):
+    time.sleep(0.05 * (4 - worker))
+    return worker
+
+
+def test_blocks_merge_in_block_order():
+    # block 0 finishes last, so a merge in completion order would reorder
+    assert simulate._run_blocks(_late_first_block, (), 4, 0, 4) == [0, 1, 2, 3]
+
+
+def test_pool_capped_at_core_count(nn4, quadrant, cramer_nn4, monkeypatch):
+    cores = os.cpu_count()
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 1)
+        serial = _both(nn4, quadrant, cramer_nn4, 50, 64)
+    sizes = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real_pool(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    assert _both(nn4, quadrant, cramer_nn4, 50, 64) == serial
+    assert all(size <= cores for size in sizes)
+    assert len(sizes) == (2 if cores > 1 else 0)
 
 
 @pytest.fixture(scope="module")
