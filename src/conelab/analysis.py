@@ -7,6 +7,7 @@ check emits VerificationReport rows with the measured deviation and the
 tolerance it was held to.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,7 +17,7 @@ from ._lattice import KilledKernel
 from .cramer import solve_cramer_point
 from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
                         exit_time_pmf_rescaled, hazard_ratio, survival_scan)
-from .errors import ConfigError
+from .errors import ConfigError, NoExitMassError
 from .harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
 from .model import build_model
 from .spectral import qsd_for_model, tv_distance_tables
@@ -89,28 +90,24 @@ def fit_survival_series(b, rescale_by=1.0, n_hi=None):
     )
 
 
-def fit_tail(series, mode="drifted"):
-    """Tail fit of a DP series; ``drifted`` requires the rescaled evolution."""
-    if mode not in ("drifted", "driftless"):
-        raise ConfigError(f"unknown fit mode {mode!r}")
-    if mode == "drifted" and not series.rescaled:
+def fit_tail(series):
+    """Tail fit of a drifted DP series; requires the rescaled evolution."""
+    if series.rescale_by == 1.0:
         raise ConfigError("drifted fits need the series rescaled by the survival rate")
-    fit = fit_survival_series(series.survival, rescale_by=series.rescale_by,
-                              n_hi=series.n_max)
-    raw = series.survival * series.rescale_by ** np.arange(series.n_max + 1)
-    if np.any(np.diff(raw) > 1e-12):
-        fit.diagnostics["monotonicity"] = "raw survival not nonincreasing"
-    return fit
+    return fit_survival_series(series.survival, rescale_by=series.rescale_by,
+                               n_hi=series.n_max)
 
 
 # ---------------------------------------------------------------------------
 # pipeline context: all artifacts the selectors draw on, built lazily
 
-DEFAULT_SCAN_GRID = (
+SCAN_GRID = (            # starts of the driftless survival scan
     (1, 1), (2, 1), (1, 2), (2, 2), (4, 2), (2, 4), (4, 4), (8, 4), (4, 8),
     (8, 8), (12, 8), (8, 12), (12, 12), (16, 12), (12, 16), (16, 16),
     (20, 16), (16, 20), (20, 20), (24, 24),
 )
+SCAN_N_LO = 50           # first time of the driftless bound's statistic
+BRIDGE_TIMES = (1.0 / 3.0, 0.5)
 
 
 @dataclass
@@ -123,17 +120,14 @@ class VerifyParams:
     harmonic_window: float = 72.0
     qsd_window: int = 60
     qsd_sweep: tuple = (20, 30, 40, 60)
-    bridge_times: tuple = (1.0 / 3.0, 0.5)
     bridge_endpoint: tuple = (2, 2)
-    scan_grid: tuple = DEFAULT_SCAN_GRID
-    scan_n_lo: int = 50
     seed: int = 20240718
     workers: int = 4
 
     def retained_times(self):
         n = self.n_hi
         times = {n, n - 1, n // 4}
-        for t in self.bridge_times:
+        for t in BRIDGE_TIMES:
             m = int(np.floor(t * n))
             times.update((m, n - m))
         return tuple(sorted(times))
@@ -181,7 +175,7 @@ class PipelineContext:
 
     @cached_property
     def driftless_scan(self):
-        return survival_scan(self.cramer.tilted, self.cone, self.params.scan_grid,
+        return survival_scan(self.cramer.tilted, self.cone, SCAN_GRID,
                              self.params.n_max)
 
     @cached_property
@@ -310,7 +304,14 @@ def _check_yaglom(ctx):
 def _check_exit_law(ctx):
     prm = ctx.params
     notes = [n for n in [ctx.parity_note()] if n]
-    measured_law, outside = exit_position_law(ctx.series, prm.n_hi)
+    try:
+        measured_law, outside = exit_position_law(ctx.series, prm.n_hi)
+    except NoExitMassError:
+        cause = " (the walk has period 2)" if _period_two(ctx.law) else ""
+        notes.append(f"structural, not numerical: from x0 = {list(prm.x0)} no path "
+                     f"leaves the cone at n = {prm.n_hi}{cause}")
+        return [_report("exit_law.tv", 0.0, 1.0, TOL_TV_DP, relative=False,
+                        notes=notes)]
     grid = ctx.series.grid
     tabs = ctx.harmonic
     uprime = np.where(grid.mask, tabs.grid.place(tabs.Uprime, grid.lo, grid.shape), 0.0)
@@ -323,9 +324,15 @@ def _check_exit_law(ctx):
     return [_report("exit_law.tv", 0.0, tv, TOL_TV_DP, relative=False, notes=notes)]
 
 
+def _period_two(law):
+    """Whether some parity phi . x, phi in {0, 1}^d, flips at every step."""
+    return any(np.all(law.support @ np.array(phi) % 2 == 1)
+               for phi in itertools.product((0, 1), repeat=law.dim))
+
+
 def _check_bridge(ctx):
     prm = ctx.params
-    t1, t2 = prm.bridge_times
+    t1, t2 = BRIDGE_TIMES
     n = prm.n_hi
     A = [np.asarray(prm.x0, dtype=int)]
     z = np.asarray(prm.bridge_endpoint, dtype=int)
@@ -372,12 +379,12 @@ def _check_driftless_bound(ctx):
     p = ctx.whitening.p
     if p is None:
         p = ctx.exponent - ctx.law.dim / 2.0
-    pts = np.asarray(prm.scan_grid, dtype=float)
+    pts = np.asarray(SCAN_GRID, dtype=float)
     denom = 1.0 + np.linalg.norm(pts @ M.T, axis=1) ** p
-    ns = np.arange(prm.scan_n_lo, prm.n_max + 1)
+    ns = np.arange(SCAN_N_LO, prm.n_max + 1)
     stat = (scan[:, ns] * ns ** (p / 2.0)) / denom[:, None]
     top = stat.max(axis=0)
-    lo = max(prm.scan_n_lo, prm.n_max // 10)
+    lo = max(SCAN_N_LO, prm.n_max // 10)
     sel = ns >= lo
     x = np.log(ns[sel].astype(float))
     y = np.log(top[sel])

@@ -297,6 +297,9 @@ def _cmd_dp(config, ctx, run_id):
     n_hi = config.params.n_hi
     print(f"survival series from {series.x0.tolist()} to n = {series.n_max} "
           f"(rescaled by c = {series.rescale_by:.9g})")
+    grown = "" if series.L == config.params.dp_window else \
+        f", grown from the configured {config.params.dp_window}"
+    print(f"window L = {series.L}{grown}; leak certificate {series.leak_max:.2e}")
     print(f"hazard ratio at n = {n_hi}: {hazard_ratio(series, n_hi):.6f}")
     fit = fit_tail(series)
     print(f"tail fit: c_hat = {fit.c_hat:.6f}, exponent = {fit.exponent_hat:.4f}")
@@ -336,6 +339,8 @@ def _cmd_qsd(config, ctx, run_id):
     print(f"window L = {result.L}: lambda = {result.lambda_:.9f} "
           f"(survival rate c = {ctx.cramer.c:.9f}), residual = {result.residual:.2e}, "
           f"{result.iterations} shift-invert solves")
+    for warning in result.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     d = ctx.law.dim
     pts = result.grid.points()
     order = np.lexsort(pts.T[::-1])

@@ -13,10 +13,11 @@ import numpy as np
 
 from ._lattice import KilledKernel, make_grid
 from .cramer import log_mgf, solve_cramer_point
-from .errors import ConfigError, WindowTooSmallError
+from .errors import ConfigError, NoExitMassError
 from .model import ConeSpec, StepLaw, cone_contains
 
 LEAK_TOL = 1e-12
+SCAN_SIGMAS = 8.0        # survival_scan window: diffusive spread in standard deviations
 
 
 @dataclass
@@ -24,17 +25,17 @@ class DpSeries:
     """Killed-walk evolution from one start, rescaled by ``rescale_by`` per step.
 
     ``survival[n]`` is P(tau > n) / rescale_by^n; ``tables[n]`` holds the full
-    rescaled measure at the retained times.
+    rescaled measure at the retained times; ``L`` is the window it ran on.
     """
 
     x0: np.ndarray
     n_max: int
-    rescaled: bool
     rescale_by: float
     survival: np.ndarray
     grid: object
     law: StepLaw
     cone: ConeSpec
+    L: int
     tables: dict = field(default_factory=dict)
     leak_max: float = 0.0
 
@@ -43,56 +44,68 @@ class DpSeries:
         return n * np.log(self.rescale_by) + np.log(self.survival[n])
 
 
+def window_reach(law, x0, n_max):
+    """Window radius L beyond which an ``n_max``-step walk from x0 cannot leak."""
+    pad = int(np.max(np.abs(law.support)))
+    return int(np.max(np.abs(x0))) + n_max * pad + 1
+
+
 def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     """Evolve the killed measure for ``n_max`` steps on the window max|y| <= L.
 
-    Truncation is monitored: any step whose about-to-be-truncated mass (points
-    leaving the window while staying in the cone) exceeds 1e-12 of the current
-    rescaled survival aborts with a suggested larger window.
+    ``L`` is the starting window.  Truncation is monitored: when a step's
+    about-to-be-truncated mass (points leaving the window while staying in
+    the cone) reaches 1e-12 of the current rescaled survival, the evolution
+    restarts from x0 on the window ceil(1.4 L) + pad, capped at the reach
+    ``window_reach(law, x0, n_max)`` beyond which nothing can leak.  The
+    result therefore equals a fresh run at the final window, kept as ``L``.
     """
     x0 = np.asarray(x0, dtype=int)
     if not cone_contains(cone, x0[None, :])[0]:
         raise ConfigError(f"start {x0.tolist()} is not inside the open cone")
     pad = int(np.max(np.abs(law.support)))
     grid = make_grid(cone, L, pad=pad)
-    start_idx = tuple(x0 - grid.lo)
-    if np.any(x0 - grid.lo < 0) or np.any(x0 - grid.lo >= np.asarray(grid.shape)) \
-            or not grid.mask[start_idx]:
+    start = x0 - grid.lo
+    if np.any(start < 0) or np.any(start >= np.asarray(grid.shape)) \
+            or not grid.mask[tuple(start)]:
         raise ConfigError(f"start {x0.tolist()} is outside the window (L = {L})")
-    kernel = KilledKernel(grid, law, cone)
-    leak = kernel.leak
     retain = set(int(n) for n in retain)
+    reach = window_reach(law, x0, n_max)
+    while True:
+        series = _evolve(KilledKernel(grid, law, cone), L, x0, n_max, rescale_by, retain)
+        if series is not None:
+            return series
+        L = min(int(np.ceil(1.4 * L)) + pad, reach)
+        grid = make_grid(cone, L, pad=pad)
+
+
+def _evolve(kernel, L, x0, n_max, rescale_by, retain):
+    """The DpSeries on the kernel's window, or None once a step leaks."""
+    grid = kernel.grid
     q = np.zeros(grid.shape)
-    q[start_idx] = 1.0
+    q[tuple(x0 - grid.lo)] = 1.0
     out = np.empty_like(q)
     survival = np.empty(n_max + 1)
     survival[0] = 1.0
-    tables = {}
-    if 0 in retain:
-        tables[0] = q.copy()
+    tables = {0: q.copy()} if 0 in retain else {}
     leak_max = 0.0
     for n in range(1, n_max + 1):
-        leaked = float((q * leak).sum()) / rescale_by
+        leaked = float((q * kernel.leak).sum()) / rescale_by
         out = kernel.forward(q, out=out)
         out /= rescale_by
         q, out = out, q
         b_n = float(q.sum())
         survival[n] = b_n
         if b_n > 0.0:
-            leak_rel = leaked / b_n
-            leak_max = max(leak_max, leak_rel)
-            if leak_rel >= LEAK_TOL:
-                raise WindowTooSmallError(
-                    f"window L = {L} truncates {leak_rel:.2e} of the surviving mass "
-                    f"at step {n}; retry with L >= {int(np.ceil(1.4 * L)) + pad}",
-                    suggested_L=int(np.ceil(1.4 * L)) + pad,
-                )
+            leak_max = max(leak_max, leaked / b_n)
+            if leak_max >= LEAK_TOL:
+                return None
         if n in retain:
             tables[n] = q.copy()
     return DpSeries(
-        x0=x0, n_max=n_max, rescaled=(rescale_by != 1.0), rescale_by=float(rescale_by),
-        survival=survival, grid=grid, law=law, cone=cone, tables=tables,
-        leak_max=float(leak_max),
+        x0=x0, n_max=n_max, rescale_by=float(rescale_by),
+        survival=survival, grid=grid, law=kernel.law, cone=kernel.cone, L=L,
+        tables=tables, leak_max=float(leak_max),
     )
 
 
@@ -135,7 +148,7 @@ def exit_position_law(series, n):
     exit_mass = np.where(outside, full, 0.0)
     total = exit_mass.sum()
     if total <= 0.0:
-        raise ConfigError(f"no exit mass at n = {n}")
+        raise NoExitMassError(f"no exit mass at n = {n}")
     return exit_mass / total, outside
 
 
@@ -185,8 +198,7 @@ def check_tilt_identity(law, cramer, cone, x0, n_max=20):
     if n_max > 40:
         raise ConfigError("identity check is meant for short horizons (n_max <= 40)")
     x0 = np.asarray(x0, dtype=int)
-    pad = int(np.max(np.abs(law.support)))
-    L = int(np.max(np.abs(x0))) + n_max * pad + 1
+    L = window_reach(law, x0, n_max)
     steps = range(1, n_max + 1)
     drifted = dp_evolve(law, cone, x0, n_max, rescale_by=cramer.c, L=L, retain=steps)
     driftless = dp_evolve(cramer.tilted, cone, x0, n_max, L=L, retain=steps)
@@ -197,20 +209,19 @@ def check_tilt_identity(law, cramer, cone, x0, n_max=20):
                for n in steps)
 
 
-def survival_scan(law, cone, starts, n_max, L=None, sigmas=8.0):
+def survival_scan(law, cone, starts, n_max):
     """P(tau_x > n) for every start simultaneously, by backward recursion.
 
     Returns an array of shape (len(starts), n_max + 1).  The window is sized
-    so that the truncation outside it is a ``sigmas``-sigma event for the
+    so that the truncation outside it is a ``SCAN_SIGMAS``-sigma event for the
     diffusive spread, far below the oracle's resolution.
     """
     starts = [np.asarray(x, dtype=int) for x in starts]
     R, _, hess = log_mgf(law, np.zeros(law.dim))
     sigma_max = float(np.sqrt(np.linalg.eigvalsh(hess)[-1]))
-    if L is None:
-        L = int(max(np.max(np.abs(s)) for s in starts)
-                + np.ceil(sigmas * sigma_max * np.sqrt(n_max))
-                + np.ceil(abs(float(np.linalg.norm(law.mean()))) * n_max))
+    L = int(max(np.max(np.abs(s)) for s in starts)
+            + np.ceil(SCAN_SIGMAS * sigma_max * np.sqrt(n_max))
+            + np.ceil(abs(float(np.linalg.norm(law.mean()))) * n_max))
     grid = make_grid(cone, L)
     kernel = KilledKernel(grid, law)
     s = np.where(grid.mask, 1.0, 0.0)
@@ -222,8 +233,7 @@ def survival_scan(law, cone, starts, n_max, L=None, sigmas=8.0):
             raise ConfigError(f"start {x.tolist()} outside the scan window")
         idx.append(tuple(off))
     result = np.empty((len(starts), n_max + 1))
-    for j, ix in enumerate(idx):
-        result[j, 0] = 1.0
+    result[:, 0] = 1.0
     for n in range(1, n_max + 1):
         out = kernel.backward(s, out=out)
         s, out = out, s
@@ -232,7 +242,7 @@ def survival_scan(law, cone, starts, n_max, L=None, sigmas=8.0):
     return result
 
 
-def halfspace_1d(law, a, x0_height, n_max, L=None):
+def halfspace_1d(law, a, x0_height, n_max):
     """Project the walk onto a . X and run the killed half-line oracle.
 
     The projected one-dimensional law must be integer valued with negative
@@ -255,8 +265,7 @@ def halfspace_1d(law, a, x0_height, n_max, L=None):
     probs_1d = np.array([values[int(v)] for v in support_1d[:, 0]])
     law_1d = StepLaw(support=support_1d, probs=probs_1d)
     cd = solve_cramer_point(law_1d)
-    if L is None:
-        L = int(max(80, x0_height + 8 * np.sqrt(n_max)))
     cone_1d = ConeSpec.halfspace(np.array([1.0]))
+    # the smallest window holding the start; the leak monitor grows it
     return dp_evolve(law_1d, cone_1d, np.array([x0_height]), n_max,
-                     rescale_by=cd.c, L=L)
+                     rescale_by=cd.c, L=x0_height)

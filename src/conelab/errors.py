@@ -5,6 +5,10 @@ class ConfigError(ValueError):
     """Invalid model or run configuration (bad law, cone, or config file)."""
 
 
+class NoExitMassError(ConfigError):
+    """The walk cannot leave the cone at the requested time: a structural zero."""
+
+
 class NumericsError(RuntimeError):
     """A numerical procedure failed to converge or produced inconsistent values."""
 

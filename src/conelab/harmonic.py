@@ -26,10 +26,8 @@ from ._lattice import KilledKernel, WindowGrid, make_grid
 from .errors import ConfigError, NumericsError, WindowTooSmallError
 from .model import check_acute_cone_condition, cone_contains
 
-DEFAULT_WINDOW = 60.0
-DEFAULT_N_ITER = 5000
-CONVERGE_TOL = 1e-6
 TAIL_FRACTION = 1e-8     # certified tail of the normalizer sum, relative
+TAIL_EXTEND = 150        # max-norm shells summed explicitly beyond the window
 
 
 @dataclass
@@ -111,15 +109,15 @@ class HarmonicTables:
         return self.value(self.Uprime, x)
 
 
-def build_V_tables(tilted, cone, ch, M, L=DEFAULT_WINDOW, n_iter=DEFAULT_N_ITER,
-                   method="solve"):
+def build_V_tables(tilted, cone, ch, M, L):
     """Discrete harmonic functions V (tilted walk) and V' (reversed walk).
 
     The window holds lattice points y with max-norm of M y at most L; the
-    one-step ring outside it carries the far-field data u(M y).  ``method``
-    selects the direct sparse solve (default) or the equivalent fixed-point
-    iteration capped at ``n_iter`` sweeps (small windows only; it converges
-    geometrically at the truncated kernel's spectral gap).
+    one-step ring outside it carries the far-field data u(M y).  Each table
+    is one direct sparse solve of V = T V + b, with T the killed kernel on
+    the window and b the ring data it reaches in one step;
+    ``convergence_residual`` is the larger relative defect of the two
+    mean-value equations at points whose neighbours stay in the window.
     """
     drift = tilted.mean()
     if np.linalg.norm(drift) > 1e-10:
@@ -130,30 +128,22 @@ def build_V_tables(tilted, cone, ch, M, L=DEFAULT_WINDOW, n_iter=DEFAULT_N_ITER,
     if grid.n_states == 0:
         raise ConfigError("window contains no cone points; increase L")
     ring_u = _ring_payoff(grid, cone, ch, M)
-    V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted, cone), ring_u, ch, M,
-                                      method, n_iter, L)
+    V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted, cone), ring_u)
     Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed(), cone),
-                                        ring_u, ch, M, method, n_iter, L)
+                                        ring_u)
     return HarmonicTables(
         grid=grid, L=float(L), cone=cone, M=M, ch=ch,
         V=V, Vprime=Vp, convergence_residual=float(max(res_v, res_vp)),
     )
 
 
-def _solve_killed_harmonic(kernel, ring_u, ch, M, method, n_iter, L):
+def _solve_killed_harmonic(kernel, ring_u):
     grid = kernel.grid
     # b(x) = sum_z p_z u(M(x+z)) over ring neighbours
     b = kernel.backward(ring_u)[grid.mask]
     T = kernel.matrix()
-    n = grid.n_states
-    if method == "solve":
-        A = sparse.eye(n, format="csr") - T
-        v = spla.spsolve(A.tocsc(), b)
-    elif method == "iterate":
-        v0 = u_eval_many(ch, grid.coords[grid.mask] @ M.T)
-        v = _fixed_point_iterate(T, b, v0, grid, M, L, n_iter)
-    else:
-        raise ConfigError(f"unknown V construction method {method!r}")
+    A = sparse.eye(grid.n_states, format="csr") - T
+    v = spla.spsolve(A.tocsc(), b)
     if np.any(v <= 0.0):
         raise NumericsError("killed harmonic solve produced nonpositive values")
     V = np.zeros(grid.shape)
@@ -165,20 +155,6 @@ def _solve_killed_harmonic(kernel, ring_u, ch, M, method, n_iter, L):
     rel[grid.mask] = resid / np.maximum(v, 1e-300)
     residual = float(rel[interior].max()) if interior.any() else float(rel[grid.mask].max())
     return V, residual
-
-
-def _fixed_point_iterate(T, b, v0, grid, M, L, n_iter):
-    inner = (np.max(np.abs(grid.coords.reshape(-1, grid.dim) @ M.T), axis=1)
-             .reshape(grid.shape) <= L / 2.0)[grid.mask]
-    v = v0.copy()
-    for _ in range(n_iter):
-        v_new = T @ v + b
-        denom = np.maximum(np.abs(v_new[inner]), 1e-300)
-        change = np.max(np.abs(v_new[inner] - v[inner]) / denom) if inner.any() else 0.0
-        v = v_new
-        if change < CONVERGE_TOL:
-            break
-    return v
 
 
 def _ring_payoff(grid, cone, ch, M):
@@ -227,7 +203,7 @@ def build_U_tables(tables, h):
     return tables
 
 
-def _tail_certificate(tables, h, total, r_extend=150):
+def _tail_certificate(tables, h, total):
     grid, M, cone, ch = tables.grid, tables.M, tables.cone, tables.ch
     ok, worst = check_acute_cone_condition(cone, h)
     if not ok:
@@ -241,7 +217,7 @@ def _tail_certificate(tables, h, total, r_extend=150):
     row_norm = float(np.max(np.abs(M).sum(axis=1)))
     r_in = int(np.floor(tables.L / row_norm))
     d = grid.dim
-    r_ext = r_in + r_extend
+    r_ext = r_in + TAIL_EXTEND
     # explicit sum over cone points between the inscribed box and r_ext
     if cone.kind == "orthant":
         axes = [np.arange(1, r_ext + 1)] * d
@@ -308,14 +284,8 @@ def qsd_fixed_point_residual(tables, law, c):
 
 
 def tables_rows(tables):
-    """Rows (x1..xd, V, V', U, U') sorted lexicographically, ready for CSV."""
+    """Rows (x1..xd, V, V', U, U') of tables with U attached, sorted, ready for CSV."""
+    mask = tables.grid.mask
     pts = tables.grid.points()
-    order = np.lexsort(pts.T[::-1])
-    rows = []
-    for i in order:
-        x = pts[i]
-        idx = tuple(x - tables.grid.lo)
-        rows.append(list(x) + [tables.V[idx], tables.Vprime[idx],
-                               tables.U[idx] if tables.U is not None else float("nan"),
-                               tables.Uprime[idx] if tables.Uprime is not None else float("nan")])
-    return rows
+    cols = [t[mask] for t in (tables.V, tables.Vprime, tables.U, tables.Uprime)]
+    return [list(pts[i]) + [c[i] for c in cols] for i in np.lexsort(pts.T[::-1])]

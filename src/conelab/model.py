@@ -8,6 +8,7 @@ from .errors import ConfigError
 
 ANGLE_TOL = 1e-9          # strictness margin for the acute-angle cone check
 PROB_SUM_TOL = 1e-12
+APERIODICITY_RADIUS = 8   # half-width of the box the aperiodicity scan explores
 
 
 @dataclass(frozen=True)
@@ -178,15 +179,15 @@ def build_model(law, cone):
     return ModelReport(drift=drift, noncollinear=True, aperiodicity=aperiodicity, notes=notes)
 
 
-def _aperiodicity_scan(law, radius=8):
+def _aperiodicity_scan(law):
     """Bounded BFS over the subgroup generated by the support.
 
-    Verified when every residue in the box [-radius, radius]^d is reached by
-    integer combinations of steps whose partial sums stay inside the box;
-    otherwise inconclusive (never silently refuted).
+    Verified when every residue in the box [-r, r]^d, r = APERIODICITY_RADIUS,
+    is reached by integer combinations of steps whose partial sums stay inside
+    the box; otherwise inconclusive (never silently refuted).
     """
     d = law.dim
-    if (2 * radius + 1) ** d > 10 ** 6:
+    if (2 * APERIODICITY_RADIUS + 1) ** d > 10 ** 6:
         return "inconclusive"
     steps = [z for z in law.support] + [-z for z in law.support]
     seen = {tuple(np.zeros(d, dtype=int))}
@@ -195,13 +196,13 @@ def _aperiodicity_scan(law, radius=8):
         x = queue.pop()
         for z in steps:
             y = x + z
-            if np.max(np.abs(y)) > radius:
+            if np.max(np.abs(y)) > APERIODICITY_RADIUS:
                 continue
             ty = tuple(y)
             if ty not in seen:
                 seen.add(ty)
                 queue.append(y)
-    full = (2 * radius + 1) ** d
+    full = (2 * APERIODICITY_RADIUS + 1) ** d
     return "verified" if len(seen) == full else "inconclusive"
 
 

@@ -24,7 +24,6 @@ class WhiteningData:
     alpha: float             # normalized cross-correlation (2D; None otherwise)
     cone_image: ConeSpec     # image cone M K
     p: float                 # homogeneity degree of the image cone (None => fit)
-    mode: str = "general"
 
 
 def tilted_covariance(tilted):
@@ -131,10 +130,10 @@ def cone_image_and_p(cone, M, alpha=None, allow_fit=False):
     return cone, None
 
 
-def whiten_model(cramer, cone, mode="general"):
-    """Assemble covariance, whitening matrix, image cone and degree p."""
+def whiten_model(cramer, cone):
+    """Assemble covariance, the symmetric whitening matrix, image cone and degree p."""
     cov = tilted_covariance(cramer.tilted)
-    M = whitening_matrix(cov, mode=mode)
+    M = whitening_matrix(cov)
     alpha = correlation_alpha(cov) if cov.shape == (2, 2) else None
     cone_image, p = cone_image_and_p(cone, M, alpha, allow_fit=True)
-    return WhiteningData(cov=cov, M=M, alpha=alpha, cone_image=cone_image, p=p, mode=mode)
+    return WhiteningData(cov=cov, M=M, alpha=alpha, cone_image=cone_image, p=p)

@@ -43,9 +43,7 @@ def test_fit_requires_rescaled_for_drifted(nn4, quadrant):
     from conelab.dp_oracle import dp_evolve
     raw = dp_evolve(nn4, quadrant, [1, 1], 40, rescale_by=1.0, L=30)
     with pytest.raises(ConfigError, match="rescaled"):
-        fit_tail(raw, mode="drifted")
-    with pytest.raises(ConfigError, match="mode"):
-        fit_tail(raw, mode="nonsense")
+        fit_tail(raw)
 
 
 def test_fit_rejects_short_series():

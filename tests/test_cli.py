@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,18 @@ simulate: {estimator: both, x0: [3, 3], n: 12, n_samples: 20000}
 zchain: {x0: [1, 1], n_steps: 40, n_paths: 50}
 output: {dir: out}
 """
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def diagonal_config(tmp_path, line, edited):
+    """The shipped diagonal config with one line edited."""
+    text = (CONFIGS / "diagonal.yaml").read_text()
+    assert line in text
+    path = tmp_path / "diagonal_edited.yaml"
+    path.write_text(text.replace(line, edited))
+    return path
 
 
 @pytest.fixture()
@@ -264,3 +277,44 @@ def test_seed_override_changes_simulation(config_path, tmp_path):
         jl = list(out.glob("simulate_*.jsonl"))[0]
         outs.append([json.loads(l)["value"] for l in jl.read_text().splitlines()])
     assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("command", ["dp", "verify"])
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_configs_reach_a_verdict(tmp_path, config, command):
+    argv = [command] + (["all"] if command == "verify" else [])
+    assert main(argv + ["--config", str(config), "--out", str(tmp_path)]) in (0, 1)
+
+
+def test_dp_window_grows_like_a_rerun(tmp_path, capsys):
+    # the shipped window of 72 leaks at step 284; the grown run must equal a
+    # run configured at the grown size
+    contents = []
+    for i, path in enumerate([CONFIGS / "diagonal.yaml",
+                              diagonal_config(tmp_path, "dp_window: 72", "dp_window: 102")]):
+        out = tmp_path / f"out{i}"
+        assert main(["dp", "--config", str(path), "--out", str(out)]) == 0
+        contents.append({p.name.rsplit("_", 1)[0]: p.read_bytes() for p in out.iterdir()
+                         if not p.name.startswith("manifest")})
+    assert sorted(contents[0]) == ["dp", "dp_fit"]
+    assert contents[0] == contents[1]
+    out = capsys.readouterr().out
+    assert "window L = 102, grown from the configured 72" in out
+    assert "window L = 102;" in out
+
+
+def test_exit_law_without_exit_mass_is_a_failing_row(tmp_path):
+    path = diagonal_config(tmp_path, "dp_window: 72", "dp_window: 102")
+    assert main(["verify", "all", "--config", str(path), "--out", str(tmp_path)]) == 1
+    jl = list(tmp_path.glob("verify_*.jsonl"))[0]
+    rows = {r["check"]: r for r in map(json.loads, jl.read_text().splitlines())}
+    row = rows["exit_law.tv"]
+    assert not row["pass"] and row["deviation"] == 1.0
+    assert any(note.startswith("structural") and "period 2" in note
+               for note in row["notes"])
+
+
+def test_qsd_warnings_go_to_stderr(tmp_path, capsys):
+    path = diagonal_config(tmp_path, "qsd_window: 60", "qsd_window: 20")
+    assert main(["qsd", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "warning: kernel has 2 strongly connected components" in capsys.readouterr().err

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conelab._lattice import KilledKernel
-from conelab.dp_oracle import (bridge_value, check_tilt_identity,
+from conelab.dp_oracle import (LEAK_TOL, bridge_value, check_tilt_identity,
                                dp_evolve, exit_position_law,
                                exit_time_pmf_rescaled, halfspace_1d, hazard_ratio,
-                               survival_scan)
-from conelab.errors import ConfigError, WindowTooSmallError
+                               survival_scan, window_reach)
+from conelab.errors import ConfigError
 from conelab.model import StepLaw, cone_contains
 
 ROOT3 = np.sqrt(3.0)
@@ -187,10 +187,17 @@ def test_hazard_limit(ctx):
     assert measured == pytest.approx(2.0 / ROOT3 - 1.0, rel=0.02)
 
 
-def test_window_monitor_raises(nn4, quadrant, cramer_nn4):
-    with pytest.raises(WindowTooSmallError) as err:
-        dp_evolve(cramer_nn4.tilted, quadrant, [1, 1], 200, rescale_by=1.0, L=10)
-    assert err.value.suggested_L > 10
+@pytest.mark.parametrize("L, n_max", [(10, 200), (4, 4)], ids=["grows", "reach-cap"])
+def test_window_monitor_grows(quadrant, cramer_nn4, L, n_max):
+    law, x0 = cramer_nn4.tilted, [1, 1]
+    series = dp_evolve(law, quadrant, x0, n_max, rescale_by=1.0, L=L, retain=[n_max])
+    assert L < series.L <= window_reach(law, np.array(x0), n_max)
+    assert series.leak_max < LEAK_TOL
+    fresh = dp_evolve(law, quadrant, x0, n_max, rescale_by=1.0, L=series.L,
+                      retain=[n_max])
+    assert fresh.L == series.L
+    assert np.array_equal(series.survival, fresh.survival)
+    assert np.array_equal(series.tables[n_max], fresh.tables[n_max])
 
 
 def test_start_validation(nn4, quadrant):

@@ -120,21 +120,15 @@ def test_growth_bound(diag_ctx):
     assert np.all(tabs.Vprime[tabs.grid.mask] <= bound * (1.0 + 1e-12))
 
 
-def test_iterate_matches_solve_on_small_window(diag_ctx, quadrant):
+def test_solve_departs_from_u_on_small_window(diag_ctx, quadrant):
     # the wedge harmonic function is not exactly discrete-harmonic for the
-    # diagonal walk, so the fixed-point iteration has real work to do
+    # diagonal walk, so the solve has real work to do
     cd = diag_ctx.cramer
     wd = diag_ctx.whitening
     ch = continuous_harmonic_for(wd.cone_image, wd.p)
     solve = build_V_tables(cd.tilted, quadrant, ch, wd.M, L=18)
-    iterate = build_V_tables(cd.tilted, quadrant, ch, wd.M, L=18,
-                             n_iter=4000, method="iterate")
-    a, b = solve.V[solve.grid.mask], iterate.V[iterate.grid.mask]
     assert np.max(np.abs(solve.V[solve.grid.mask] - u_eval_many(
         ch, solve.grid.coords[solve.grid.mask] @ wd.M.T))) > 1e-3
-    # the sweep stops at per-step change 1e-6, leaving an error of about
-    # change / spectral gap relative to the exact fixed point
-    assert np.max(np.abs(a - b) / np.maximum(a, 1e-300)) < 1e-4
 
 
 def test_level_set_ratio(tables_nn4):
