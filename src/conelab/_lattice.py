@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 
 
 @dataclass
@@ -170,6 +169,7 @@ class KilledKernel:
 
     def matrix(self):
         """Sparse substochastic kernel P(x -> x+z) on the masked states (CSR)."""
+        from scipy import sparse  # local import: commands that never solve skip scipy
         grid = self.grid
         sidx = grid._state_index() + 1       # 0 marks cells off the mask
         rows, cols, vals = [], [], []

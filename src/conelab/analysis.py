@@ -203,11 +203,17 @@ class PipelineContext:
             return ("law is periodic with period 2 (every step flips the "
                     "coordinate-sum parity): fixed-time conditionals occupy a "
                     "single parity class while the limit profile spans both")
+        notes = []
+        phi = _period_two(self.law)
+        if phi is not None:
+            notes.append(f"law is periodic with period 2 (every step flips the "
+                         f"parity of phi . x, phi = {list(phi)}): fixed-time "
+                         "conditionals occupy a single parity class")
         if self.report.aperiodicity == "inconclusive":
-            return ("aperiodicity scan inconclusive: the walk may be confined "
-                    "to a sublattice, in which case fixed-time conditionals "
-                    "cannot match full-support profiles")
-        return None
+            notes.append("aperiodicity scan inconclusive: the walk may be confined "
+                         "to a sublattice, in which case fixed-time conditionals "
+                         "cannot match full-support profiles")
+        return "; ".join(notes) or None
 
 
 def _report(check, predicted, measured, tolerance, relative=True, notes=None,
@@ -325,9 +331,9 @@ def _check_exit_law(ctx):
 
 
 def _period_two(law):
-    """Whether some parity phi . x, phi in {0, 1}^d, flips at every step."""
-    return any(np.all(law.support @ np.array(phi) % 2 == 1)
-               for phi in itertools.product((0, 1), repeat=law.dim))
+    """First parity phi . x, phi in {0, 1}^d, that flips at every step, or None."""
+    return next((phi for phi in itertools.product((0, 1), repeat=law.dim)
+                 if np.all(law.support @ np.array(phi) % 2 == 1)), None)
 
 
 def _check_bridge(ctx):

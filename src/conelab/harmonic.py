@@ -19,8 +19,6 @@ equals u on the window to machine precision.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from ._lattice import KilledKernel, WindowGrid, make_grid
 from .errors import ConfigError, NumericsError, WindowTooSmallError
@@ -138,6 +136,8 @@ def build_V_tables(tilted, cone, ch, M, L):
 
 
 def _solve_killed_harmonic(kernel, ring_u):
+    from scipy import sparse  # local imports: commands that never solve skip scipy
+    from scipy.sparse import linalg as spla
     grid = kernel.grid
     # b(x) = sum_z p_z u(M(x+z)) over ring neighbours
     b = kernel.backward(ring_u)[grid.mask]

@@ -101,9 +101,10 @@ def _run_blocks(block, args, n_samples, seed, workers):
 
     Blocks run in a pool of at most one process per core, skipped with one
     core or where fork is missing.  Fork is named (Python 3.14 defaults to
-    forkserver) because it keeps the imported scipy, which a fresh process
-    would import again; threads would cost more peak memory.  The pool
-    modules are imported here, so commands that never simulate skip them.
+    forkserver) because each child then inherits the imported numpy and
+    conelab instead of importing them again; threads would cost more peak
+    memory.  The pool modules are imported here, so commands that never
+    simulate skip them.
     """
     jobs = [(m, seed, w) for w, m in enumerate(_split_samples(n_samples, workers)) if m > 0]
     procs = min(len(jobs), os.cpu_count() or 1)

@@ -16,9 +16,6 @@ on bipartite kernels too.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import identity
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, eigs, splu
 
 from ._lattice import KilledKernel, make_grid
 from .errors import ConfigError
@@ -59,6 +56,9 @@ def qsd_power_iteration(kernel, grid, cramer, L):
     sublattice-confined law) is clipped to 0; lambda, the one-step mass, and
     the residual are measured on the final mu with ``kernel`` itself.
     """
+    from scipy.sparse import identity  # local imports: commands that never solve skip scipy
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import LinearOperator, eigs, splu
     n = kernel.shape[0]
     tilted_T = KilledKernel(grid, cramer.tilted).matrix().T
     # minimum degree on the pattern of A + A^T: half the default LU fill here

@@ -84,7 +84,7 @@ def correlation_alpha(cov):
     return float(cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1]))
 
 
-def cone_image_and_p(cone, M, alpha=None, allow_fit=False):
+def cone_image_and_p(cone, M, *, allow_fit=False):
     """Image cone under M and its homogeneity degree p.
 
     2D cones map their two extreme rays through M; p = pi / image opening
@@ -135,5 +135,5 @@ def whiten_model(cramer, cone):
     cov = tilted_covariance(cramer.tilted)
     M = whitening_matrix(cov)
     alpha = correlation_alpha(cov) if cov.shape == (2, 2) else None
-    cone_image, p = cone_image_and_p(cone, M, alpha, allow_fit=True)
+    cone_image, p = cone_image_and_p(cone, M, allow_fit=True)
     return WhiteningData(cov=cov, M=M, alpha=alpha, cone_image=cone_image, p=p)

@@ -67,7 +67,7 @@ def test_criterion_02_whitening(ctx, diag_ctx):
     openings = []
     for mode in ("general", "example2d"):
         M = whitening_matrix(dw.cov, mode=mode)
-        image, _ = cone_image_and_p(ctx.cone, M, dw.alpha)
+        image, _ = cone_image_and_p(ctx.cone, M)
         openings.append(image.beta)
     checks.append(abs(openings[0] - openings[1]) <= 1e-9)
     ok = _line(2, f"whitening: alpha={wd.alpha:.1e}, p={wd.p}, diag p={dw.p:.5f}, "

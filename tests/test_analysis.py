@@ -148,3 +148,9 @@ def test_scale_invariance_of_normalized_checks(ctx, nn4, quadrant):
 
 def test_exponent_uses_fitted_p_when_open(ctx):
     assert ctx.exponent == pytest.approx(3.0, abs=1e-12)
+
+
+def test_diagonal_note_names_period_two(diag_ctx):
+    # every diagonal step flips the parity of x2 (and of x1)
+    note = diag_ctx.parity_note()
+    assert "period 2" in note and "phi = [0, 1]" in note

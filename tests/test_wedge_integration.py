@@ -38,7 +38,7 @@ def test_same_perron_root(nn4, quadrant, wedge, cramer_nn4):
 
 def test_wedge_harmonic_table_proportional(ctx, cramer_nn4, wedge):
     wd = ctx.whitening
-    image, p = cone_image_and_p(wedge, wd.M, wd.alpha)
+    image, p = cone_image_and_p(wedge, wd.M)
     assert p == pytest.approx(2.0, abs=1e-12)
     ch = continuous_harmonic_for(image, p)
     tabs = build_V_tables(cramer_nn4.tilted, wedge, ch, wd.M, L=24)

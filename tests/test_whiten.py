@@ -85,7 +85,7 @@ def test_image_opening_mode_independent(diagonal_law, quadrant):
     openings = []
     for mode in ("general", "example2d"):
         M = whitening_matrix(cov, mode=mode)
-        image, p = cone_image_and_p(quadrant, M, alpha)
+        image, p = cone_image_and_p(quadrant, M)
         openings.append(image.beta)
         # independent check: angle between the mapped extreme rays
         v1, v2 = M @ np.array([1.0, 0.0]), M @ np.array([0.0, 1.0])
