@@ -34,7 +34,7 @@ for name, law in [
     for mode in ("general", "example2d"):
         M = whitening_matrix(cov, mode=mode)
         defect = np.max(np.abs(M @ cov @ M.T - np.eye(2)))
-        image, p = cone_image_and_p(cone, M, alpha)
+        image, p = cone_image_and_p(cone, M)
         opening = image.beta if image.kind == "wedge2d" else np.pi / 2
         print(f"  mode {mode:9s}: |M cov M^T - I| = {defect:.1e}, "
               f"image opening = {opening:.9f}, p = {p:.9f}")

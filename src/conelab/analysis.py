@@ -199,12 +199,12 @@ class PipelineContext:
 
     def parity_note(self):
         """Periodicity or sublattice confinement blocks fixed-time TV limits."""
-        if np.all(self.law.support.sum(axis=1) % 2 != 0):
+        phi = _period_two(self.law)
+        if phi == (1,) * self.law.dim:
             return ("law is periodic with period 2 (every step flips the "
                     "coordinate-sum parity): fixed-time conditionals occupy a "
                     "single parity class while the limit profile spans both")
         notes = []
-        phi = _period_two(self.law)
         if phi is not None:
             notes.append(f"law is periodic with period 2 (every step flips the "
                          f"parity of phi . x, phi = {list(phi)}): fixed-time "
@@ -331,8 +331,11 @@ def _check_exit_law(ctx):
 
 
 def _period_two(law):
-    """First parity phi . x, phi in {0, 1}^d, that flips at every step, or None."""
-    return next((phi for phi in itertools.product((0, 1), repeat=law.dim)
+    """First parity phi . x, phi in {0, 1}^d, that flips at every step, or None;
+    the coordinate sum, phi = (1, ..., 1), comes first."""
+    candidates = itertools.chain([(1,) * law.dim],
+                                 itertools.product((0, 1), repeat=law.dim))
+    return next((phi for phi in candidates
                  if np.all(law.support @ np.array(phi) % 2 == 1)), None)
 
 

@@ -48,21 +48,17 @@ def _fresh(code):
     return done.stdout
 
 
-def test_cli_import_loads_no_scipy_submodule():
-    out = _fresh("""
-        import sys
-        import conelab.cli
-        print(sorted(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules))
-    """)
-    assert out.strip() == "[]"
-
-
 def test_scipy_free_commands_stay_scipy_free(tmp_path):
     config = tmp_path / "nn4.yaml"
     config.write_text(SMALL_NN4_YAML)
     out = _fresh(f"""
         import contextlib, io, sys
         from conelab.cli import main
+
+        def loaded():
+            print(sorted(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules))
+
+        loaded()
         for command in ("cramer", "whiten", "dp", "simulate"):
             try:
                 with contextlib.redirect_stdout(io.StringIO()):
@@ -71,11 +67,12 @@ def test_scipy_free_commands_stay_scipy_free(tmp_path):
             except SystemExit as exc:
                 status = exc.code
             print(command, status)
-        print(sorted(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules))
+        loaded()
     """)
-    *statuses, loaded = out.strip().splitlines()
+    after_import, *statuses, after_commands = out.strip().splitlines()
+    assert after_import == "[]"
     assert statuses == ["cramer 0", "whiten 0", "dp 0", "simulate 0"]
-    assert loaded == "[]"
+    assert after_commands == "[]"
 
 
 def test_manifest_keeps_scipy_version(tmp_path):
