@@ -39,15 +39,17 @@ class WindowGrid:
         """Masked lattice points as an (N, d) array in C order."""
         return self.coords[self.mask]
 
+    def contains(self, x):
+        """Whether lattice point x is a window point: inside the box and on the mask."""
+        off = np.asarray(x, dtype=int) - self.lo
+        return bool(np.all(off >= 0) and np.all(off < np.asarray(self.shape))
+                    and self.mask[tuple(off)])
+
     def index_of(self, x):
         """Flat state index of lattice point x, or -1 if outside the window."""
-        x = np.asarray(x, dtype=int)
-        off = x - self.lo
-        if np.any(off < 0) or np.any(off >= np.asarray(self.shape)):
+        if not self.contains(x):
             return -1
-        if not self.mask[tuple(off)]:
-            return -1
-        return int(self._state_index()[tuple(off)])
+        return int(self._state_index()[tuple(np.asarray(x, dtype=int) - self.lo)])
 
     def value_at(self, arr, x):
         """Value of a box array at lattice point x (0.0 outside the box)."""

@@ -4,10 +4,10 @@ Every check compares a DP-oracle measurement against an independently
 computed prediction (closed forms, harmonic tables, or the QSD), quotienting
 out the unknown global constants through ratios and normalizations.  Each
 check emits VerificationReport rows with the measured deviation and the
-tolerance it was held to.
+tolerance it was held to; the fixed-time rows of a periodic or sublattice
+walk say so in a note built from the model's period and index.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -198,22 +198,14 @@ class PipelineContext:
         return p + self.law.dim / 2.0
 
     def parity_note(self):
-        """Periodicity or sublattice confinement blocks fixed-time TV limits."""
-        phi = _period_two(self.law)
-        if phi == (1,) * self.law.dim:
-            return ("law is periodic with period 2 (every step flips the "
-                    "coordinate-sum parity): fixed-time conditionals occupy a "
-                    "single parity class while the limit profile spans both")
-        notes = []
-        if phi is not None:
-            notes.append(f"law is periodic with period 2 (every step flips the "
-                         f"parity of phi . x, phi = {list(phi)}): fixed-time "
-                         "conditionals occupy a single parity class")
-        if self.report.aperiodicity == "inconclusive":
-            notes.append("aperiodicity scan inconclusive: the walk may be confined "
-                         "to a sublattice, in which case fixed-time conditionals "
-                         "cannot match full-support profiles")
-        return "; ".join(notes) or None
+        """Period or sublattice confinement blocks fixed-time TV limits."""
+        index, period = self.report.sublattice_index, self.report.period
+        if index == 1 and period == 1:
+            return None
+        return (f"law has period {period} and its steps generate a sublattice of "
+                f"index {index}: fixed-time conditionals occupy one of "
+                f"{index * period} lattice classes while the limit profile spans "
+                "all of them")
 
 
 def _report(check, predicted, measured, tolerance, relative=True, notes=None,
@@ -254,16 +246,12 @@ def verify_all(ctx):
 
 def _check_survival_tail(ctx):
     prm = ctx.params
-    b = ctx.series.survival
     s = ctx.exponent
-    n_hi = prm.n_max - prm.n_max % 8
-    n1, n2 = n_hi // 4, n_hi // 2
-    norm = b * np.arange(len(b), dtype=float) ** s
-    # octave slopes of the normalized series, Richardson-extrapolated to
-    # strip the leading 1/n correction; the limit slope should vanish
-    s1 = np.log(norm[n2] / norm[n1]) / np.log(2.0)
-    s2 = np.log(norm[n_hi] / norm[n2]) / np.log(2.0)
-    slope = 2.0 * s2 - s1
+    fit = fit_tail(ctx.series)
+    # octave slopes of b_n * n^s are s minus the dyadic exponent estimates;
+    # their Richardson extrapolation, s minus the fitted exponent, should vanish
+    s1, s2 = (s - e for e in fit.diagnostics["dyadic_estimates"])
+    slope = s - fit.exponent_hat
     rep = [_report("survival_tail.flatness", 0.0, slope, TOL_SLOPE,
                    deviation=abs(slope),
                    notes=[f"octave slopes {s1:.4f}, {s2:.4f} of b_n * n^{s:.3f}"])]
@@ -313,7 +301,8 @@ def _check_exit_law(ctx):
     try:
         measured_law, outside = exit_position_law(ctx.series, prm.n_hi)
     except NoExitMassError:
-        cause = " (the walk has period 2)" if _period_two(ctx.law) else ""
+        period = ctx.report.period
+        cause = f" (the walk has period {period})" if period > 1 else ""
         notes.append(f"structural, not numerical: from x0 = {list(prm.x0)} no path "
                      f"leaves the cone at n = {prm.n_hi}{cause}")
         return [_report("exit_law.tv", 0.0, 1.0, TOL_TV_DP, relative=False,
@@ -328,15 +317,6 @@ def _check_exit_law(ctx):
     profile /= total
     tv = 0.5 * float(np.abs(measured_law - profile).sum())
     return [_report("exit_law.tv", 0.0, tv, TOL_TV_DP, relative=False, notes=notes)]
-
-
-def _period_two(law):
-    """First parity phi . x, phi in {0, 1}^d, that flips at every step, or None;
-    the coordinate sum, phi = (1, ..., 1), comes first."""
-    candidates = itertools.chain([(1,) * law.dim],
-                                 itertools.product((0, 1), repeat=law.dim))
-    return next((phi for phi in candidates
-                 if np.all(law.support @ np.array(phi) % 2 == 1)), None)
 
 
 def _check_bridge(ctx):
@@ -359,8 +339,8 @@ def _check_bridge(ctx):
 def _check_exp_moment(ctx):
     prm = ctx.params
     n_hi = prm.n_hi
-    terms = np.array([exit_time_pmf_rescaled(ctx.series, n)
-                      for n in range(1, prm.n_max + 1)])
+    series = ctx.series
+    terms = series.survival[:-1] / series.rescale_by - series.survival[1:]
     # at delta = -ln(c) the rescaled exit terms are the summand itself
     block1 = terms[n_hi // 4: n_hi // 2].sum()
     block2 = terms[n_hi // 2: n_hi].sum()

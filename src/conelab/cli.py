@@ -157,10 +157,6 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
         params.seed = int(seed)
     if workers is not None:
         params.workers = int(workers)
-    if params.workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {params.workers}")
-    if params.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {params.seed}")
 
     sim = data.get("simulate") or {}
     _require_keys(sim, {"estimator", "x0", "n", "n_samples"}, "simulate")
@@ -175,6 +171,20 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
         for key in sorted(values.keys() - {"estimator"}):
             values[key] = _read(_int_tuple if key == "x0" else int, values[key],
                                 f"{section}.{key}")
+    for where, value, low in (("workers", params.workers, 1), ("seed", params.seed, 0),
+                              ("pipeline.n_hi", params.n_hi, 1), ("simulate.n", sim["n"], 0),
+                              ("zchain.n_steps", zchain["n_steps"], 1),
+                              ("zchain.n_paths", zchain["n_paths"], 2)):
+        if value < low:
+            raise ConfigError(f"{where} must be at least {low}, got {value}")
+    if params.n_hi > params.n_max:
+        raise ConfigError(f"pipeline.n_hi must be at most n_max = {params.n_max}, "
+                          f"got {params.n_hi}")
+    points = [(f"pipeline.{key}", getattr(params, key))
+              for key in ("x0", "ratio_start", "bridge_endpoint")]
+    for where, x in points + [("simulate.x0", sim["x0"]), ("zchain.x0", zchain["x0"])]:
+        if len(x) != law.dim:
+            raise ConfigError(f"{where} needs {law.dim} coordinates, got {len(x)}")
 
     out = data.get("output", {}) or {}
     _require_keys(out, {"dir"}, "output")
@@ -255,7 +265,8 @@ def _cmd_cramer(config, ctx, run_id):
         "tilted": [{"step": z.tolist(), "prob": float(p)}
                    for z, p in zip(cd.tilted.support, cd.tilted.probs)],
         "drift": [float(v) for v in ctx.report.drift],
-        "aperiodicity": ctx.report.aperiodicity,
+        "sublattice_index": ctx.report.sublattice_index,
+        "period": ctx.report.period,
     }
     files = emit_report(config, "cramer", run_id, [("cramer", "json", payload)])
     return EXIT_OK, files

@@ -65,9 +65,7 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
         raise ConfigError(f"start {x0.tolist()} is not inside the open cone")
     pad = int(np.max(np.abs(law.support)))
     grid = make_grid(cone, L, pad=pad)
-    start = x0 - grid.lo
-    if np.any(start < 0) or np.any(start >= np.asarray(grid.shape)) \
-            or not grid.mask[tuple(start)]:
+    if not grid.contains(x0):
         raise ConfigError(f"start {x0.tolist()} is outside the window (L = {L})")
     retain = set(int(n) for n in retain)
     reach = window_reach(law, x0, n_max)
@@ -228,10 +226,9 @@ def survival_scan(law, cone, starts, n_max):
     out = np.empty_like(s)
     idx = []
     for x in starts:
-        off = x - grid.lo
-        if np.any(off < 0) or np.any(off >= np.asarray(grid.shape)) or not grid.mask[tuple(off)]:
+        if not grid.contains(x):
             raise ConfigError(f"start {x.tolist()} outside the scan window")
-        idx.append(tuple(off))
+        idx.append(tuple(x - grid.lo))
     result = np.empty((len(starts), n_max + 1))
     result[:, 0] = 1.0
     for n in range(1, n_max + 1):

@@ -1,4 +1,5 @@
-"""Step laws, cones, and executable checks of the model's standing assumptions."""
+"""Step laws, cones, the walk's lattice structure, and executable checks of the
+model's standing assumptions."""
 
 from dataclasses import dataclass, field
 
@@ -8,7 +9,6 @@ from .errors import ConfigError
 
 ANGLE_TOL = 1e-9          # strictness margin for the acute-angle cone check
 PROB_SUM_TOL = 1e-12
-APERIODICITY_RADIUS = 8   # half-width of the box the aperiodicity scan explores
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ class ConeSpec:
 class ModelReport:
     drift: np.ndarray
     noncollinear: bool
-    aperiodicity: str          # "verified" or "inconclusive"
+    sublattice_index: int      # [Z^d : G], G the group the steps generate
+    period: int                # the walk's period; 1 when aperiodic
     notes: list = field(default_factory=list)
 
 
@@ -144,29 +145,18 @@ def _ray_distance(x, phi):
 
 
 def build_model(law, cone):
-    """Validate a (law, cone) pair and report drift, collinearity, aperiodicity.
+    """Validate a (law, cone) pair and report drift and lattice structure.
 
     Rejects collinear supports (the walk would live on a hyperplane) and zero
     drift (outside this package's regime).
     """
     if law.dim != cone.dim:
         raise ConfigError(f"law dimension {law.dim} != cone dimension {cone.dim}")
+    index, period = lattice_structure(law)
     drift = law.mean()
-    centered = law.support - law.support[0]
-    noncollinear = np.linalg.matrix_rank(centered) == law.dim
-    if not noncollinear:
-        raise ConfigError(
-            "non-collinearity assumption violated: support lies on a hyperplane"
-        )
     if np.linalg.norm(drift) <= 1e-14:
         raise ConfigError("zero drift: law is outside the nonzero-drift regime")
     notes = []
-    aperiodicity = _aperiodicity_scan(law)
-    if aperiodicity == "inconclusive":
-        notes.append(
-            "aperiodicity scan inconclusive within the bounded box; "
-            "exit-time asymptotics are unaffected"
-        )
     if cone.kind == "halfspace":
         notes.append(
             "halfspace cone: acute-angle condition cannot hold; "
@@ -176,34 +166,52 @@ def build_model(law, cone):
         "boundary regularity of the cone cross-section is asserted for the "
         "supported cone variants, not tested"
     )
-    return ModelReport(drift=drift, noncollinear=True, aperiodicity=aperiodicity, notes=notes)
+    return ModelReport(drift=drift, noncollinear=True, sublattice_index=index,
+                       period=period, notes=notes)
 
 
-def _aperiodicity_scan(law):
-    """Bounded BFS over the subgroup generated by the support.
+def lattice_structure(law):
+    """``(sublattice_index, period)`` of the walk, in exact integer arithmetic.
 
-    Verified when every residue in the box [-r, r]^d, r = APERIODICITY_RADIUS,
-    is reached by integer combinations of steps whose partial sums stay inside
-    the box; otherwise inconclusive (never silently refuted).
+    The steps generate a group G with index [Z^d : G], the gcd of the d x d
+    minors of the support matrix (its d-th determinantal divisor).  The
+    differences z - z0 generate D, and G / D is cyclic, generated by z0:
+    after n steps the walk sits in x0 + n z0 + D, so the period is
+    [G : D] = [Z^d : D] / [Z^d : G].  D of lower rank means the support
+    lies on an affine hyperplane, which is rejected.
     """
-    d = law.dim
-    if (2 * APERIODICITY_RADIUS + 1) ** d > 10 ** 6:
-        return "inconclusive"
-    steps = [z for z in law.support] + [-z for z in law.support]
-    seen = {tuple(np.zeros(d, dtype=int))}
-    queue = [np.zeros(d, dtype=int)]
-    while queue:
-        x = queue.pop()
-        for z in steps:
-            y = x + z
-            if np.max(np.abs(y)) > APERIODICITY_RADIUS:
-                continue
-            ty = tuple(y)
-            if ty not in seen:
-                seen.add(ty)
-                queue.append(y)
-    full = (2 * APERIODICITY_RADIUS + 1) ** d
-    return "verified" if len(seen) == full else "inconclusive"
+    index = _lattice_index(law.support.tolist(), law.dim)
+    diff_index = _lattice_index((law.support[1:] - law.support[0]).tolist(), law.dim)
+    if diff_index == 0:
+        raise ConfigError(
+            "non-collinearity assumption violated: support lies on a hyperplane"
+        )
+    return index, diff_index // index
+
+
+def _lattice_index(rows, d):
+    """[Z^d : lattice generated by the integer rows], or 0 if they do not span.
+
+    Euclid's algorithm down each column (unimodular row operations, which
+    keep the gcd of the d x d minors) leaves one pivot per column; the index
+    is the product of the pivots, the diagonal of the Hermite normal form.
+    """
+    rows = [list(r) for r in rows]
+    index = 1
+    for col in range(d):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    r[:] = [a - q * b for a, b in zip(r, pivot)]
+            live = [r for r in live if r[col]]
+        if not live:
+            return 0
+        index *= abs(live[0][col])
+        rows = [r for r in rows if r is not live[0]]
+    return index
 
 
 def check_acute_cone_condition(cone, h):

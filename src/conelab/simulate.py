@@ -195,7 +195,7 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     """
     x0 = np.asarray(x0, dtype=int)
     grid = tables.grid
-    if grid.index_of(x0) < 0:
+    if not grid.contains(x0):
         raise ConfigError(f"start {x0.tolist()} outside the harmonic window")
     h, c = cramer.h, cramer.c
     support = law.support

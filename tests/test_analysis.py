@@ -5,6 +5,7 @@ from conelab.analysis import (SELECTORS, PipelineContext, fit_survival_series,
                               fit_tail, verify_all, verify_limits)
 from conelab.dp_oracle import halfspace_1d
 from conelab.errors import ConfigError
+from conelab.model import StepLaw
 
 ROOT3 = np.sqrt(3.0)
 
@@ -96,10 +97,10 @@ def test_ratio_checks_pass(ctx):
 
 def test_sublattice_law_gets_a_note(diag_ctx):
     # diagonal steps preserve coordinate-sum parity: the walk is confined to
-    # a sublattice and the aperiodicity scan reports inconclusive
-    assert diag_ctx.report.aperiodicity == "inconclusive"
+    # the even sublattice, of index 2
+    assert diag_ctx.report.sublattice_index == 2
     note = diag_ctx.parity_note()
-    assert note is not None and "sublattice" in note
+    assert note is not None and "sublattice of index 2" in note
 
 
 def test_parity_blocked_distributional_checks(ctx, tables_nn4):
@@ -153,4 +154,11 @@ def test_exponent_uses_fitted_p_when_open(ctx):
 def test_diagonal_note_names_period_two(diag_ctx):
     # every diagonal step flips the parity of x2 (and of x1)
     note = diag_ctx.parity_note()
-    assert "period 2" in note and "phi = [0, 1]" in note
+    assert "period 2" in note
+
+
+def test_period_three_note(quadrant):
+    law = StepLaw(support=np.array([[1, 0], [0, 1], [-1, -1]]),
+                  probs=np.array([1 / 4, 1 / 4, 1 / 2]))
+    note = PipelineContext(law, quadrant).parity_note()
+    assert note is not None and "period 3" in note

@@ -95,7 +95,22 @@ STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
      "model.law.steps[0].step: cannot read [1, 'x']"),
     ("n_max: 96", "n_max: many", "pipeline.n_max: cannot read 'many'"),
     (STEPS, "    steps: [1, 2]\n", "model.law.steps[0] must be a mapping"),
-], ids=["no-prob", "wedge-no-beta", "step-not-int", "n_max-not-int", "step-not-mapping"])
+    ("n_hi: 72", "n_hi: 0", "pipeline.n_hi must be at least 1, got 0"),
+    ("n_hi: 72", "n_hi: 500", "pipeline.n_hi must be at most n_max = 96, got 500"),
+    ("n_hi: 72", "n_hi: 72\n  x0: [1, 1, 1]", "pipeline.x0 needs 2 coordinates, got 3"),
+    ("n_hi: 72", "n_hi: 72\n  ratio_start: [2]",
+     "pipeline.ratio_start needs 2 coordinates, got 1"),
+    ("n_hi: 72", "n_hi: 72\n  bridge_endpoint: [2, 2, 2]",
+     "pipeline.bridge_endpoint needs 2 coordinates, got 3"),
+    ("x0: [3, 3]", "x0: [3, 3, 3]", "simulate.x0 needs 2 coordinates, got 3"),
+    ("x0: [1, 1], n_steps", "x0: [1, 1, 1], n_steps", "zchain.x0 needs 2 coordinates, got 3"),
+    ("n: 12,", "n: -5,", "simulate.n must be at least 0, got -5"),
+    ("n_steps: 40", "n_steps: -1", "zchain.n_steps must be at least 1, got -1"),
+    ("n_paths: 50", "n_paths: 0", "zchain.n_paths must be at least 2, got 0"),
+], ids=["no-prob", "wedge-no-beta", "step-not-int", "n_max-not-int", "step-not-mapping",
+        "n_hi-zero", "n_hi-above-n_max", "x0-dim", "ratio_start-dim",
+        "bridge_endpoint-dim", "simulate-x0-dim", "zchain-x0-dim", "simulate-n-negative",
+        "zchain-n_steps-negative", "zchain-n_paths-zero"])
 def test_malformed_config_exits_2(tmp_path, capsys, line, bad, named):
     path = tmp_path / "bad.yaml"
     path.write_text(NN4_YAML.replace(line, bad))
@@ -121,7 +136,8 @@ def test_cramer_command(config_path, tmp_path, capsys):
     blobs = list((tmp_path / "out").glob("cramer_*.json"))
     assert len(blobs) == 1
     payload = json.loads(blobs[0].read_text())
-    assert payload["aperiodicity"] == "verified"
+    assert (payload["sublattice_index"], payload["period"]) == (1, 2)
+    assert "aperiodicity" not in payload
     assert abs(payload["c"] - 0.8660254037844386) < 1e-15
 
 

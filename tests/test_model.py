@@ -1,23 +1,27 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conelab.errors import ConfigError
 from conelab.model import (ConeSpec, StepLaw, build_model, check_acute_cone_condition,
-                           cone_contains, cone_geometry)
+                           cone_contains, cone_geometry, lattice_structure)
 
 
 def test_drift_and_aperiodicity(nn4, quadrant):
     report = build_model(nn4, quadrant)
     assert np.allclose(report.drift, [-0.25, -0.25])
     assert report.noncollinear
-    assert report.aperiodicity == "verified"
+    assert (report.sublattice_index, report.period) == (1, 2)
 
 
 def test_build_model_deterministic(nn4, quadrant):
     a = build_model(nn4, quadrant)
     b = build_model(nn4, quadrant)
     assert np.array_equal(a.drift, b.drift)
-    assert a.aperiodicity == b.aperiodicity
+    assert (a.sublattice_index, a.period) == (b.sublattice_index, b.period)
     assert a.notes == b.notes
 
 
@@ -43,8 +47,83 @@ def test_sublattice_support_is_inconclusive(quadrant):
     law = StepLaw(support=np.array([[2, 0], [-2, 0], [0, 2], [0, -2]]),
                   probs=np.array([1 / 8, 3 / 8, 1 / 8, 3 / 8]))
     report = build_model(law, quadrant)
-    assert report.aperiodicity == "inconclusive"
-    assert any("inconclusive" in note for note in report.notes)
+    assert (report.sublattice_index, report.period) == (4, 2)
+
+
+def _uniform(support):
+    support = np.array(support)
+    return StepLaw(support=support, probs=np.full(len(support), 1.0 / len(support)))
+
+
+E3 = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+
+
+@pytest.mark.parametrize("support, index, period", [
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], 1, 2),
+    ([[1, 1], [-1, -1], [1, -1], [-1, 1]], 2, 2),
+    ([[2, 0], [-2, 0], [0, 2], [0, -2]], 4, 2),
+    ([[1, 0], [0, 1], [-1, -1]], 1, 3),
+    ([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], 1, 1),
+    (E3, 1, 2),
+    ([[1], [-1]], 1, 2),
+], ids=["nn4", "diagonal", "two-e_i", "period-3", "lazy-nn4", "octant-3d", "pm1-1d"])
+def test_lattice_structure(support, index, period):
+    assert lattice_structure(_uniform(support)) == (index, period)
+
+
+def _subgroup(vectors, N):
+    """The subgroup of (Z/N)^d the vectors generate, by closure."""
+    gens = [tuple(int(v) % N for v in z) for z in vectors]
+    seen = {tuple(0 for _ in gens[0])}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % N for a, b in zip(x, g))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def _modulus(vectors):
+    """|det| of the first nonsingular d x d minor; N Z^d lies in their span."""
+    d = vectors.shape[1]
+    dets = (abs(round(np.linalg.det(vectors[list(rows)].astype(float))))
+            for rows in itertools.combinations(range(len(vectors)), d))
+    return next(N for N in dets if N)
+
+
+def _oracle(support):
+    """(index, period) by counting in finite quotients: [Z^d : G] = N^d / |G mod N|,
+    and the period is the least n with n z0 in D, the differences' lattice."""
+    d = support.shape[1]
+    N = _modulus(support)
+    index = N ** d // len(_subgroup(support, N))
+    diffs = support[1:] - support[0]
+    ND = _modulus(diffs)
+    D = _subgroup(diffs, ND)
+    z0 = support[0]
+    period = next(n for n in range(1, ND ** d + 1)
+                  if tuple(int(v) % ND for v in n * z0) in D)
+    return index, period
+
+
+@st.composite
+def noncollinear_supports(draw):
+    d, bound = draw(st.sampled_from([(2, 3), (3, 1)]))
+    entry = st.integers(-bound, bound)
+    vectors = draw(st.lists(st.tuples(*[entry] * d), min_size=d + 1, max_size=6,
+                            unique=True))
+    support = np.array(vectors)
+    assume(np.linalg.matrix_rank(support[1:] - support[0]) == d)
+    return support
+
+
+@settings(max_examples=150, deadline=None)
+@given(noncollinear_supports())
+def test_lattice_structure_matches_finite_quotient_oracle(support):
+    assert lattice_structure(_uniform(support)) == _oracle(support)
 
 
 def test_step_law_validation():
