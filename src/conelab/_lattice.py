@@ -2,6 +2,10 @@
 
 A window is an axis-aligned integer box intersected with an open cone.
 Arrays live on the full box; a boolean mask selects the window points.
+``make_grid`` pads every box by the law's longest step, so each one-step
+neighbour of a window cell is a box cell, and it records which box cells lie
+in the cone (``in_cone``).  Every stage reads the cone from there; none
+repeats the membership pass.
 
 ``KilledKernel`` is the one-step operator of the walk killed outside the
 window: a step moves mass by +z with probability p_z, mass landing off the
@@ -20,12 +24,13 @@ import numpy as np
 
 @dataclass
 class WindowGrid:
-    """Integer box ``lo + [0..shape)`` with a cone-membership mask."""
+    """Integer box ``lo + [0..shape)`` with the window mask and the cone on it."""
 
     lo: np.ndarray          # (d,) lower corner
     shape: tuple            # box shape
-    mask: np.ndarray        # bool array over the box, True on cone points
+    mask: np.ndarray        # bool array over the box, True on window points
     coords: np.ndarray      # (*shape, d) integer coordinates
+    in_cone: np.ndarray     # bool array over the box, True on open-cone points
 
     @property
     def dim(self):
@@ -45,12 +50,6 @@ class WindowGrid:
         return bool(np.all(off >= 0) and np.all(off < np.asarray(self.shape))
                     and self.mask[tuple(off)])
 
-    def index_of(self, x):
-        """Flat state index of lattice point x, or -1 if outside the window."""
-        if not self.contains(x):
-            return -1
-        return int(self._state_index()[tuple(np.asarray(x, dtype=int) - self.lo)])
-
     def value_at(self, arr, x):
         """Value of a box array at lattice point x (0.0 outside the box)."""
         x = np.asarray(x, dtype=int)
@@ -69,19 +68,12 @@ class WindowGrid:
         shift_add(out, np.where(self.mask, table, 0.0), self.lo - np.asarray(lo), 1.0)
         return out
 
-    def _state_index(self):
-        if not hasattr(self, "_sidx"):
-            sidx = -np.ones(self.shape, dtype=np.int64)
-            sidx[self.mask] = np.arange(self.n_states)
-            self._sidx = sidx
-        return self._sidx
 
-
-def make_grid(cone, L, M=None, pad=0):
+def make_grid(cone, L, law, M=None):
     """Window grid for ``{y in cone : max-norm of (M y or y) <= L}``.
 
-    ``pad`` extends the bounding box (still masked to the window) so the same
-    box can hold one-step neighbours.
+    The box extends one longest step of ``law`` beyond the window on every
+    side, so each one-step neighbour of a window point is a box cell.
     """
     from .model import cone_contains  # local import, avoids cycle
 
@@ -90,24 +82,24 @@ def make_grid(cone, L, M=None, pad=0):
     else:
         Minv = np.linalg.inv(M)
         reach = int(np.ceil(L * np.max(np.abs(Minv).sum(axis=1))))
+    pad = int(np.max(np.abs(law.support)))
     d = cone.dim
     if cone.kind == "orthant":
         # pad also extends below 1 so one-step exit positions stay in the box
         lo = (1 - pad) * np.ones(d, dtype=int)
-        hi = reach + pad
-        shape = tuple([hi - (1 - pad) + 1] * d)
+        shape = tuple([reach + 2 * pad] * d)
     else:
         lo = -(reach + pad) * np.ones(d, dtype=int)
         shape = tuple([2 * (reach + pad) + 1] * d)
     coords = np.moveaxis(np.indices(shape), 0, -1) + lo
     pts = coords.reshape(-1, d)
-    inside = cone_contains(cone, pts)
+    in_cone = cone_contains(cone, pts).reshape(shape)
     if M is None:
         in_window = np.max(np.abs(pts), axis=1) <= L
     else:
         in_window = np.max(np.abs(pts @ M.T), axis=1) <= L
-    mask = (inside & in_window).reshape(shape)
-    return WindowGrid(lo=lo, shape=shape, mask=mask, coords=coords)
+    mask = in_cone & in_window.reshape(shape)
+    return WindowGrid(lo=lo, shape=shape, mask=mask, coords=coords, in_cone=in_cone)
 
 
 def shift_add(out, arr, z, w):
@@ -128,13 +120,12 @@ def shift_add(out, arr, z, w):
 class KilledKernel:
     """One step of ``law`` on ``grid``, killed off the window mask.
 
-    ``cone`` is needed only for ``leak`` and ``interior``.
+    The grid's box must be padded for ``law`` (``make_grid`` pads it).
     """
 
-    def __init__(self, grid, law, cone=None):
+    def __init__(self, grid, law):
         self.grid = grid
         self.law = law
-        self.cone = cone
         # shifts as plain ints: +z for push, -z for pull
         self._push = list(zip(law.support.tolist(), law.probs))
         self._pull = list(zip((-law.support).tolist(), law.probs))
@@ -157,6 +148,13 @@ class KilledKernel:
         """Unmasked backward step: out[x] = sum_z p_z a[x + z]."""
         return self._step(a, self._pull, out)
 
+    def gather(self, a):
+        """a[x + z] for each step z, stacked along a new last axis (0 beyond the box)."""
+        out = np.zeros(np.shape(a) + (len(self._pull),))
+        for j, (minus_z, _) in enumerate(self._pull):
+            shift_add(out[..., j], a, minus_z, 1.0)
+        return out
+
     def forward(self, a, out=None):
         """Forward step of a measure, zeroed off the mask."""
         out = self.push(a, out)
@@ -173,7 +171,8 @@ class KilledKernel:
         """Sparse substochastic kernel P(x -> x+z) on the masked states (CSR)."""
         from scipy import sparse  # local import: commands that never solve skip scipy
         grid = self.grid
-        sidx = grid._state_index() + 1       # 0 marks cells off the mask
+        sidx = np.zeros(grid.shape, dtype=np.int64)     # 0 marks cells off the mask
+        sidx[grid.mask] = np.arange(1, grid.n_states + 1)
         rows, cols, vals = [], [], []
         for minus_z, p in self._pull:
             dst = np.zeros(grid.shape, dtype=np.int64)
@@ -193,17 +192,11 @@ class KilledKernel:
 
         Mass on such cells is truncated by the window, not killed by the
         cone; the DP monitors it to certify the window is large enough.  The
-        box is widened by one step so neighbours beyond it are seen too.
+        padded box holds every one-step neighbour, so one pull of the cone
+        cells off the mask sees them all.
         """
-        from .model import cone_contains  # local import, avoids cycle
-
         grid = self.grid
-        r = int(np.max(np.abs(self.law.support)))
-        wide = tuple(n + 2 * r for n in grid.shape)
-        coords = np.moveaxis(np.indices(wide), 0, -1) + (grid.lo - r)
-        escape = cone_contains(self.cone, coords.reshape(-1, grid.dim)).reshape(wide) \
-            & ~np.pad(grid.mask, r)
-        leak = self.pull(escape.astype(float))[tuple(slice(r, r + n) for n in grid.shape)]
+        leak = self.pull((grid.in_cone & ~grid.mask).astype(float))
         leak[~grid.mask] = 0.0
         return leak
 

@@ -223,6 +223,13 @@ def _report(check, predicted, measured, tolerance, relative=True, notes=None,
     )
 
 
+def _structural_note(ctx, event):
+    """Note for a verdict the walk's lattice structure decides, not the numerics."""
+    period = ctx.report.period
+    cause = f" (the walk has period {period})" if period > 1 else ""
+    return f"structural, not numerical: from x0 = {list(ctx.params.x0)} {event}{cause}"
+
+
 def _kappa_Uprime_table(ctx):
     tabs = ctx.harmonic
     table = np.zeros(tabs.grid.shape)
@@ -301,10 +308,7 @@ def _check_exit_law(ctx):
     try:
         measured_law, outside = exit_position_law(ctx.series, prm.n_hi)
     except NoExitMassError:
-        period = ctx.report.period
-        cause = f" (the walk has period {period})" if period > 1 else ""
-        notes.append(f"structural, not numerical: from x0 = {list(prm.x0)} no path "
-                     f"leaves the cone at n = {prm.n_hi}{cause}")
+        notes.append(_structural_note(ctx, f"no path leaves the cone at n = {prm.n_hi}"))
         return [_report("exit_law.tv", 0.0, 1.0, TOL_TV_DP, relative=False,
                         notes=notes)]
     grid = ctx.series.grid
@@ -331,9 +335,15 @@ def _check_bridge(ctx):
     w1 = (np.floor(t1 * n) * (n - np.floor(t1 * n))) / n ** 2
     w2 = (np.floor(t2 * n) * (n - np.floor(t2 * n))) / n ** 2
     predicted = (w1 / w2) ** (-s)
-    return [_report("bridge.two_time_ratio", predicted, b1 / b2, TOL_BRIDGE,
-                    notes=[f"time fractions {t1:.4f} and {t2:.4f}, endpoint "
-                           f"{z.tolist()}"])]
+    notes = [f"time fractions {t1:.4f} and {t2:.4f}, endpoint {z.tolist()}"]
+    empty = [int(np.floor(t * n)) for t, b in ((t1, b1), (t2, b2)) if b == 0.0]
+    if empty:
+        notes.append(_structural_note(
+            ctx, f"no bridge to {z.tolist()} at n = {n} passes through x0 at "
+                 f"time {' or '.join(map(str, empty))}"))
+        return [_report("bridge.two_time_ratio", predicted, 0.0, TOL_BRIDGE,
+                        deviation=1.0, notes=notes)]
+    return [_report("bridge.two_time_ratio", predicted, b1 / b2, TOL_BRIDGE, notes=notes)]
 
 
 def _check_exp_moment(ctx):

@@ -34,7 +34,6 @@ class DpSeries:
     survival: np.ndarray
     grid: object
     law: StepLaw
-    cone: ConeSpec
     L: int
     tables: dict = field(default_factory=dict)
     leak_max: float = 0.0
@@ -64,17 +63,17 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     if not cone_contains(cone, x0[None, :])[0]:
         raise ConfigError(f"start {x0.tolist()} is not inside the open cone")
     pad = int(np.max(np.abs(law.support)))
-    grid = make_grid(cone, L, pad=pad)
+    grid = make_grid(cone, L, law)
     if not grid.contains(x0):
         raise ConfigError(f"start {x0.tolist()} is outside the window (L = {L})")
     retain = set(int(n) for n in retain)
     reach = window_reach(law, x0, n_max)
     while True:
-        series = _evolve(KilledKernel(grid, law, cone), L, x0, n_max, rescale_by, retain)
+        series = _evolve(KilledKernel(grid, law), L, x0, n_max, rescale_by, retain)
         if series is not None:
             return series
         L = min(int(np.ceil(1.4 * L)) + pad, reach)
-        grid = make_grid(cone, L, pad=pad)
+        grid = make_grid(cone, L, law)
 
 
 def _evolve(kernel, L, x0, n_max, rescale_by, retain):
@@ -102,7 +101,7 @@ def _evolve(kernel, L, x0, n_max, rescale_by, retain):
             tables[n] = q.copy()
     return DpSeries(
         x0=x0, n_max=n_max, rescale_by=float(rescale_by),
-        survival=survival, grid=grid, law=kernel.law, cone=kernel.cone, L=L,
+        survival=survival, grid=grid, law=kernel.law, L=L,
         tables=tables, leak_max=float(leak_max),
     )
 
@@ -138,11 +137,9 @@ def exit_position_law(series, n):
     """
     if n - 1 not in series.tables:
         raise ConfigError(f"exit law at {n} needs the table retained at {n - 1}")
-    q = series.tables[n - 1]
     grid = series.grid
-    full = KilledKernel(grid, series.law).push(q)
-    outside = ~cone_contains(series.cone, grid.coords.reshape(-1, grid.dim)) \
-        .reshape(grid.shape)
+    full = KilledKernel(grid, series.law).push(series.tables[n - 1])
+    outside = ~grid.in_cone
     exit_mass = np.where(outside, full, 0.0)
     total = exit_mass.sum()
     if total <= 0.0:
@@ -150,37 +147,27 @@ def exit_position_law(series, n):
     return exit_mass / total, outside
 
 
-def bridge_value(series, n, t, A, z, aux=None):
+def bridge_value(series, n, t, A, z):
     """Conditioned bridge mass P(walk at [t n] in A | alive at n, endpoint z).
 
-    Uses the Markov factorization through the retained tables; ``aux`` maps a
-    midpoint y to a DpSeries started at y (defaults to the main series when
-    y equals its start).
+    Uses the Markov factorization through the retained tables, so every
+    midpoint in A must be the series' start x0.
     """
     m = int(np.floor(t * n))
     z = np.asarray(z, dtype=int)
-    aux = aux or {}
-    q_m = series.tables.get(m)
-    q_n = series.tables.get(n)
-    if q_m is None or q_n is None:
-        raise ConfigError(f"bridge needs tables at {m} and {n}")
-    denom = series.grid.value_at(q_n, z)
+    grid = series.grid
+    q_m, q_rest, q_n = (series.tables.get(k) for k in (m, n - m, n))
+    if q_m is None or q_rest is None or q_n is None:
+        raise ConfigError(f"bridge needs tables at {m}, {n - m} and {n}")
+    denom = grid.value_at(q_n, z)
     if denom <= 0.0:
         raise ConfigError(f"endpoint {z.tolist()} has no mass at n = {n}")
     total = 0.0
     for y in A:
         y = np.asarray(y, dtype=int)
-        first = series.grid.value_at(q_m, y)
-        y_series = aux.get(tuple(y))
-        if y_series is None:
-            if np.array_equal(y, series.x0):
-                y_series = series
-            else:
-                raise ConfigError(f"no auxiliary series for midpoint {y.tolist()}")
-        q_rest = y_series.tables.get(n - m)
-        if q_rest is None:
-            raise ConfigError(f"midpoint series lacks the table at {n - m}")
-        total += first * y_series.grid.value_at(q_rest, z)
+        if not np.array_equal(y, series.x0):
+            raise ConfigError(f"bridge midpoint {y.tolist()} is not the start x0")
+        total += grid.value_at(q_m, y) * grid.value_at(q_rest, z)
     return total / denom
 
 
@@ -220,7 +207,7 @@ def survival_scan(law, cone, starts, n_max):
     L = int(max(np.max(np.abs(s)) for s in starts)
             + np.ceil(SCAN_SIGMAS * sigma_max * np.sqrt(n_max))
             + np.ceil(abs(float(np.linalg.norm(law.mean()))) * n_max))
-    grid = make_grid(cone, L)
+    grid = make_grid(cone, L, law)
     kernel = KilledKernel(grid, law)
     s = np.where(grid.mask, 1.0, 0.0)
     out = np.empty_like(s)

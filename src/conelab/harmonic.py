@@ -121,14 +121,12 @@ def build_V_tables(tilted, cone, ch, M, L):
     if np.linalg.norm(drift) > 1e-10:
         raise ConfigError("V construction needs the driftless tilted law")
     M = np.asarray(M, dtype=float)
-    pad = int(np.max(np.abs(tilted.support)))
-    grid = make_grid(cone, L, M=M, pad=pad)
+    grid = make_grid(cone, L, tilted, M=M)
     if grid.n_states == 0:
         raise ConfigError("window contains no cone points; increase L")
-    ring_u = _ring_payoff(grid, cone, ch, M)
-    V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted, cone), ring_u)
-    Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed(), cone),
-                                        ring_u)
+    ring_u = _ring_payoff(grid, ch, M)
+    V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted), ring_u)
+    Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed()), ring_u)
     return HarmonicTables(
         grid=grid, L=float(L), cone=cone, M=M, ch=ch,
         V=V, Vprime=Vp, convergence_residual=float(max(res_v, res_vp)),
@@ -157,11 +155,9 @@ def _solve_killed_harmonic(kernel, ring_u):
     return V, residual
 
 
-def _ring_payoff(grid, cone, ch, M):
+def _ring_payoff(grid, ch, M):
     """u(M y) on cone points inside the box but outside the window."""
-    flat = grid.coords.reshape(-1, grid.dim)
-    in_cone = cone_contains(cone, flat)
-    ring = in_cone.reshape(grid.shape) & ~grid.mask
+    ring = grid.in_cone & ~grid.mask
     vals = np.zeros(grid.shape)
     if ring.any():
         vals[ring] = u_eval_many(ch, grid.coords[ring] @ M.T)
@@ -211,7 +207,7 @@ def _tail_certificate(tables, h, total):
             "acute-angle condition fails: the normalizer sum over the cone diverges"
         )
     p = ch.p
-    hat = grid.coords[grid.mask] @ M.T
+    hat = grid.points() @ M.T
     growth_C = float(np.max(tables.Vprime[grid.mask] /
                             (1.0 + np.linalg.norm(hat, axis=1) ** p)))
     row_norm = float(np.max(np.abs(M).sum(axis=1)))
@@ -266,7 +262,7 @@ def _shell_remainder(h, M, worst, p, d, r_ext):
 
 def _defect(tables, table, law, c):
     """Max relative defect of c table(x) = sum_z P(X=z) table(x+z) over interior x."""
-    kernel = KilledKernel(tables.grid, law, tables.cone)
+    kernel = KilledKernel(tables.grid, law)
     interior = kernel.interior
     rhs = kernel.pull(table)
     lhs = c * table

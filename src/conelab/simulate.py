@@ -173,9 +173,10 @@ class ZChainRun:
     """Sampled paths of the conditioned chain plus row-sum diagnostics.
 
     ``row_sum_min``/``row_sum_max`` cover the raw (pre-normalization) row sums
-    seen at interior states; c-harmonicity of U makes them 1 up to the table's
-    numerical residual.  Paths that reach the window edge are frozen there and
-    counted in ``n_truncated``.
+    of the transition table at the interior states the paths visit;
+    c-harmonicity of U makes them 1 up to the table's numerical residual.
+    Paths whose row lost more than half its mass near the window edge are
+    frozen there and counted in ``n_truncated``.
     """
 
     paths: np.ndarray        # (n_paths, n_steps + 1, d)
@@ -189,9 +190,12 @@ class ZChainRun:
 def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     """Sample the chain conditioned to never leave the cone.
 
-    Transition weights are (1/c) P(X = z) U(x+z) / U(x); each row is
-    normalized explicitly and the raw sum recorded, so table truncation shows
-    up as a diagnostic rather than a bias.
+    Transition weights are (1/c) P(X = z) U(x+z) / U(x), computed as
+    (1/c) P(X = z) e^(h.z) V(x+z) / V(x) once over the window, one array per
+    step z, from the kernel's shifts of V.  Each row's raw sum is kept and the
+    row normalized into a cumulative table, so table truncation shows up as a
+    diagnostic rather than a bias; a sampled step is a lookup at the paths'
+    positions.  The table is zero off the window, so paths stay on it.
     """
     x0 = np.asarray(x0, dtype=int)
     grid = tables.grid
@@ -200,7 +204,13 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     h, c = cramer.h, cramer.c
     support = law.support
     step_w = law.probs * np.exp(support @ h) / c   # (1/c) P(z) e^(h.z)
-    interior = KilledKernel(grid, law, tables.cone).interior
+    kernel = KilledKernel(grid, law)
+    V, mask = tables.V, grid.mask
+    weights = np.zeros(grid.shape + (support.shape[0],))
+    weights[mask] = step_w * kernel.gather(V)[mask] / V[mask][:, None]
+    row_sum = weights.sum(axis=-1)
+    cdf = np.cumsum(weights / np.maximum(row_sum, 1e-300)[..., None], axis=-1)
+    interior = kernel.interior
     rng = _worker_rng(seed, 0)
     m = n_paths
     pos = np.tile(x0, (m, 1))
@@ -208,32 +218,19 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     paths = np.empty((m, n_steps + 1, law.dim), dtype=np.int64)
     paths[:, 0] = pos
     row_min, row_max = np.inf, -np.inf
-    V = tables.V
-    lo, shape = grid.lo, np.asarray(grid.shape)
+    last = support.shape[0] - 1
     for t in range(1, n_steps + 1):
-        off = pos - lo
-        vx = V[tuple(off.T)]
-        inter = interior[tuple(off.T)] & ~frozen
-        weights = np.empty((m, support.shape[0]))
-        for j, z in enumerate(support):
-            offz = off + z
-            ok = np.all((offz >= 0) & (offz < shape), axis=1)
-            vz = np.zeros(m)
-            vz[ok] = V[tuple(offz[ok].T)]
-            weights[:, j] = step_w[j] * vz
-        weights /= vx[:, None]
-        row_sums = weights.sum(axis=1)
+        at = tuple((pos - grid.lo).T)
+        row_sums = row_sum[at]
+        inter = interior[at] & ~frozen
         if inter.any():
             row_min = min(row_min, float(row_sums[inter].min()))
             row_max = max(row_max, float(row_sums[inter].max()))
         # freeze paths whose row lost more than truncation noise allows
-        bad = (row_sums <= 0.5) & ~frozen
-        frozen |= bad
+        frozen |= row_sums <= 0.5
         u = rng.random(m)
-        cdf = np.cumsum(weights / np.maximum(row_sums, 1e-300)[:, None], axis=1)
-        choice = (u[:, None] > cdf).sum(axis=1)
-        move = ~frozen
-        pos = pos + np.where(move[:, None], support[np.minimum(choice, support.shape[0] - 1)], 0)
+        choice = (u[:, None] > cdf[at]).sum(axis=1)
+        pos = pos + np.where(frozen[:, None], 0, support[np.minimum(choice, last)])
         paths[:, t] = pos
     return ZChainRun(
         paths=paths, row_sum_min=float(row_min), row_sum_max=float(row_max),

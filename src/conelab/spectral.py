@@ -43,7 +43,7 @@ def truncated_kernel(law, cone, L):
     """
     if L < 4 * int(np.max(np.abs(law.support))):
         raise ConfigError("window must be at least four step lengths wide")
-    grid = make_grid(cone, L)
+    grid = make_grid(cone, L, law)
     kernel = KilledKernel(grid, law).matrix()
     return kernel, grid
 

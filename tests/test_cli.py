@@ -230,12 +230,29 @@ def test_verify_all_reports_parity_failures(config_path, tmp_path, capsys):
     assert rows["exp_moment.convergent_at_critical"] == "True"
 
 
+@pytest.mark.parametrize("selector", ["bridge", "all"])
+def test_bridge_zero_at_odd_time_is_a_failing_row(tmp_path, capsys, selector):
+    # n_hi = 10 puts the bridge's midpoint times at 3 and 5; the period-2
+    # walk cannot sit at x0 at an odd time, so the row fails with its cause
+    path = tmp_path / "short.yaml"
+    path.write_text(NN4_YAML.replace("n_hi: 72", "n_hi: 10"))
+    out = tmp_path / "out"
+    assert main(["verify", selector, "--config", str(path), "--out", str(out)]) == 1
+    rows = [json.loads(line)
+            for line in next(out.glob("verify_*.jsonl")).read_text().splitlines()]
+    bridge = next(r for r in rows if r["check"] == "bridge.two_time_ratio")
+    assert bridge["pass"] is False
+    assert any(note.startswith("structural, not numerical") and "period 2" in note
+               for note in bridge["notes"])
+
+
 @pytest.mark.parametrize("command, edits", [
     ("dp", {}),
     ("qsd", {}),
     # four streams on a pool of processes: the merge must not follow completion order
     ("simulate", {"workers: 2": "workers: 4", "n_samples: 20000": "n_samples: 4000"}),
-], ids=["dp", "qsd", "simulate"])
+    ("zchain", {}),
+], ids=["dp", "qsd", "simulate", "zchain"])
 def test_artifacts_byte_identical(tmp_path, command, edits):
     text = NN4_YAML
     for line, edited in edits.items():

@@ -1,8 +1,11 @@
+import ast
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conelab._lattice import KilledKernel, make_grid, shift_add
 from conelab.model import ConeSpec, StepLaw, cone_contains
@@ -10,19 +13,36 @@ from conelab.spectral import tv_distance_tables
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conelab"
 
-# (law fixture, cone, pad): nn4 and the diagonal law on the quadrant, and nn4
-# on a tilted wedge with an unpadded box, whose window-edge neighbours fall off it
+# (law fixture, cone): nn4 and the diagonal law on the quadrant, and nn4 on a
+# tilted wedge, whose box is centred on the origin rather than starting at 1 - pad
 KERNEL_CASES = {
-    "nn4-quadrant": ("nn4", ConeSpec.orthant(2), 1),
-    "diagonal-quadrant": ("diagonal_law", ConeSpec.orthant(2), 1),
-    "nn4-wedge": ("nn4", ConeSpec.wedge2d(0.75 * np.pi, 0.3), 0),
+    "nn4-quadrant": ("nn4", ConeSpec.orthant(2)),
+    "diagonal-quadrant": ("diagonal_law", ConeSpec.orthant(2)),
+    "nn4-wedge": ("nn4", ConeSpec.wedge2d(0.75 * np.pi, 0.3)),
 }
 
 
 @pytest.fixture(params=list(KERNEL_CASES))
-def kernel(request):
-    law, cone, pad = KERNEL_CASES[request.param]
-    return KilledKernel(make_grid(cone, 8, pad=pad), request.getfixturevalue(law), cone)
+def case(request):
+    law, cone = KERNEL_CASES[request.param]
+    return request.getfixturevalue(law), cone
+
+
+@pytest.fixture()
+def kernel(case):
+    law, cone = case
+    return KilledKernel(make_grid(cone, 8, law), law)
+
+
+def pointwise_leak(grid, law, cone):
+    """leak(x) = sum of p_z over steps from x landing in the cone but off the window."""
+    expected = np.zeros(grid.shape)
+    for x in grid.points():
+        for z, p in zip(law.support, law.probs):
+            y = x + z
+            if cone_contains(cone, y[None, :])[0] and not grid.contains(y):
+                expected[tuple(x - grid.lo)] += p
+    return expected
 
 
 def test_shift_add_directions():
@@ -48,7 +68,7 @@ def test_shift_add_clips_at_box_edge():
 def test_pull_gathers(quadrant):
     step = StepLaw(support=np.array([[1, 0]]), probs=np.array([1.0]))
     arr = np.arange(9.0).reshape(3, 3)
-    out = KilledKernel(make_grid(quadrant, 3), step).pull(arr)
+    out = KilledKernel(make_grid(quadrant, 3, step), step).pull(arr)
     # out[x] = arr[x + z]
     assert out[0, 0] == arr[1, 0]
     assert out[1, 2] == arr[2, 2]
@@ -56,7 +76,7 @@ def test_pull_gathers(quadrant):
 
 
 def test_forward_conserves_on_interior(quadrant, nn4):
-    grid = make_grid(quadrant, 12, pad=1)
+    grid = make_grid(quadrant, 12, nn4)
     kernel = KilledKernel(grid, nn4)
     q = np.zeros(grid.shape)
     q[tuple(np.array([6, 6]) - grid.lo)] = 1.0
@@ -90,23 +110,17 @@ def test_matrix_matches_forward(kernel):
     assert np.max(np.abs(direct - via_kernel)) < 1e-14
 
 
-def test_leak_and_interior_match_pointwise_rule(kernel):
-    # leak(x) = sum of p_z over steps landing in the cone but off the window
-    grid, law = kernel.grid, kernel.law
-    expected = np.zeros(grid.shape)
-    for x in grid.points():
-        for z, p in zip(law.support, law.probs):
-            y = x + z
-            if cone_contains(kernel.cone, y[None, :])[0] and grid.index_of(y) < 0:
-                expected[tuple(x - grid.lo)] += p
+def test_leak_and_interior_match_pointwise_rule(kernel, case):
+    grid = kernel.grid
+    expected = pointwise_leak(grid, *case)
     assert np.array_equal(kernel.leak, expected)
     assert np.array_equal(kernel.interior, grid.mask & (expected == 0.0))
     assert kernel.leak.any() and kernel.interior.any()
 
 
 def test_leak_zero_strictly_inside(quadrant, nn4):
-    grid = make_grid(quadrant, 10, pad=1)
-    leak = KilledKernel(grid, nn4, quadrant).leak
+    grid = make_grid(quadrant, 10, nn4)
+    leak = KilledKernel(grid, nn4).leak
     # cone-boundary kills are not leaks; only window-edge cone points leak
     assert leak[tuple(np.array([1, 1]) - grid.lo)] == 0.0
     assert leak[tuple(np.array([5, 5]) - grid.lo)] == 0.0
@@ -114,12 +128,13 @@ def test_leak_zero_strictly_inside(quadrant, nn4):
     assert leak[edge] == pytest.approx(1.0 / 8.0)
 
 
-def test_tv_distance_matches_pointwise_fsum(quadrant):
-    # a padded DP box (lo = 1 - pad) against a QSD box (lo = 1)
+def test_tv_distance_matches_pointwise_fsum(quadrant, nn4):
+    # a box padded for two-lattice steps (lo = -1) against one padded for nn4 (lo = 0)
     rng = np.random.default_rng(3)
-    grid_a = make_grid(quadrant, 12, pad=2)
-    grid_b = make_grid(quadrant, 9)
-    assert grid_a.lo.tolist() == [-1, -1] and grid_b.lo.tolist() == [1, 1]
+    long_steps = StepLaw(support=np.array([[2, 0], [0, -2]]), probs=np.array([0.5, 0.5]))
+    grid_a = make_grid(quadrant, 12, long_steps)
+    grid_b = make_grid(quadrant, 9, nn4)
+    assert grid_a.lo.tolist() == [-1, -1] and grid_b.lo.tolist() == [0, 0]
     table_a = rng.random(grid_a.shape)
     table_b = rng.random(grid_b.shape)
     table_a /= table_a[grid_a.mask].sum()
@@ -135,30 +150,79 @@ def test_tv_distance_matches_pointwise_fsum(quadrant):
     assert tv_distance_tables(table_b, grid_b, table_a, grid_a) == tv
 
 
-def test_grid_window_uses_whitened_norm(quadrant):
+def test_grid_window_uses_whitened_norm(quadrant, nn4):
     M = np.sqrt(2.0) * np.eye(2)
-    grid = make_grid(quadrant, 10.0, M=M)
+    grid = make_grid(quadrant, 10.0, nn4, M=M)
     pts = grid.points()
     assert np.max(np.abs(pts @ M.T)) <= 10.0 + 1e-12
     assert np.max(np.abs(pts)) == 7    # floor(10 / sqrt(2))
 
 
-def test_grid_index_round_trip(quadrant):
-    grid = make_grid(quadrant, 6)
+def test_grid_contains_round_trip(quadrant, nn4):
+    grid = make_grid(quadrant, 6, nn4)
+    pts = grid.points().tolist()
     for pt in ([1, 1], [3, 6], [6, 2]):
-        idx = grid.index_of(np.array(pt))
-        assert idx >= 0
-        assert np.array_equal(grid.points()[idx], pt)
-    assert grid.index_of(np.array([0, 3])) == -1
-    assert grid.index_of(np.array([99, 1])) == -1
+        assert grid.contains(np.array(pt))
+        assert pt in pts
+    assert len(pts) == 36
+    # (0, 3) is a box cell off the cone, (7, 3) a cone cell off the window
+    assert not grid.contains(np.array([0, 3])) and not grid.in_cone[tuple([0, 3] - grid.lo)]
+    assert not grid.contains(np.array([7, 3])) and grid.in_cone[tuple([7, 3] - grid.lo)]
+    assert not grid.contains(np.array([99, 1]))
+    assert np.array_equal(grid.mask, grid.in_cone & (np.abs(grid.coords).max(axis=-1) <= 6))
+
+
+@st.composite
+def padded_box_cases(draw):
+    """A small non-collinear law with step entries in [-2, 2], a cone and a whitening."""
+    entry = st.integers(-2, 2)
+    vectors = draw(st.lists(st.tuples(entry, entry), min_size=3, max_size=5, unique=True))
+    support = np.array(vectors)
+    assume(np.linalg.matrix_rank(support[1:] - support[0]) == 2)
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=len(vectors),
+                                     max_size=len(vectors))), dtype=float)
+    law = StepLaw(support=support, probs=weights / weights.sum())
+    cone = draw(st.sampled_from([ConeSpec.orthant(2), ConeSpec.wedge2d(0.6 * np.pi, 0.4)]))
+    M = draw(st.sampled_from([None, np.array([[1.0, 0.4], [-0.3, 0.8]])]))
+    return law, cone, M, draw(st.integers(3, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(padded_box_cases())
+def test_padded_box_holds_every_neighbour(case):
+    law, cone, M, L = case
+    grid = make_grid(cone, L, law, M=M)
+    kernel = KilledKernel(grid, law)
+    off = (grid.points()[:, None, :] + law.support[None, :, :]) - grid.lo
+    assert np.all((off >= 0) & (off < np.asarray(grid.shape)))
+    assert np.array_equal(grid.in_cone,
+                          cone_contains(cone, grid.coords.reshape(-1, 2)).reshape(grid.shape))
+    expected = pointwise_leak(grid, law, cone)
+    assert np.array_equal(kernel.leak, expected)
+    assert np.array_equal(kernel.interior, grid.mask & (expected == 0.0))
+
+
+def _box_cone_passes(tree):
+    """Functions that call ``cone_contains`` and also read some grid's ``coords``."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        calls = any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "cone_contains"
+                    for n in nodes)
+        coords = any(isinstance(n, ast.Attribute) and n.attr == "coords" for n in nodes)
+        if calls and coords:
+            yield fn.name
 
 
 def test_one_stencil_in_src():
-    # every killed-walk step goes through KilledKernel; a second hand-written
-    # stencil or interior rule elsewhere in the package fails here
+    # every killed-walk step goes through KilledKernel, and the window's cone
+    # membership is computed once, by make_grid; a second hand-written stencil,
+    # interior rule or box-wide cone pass elsewhere in the package fails here
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_lattice.py":
             continue
         text = path.read_text()
         assert "shift_add(" not in text, path.name
         assert "leak == 0" not in text, path.name
+        assert list(_box_cone_passes(ast.parse(text))) == [], path.name

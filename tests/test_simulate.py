@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import conelab.simulate as simulate
+from conelab._lattice import KilledKernel
 from conelab.dp_oracle import dp_evolve
 from conelab.errors import ConfigError
 from conelab.harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
@@ -206,6 +207,80 @@ def test_z_chain_truncation_notice(nn4, cramer_nn4, ctx):
     run = z_chain(nn4, cramer_nn4, small, [1, 1], 400, seed=2, n_paths=50)
     assert run.n_truncated > 0
     assert np.all(run.paths > 0)
+
+
+def _z_chain_reference(law, cramer, tables, x0, n_steps, seed, n_paths):
+    """z_chain as a per-step loop: each step gathers V at the paths' neighbours,
+    with bounds checks, and rebuilds and normalizes their transition weights."""
+    x0 = np.asarray(x0, dtype=int)
+    grid = tables.grid
+    support = law.support
+    step_w = law.probs * np.exp(support @ cramer.h) / cramer.c
+    interior = KilledKernel(grid, law).interior
+    rng = _worker_rng(seed, 0)
+    m = n_paths
+    pos = np.tile(x0, (m, 1))
+    frozen = np.zeros(m, dtype=bool)
+    paths = np.empty((m, n_steps + 1, law.dim), dtype=np.int64)
+    paths[:, 0] = pos
+    row_min, row_max = np.inf, -np.inf
+    V = tables.V
+    lo, shape = grid.lo, np.asarray(grid.shape)
+    for t in range(1, n_steps + 1):
+        off = pos - lo
+        vx = V[tuple(off.T)]
+        inter = interior[tuple(off.T)] & ~frozen
+        weights = np.empty((m, support.shape[0]))
+        for j, z in enumerate(support):
+            offz = off + z
+            ok = np.all((offz >= 0) & (offz < shape), axis=1)
+            vz = np.zeros(m)
+            vz[ok] = V[tuple(offz[ok].T)]
+            weights[:, j] = step_w[j] * vz
+        weights /= vx[:, None]
+        row_sums = weights.sum(axis=1)
+        if inter.any():
+            row_min = min(row_min, float(row_sums[inter].min()))
+            row_max = max(row_max, float(row_sums[inter].max()))
+        frozen |= (row_sums <= 0.5) & ~frozen
+        u = rng.random(m)
+        cdf = np.cumsum(weights / np.maximum(row_sums, 1e-300)[:, None], axis=1)
+        choice = (u[:, None] > cdf).sum(axis=1)
+        move = ~frozen
+        pos = pos + np.where(move[:, None], support[np.minimum(choice, support.shape[0] - 1)],
+                             0)
+        paths[:, t] = pos
+    return paths, float(row_min), float(row_max), int(frozen.sum())
+
+
+@pytest.fixture(scope="module")
+def small_tables(ctx, cramer_nn4):
+    wd = ctx.whitening
+    ch = continuous_harmonic_for(wd.cone_image, wd.p)
+    return build_V_tables(cramer_nn4.tilted, ctx.cone, ch, wd.M, L=14)
+
+
+@pytest.fixture(scope="module")
+def diag_tables(diag_ctx):
+    return diag_ctx.harmonic
+
+
+@pytest.mark.parametrize("model, tables, x0, n_steps, n_paths", [
+    ("ctx", "z_tables", [1, 1], 200, 300),
+    ("diag_ctx", "diag_tables", [2, 2], 200, 300),
+    ("ctx", "small_tables", [1, 1], 400, 50),
+], ids=["nn4-L120", "diagonal-L96", "nn4-L14-truncating"])
+def test_z_chain_table_matches_per_step_loop(request, model, tables, x0, n_steps, n_paths):
+    pipeline = request.getfixturevalue(model)
+    tabs = request.getfixturevalue(tables)
+    run = z_chain(pipeline.law, pipeline.cramer, tabs, x0, n_steps, seed=11,
+                  n_paths=n_paths)
+    paths, row_min, row_max, n_truncated = _z_chain_reference(
+        pipeline.law, pipeline.cramer, tabs, x0, n_steps, 11, n_paths)
+    assert np.array_equal(run.paths, paths)
+    assert (run.row_sum_min, run.row_sum_max, run.n_truncated) == \
+        (row_min, row_max, n_truncated)
+    assert (n_truncated > 0) == (tables == "small_tables")
 
 
 def test_z_chain_start_validation(nn4, cramer_nn4, z_tables):

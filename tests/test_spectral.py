@@ -11,7 +11,7 @@ ROOT3 = np.sqrt(3.0)
 
 def test_small_window_row(nn4, quadrant):
     kernel, grid = truncated_kernel(nn4, quadrant, 4)
-    i = grid.index_of(np.array([1, 1]))
+    i = grid.points().tolist().index([1, 1])
     row = kernel[i].toarray().ravel()
     entries = {tuple(grid.points()[j]): v for j, v in enumerate(row) if v != 0.0}
     assert entries == {(2, 1): pytest.approx(1 / 8), (1, 2): pytest.approx(1 / 8)}
@@ -28,7 +28,7 @@ def test_row_sums_substochastic(nn4, quadrant):
 def test_empty_row_when_all_successors_killed(quadrant):
     law = StepLaw(support=np.array([[-2, 0], [0, -2]]), probs=np.array([0.5, 0.5]))
     kernel, grid = truncated_kernel(law, quadrant, 8)
-    i = grid.index_of(np.array([2, 2]))
+    i = grid.points().tolist().index([2, 2])
     assert kernel[i].nnz == 0
 
 
