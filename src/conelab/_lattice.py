@@ -169,7 +169,7 @@ class KilledKernel:
 
     def matrix(self):
         """Sparse substochastic kernel P(x -> x+z) on the masked states (CSR)."""
-        from scipy import sparse  # local import: commands that never solve skip scipy
+        from scipy import sparse  # local import: only ``qsd`` loads scipy.sparse
         grid = self.grid
         sidx = np.zeros(grid.shape, dtype=np.int64)     # 0 marks cells off the mask
         sidx[grid.mask] = np.arange(1, grid.n_states + 1)

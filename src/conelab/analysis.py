@@ -17,7 +17,7 @@ from ._lattice import KilledKernel
 from .cramer import solve_cramer_point
 from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
                         exit_time_pmf_rescaled, hazard_ratio, survival_scan)
-from .errors import ConfigError, NoExitMassError
+from .errors import ConfigError, NoEndpointMassError, NoExitMassError
 from .harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
 from .model import build_model
 from .spectral import qsd_for_model, tv_distance_tables
@@ -329,18 +329,22 @@ def _check_bridge(ctx):
     n = prm.n_hi
     A = [np.asarray(prm.x0, dtype=int)]
     z = np.asarray(prm.bridge_endpoint, dtype=int)
-    b1 = bridge_value(ctx.series, n, t1, A, z)
-    b2 = bridge_value(ctx.series, n, t2, A, z)
     s = ctx.exponent
     w1 = (np.floor(t1 * n) * (n - np.floor(t1 * n))) / n ** 2
     w2 = (np.floor(t2 * n) * (n - np.floor(t2 * n))) / n ** 2
     predicted = (w1 / w2) ** (-s)
     notes = [f"time fractions {t1:.4f} and {t2:.4f}, endpoint {z.tolist()}"]
-    empty = [int(np.floor(t * n)) for t, b in ((t1, b1), (t2, b2)) if b == 0.0]
-    if empty:
-        notes.append(_structural_note(
-            ctx, f"no bridge to {z.tolist()} at n = {n} passes through x0 at "
-                 f"time {' or '.join(map(str, empty))}"))
+    try:
+        b1 = bridge_value(ctx.series, n, t1, A, z)
+        b2 = bridge_value(ctx.series, n, t2, A, z)
+    except NoEndpointMassError:
+        event = f"no path reaches the endpoint {z.tolist()} at n = {n}"
+    else:
+        empty = [int(np.floor(t * n)) for t, b in ((t1, b1), (t2, b2)) if b == 0.0]
+        event = (f"no bridge to {z.tolist()} at n = {n} passes through x0 at "
+                 f"time {' or '.join(map(str, empty))}") if empty else None
+    if event:
+        notes.append(_structural_note(ctx, event))
         return [_report("bridge.two_time_ratio", predicted, 0.0, TOL_BRIDGE,
                         deviation=1.0, notes=notes)]
     return [_report("bridge.two_time_ratio", predicted, b1 / b2, TOL_BRIDGE, notes=notes)]
@@ -373,6 +377,9 @@ def _check_exp_moment(ctx):
 
 def _check_driftless_bound(ctx):
     prm = ctx.params
+    if prm.n_max <= SCAN_N_LO:
+        raise ConfigError(f"pipeline.n_max must exceed {SCAN_N_LO} for the driftless "
+                          f"bound, got {prm.n_max}")
     scan = ctx.driftless_scan
     M = ctx.whitening.M
     p = ctx.whitening.p

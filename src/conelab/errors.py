@@ -9,6 +9,10 @@ class NoExitMassError(ConfigError):
     """The walk cannot leave the cone at the requested time: a structural zero."""
 
 
+class NoEndpointMassError(ConfigError):
+    """The walk cannot sit at a bridge endpoint at the requested time: a structural zero."""
+
+
 class NumericsError(RuntimeError):
     """A numerical procedure failed to converge or produced inconsistent values."""
 

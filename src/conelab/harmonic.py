@@ -9,11 +9,12 @@ downstream, always through scale-free ratios.
 
 V is the unique solution of the killed-kernel fixed-point equation on a
 truncated window with u as far-field data on the one-step exterior ring.
-The truncated kernel has spectral radius below one, so the equation is
-solved directly (sparse); iterating against a zero-padded exterior instead
-would decay geometrically to zero and never stabilize.  When u is itself
-discretely harmonic (the four-step reference walk on the quadrant), V
-equals u on the window to machine precision.
+The truncated kernel has spectral radius below one, so I - T is invertible;
+the system is solved by BiCGSTAB, matrix-free through the kernel's pull and
+started from u itself, so no sparse matrix is assembled and scipy is never
+imported.  When u is itself discretely harmonic (the four-step reference
+walk on the quadrant), the start already meets the stopping rule and V is
+u on the window bit for bit.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ from .model import check_acute_cone_condition, cone_contains
 
 TAIL_FRACTION = 1e-8     # certified tail of the normalizer sum, relative
 TAIL_EXTEND = 150        # max-norm shells summed explicitly beyond the window
+SOLVE_TOL = 1e-14        # Krylov stop: |b - A v| <= SOLVE_TOL |b|
+SOLVE_MAX_ITER = 2000    # BiCGSTAB iterations per table before giving up
 
 
 @dataclass
@@ -112,10 +115,11 @@ def build_V_tables(tilted, cone, ch, M, L):
 
     The window holds lattice points y with max-norm of M y at most L; the
     one-step ring outside it carries the far-field data u(M y).  Each table
-    is one direct sparse solve of V = T V + b, with T the killed kernel on
-    the window and b the ring data it reaches in one step;
-    ``convergence_residual`` is the larger relative defect of the two
-    mean-value equations at points whose neighbours stay in the window.
+    solves V = T V + b, with T the killed kernel on the window and b the ring
+    data it reaches in one step, by one Krylov solve started from u(M y)
+    (``_solve_killed_harmonic``); ``convergence_residual`` is the larger
+    relative defect of the two mean-value equations at points whose
+    neighbours stay in the window.
     """
     drift = tilted.mean()
     if np.linalg.norm(drift) > 1e-10:
@@ -125,33 +129,69 @@ def build_V_tables(tilted, cone, ch, M, L):
     if grid.n_states == 0:
         raise ConfigError("window contains no cone points; increase L")
     ring_u = _ring_payoff(grid, ch, M)
-    V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted), ring_u)
-    Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed()), ring_u)
+    u0 = u_eval_many(ch, grid.points() @ M.T)
+    V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted), ring_u, u0)
+    Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed()), ring_u, u0)
     return HarmonicTables(
         grid=grid, L=float(L), cone=cone, M=M, ch=ch,
         V=V, Vprime=Vp, convergence_residual=float(max(res_v, res_vp)),
     )
 
 
-def _solve_killed_harmonic(kernel, ring_u):
-    from scipy import sparse  # local imports: commands that never solve skip scipy
-    from scipy.sparse import linalg as spla
+def _solve_killed_harmonic(kernel, ring_u, v0):
+    """BiCGSTAB on v - T v = b, matrix-free through ``kernel.pull``, started at v0.
+
+    b(x) = sum_z p_z u(M(x+z)) over ring neighbours.  The iteration stops once
+    the recurrence residual is within SOLVE_TOL of |b| and a recomputed true
+    residual agrees; otherwise it restarts from the true residual.
+    """
     grid = kernel.grid
-    # b(x) = sum_z p_z u(M(x+z)) over ring neighbours
-    b = kernel.backward(ring_u)[grid.mask]
-    T = kernel.matrix()
-    A = sparse.eye(grid.n_states, format="csr") - T
-    v = spla.spsolve(A.tocsc(), b)
+    mask = grid.mask
+    box = np.zeros(grid.shape)
+
+    def apply(v):                      # v - T v on the window states
+        box[mask] = v
+        return v - kernel.pull(box)[mask]
+
+    b = kernel.pull(ring_u)[mask]
+    tol = SOLVE_TOL * float(np.linalg.norm(b))
+    v = np.array(v0, dtype=float)
+    r = b - apply(v)
+    iterations = 0
+    while np.linalg.norm(r) > tol:       # restart from the true residual until it holds
+        r_hat, rho, alpha, omega = r.copy(), 1.0, 1.0, 1.0
+        p = q = np.zeros_like(r)
+        while np.linalg.norm(r) > tol:
+            iterations += 1
+            if iterations > SOLVE_MAX_ITER:
+                raise NumericsError(
+                    f"harmonic solve not converged in {SOLVE_MAX_ITER} iterations")
+            rho_new = float(r_hat @ r)
+            if rho_new == 0.0 or omega == 0.0:
+                raise NumericsError("harmonic solve broke down (BiCGSTAB)")
+            p = r + (rho_new / rho) * (alpha / omega) * (p - omega * q)
+            q = apply(p)
+            rq = float(r_hat @ q)
+            if rq == 0.0:
+                raise NumericsError("harmonic solve broke down (BiCGSTAB)")
+            alpha = rho_new / rq
+            s = r - alpha * q
+            t = apply(s)
+            tt = float(t @ t)
+            omega = float(t @ s) / tt if tt > 0.0 else 0.0
+            v += alpha * p + omega * s
+            r = s - omega * t
+            rho = rho_new
+        r = b - apply(v)
     if np.any(v <= 0.0):
         raise NumericsError("killed harmonic solve produced nonpositive values")
     V = np.zeros(grid.shape)
-    V[grid.mask] = v
+    V[mask] = v
     # residual of the mean-value equation at points whose neighbours stay inside
-    interior = kernel.interior
-    resid = np.abs(T @ v + b - v)
     rel = np.zeros(grid.shape)
-    rel[grid.mask] = resid / np.maximum(v, 1e-300)
-    residual = float(rel[interior].max()) if interior.any() else float(rel[grid.mask].max())
+    rel[mask] = np.abs(kernel.pull(V)[mask] + b - v) / np.maximum(v, 1e-300)
+    interior = kernel.interior
+    residual = float(rel[interior].max()) if interior.any() else float(rel[mask].max())
     return V, residual
 
 

@@ -246,6 +246,33 @@ def test_bridge_zero_at_odd_time_is_a_failing_row(tmp_path, capsys, selector):
                for note in bridge["notes"])
 
 
+@pytest.mark.parametrize("selector", ["bridge", "all"])
+def test_bridge_endpoint_without_mass_is_a_failing_row(tmp_path, selector):
+    # after an odd number of steps the period-2 walk from (1, 1) cannot sit at
+    # the endpoint (2, 2): the row fails with its cause instead of exiting 2
+    path = tmp_path / "odd.yaml"
+    path.write_text(NN4_YAML.replace("n_hi: 72", "n_hi: 71"))
+    out = tmp_path / "out"
+    assert main(["verify", selector, "--config", str(path), "--out", str(out)]) == 1
+    rows = [json.loads(line)
+            for line in next(out.glob("verify_*.jsonl")).read_text().splitlines()]
+    bridge = next(r for r in rows if r["check"] == "bridge.two_time_ratio")
+    assert bridge["pass"] is False and bridge["measured"] == 0.0
+    assert any(note.startswith("structural, not numerical")
+               and "endpoint [2, 2] at n = 71" in note and "period 2" in note
+               for note in bridge["notes"])
+
+
+@pytest.mark.parametrize("selector", ["driftless_bound", "all"])
+def test_driftless_bound_needs_a_fit_window(tmp_path, capsys, selector):
+    # the bound's statistic starts at n = 50; a shorter horizon leaves nothing to fit
+    path = tmp_path / "short.yaml"
+    path.write_text(NN4_YAML.replace("n_max: 96", "n_max: 48").replace("n_hi: 72", "n_hi: 40"))
+    status = main(["verify", selector, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "n_max must exceed 50" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, edits", [
     ("dp", {}),
     ("qsd", {}),

@@ -1,11 +1,18 @@
+import time
+
 import numpy as np
 import pytest
 
-from conelab.errors import ConfigError, WindowTooSmallError
+from conelab import harmonic
+from conelab._lattice import KilledKernel
+from conelab.cramer import solve_cramer_point
+from conelab.errors import ConfigError, NumericsError, WindowTooSmallError
 from conelab.harmonic import (ContinuousHarmonic, build_U_tables, build_V_tables,
                               u_eval_many,
                               c_harmonicity_residual, continuous_harmonic_for,
                               qsd_fixed_point_residual, tables_rows, u_eval)
+from conelab.model import ConeSpec, StepLaw
+from conelab.whiten import cone_image_and_p, whiten_model
 
 
 def fd_laplacian(ch, x, step=1e-3):
@@ -182,3 +189,78 @@ def test_needs_driftless_input(nn4, quadrant, ctx):
     ch = continuous_harmonic_for(wd.cone_image, wd.p)
     with pytest.raises(ConfigError, match="driftless"):
         build_V_tables(nn4, quadrant, ch, wd.M, L=20)
+
+
+def spsolve_oracle(tabs, law):
+    """V on the window by a sparse direct solve of (I - T) v = b."""
+    from scipy import sparse
+    from scipy.sparse import linalg as spla
+    grid = tabs.grid
+    ring = grid.in_cone & ~grid.mask
+    u_ring = np.zeros(grid.shape)
+    u_ring[ring] = u_eval_many(tabs.ch, grid.coords[ring] @ tabs.M.T)
+    kernel = KilledKernel(grid, law)
+    b = kernel.pull(u_ring)[grid.mask]
+    A = sparse.identity(grid.n_states, format="csc") - kernel.matrix().tocsc()
+    return spla.spsolve(A, b)
+
+
+@pytest.fixture(scope="module")
+def solved(ctx, diag_ctx):
+    """Tables and the tilted law they solve for: nn4, diagonal, and a wedge cone."""
+    # a 120-degree wedge: u is not discrete-harmonic there, so the solve iterates
+    wedge = ConeSpec.wedge2d(2.0 * np.pi / 3.0, 0.1)
+    image, p = cone_image_and_p(wedge, ctx.whitening.M)
+    ch = continuous_harmonic_for(image, p)
+    tilted = ctx.cramer.tilted
+    return {"nn4": (ctx.harmonic, tilted),
+            "diagonal": (diag_ctx.harmonic, diag_ctx.cramer.tilted),
+            "wedge": (build_V_tables(tilted, wedge, ch, ctx.whitening.M, L=40), tilted)}
+
+
+@pytest.mark.parametrize("which", ["nn4", "diagonal", "wedge"])
+def test_krylov_solve_matches_direct_solve(which, solved):
+    tabs, tilted = solved[which]
+    mask = tabs.grid.mask
+    for table, law in ((tabs.V, tilted), (tabs.Vprime, tilted.reversed())):
+        direct = spsolve_oracle(tabs, law)
+        assert np.max(np.abs(table[mask] - direct) / direct) <= 1e-10
+    assert tabs.convergence_residual <= 1e-12
+
+
+def test_nn4_solve_returns_u_exactly(tables_nn4):
+    # u is discrete-harmonic for the reference walk, so the warm start is
+    # already converged and V is u(M y) to the last bit
+    grid = tables_nn4.grid
+    u = u_eval_many(tables_nn4.ch, grid.points() @ tables_nn4.M.T)
+    assert np.array_equal(tables_nn4.V[grid.mask], u)
+    assert np.array_equal(tables_nn4.Vprime[grid.mask], u)
+
+
+def test_iteration_cap_raises(diag_ctx, quadrant, monkeypatch):
+    monkeypatch.setattr(harmonic, "SOLVE_MAX_ITER", 1)
+    tabs = diag_ctx.harmonic
+    with pytest.raises(NumericsError, match="not converged"):
+        build_V_tables(diag_ctx.cramer.tilted, quadrant, tabs.ch, tabs.M, L=96)
+
+
+def test_octant_walk_in_three_dimensions():
+    # six steps +-e_i with probabilities 1/12 and 3/12: h = (ln 3 / 2)(1, 1, 1),
+    # c = sqrt(3)/2, p = 3, and u = y1 y2 y3 is discrete-harmonic for the tilt
+    law = StepLaw(support=np.vstack([np.eye(3, dtype=int), -np.eye(3, dtype=int)]),
+                  probs=np.array([1 / 12] * 3 + [3 / 12] * 3))
+    cone = ConeSpec.orthant(3)
+    cd = solve_cramer_point(law)
+    wd = whiten_model(cd, cone)
+    assert np.max(np.abs(cd.h - np.log(3.0) / 2.0)) <= 1e-10
+    assert cd.c == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-12)
+    assert wd.p == 3.0
+    ch = continuous_harmonic_for(wd.cone_image, wd.p)
+    t0 = time.perf_counter()
+    tabs = build_V_tables(cd.tilted, cone, ch, wd.M, L=36)
+    elapsed = time.perf_counter() - t0
+    u = u_eval_many(ch, tabs.grid.points() @ wd.M.T)
+    for table in (tabs.V, tabs.Vprime):
+        assert np.max(np.abs(table[tabs.grid.mask] - u) / u) <= 1e-12
+    assert tabs.convergence_residual <= 1e-12
+    assert elapsed < 1.0

@@ -1,4 +1,4 @@
-"""Commands that never solve a sparse system do not load scipy's submodules.
+"""Only ``qsd``, which solves a sparse system, loads scipy's submodules.
 
 Each check runs in a fresh interpreter, since the test session itself has
 imported scipy long before.
@@ -14,6 +14,7 @@ from pathlib import Path
 import scipy
 
 import conelab
+from conelab.analysis import SELECTORS
 from conelab.cli import main
 
 SRC = str(Path(conelab.__file__).resolve().parent.parent)
@@ -28,7 +29,7 @@ model:
       - {step: [0, -1], prob: 3/8}
   cone: {kind: orthant, dim: 2}
 pipeline:
-  n_max: 48
+  n_max: 64
   n_hi: 40
   dp_window: 30
   seed: 7
@@ -48,7 +49,12 @@ def _fresh(code):
     return done.stdout
 
 
+SCIPY_FREE = (["cramer"], ["whiten"], ["dp"], ["simulate"], ["harmonic"], ["zchain"],
+              *(["verify", selector] for selector in SELECTORS), ["verify", "all"])
+
+
 def test_scipy_free_commands_stay_scipy_free(tmp_path):
+    # qsd runs last: it is the one command that solves a sparse system
     config = tmp_path / "nn4.yaml"
     config.write_text(SMALL_NN4_YAML)
     out = _fresh(f"""
@@ -56,23 +62,27 @@ def test_scipy_free_commands_stay_scipy_free(tmp_path):
         from conelab.cli import main
 
         def loaded():
-            print(sorted(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules))
+            return sorted(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules)
 
-        loaded()
-        for command in ("cramer", "whiten", "dp", "simulate"):
+        print("import", loaded())
+        for argv in {[*SCIPY_FREE, ["qsd"]]!r}:
             try:
                 with contextlib.redirect_stdout(io.StringIO()):
-                    status = main([command, "--config", {str(config)!r},
+                    status = main([*argv, "--config", {str(config)!r},
                                    "--out", {str(tmp_path / "out")!r}])
             except SystemExit as exc:
                 status = exc.code
-            print(command, status)
-        loaded()
+            print(" ".join(argv), status, loaded())
     """)
-    after_import, *statuses, after_commands = out.strip().splitlines()
-    assert after_import == "[]"
-    assert statuses == ["cramer 0", "whiten 0", "dp 0", "simulate 0"]
-    assert after_commands == "[]"
+    lines = out.strip().splitlines()
+    assert lines[0] == "import []"
+    for argv, line in zip(SCIPY_FREE, lines[1:-1]):
+        assert line.startswith(" ".join(argv) + " ")
+        assert line.endswith(" []"), line
+        # verify may exit 1 (the period-2 rows fail); every other command exits 0
+        assert line.split()[-2] in (("0", "1") if argv[0] == "verify" else ("0",)), line
+    assert len(lines) == len(SCIPY_FREE) + 2
+    assert lines[-1] == "qsd 0 ['scipy.linalg', 'scipy.sparse']"
 
 
 def test_manifest_keeps_scipy_version(tmp_path):
