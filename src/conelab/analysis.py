@@ -17,7 +17,7 @@ from ._lattice import KilledKernel
 from .cramer import solve_cramer_point
 from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
                         exit_time_pmf_rescaled, hazard_ratio, survival_scan)
-from .errors import ConfigError, NoEndpointMassError, NoExitMassError
+from .errors import ConfigError, NoEndpointMassError, NoExitMassError, WindowTooSmallError
 from .harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
 from .model import build_model
 from .spectral import qsd_for_model, tv_distance_tables
@@ -101,11 +101,22 @@ def fit_tail(series):
 # ---------------------------------------------------------------------------
 # pipeline context: all artifacts the selectors draw on, built lazily
 
-SCAN_GRID = (            # starts of the driftless survival scan
-    (1, 1), (2, 1), (1, 2), (2, 2), (4, 2), (2, 4), (4, 4), (8, 4), (4, 8),
-    (8, 8), (12, 8), (8, 12), (12, 12), (16, 12), (12, 16), (16, 16),
-    (20, 16), (16, 20), (20, 20), (24, 24),
-)
+SCAN_LEVELS = (1, 2, 4, 8, 12, 16, 20)   # diagonal levels of the driftless scan
+
+
+def scan_grid(d):
+    """Starts of the driftless survival scan in dimension d (20 in d = 2).
+
+    Each diagonal level (a, ..., a) follows the d starts that raise one
+    coordinate of the previous level to a; (24, ..., 24) closes the list.
+    """
+    starts = [(1,) * d]
+    for lo, hi in zip(SCAN_LEVELS, SCAN_LEVELS[1:]):
+        starts += [tuple(hi if j == i else lo for j in range(d)) for i in range(d)]
+        starts.append((hi,) * d)
+    return tuple(starts) + ((24,) * d,)
+
+
 SCAN_N_LO = 50           # first time of the driftless bound's statistic
 BRIDGE_TIMES = (1.0 / 3.0, 0.5)
 
@@ -156,10 +167,17 @@ class PipelineContext:
 
     @cached_property
     def harmonic(self):
-        ch = continuous_harmonic_for(self.whitening.cone_image, self.whitening.p)
-        tables = build_V_tables(self.cramer.tilted, self.cone, ch, self.whitening.M,
-                                L=self.params.harmonic_window)
-        return build_U_tables(tables, self.cramer.h)
+        """Harmonic tables, from ``harmonic_window`` up until the tail bound passes."""
+        wd, cd, L = self.whitening, self.cramer, self.params.harmonic_window
+        ch = continuous_harmonic_for(wd.cone_image, wd.p)
+        while True:
+            tables = build_V_tables(cd.tilted, self.cone, ch, wd.M, L=L)
+            try:
+                return build_U_tables(tables, cd.h)
+            except WindowTooSmallError as exc:
+                if exc.suggested_L is None:
+                    raise
+                L = float(exc.suggested_L)
 
     @cached_property
     def series(self):
@@ -175,7 +193,7 @@ class PipelineContext:
 
     @cached_property
     def driftless_scan(self):
-        return survival_scan(self.cramer.tilted, self.cone, SCAN_GRID,
+        return survival_scan(self.cramer.tilted, self.cone, scan_grid(self.law.dim),
                              self.params.n_max)
 
     @cached_property
@@ -385,7 +403,7 @@ def _check_driftless_bound(ctx):
     p = ctx.whitening.p
     if p is None:
         p = ctx.exponent - ctx.law.dim / 2.0
-    pts = np.asarray(SCAN_GRID, dtype=float)
+    pts = np.asarray(scan_grid(ctx.law.dim), dtype=float)
     denom = 1.0 + np.linalg.norm(pts @ M.T, axis=1) ** p
     ns = np.arange(SCAN_N_LO, prm.n_max + 1)
     stat = (scan[:, ns] * ns ** (p / 2.0)) / denom[:, None]

@@ -7,7 +7,8 @@ Commands: ``cramer``, ``whiten``, ``harmonic``, ``dp``, ``simulate``,
 deterministic names and 17-significant-digit numbers; rerunning the same
 config reproduces them byte for byte.  Exit status: 0 on success with all
 requested verifications passing, 1 on verification failure, 2 on a bad
-config, 3 on a numerical failure.
+config, 3 on a numerical failure, 4 on an internal error (any other
+exception; its traceback goes to stderr).
 """
 
 import argparse
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -209,8 +211,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(path, payload):
@@ -294,7 +295,9 @@ def _cmd_harmonic(config, ctx, run_id):
     d = ctx.law.dim
     header = [f"x{i + 1}" for i in range(d)] + ["V", "Vprime", "U", "Uprime"]
     rows = tables_rows(tabs)
-    print(f"window L = {tabs.L} ({tabs.grid.n_states} lattice points), "
+    start = config.params.harmonic_window
+    grown = "" if tabs.L == start else f", grown from the configured {start:g}"
+    print(f"window L = {tabs.L}{grown} ({tabs.grid.n_states} lattice points), "
           f"kappa = {tabs.kappa:.9g}, residual = {tabs.convergence_residual:.3e}")
     files = emit_report(config, "harmonic", run_id,
                         [("harmonic", "csv", (header, rows))])
@@ -457,6 +460,11 @@ def main(argv=None):
     except NumericsError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
+    except Exception:
+        import traceback  # loaded only after a crash, off the start-up path
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ class NumericsError(RuntimeError):
 class WindowTooSmallError(NumericsError):
     """A lattice truncation window cannot meet its accuracy contract.
 
-    Carries a suggested replacement radius in ``suggested_L``.
+    Carries the smallest radius that meets it in ``suggested_L`` (None if none does).
     """
 
     def __init__(self, message, suggested_L=None):

@@ -5,7 +5,9 @@ cone and is homogeneous of degree p.  Its discrete counterpart V satisfies
 the one-step mean-value equation of the killed driftless walk; V' is the same
 object for the reversed walk.  Drift-adjusted versions U(x) = e^(h.x) V(Mx)
 and U'(y) = e^(-h.y) V'(My) and the normalizer kappa feed every limit check
-downstream, always through scale-free ratios.
+downstream, always through scale-free ratios.  The pipeline grows the window
+until a closed-form bound on the mass of U' beyond it, which assumes that the
+growth constant C of V' on the window holds there too, passes.
 
 V is the unique solution of the killed-kernel fixed-point equation on a
 truncated window with u as far-field data on the one-step exterior ring.
@@ -23,10 +25,10 @@ import numpy as np
 
 from ._lattice import KilledKernel, WindowGrid, make_grid
 from .errors import ConfigError, NumericsError, WindowTooSmallError
-from .model import check_acute_cone_condition, cone_contains
+from .model import check_acute_cone_condition
 
 TAIL_FRACTION = 1e-8     # certified tail of the normalizer sum, relative
-TAIL_EXTEND = 150        # max-norm shells summed explicitly beyond the window
+TAIL_RADII = 150         # radii beyond the window searched for a passing one
 SOLVE_TOL = 1e-14        # Krylov stop: |b - A v| <= SOLVE_TOL |b|
 SOLVE_MAX_ITER = 2000    # BiCGSTAB iterations per table before giving up
 
@@ -207,10 +209,9 @@ def _ring_payoff(grid, ch, M):
 def build_U_tables(tables, h):
     """Attach U, U', kappa and certify the truncated normalizer tail.
 
-    kappa is 1 over the window sum of U'; the mass beyond the window is
-    bounded through the acute-angle estimate h . y >= cos(worst) |h| |y| and
-    the fitted polynomial growth of V', and must stay below a 1e-8 fraction
-    of the window sum.
+    kappa is 1 over the window sum of U'.  The bound of ``_tail_certificate``
+    on the mass beyond the window must stay below a 1e-8 fraction of that sum;
+    else WindowTooSmallError names the smallest window that passes, or None.
     """
     h = np.asarray(h, dtype=float)
     grid = tables.grid
@@ -225,11 +226,11 @@ def build_U_tables(tables, h):
         raise NumericsError("normalizer sum is not finite and positive")
     growth_C, tail, suggested = _tail_certificate(tables, h, total)
     if tail >= TAIL_FRACTION * total:
+        where = (f"it passes at L = {suggested}" if suggested else
+                 f"no window within {TAIL_RADII} shells of L = {tables.L:g} passes")
         raise WindowTooSmallError(
             f"normalizer tail bound {tail:.3e} exceeds {TAIL_FRACTION:.0e} of the "
-            f"window sum {total:.6e}; increase the window to about L = {suggested}",
-            suggested_L=suggested,
-        )
+            f"window sum {total:.6e}; {where}", suggested_L=suggested)
     tables.h = h
     tables.U = U
     tables.Uprime = Up
@@ -240,64 +241,49 @@ def build_U_tables(tables, h):
 
 
 def _tail_certificate(tables, h, total):
-    grid, M, cone, ch = tables.grid, tables.M, tables.cone, tables.ch
+    """(C, bound on the tail beyond the window, smallest passing window or None).
+
+    C, the largest V'(y) / (1 + |M y|^p) on the window, is assumed to hold
+    beyond it: an assumption, not a proof.  Max-norm shells k <= r_in =
+    floor(L / |M|_inf) lie in the window.  For r = r_in ... r_in + TAIL_RADII
+    the sum of C e^(-h.y) (1 + |M y|^p) over shells k > r is at most t(r + 1)
+    / (1 - q), t(k) a shell bound and q >= t(k + 1) / t(k).  Orthant shell k
+    lies on the faces y_i = k, where |M y| <= m_i k + sum_{j != i} m_j y_j
+    (m_j = |M e_j|), and 1 + t <= e^t makes each face sum geometric.  A wedge
+    shell has at most 2d (3k)^(d-1) points, each with h.y >= |h| cos(worst) k.
+    """
+    grid, M, cone, p = tables.grid, tables.M, tables.cone, tables.ch.p
     ok, worst = check_acute_cone_condition(cone, h)
     if not ok:
         raise NumericsError(
             "acute-angle condition fails: the normalizer sum over the cone diverges"
         )
-    p = ch.p
-    hat = grid.points() @ M.T
     growth_C = float(np.max(tables.Vprime[grid.mask] /
-                            (1.0 + np.linalg.norm(hat, axis=1) ** p)))
+                            (1.0 + np.linalg.norm(grid.points() @ M.T, axis=1) ** p)))
     row_norm = float(np.max(np.abs(M).sum(axis=1)))
-    r_in = int(np.floor(tables.L / row_norm))
-    d = grid.dim
-    r_ext = r_in + TAIL_EXTEND
-    # explicit sum over cone points between the inscribed box and r_ext
-    if cone.kind == "orthant":
-        axes = [np.arange(1, r_ext + 1)] * d
-    else:
-        axes = [np.arange(-r_ext, r_ext + 1)] * d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    sup = np.max(np.abs(mesh), axis=1)
-    sel = sup > r_in
-    mesh = mesh[sel]
-    sup = sup[sel]
-    keep = cone_contains(cone, mesh)
-    mesh = mesh[keep]
-    sup = sup[keep]
-    if mesh.shape[0]:
-        weights = np.exp(-(mesh @ h)) * (1.0 + np.linalg.norm(mesh @ M.T, axis=1) ** p)
-    else:
-        weights = np.zeros(0)
-    explicit = growth_C * float(weights.sum())
-    remainder = growth_C * _shell_remainder(h, M, worst, p, d, r_ext)
-    tail = explicit + remainder
-    # suggested radius: smallest box whose outside-sum certificate passes
-    suggested = None
-    if tail >= TAIL_FRACTION * total and mesh.shape[0]:
-        order = np.argsort(sup, kind="stable")
-        csum = np.cumsum((growth_C * weights)[order][::-1])[::-1]
-        for r_try in range(r_in + 1, r_ext):
-            idx = np.searchsorted(sup[order], r_try + 1, side="left")
-            rest = (csum[idx] if idx < csum.size else 0.0) + remainder
-            if rest < TAIL_FRACTION * total:
-                suggested = int(np.ceil((r_try + 1) * row_norm))
-                break
-    return growth_C, tail, suggested
-
-
-def _shell_remainder(h, M, worst, p, d, r_ext):
-    beta = float(np.linalg.norm(h) * np.cos(worst))
-    sigma = float(np.linalg.norm(M, 2))
-    k = r_ext + 1
-    term = ((2 * k + 1) ** d - (2 * k - 1) ** d) * (1.0 + (sigma * np.sqrt(d) * k) ** p) \
-        * np.exp(-beta * k)
-    q = np.exp(-beta) * ((k + 1) / k) ** (d - 1 + p)
-    if q >= 1.0:
-        raise NumericsError("tail remainder does not contract; window far too small")
-    return float(term / (1.0 - q))
+    r = int(np.floor(tables.L / row_norm)) + np.arange(TAIL_RADII + 1)
+    k, d = r + 1.0, grid.dim
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if cone.kind == "orthant":
+            def g(b):                  # sum of e^(-b y) over y >= 1; inf unless b > 0
+                return 1.0 / np.expm1(np.maximum(b, 0.0))
+            m = np.linalg.norm(M, axis=0)
+            first = 0.0
+            for i in range(d):
+                hj, mj = np.delete(h, i)[:, None], np.delete(m, i)[:, None]
+                poly = (m[i] * k) ** p * np.prod(g(hj - p * mj / (m[i] * k)), axis=0)
+                first = first + np.exp(-h[i] * k) * (np.prod(g(hj)) + poly)
+            decay, order = np.exp(-np.min(h)), p
+        else:
+            beta = np.linalg.norm(h) * np.cos(worst)
+            first = 2 * d * (3.0 * k) ** (d - 1) * np.exp(-beta * k) * (
+                1.0 + (np.linalg.norm(M, 2) * np.sqrt(d) * k) ** p)
+            decay, order = np.exp(-beta), d - 1 + p
+        q = decay * ((k + 1.0) / k) ** order
+        tail = growth_C * np.where(q < 1.0, first / (1.0 - q), np.inf)
+    passing = np.flatnonzero(tail < TAIL_FRACTION * total)
+    suggested = int(np.ceil(r[passing[0]] * row_norm)) if passing.size else None
+    return growth_C, float(tail[0]), suggested
 
 
 def _defect(tables, table, law, c):
@@ -323,5 +309,7 @@ def tables_rows(tables):
     """Rows (x1..xd, V, V', U, U') of tables with U attached, sorted, ready for CSV."""
     mask = tables.grid.mask
     pts = tables.grid.points()
-    cols = [t[mask] for t in (tables.V, tables.Vprime, tables.U, tables.Uprime)]
-    return [list(pts[i]) + [c[i] for c in cols] for i in np.lexsort(pts.T[::-1])]
+    order = np.lexsort(pts.T[::-1])
+    vals = np.column_stack([t[mask] for t in (tables.V, tables.Vprime, tables.U,
+                                              tables.Uprime)])
+    return [x + v for x, v in zip(pts[order].tolist(), vals[order].tolist())]

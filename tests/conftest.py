@@ -20,6 +20,14 @@ def diagonal_law():
 
 
 @pytest.fixture(scope="session")
+def octant_law():
+    """Six steps +-e_i with probabilities 1/12 and 3/12: h = (ln 3 / 2)(1, 1, 1),
+    c = sqrt(3)/2, p = 3, and u = y1 y2 y3 is discrete-harmonic for the tilt."""
+    return StepLaw(support=np.vstack([np.eye(3, dtype=int), -np.eye(3, dtype=int)]),
+                   probs=np.array([1 / 12] * 3 + [3 / 12] * 3))
+
+
+@pytest.fixture(scope="session")
 def quadrant():
     return ConeSpec.orthant(2)
 

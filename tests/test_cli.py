@@ -1,8 +1,12 @@
 import json
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conelab import analysis, harmonic
+from conelab.analysis import PipelineContext
 from conelab.cli import main, parse_run_config
 from conelab.errors import ConfigError
 
@@ -29,6 +33,28 @@ zchain: {x0: [1, 1], n_steps: 40, n_paths: 50}
 output: {dir: out}
 """
 
+
+OCTANT_YAML = """\
+model:
+  law:
+    steps:
+      - {step: [1, 0, 0],  prob: 1/12}
+      - {step: [-1, 0, 0], prob: 3/12}
+      - {step: [0, 1, 0],  prob: 1/12}
+      - {step: [0, -1, 0], prob: 3/12}
+      - {step: [0, 0, 1],  prob: 1/12}
+      - {step: [0, 0, -1], prob: 3/12}
+  cone: {kind: orthant, dim: 3}
+pipeline:
+  n_max: 64
+  n_hi: 56
+  harmonic_window: 30
+  x0: [1, 1, 1]
+  ratio_start: [2, 2, 2]
+  bridge_endpoint: [2, 2, 2]
+simulate: {x0: [3, 3, 3]}
+zchain: {x0: [1, 1, 1]}
+"""
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -307,15 +333,80 @@ def test_seventeen_digit_artifacts(config_path, tmp_path):
                for cell in row[1:])
 
 
-def test_numerical_error_exits_3(tmp_path, capsys):
-    # a 40-wide harmonic window cannot certify the normalizer tail; the
-    # harmonic command must surface that as the numerical-error status
-    path = tmp_path / "small.yaml"
-    path.write_text(NN4_YAML.replace("harmonic_window: 72", "harmonic_window: 40"))
-    status = main(["harmonic", "--config", str(path),
-                   "--out", str(tmp_path / "out")])
+def test_numerical_error_exits_3(tmp_path, capsys, monkeypatch):
+    # with +-e2 at 249/1000 and 251/1000 the tilt along e2 is about 0.004, so
+    # no window within reach certifies the normalizer tail: the harmonic
+    # command reports the numerical-error status after one build, not a
+    # search through ever larger boxes
+    path = tmp_path / "flat.yaml"
+    path.write_text(NN4_YAML.replace("[0, 1],  prob: 1/8", "[0, 1],  prob: 249/1000")
+                    .replace("[0, -1], prob: 3/8", "[0, -1], prob: 251/1000"))
+    boxes = []
+    make_grid = harmonic.make_grid
+
+    def recording(*args, **kwargs):
+        grid = make_grid(*args, **kwargs)
+        boxes.append(grid.shape)
+        return grid
+
+    monkeypatch.setattr(harmonic, "make_grid", recording)
+    status = main(["harmonic", "--config", str(path), "--out", str(tmp_path / "out")])
     assert status == 3
-    assert "numerical error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "normalizer tail" in err
+    assert "None" not in err
+    assert len(boxes) == 1
+
+
+def test_harmonic_window_grows_like_a_rerun(tmp_path, capsys):
+    # harmonic_window is a starting size: from 40 the tail certificate grows
+    # nn4's window to 64, and the tables equal a run configured at 64
+    contents = []
+    for i, window in enumerate(["40", "64"]):
+        path = tmp_path / f"run{i}.yaml"
+        path.write_text(NN4_YAML.replace("harmonic_window: 72", f"harmonic_window: {window}"))
+        out = tmp_path / f"out{i}"
+        assert main(["harmonic", "--config", str(path), "--out", str(out)]) == 0
+        contents.append(next(out.glob("harmonic_*.csv")).read_bytes())
+    assert contents[0] == contents[1]
+    out = capsys.readouterr().out
+    assert "window L = 64.0, grown from the configured 40 (" in out
+    assert "window L = 64.0 (" in out
+    # the d = 3 octant walk grows from 30 to 87 without an explicit mesh; the
+    # command then spends about as long again writing 125,000 CSV rows
+    path = tmp_path / "octant.yaml"
+    path.write_text(OCTANT_YAML)
+    config = parse_run_config(path)
+    start = time.perf_counter()
+    assert PipelineContext(config.law, config.cone, config.params).harmonic.L == 87.0
+    assert time.perf_counter() - start < 2.0
+    assert main(["harmonic", "--config", str(path), "--out", str(tmp_path / "oct")]) == 0
+    assert "window L = 87.0, grown from the configured 30 (" in capsys.readouterr().out
+
+
+def test_driftless_bound_in_three_dimensions(tmp_path):
+    # the scan's starts follow the dimension: 26 starts in d = 3
+    path = tmp_path / "octant.yaml"
+    path.write_text(OCTANT_YAML)
+    out = tmp_path / "out"
+    status = main(["verify", "driftless_bound", "--config", str(path), "--out", str(out)])
+    assert status in (0, 1)
+    row = json.loads(next(out.glob("verify_*.jsonl")).read_text())
+    assert row["check"] == "driftless_bound.scan_slope"
+    assert np.isfinite(row["measured"]) and "over 26 starts" in row["notes"][0]
+
+
+def test_unexpected_exception_exits_4(config_path, tmp_path, capsys, monkeypatch):
+    # a crash is not a verdict: it gets its own status and a traceback
+    def broken(ctx):
+        raise RuntimeError("selector crashed")
+
+    monkeypatch.setattr(analysis, "_check_hazard", broken)
+    status = main(["verify", "hazard", "--config", str(config_path),
+                   "--out", str(tmp_path / "out")])
+    assert status == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: selector crashed" in err
 
 
 def test_simulate_start_outside_cone_exits_2(tmp_path, capsys):

@@ -217,12 +217,14 @@ def _box_cone_passes(tree):
 
 def test_one_stencil_in_src():
     # every killed-walk step goes through KilledKernel, and the window's cone
-    # membership is computed once, by make_grid; a second hand-written stencil,
-    # interior rule or box-wide cone pass elsewhere in the package fails here
+    # membership and lattice points are computed once, by make_grid; a second
+    # hand-written stencil, interior rule, box-wide cone pass or point mesh
+    # elsewhere in the package fails here
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_lattice.py":
             continue
         text = path.read_text()
         assert "shift_add(" not in text, path.name
         assert "leak == 0" not in text, path.name
+        assert "np.meshgrid" not in text and "np.indices" not in text, path.name
         assert list(_box_cone_passes(ast.parse(text))) == [], path.name

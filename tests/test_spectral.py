@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conelab.cramer import solve_cramer_point
 from conelab.errors import ConfigError
-from conelab.model import StepLaw
+from conelab.model import ConeSpec, StepLaw
 from conelab.spectral import (mu_as_table, qsd_for_model, qsd_power_iteration,
                               truncated_kernel, tv_distance_tables)
 
@@ -74,15 +75,21 @@ def test_disconnected_kernel_warns(diagonal_law, quadrant, diag_ctx):
     assert result.mu[parity != sum(named) % 2].sum() <= 1e-8
 
 
-@pytest.mark.parametrize("L", [20, 60])
-def test_nn4_qsd_matches_closed_form(nn4, quadrant, cramer_nn4, L):
-    # the tilted kernel is the simple random walk killed off [1, L]^2
-    result = qsd_for_model(nn4, cramer_nn4, quadrant, L)
-    c = cramer_nn4.c
+@pytest.mark.parametrize("walk, L", [
+    pytest.param("nn4", 20, id="20"), pytest.param("nn4", 60, id="60"),
+    pytest.param("octant_law", 8, id="octant-8"),
+    pytest.param("octant_law", 12, id="octant-12"),
+])
+def test_nn4_qsd_matches_closed_form(request, walk, L):
+    # the tilted kernel is the simple random walk killed off [1, L]^d, for nn4
+    # (d = 2) and the octant walk (d = 3) alike: each has h_i = ln 3 / 2
+    law = request.getfixturevalue(walk)
+    cramer = solve_cramer_point(law)
+    result = qsd_for_model(law, cramer, ConeSpec.orthant(law.dim), L)
+    c = cramer.c
     assert abs(result.lambda_ - c * np.cos(np.pi / (L + 1))) / c <= 1e-12
     x = result.grid.points()
-    exact = (3.0 ** (-x.sum(axis=1) / 2.0) * np.sin(np.pi * x[:, 0] / (L + 1))
-             * np.sin(np.pi * x[:, 1] / (L + 1)))
+    exact = 3.0 ** (-x.sum(axis=1) / 2.0) * np.prod(np.sin(np.pi * x / (L + 1)), axis=1)
     exact /= exact.sum()
     assert 0.5 * np.abs(result.mu - exact).sum() <= 1e-12
 
