@@ -12,8 +12,7 @@ import numpy as np
 
 from conelab import ConeSpec, StepLaw, solve_cramer_point
 from conelab.harmonic import (build_U_tables, build_V_tables, c_harmonicity_residual,
-                              continuous_harmonic_for, qsd_fixed_point_residual,
-                              u_eval)
+                              qsd_fixed_point_residual, u_eval)
 from conelab.whiten import whiten_model
 
 law = StepLaw(support=np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
@@ -21,24 +20,24 @@ law = StepLaw(support=np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
 cone = ConeSpec.orthant(2)
 cd = solve_cramer_point(law)
 wd = whiten_model(cd, cone)
-ch = continuous_harmonic_for(wd.cone_image, wd.p)
+image = wd.cone_image
 
 print("=" * 70)
 print("continuous harmonic function of the image cone")
 print("=" * 70)
-print(f"kind = {ch.kind}, degree p = {ch.p}")
+print(f"image cone {image.kind}, degree p = {wd.p}")
 x = np.array([2.0, 3.0])
-print(f"u({x.tolist()}) = {u_eval(ch, x)}   (product form)")
+print(f"u({x.tolist()}) = {u_eval(image, x)}   (product form)")
 for lam in (2.0, 3.0):
-    print(f"u({(lam * x).tolist()}) = {u_eval(ch, lam * x)} "
-          f"= {lam}^p * {u_eval(ch, x)}")
-print(f"u on the boundary: u([2, 0]) = {u_eval(ch, [2.0, 0.0])}")
+    print(f"u({(lam * x).tolist()}) = {u_eval(image, lam * x)} "
+          f"= {lam}^p * {u_eval(image, x)}")
+print(f"u on the boundary: u([2, 0]) = {u_eval(image, [2.0, 0.0])}")
 
 print()
 print("=" * 70)
 print("discrete tables on the window")
 print("=" * 70)
-tables = build_V_tables(cd.tilted, cone, ch, wd.M, L=72)
+tables = build_V_tables(cd.tilted, cone, image, wd.M, L=72)
 tables = build_U_tables(tables, cd.h)
 print(f"window holds {tables.grid.n_states} lattice points; "
       f"mean-value residual {tables.convergence_residual:.2e}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from conelab import ConeSpec, StepLaw, solve_cramer_point
 from conelab.dp_oracle import conditional_law, dp_evolve
-from conelab.harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
+from conelab.harmonic import build_U_tables, build_V_tables
 from conelab.spectral import mu_as_table, qsd_for_model, tv_distance_tables
 from conelab.whiten import whiten_model
 
@@ -38,8 +38,7 @@ print("=" * 70)
 print("the Perron vector is the normalized harmonic table")
 print("=" * 70)
 wd = whiten_model(cd, cone)
-ch = continuous_harmonic_for(wd.cone_image, wd.p)
-tabs = build_U_tables(build_V_tables(cd.tilted, cone, ch, wd.M, L=72), cd.h)
+tabs = build_U_tables(build_V_tables(cd.tilted, cone, wd.cone_image, wd.M, L=72), cd.h)
 kU = np.zeros(tabs.grid.shape)
 kU[tabs.grid.mask] = tabs.kappa * tabs.Uprime[tabs.grid.mask]
 tv = tv_distance_tables(mu_as_table(results[60]), results[60].grid, kU, tabs.grid)

@@ -10,7 +10,7 @@ at the boundary.
 import numpy as np
 
 from conelab import ConeSpec, StepLaw, solve_cramer_point
-from conelab.harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
+from conelab.harmonic import build_U_tables, build_V_tables
 from conelab.simulate import transience_indicator, z_chain
 from conelab.whiten import whiten_model
 
@@ -19,8 +19,7 @@ law = StepLaw(support=np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
 cone = ConeSpec.orthant(2)
 cd = solve_cramer_point(law)
 wd = whiten_model(cd, cone)
-ch = continuous_harmonic_for(wd.cone_image, wd.p)
-tables = build_U_tables(build_V_tables(cd.tilted, cone, ch, wd.M, L=120), cd.h)
+tables = build_U_tables(build_V_tables(cd.tilted, cone, wd.cone_image, wd.M, L=120), cd.h)
 
 run = z_chain(law, cd, tables, [1, 1], 200, seed=7, n_paths=1000)
 

@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .cramer import CramerData, log_mgf, solve_cramer_point, tilt_law
 from .errors import ConfigError, NumericsError, WindowTooSmallError
-from .harmonic import (ContinuousHarmonic, HarmonicTables, build_U_tables,
-                       build_V_tables, continuous_harmonic_for, u_eval)
+from .harmonic import HarmonicTables, build_U_tables, build_V_tables, u_eval
 from .model import (ConeSpec, ModelReport, StepLaw, build_model,
                     check_acute_cone_condition, cone_geometry)
 from .whiten import (WhiteningData, cone_image_and_p, tilted_covariance,
@@ -25,6 +24,5 @@ __all__ = [
     "CramerData", "log_mgf", "solve_cramer_point", "tilt_law",
     "WhiteningData", "tilted_covariance", "whitening_matrix", "cone_image_and_p",
     "whiten_model",
-    "ContinuousHarmonic", "HarmonicTables", "continuous_harmonic_for", "u_eval",
-    "build_V_tables", "build_U_tables",
+    "HarmonicTables", "u_eval", "build_V_tables", "build_U_tables",
 ]

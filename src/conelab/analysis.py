@@ -17,9 +17,10 @@ from ._lattice import KilledKernel
 from .cramer import solve_cramer_point
 from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
                         exit_time_pmf_rescaled, hazard_ratio, survival_scan)
-from .errors import ConfigError, NoEndpointMassError, NoExitMassError, WindowTooSmallError
-from .harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
-from .model import build_model
+from .errors import (ConfigError, NoEndpointMassError, NoExitMassError, NumericsError,
+                     WindowTooSmallError)
+from .harmonic import build_U_tables, build_V_tables
+from .model import build_model, check_acute_cone_condition
 from .spectral import qsd_for_model, tv_distance_tables
 from .whiten import whiten_model
 
@@ -62,15 +63,17 @@ def fit_survival_series(b, rescale_by=1.0, n_hi=None):
     The dyadic exponent estimate -log2(b_2n / b_n) is Richardson-extrapolated
     once; the rate comes from the telescoped log slope over the top octave
     with the polynomial factor removed via the fitted exponent.  Same-parity
-    endpoints are used throughout so period-two class effects cancel.
+    endpoints are used throughout so period-two class effects cancel.  Every
+    pipeline fit runs up to ``pipeline.n_max``, so a short series names it.
     """
     b = np.asarray(b, dtype=float)
     n_max = b.shape[0] - 1
     if n_hi is None:
         n_hi = n_max
+    if n_hi - n_hi % 8 < 32:
+        raise ConfigError(f"pipeline.n_max must be at least 32, got {n_hi}: the series "
+                          "is too short for the tail fit")
     n_hi -= n_hi % 8          # keeps every anchor integral and even
-    if n_hi < 32:
-        raise ConfigError("series too short to fit (need n_hi >= 32)")
     n1, n2 = n_hi // 4, n_hi // 2
     if np.any(b[[n1, n2, n_hi]] <= 0.0):
         raise ConfigError("survival series vanishes inside the fit window")
@@ -167,11 +170,17 @@ class PipelineContext:
 
     @cached_property
     def harmonic(self):
-        """Harmonic tables, from ``harmonic_window`` up until the tail bound passes."""
+        """Harmonic tables, from ``harmonic_window`` up until the tail bound passes;
+        without u or a convergent normalizer it raises before any solve."""
         wd, cd, L = self.whitening, self.cramer, self.params.harmonic_window
-        ch = continuous_harmonic_for(wd.cone_image, wd.p)
+        if wd.cone_image is None:
+            raise ConfigError(f"no closed-form image cone: a non-diagonal whitening "
+                              f"matrix in d = {self.law.dim} leaves u undefined")
+        if not check_acute_cone_condition(self.cone, cd.h)[0]:
+            raise NumericsError("acute-angle condition fails: the normalizer sum over "
+                                "the cone diverges")
         while True:
-            tables = build_V_tables(cd.tilted, self.cone, ch, wd.M, L=L)
+            tables = build_V_tables(cd.tilted, self.cone, wd.cone_image, wd.M, L=L)
             try:
                 return build_U_tables(tables, cd.h)
             except WindowTooSmallError as exc:
@@ -181,15 +190,23 @@ class PipelineContext:
 
     @cached_property
     def series(self):
-        return dp_evolve(self.law, self.cone, self.params.x0, self.params.n_max,
-                         rescale_by=self.cramer.c, L=self.params.dp_window,
-                         retain=self.params.retained_times())
+        return self._surviving(dp_evolve(
+            self.law, self.cone, self.params.x0, self.params.n_max,
+            rescale_by=self.cramer.c, L=self.params.dp_window,
+            retain=self.params.retained_times()))
 
     @cached_property
     def series_ratio_start(self):
-        return dp_evolve(self.law, self.cone, self.params.ratio_start,
-                         self.params.n_max, rescale_by=self.cramer.c,
-                         L=self.params.dp_window)
+        return self._surviving(dp_evolve(
+            self.law, self.cone, self.params.ratio_start, self.params.n_max,
+            rescale_by=self.cramer.c, L=self.params.dp_window))
+
+    def _surviving(self, series):
+        """The series, unless no path survives to n_hi: every row would read 0 / 0."""
+        if series.survival[self.params.n_hi] == 0.0:
+            raise ConfigError(f"no path from {series.x0.tolist()} survives to "
+                              f"n_hi = {self.params.n_hi}: the start cannot stay in the cone")
+        return series
 
     @cached_property
     def driftless_scan(self):

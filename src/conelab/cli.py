@@ -12,7 +12,6 @@ exception; its traceback goes to stderr).
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -208,10 +207,12 @@ def _run_id(config, command, extra=""):
 
 
 def _write_csv(path, header, rows):
+    """The bytes ``csv.writer`` writes, for cells that hold no comma, quote or newline."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            template = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row])
+            fh.write(template % tuple(row) + "\r\n")
 
 
 def _write_json(path, payload):
@@ -275,6 +276,7 @@ def _cmd_cramer(config, ctx, run_id):
 
 def _cmd_whiten(config, ctx, run_id):
     wd = ctx.whitening
+    image = wd.cone_image
     print(f"tilted covariance:\n{wd.cov}")
     print(f"whitening matrix M:\n{wd.M}")
     print(f"alpha = {wd.alpha}")
@@ -283,8 +285,9 @@ def _cmd_whiten(config, ctx, run_id):
         "cov": [[float(v) for v in row] for row in wd.cov],
         "M": [[float(v) for v in row] for row in wd.M],
         "alpha": wd.alpha, "p": wd.p,
-        "cone_image": {"kind": wd.cone_image.kind, "dim": wd.cone_image.dim,
-                       "beta": wd.cone_image.beta, "theta0": wd.cone_image.theta0},
+        "cone_image": None if image is None else {
+            "kind": image.kind, "dim": image.dim, "beta": image.beta,
+            "theta0": image.theta0},
     }
     files = emit_report(config, "whiten", run_id, [("whiten", "json", payload)])
     return EXIT_OK, files
@@ -356,9 +359,7 @@ def _cmd_qsd(config, ctx, run_id):
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     d = ctx.law.dim
-    pts = result.grid.points()
-    order = np.lexsort(pts.T[::-1])
-    rows = [list(pts[i]) + [result.mu[i]] for i in order]
+    rows = [list(x) + [mu] for x, mu in zip(result.grid.points(), result.mu)]
     header = [f"x{i + 1}" for i in range(d)] + ["mu"]
     payload = {"L": result.L, "lambda": result.lambda_, "residual": result.residual,
                "iterations": result.iterations, "converged": result.converged}

@@ -10,11 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import StepLaw
+from .model import StepLaw, span_obstruction
 
 GRAD_TOL = 1e-12
 MAX_ITER = 200
 ARMIJO_C = 1e-4
+ROUNDOFF = 4.0 * np.finfo(float).eps   # relative slack of the Armijo test on R
 
 
 @dataclass
@@ -46,8 +47,16 @@ def solve_cramer_point(law):
     """Newton iteration with backtracking for the minimizer of R.
 
     Strict convexity (guaranteed by a non-collinear support) gives a unique
-    minimizer; a solution at the origin means zero drift and is rejected.
+    minimizer when the steps positively span R^d; otherwise R has none and
+    the law is rejected.  A solution at the origin means zero drift and is
+    rejected too.  The Armijo test allows for the roundoff in R, which near
+    the minimum exceeds the decrease it tests for.
     """
+    u = span_obstruction(law)
+    if u is not None:
+        raise ConfigError(
+            f"steps do not positively span R^{law.dim}: every step z has u.z <= 0 "
+            f"for u = {u}, so R(h) = E exp(h.X) has no minimizer (no Cramér point)")
     h = np.zeros(law.dim)
     R, grad, hess = log_mgf(law, h)
     residuals = [float(np.linalg.norm(grad))]
@@ -61,7 +70,7 @@ def solve_cramer_point(law):
         while True:
             h_new = h - t * step
             R_new, grad_new, hess_new = log_mgf(law, h_new)
-            if R_new <= R - ARMIJO_C * t * slope or t < 1e-14:
+            if R_new <= R - ARMIJO_C * t * slope + ROUNDOFF * R or t < 1e-14:
                 break
             t *= 0.5
         h, R, grad, hess = h_new, R_new, grad_new, hess_new

@@ -1,13 +1,15 @@
 """Continuous and discrete harmonic functions of the killed walk.
 
 The continuous function u solves the Dirichlet problem on the whitened image
-cone and is homogeneous of degree p.  Its discrete counterpart V satisfies
-the one-step mean-value equation of the killed driftless walk; V' is the same
-object for the reversed walk.  Drift-adjusted versions U(x) = e^(h.x) V(Mx)
-and U'(y) = e^(-h.y) V'(My) and the normalizer kappa feed every limit check
-downstream, always through scale-free ratios.  The pipeline grows the window
-until a closed-form bound on the mass of U' beyond it, which assumes that the
-growth constant C of V' on the window holds there too, passes.
+cone, homogeneous of degree p, and is read off the image cone itself: the
+product of the coordinates on an orthant, r^p sin(p theta) on a wedge.  Its
+discrete counterpart V satisfies the one-step mean-value equation of the
+killed driftless walk; V' is the same object for the reversed walk.
+Drift-adjusted versions U(x) = e^(h.x) V(Mx) and U'(y) = e^(-h.y) V'(My)
+and the normalizer kappa feed every limit check downstream, always through
+scale-free ratios.  The pipeline grows the window until a closed-form bound
+on the mass of U' beyond it, which assumes that the growth constant C of V'
+on the window holds there too, passes.
 
 V is the unique solution of the killed-kernel fixed-point equation on a
 truncated window with u as far-field data on the one-step exterior ring.
@@ -26,61 +28,39 @@ import numpy as np
 from ._lattice import KilledKernel, WindowGrid, make_grid
 from .errors import ConfigError, NumericsError, WindowTooSmallError
 from .model import check_acute_cone_condition
+from .whiten import image_degree
 
 TAIL_FRACTION = 1e-8     # certified tail of the normalizer sum, relative
 TAIL_RADII = 150         # radii beyond the window searched for a passing one
 SOLVE_TOL = 1e-14        # Krylov stop: |b - A v| <= SOLVE_TOL |b|
 SOLVE_MAX_ITER = 2000    # BiCGSTAB iterations per table before giving up
+OUTSIDE_TOL = 1e-9       # relative slack before u calls a point outside its cone
 
 
-@dataclass
-class ContinuousHarmonic:
-    """Closed-form positive harmonic function of a cone, zero on the boundary."""
-
-    kind: str            # "wedge2d" | "orthant_product" | "halfline"
-    p: float
-    theta1: float = 0.0  # wedge orientation (wedge2d only)
-
-
-def continuous_harmonic_for(cone_image, p):
-    if cone_image.kind == "wedge2d":
-        return ContinuousHarmonic(kind="wedge2d", p=float(p), theta1=cone_image.theta0)
-    if cone_image.kind == "orthant":
-        return ContinuousHarmonic(kind="orthant_product", p=float(cone_image.dim))
-    if cone_image.kind == "halfspace":
-        return ContinuousHarmonic(kind="halfline", p=1.0)
-    raise ConfigError(f"no closed-form harmonic function for cone {cone_image.kind!r}")
-
-
-def u_eval(ch, x):
+def u_eval(image, x):
     """Evaluate u at a single point of the closed image cone."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(u_eval_many(ch, x[None, :])[0])
+    return float(u_eval_many(image, x[None, :])[0])
 
 
-def u_eval_many(ch, pts, tol=1e-9):
+def u_eval_many(image, pts):
     """Vectorized u over an (N, d) array; raises on points outside the closed cone."""
     pts = np.asarray(pts, dtype=float)
-    if ch.kind == "orthant_product":
-        if np.any(pts < -tol * (1.0 + np.abs(pts))):
+    if image.kind == "orthant":
+        if np.any(pts < -OUTSIDE_TOL * (1.0 + np.abs(pts))):
             raise ConfigError("point outside the closed orthant")
         return np.prod(np.maximum(pts, 0.0), axis=1)
-    if ch.kind == "halfline":
-        vals = pts[:, 0]
-        if np.any(vals < -tol * (1.0 + np.abs(vals))):
-            raise ConfigError("point outside the closed half-line")
-        return np.maximum(vals, 0.0)
-    if ch.kind == "wedge2d":
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        opening = np.pi / ch.p
-        rel = np.mod(np.arctan2(pts[:, 1], pts[:, 0]) - ch.theta1, 2.0 * np.pi)
-        rel = np.where(rel > np.pi + opening / 2.0, rel - 2.0 * np.pi, rel)
-        if np.any((rel < -tol) | (rel > opening + tol)):
-            raise ConfigError("point outside the closed wedge")
-        rel = np.clip(rel, 0.0, opening)
-        out = r ** ch.p * np.sin(ch.p * rel)
-        return np.where(r == 0.0, 0.0, np.maximum(out, 0.0))
-    raise ConfigError(f"unknown harmonic kind {ch.kind!r}")
+    if image.kind != "wedge2d":
+        raise ConfigError(f"u is tabulated on orthant and wedge images, not {image.kind}")
+    p, opening = image_degree(image), image.beta
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    rel = np.mod(np.arctan2(pts[:, 1], pts[:, 0]) - image.theta0, 2.0 * np.pi)
+    rel = np.where(rel > np.pi + opening / 2.0, rel - 2.0 * np.pi, rel)
+    if np.any((rel < -OUTSIDE_TOL) | (rel > opening + OUTSIDE_TOL)):
+        raise ConfigError("point outside the closed wedge")
+    rel = np.clip(rel, 0.0, opening)
+    out = r ** p * np.sin(p * rel)
+    return np.where(r == 0.0, 0.0, np.maximum(out, 0.0))
 
 
 @dataclass
@@ -91,7 +71,7 @@ class HarmonicTables:
     L: float
     cone: object
     M: np.ndarray
-    ch: ContinuousHarmonic
+    cone_image: object
     V: np.ndarray
     Vprime: np.ndarray
     convergence_residual: float
@@ -112,7 +92,7 @@ class HarmonicTables:
         return self.value(self.Uprime, x)
 
 
-def build_V_tables(tilted, cone, ch, M, L):
+def build_V_tables(tilted, cone, cone_image, M, L):
     """Discrete harmonic functions V (tilted walk) and V' (reversed walk).
 
     The window holds lattice points y with max-norm of M y at most L; the
@@ -130,12 +110,12 @@ def build_V_tables(tilted, cone, ch, M, L):
     grid = make_grid(cone, L, tilted, M=M)
     if grid.n_states == 0:
         raise ConfigError("window contains no cone points; increase L")
-    ring_u = _ring_payoff(grid, ch, M)
-    u0 = u_eval_many(ch, grid.points() @ M.T)
+    ring_u = _ring_payoff(grid, cone_image, M)
+    u0 = u_eval_many(cone_image, grid.points() @ M.T)
     V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted), ring_u, u0)
     Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed()), ring_u, u0)
     return HarmonicTables(
-        grid=grid, L=float(L), cone=cone, M=M, ch=ch,
+        grid=grid, L=float(L), cone=cone, M=M, cone_image=cone_image,
         V=V, Vprime=Vp, convergence_residual=float(max(res_v, res_vp)),
     )
 
@@ -197,12 +177,12 @@ def _solve_killed_harmonic(kernel, ring_u, v0):
     return V, residual
 
 
-def _ring_payoff(grid, ch, M):
+def _ring_payoff(grid, cone_image, M):
     """u(M y) on cone points inside the box but outside the window."""
     ring = grid.in_cone & ~grid.mask
     vals = np.zeros(grid.shape)
     if ring.any():
-        vals[ring] = u_eval_many(ch, grid.coords[ring] @ M.T)
+        vals[ring] = u_eval_many(cone_image, grid.coords[ring] @ M.T)
     return vals
 
 
@@ -225,7 +205,7 @@ def build_U_tables(tables, h):
     if not np.isfinite(total) or total <= 0.0:
         raise NumericsError("normalizer sum is not finite and positive")
     growth_C, tail, suggested = _tail_certificate(tables, h, total)
-    if tail >= TAIL_FRACTION * total:
+    if not tail < TAIL_FRACTION * total:      # a nan bound fails too
         where = (f"it passes at L = {suggested}" if suggested else
                  f"no window within {TAIL_RADII} shells of L = {tables.L:g} passes")
         raise WindowTooSmallError(
@@ -252,12 +232,8 @@ def _tail_certificate(tables, h, total):
     (m_j = |M e_j|), and 1 + t <= e^t makes each face sum geometric.  A wedge
     shell has at most 2d (3k)^(d-1) points, each with h.y >= |h| cos(worst) k.
     """
-    grid, M, cone, p = tables.grid, tables.M, tables.cone, tables.ch.p
-    ok, worst = check_acute_cone_condition(cone, h)
-    if not ok:
-        raise NumericsError(
-            "acute-angle condition fails: the normalizer sum over the cone diverges"
-        )
+    grid, M, cone, p = tables.grid, tables.M, tables.cone, image_degree(tables.cone_image)
+    _, worst = check_acute_cone_condition(cone, h)   # not acute: no radius passes
     growth_C = float(np.max(tables.Vprime[grid.mask] /
                             (1.0 + np.linalg.norm(grid.points() @ M.T, axis=1) ** p)))
     row_norm = float(np.max(np.abs(M).sum(axis=1)))
@@ -308,8 +284,6 @@ def qsd_fixed_point_residual(tables, law, c):
 def tables_rows(tables):
     """Rows (x1..xd, V, V', U, U') of tables with U attached, sorted, ready for CSV."""
     mask = tables.grid.mask
-    pts = tables.grid.points()
-    order = np.lexsort(pts.T[::-1])
     vals = np.column_stack([t[mask] for t in (tables.V, tables.Vprime, tables.U,
                                               tables.Uprime)])
-    return [x + v for x, v in zip(pts[order].tolist(), vals[order].tolist())]
+    return [x + v for x, v in zip(tables.grid.points().tolist(), vals.tolist())]

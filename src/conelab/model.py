@@ -2,6 +2,8 @@
 model's standing assumptions."""
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 
@@ -212,6 +214,37 @@ def _lattice_index(rows, d):
         index *= abs(live[0][col])
         rows = [r for r in rows if r is not live[0]]
     return index
+
+
+def span_obstruction(law):
+    """A nonzero integer u with u . z <= 0 for every step z, or None.
+
+    None means the steps positively span R^d, which is when R(h) = E e^(h.X)
+    has a minimizer.  If they span R^d but not positively, their cone has a
+    facet through d - 1 independent steps whose outward normal is such a u;
+    if they span less, some d - 1 vectors among the steps and the unit
+    vectors have a normal orthogonal to every step.  So the cofactor normals
+    of all d - 1 such vectors are the only candidates, and every test is done
+    in exact integer arithmetic.
+    """
+    d = law.dim
+    support = law.support.tolist()
+    pool = support + np.eye(d, dtype=int).tolist()
+    for rows in combinations(pool, d - 1):
+        u = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
+        dots = [sum(a * b for a, b in zip(u, z)) for z in support]
+        if any(u) and (max(dots) <= 0 or min(dots) >= 0):
+            sign = (1 if max(dots) <= 0 else -1) * gcd(*u)
+            return [a // sign for a in u]
+    return None
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by cofactor expansion along row 0."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
 
 
 def check_acute_cone_condition(cone, h):

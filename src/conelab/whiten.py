@@ -2,9 +2,11 @@
 
 M maps the tilted step to unit covariance.  The canonical choice is the
 symmetric inverse square root; an explicit 2D rotation-and-scale variant is
-kept as a second mode so both can be cross-checked.  For two-dimensional
-cones the degree p of the image cone's harmonic function is pi divided by
-the image opening, which equals arccos(-alpha) for the quadrant.
+kept as a second mode so both can be cross-checked.  The image cone M K is
+the only description of the harmonic function u downstream, and its degree
+p is read off it: pi over the opening of a wedge image (arccos(-alpha) for
+the quadrant).  A non-diagonal M on an orthant in d >= 3 has no closed-form
+image; both are then None and the pipeline fits p from the driftless scan.
 """
 
 from dataclasses import dataclass
@@ -22,8 +24,8 @@ class WhiteningData:
     cov: np.ndarray          # second-moment matrix of the tilted step
     M: np.ndarray            # whitening matrix, M cov M^T = I
     alpha: float             # normalized cross-correlation (2D; None otherwise)
-    cone_image: ConeSpec     # image cone M K
-    p: float                 # homogeneity degree of the image cone (None => fit)
+    cone_image: ConeSpec     # image cone M K (None: no closed form)
+    p: float                 # homogeneity degree of the image cone (None: fit)
 
 
 def tilted_covariance(tilted):
@@ -84,23 +86,29 @@ def correlation_alpha(cov):
     return float(cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1]))
 
 
-def cone_image_and_p(cone, M, *, allow_fit=False):
-    """Image cone under M and its homogeneity degree p.
+def image_degree(image):
+    """Degree p of the positive harmonic function of an image cone."""
+    if image.kind == "orthant":
+        return float(image.dim)
+    if image.kind == "wedge2d":
+        return float(np.pi / image.beta)
+    return 1.0
 
-    2D cones map their two extreme rays through M; p = pi / image opening
-    (for the quadrant this equals pi / arccos(-alpha) for every valid M).
-    Orthants with diagonal M keep their shape, with the product harmonic
-    function of degree d.  Halfspaces reduce to the half-line case, p = 1.
-    Other combinations need a numerically fitted p and require ``allow_fit``.
+
+def cone_image_and_p(cone, M):
+    """Image cone under M and its homogeneity degree p, or (None, None).
+
+    2D cones map their two extreme rays through M to a wedge.  Orthants with
+    diagonal M keep their shape, and halfspaces map to halfspaces.  A
+    non-diagonal M on an orthant in d >= 3 has no closed-form image.
     """
     M = np.asarray(M, dtype=float)
-    if cone.kind == "halfspace":
-        image_normal = np.linalg.solve(M.T, cone.normal)
-        return ConeSpec.halfspace(image_normal), 1.0
     diagonal = np.max(np.abs(M - np.diag(np.diag(M)))) < 1e-12
-    if cone.kind == "orthant" and diagonal:
-        return ConeSpec.orthant(cone.dim), float(cone.dim)
-    if cone.dim == 2:
+    if cone.kind == "halfspace":
+        image = ConeSpec.halfspace(np.linalg.solve(M.T, cone.normal))
+    elif cone.kind == "orthant" and diagonal:
+        image = ConeSpec.orthant(cone.dim)
+    elif cone.dim == 2:
         if cone.kind == "orthant":
             theta0, beta = 0.0, np.pi / 2.0
         else:
@@ -121,13 +129,10 @@ def cone_image_and_p(cone, M, *, allow_fit=False):
                 "image wedge opens to pi or more; homogeneity degree below 1 "
                 "is outside the supported regime"
             )
-        return ConeSpec.wedge2d(beta=float(opening), theta0=float(start)), float(np.pi / opening)
-    if not allow_fit:
-        raise ConfigError(
-            "image cone of a non-diagonal whitening in d >= 3 has no closed-form "
-            "degree; pass allow_fit=True and fit p from the driftless tail"
-        )
-    return cone, None
+        image = ConeSpec.wedge2d(beta=float(opening), theta0=float(start))
+    else:
+        return None, None
+    return image, image_degree(image)
 
 
 def whiten_model(cramer, cone):
@@ -135,5 +140,5 @@ def whiten_model(cramer, cone):
     cov = tilted_covariance(cramer.tilted)
     M = whitening_matrix(cov)
     alpha = correlation_alpha(cov) if cov.shape == (2, 2) else None
-    cone_image, p = cone_image_and_p(cone, M, allow_fit=True)
+    cone_image, p = cone_image_and_p(cone, M)
     return WhiteningData(cov=cov, M=M, alpha=alpha, cone_image=cone_image, p=p)

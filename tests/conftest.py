@@ -57,3 +57,20 @@ def series_nn4(ctx):
 def diag_ctx(diagonal_law, quadrant):
     params = VerifyParams(harmonic_window=96.0, dp_window=72, bridge_endpoint=(3, 3))
     return PipelineContext(diagonal_law, quadrant, params)
+
+
+def hull_spans(steps):
+    """Whether the steps positively span R^d (d >= 2), by an oracle independent of
+    ``span_obstruction``: the origin must lie strictly inside their convex hull."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(np.asarray(steps, dtype=float))
+    except QhullError:            # a flat hull has no interior
+        return False
+    return bool(np.all(hull.equations[:, -1] < -1e-9))
+
+
+@pytest.fixture(scope="session")
+def spans_oracle():
+    return hull_spans

@@ -19,7 +19,7 @@ from conelab.cramer import solve_cramer_point
 from conelab.dp_oracle import (bridge_value, check_tilt_identity, conditional_law,
                                dp_evolve, exit_position_law, exit_time_pmf_rescaled,
                                halfspace_1d, hazard_ratio)
-from conelab.harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
+from conelab.harmonic import build_U_tables, build_V_tables
 from conelab.simulate import is_survival, mc_survival, transience_indicator, z_chain
 from conelab.spectral import mu_as_table, tv_distance_tables
 from conelab.whiten import whitening_matrix
@@ -199,9 +199,8 @@ def test_criterion_10_bridge(ctx):
 
 def test_criterion_11_conditioned_chain(ctx, nn4):
     wd = ctx.whitening
-    ch = continuous_harmonic_for(wd.cone_image, wd.p)
-    tabs = build_U_tables(
-        build_V_tables(ctx.cramer.tilted, ctx.cone, ch, wd.M, L=120), ctx.cramer.h)
+    tabs = build_U_tables(build_V_tables(ctx.cramer.tilted, ctx.cone, wd.cone_image,
+                                         wd.M, L=120), ctx.cramer.h)
     run = z_chain(nn4, ctx.cramer, tabs, [1, 1], 200, seed=ctx.params.seed,
                   n_paths=1000)
     rows_ok = run.row_sum_min >= 1.0 - 1e-4 and run.row_sum_max <= 1.0 + 1e-4

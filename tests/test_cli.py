@@ -1,9 +1,12 @@
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conelab import analysis, harmonic
 from conelab.analysis import PipelineContext
@@ -469,3 +472,157 @@ def test_qsd_warnings_go_to_stderr(tmp_path, capsys):
     path = diagonal_config(tmp_path, "qsd_window: 60", "qsd_window: 20")
     assert main(["qsd", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert "warning: kernel has 2 strongly connected components" in capsys.readouterr().err
+
+
+def law_yaml(steps, probs, cone="{kind: orthant, dim: 2}", pipeline=""):
+    """A config with the given law and cone, starts on the diagonal and small Monte
+    Carlo runs; other keys default."""
+    d = len(steps[0])
+    lines = "".join(f"      - {{step: {list(z)}, prob: {p}}}\n" for z, p in zip(steps, probs))
+    ones, twos = [1] * d, [2] * d
+    return (f"model:\n  law:\n    steps:\n{lines}  cone: {cone}\n"
+            f"pipeline: {{x0: {ones}, ratio_start: {twos}, bridge_endpoint: {twos}, "
+            f"workers: 1{pipeline}}}\n"
+            f"simulate: {{x0: {twos}, n: 12, n_samples: 2000}}\n"
+            f"zchain: {{x0: {ones}, n_steps: 20, n_paths: 20}}\n")
+
+
+# a correlated walk on the octant: its whitening matrix is not diagonal
+CORRELATED_3D = law_yaml(
+    [(1, 1, 0), (-1, -1, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+     (0, 0, -1)], ["1/12", "3/12", "1/12", "2/12", "1/12", "1/12", "1/12", "2/12"],
+    cone="{kind: orthant, dim: 3}", pipeline=", n_max: 64, n_hi: 48")
+
+
+@pytest.mark.parametrize("command", [["harmonic"], ["zchain"], ["verify", "all"]],
+                         ids=["harmonic", "zchain", "verify-all"])
+def test_no_closed_form_image_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                       command):
+    solves = []
+    monkeypatch.setattr(harmonic, "_solve_killed_harmonic", lambda *a: solves.append(a))
+    path = tmp_path / "corr3.yaml"
+    path.write_text(CORRELATED_3D)
+    status = main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "no closed-form image cone" in err and "non-diagonal whitening" in err
+    assert solves == []
+
+
+def test_no_closed_form_image_still_fits_p(tmp_path):
+    path = tmp_path / "corr3.yaml"
+    path.write_text(CORRELATED_3D)
+    out = tmp_path / "out"
+    assert main(["whiten", "--config", str(path), "--out", str(out)]) == 0
+    payload = json.loads(next(out.glob("whiten_*.json")).read_text())
+    assert payload["cone_image"] is None and payload["p"] is None
+    # the bridge exponent takes p from the driftless scan
+    assert main(["verify", "bridge", "--config", str(path), "--out", str(out)]) == 0
+    row = json.loads(next(out.glob("verify_*.jsonl")).read_text())
+    assert row["measured"] == pytest.approx(1.579, abs=1e-3)
+    assert row["predicted"] == pytest.approx(1.587, abs=1e-3)
+
+
+@pytest.mark.parametrize("normal", ["[1, 0]", "[1, 2]"])
+def test_halfspace_harmonic_exits_3_before_any_solve(tmp_path, capsys, monkeypatch, normal):
+    solves = []
+    monkeypatch.setattr(harmonic, "_solve_killed_harmonic", lambda *a: solves.append(a))
+    path = tmp_path / "half.yaml"
+    path.write_text(NN4_YAML.replace("cone: {kind: orthant, dim: 2}",
+                                     f"cone: {{kind: halfspace, normal: {normal}}}"))
+    status = main(["harmonic", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert status == 3
+    assert "acute-angle condition fails" in capsys.readouterr().err
+    assert solves == []
+
+
+@pytest.mark.parametrize("steps, probs", [
+    ([(-1, 1), (1, 2), (-1, 2)], ["1/7", "1/2", "5/14"]),
+    ([(1, 0), (-1, 0), (0, 1)], ["1/5", "1/2", "3/10"]),
+], ids=["upper-half-plane", "no-down-step"])
+def test_law_without_cramer_point_exits_2(tmp_path, capsys, steps, probs):
+    path = tmp_path / "law.yaml"
+    path.write_text(law_yaml(steps, probs))
+    assert main(["cramer", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "do not positively span R^2" in capsys.readouterr().err
+
+
+def test_cramer_converges_below_roundoff_of_r(tmp_path):
+    path = tmp_path / "law.yaml"
+    path.write_text(law_yaml([(1, 2), (-2, 1), (1, -2), (-1, 0), (0, 2)],
+                             ["7/29", "6/29", "3/29", "5/29", "8/29"]))
+    out = tmp_path / "out"
+    assert main(["cramer", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(next(out.glob("cramer_*.json")).read_text())["grad_residual"] < 1e-15
+
+
+@pytest.mark.parametrize("command", [["dp"], ["verify", "survival_tail"]],
+                         ids=["dp", "verify-survival_tail"])
+def test_tail_fit_names_n_max(tmp_path, capsys, command):
+    path = tmp_path / "short.yaml"
+    path.write_text(NN4_YAML.replace("n_max: 96", "n_max: 30").replace("n_hi: 72", "n_hi: 20"))
+    status = main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "pipeline.n_max must be at least 32, got 30" in capsys.readouterr().err
+
+
+def test_start_that_cannot_survive_exits_2(tmp_path, capsys):
+    # from (1, 1, 1) every step leaves the octant, so each DP row would read 0 / 0
+    path = tmp_path / "doomed.yaml"
+    path.write_text(law_yaml([(-2, 1, 1), (-1, -2, 2), (-2, -2, -2), (2, 1, -2)],
+                             ["1/10", "4/10", "4/10", "1/10"], cone="{kind: orthant, dim: 3}",
+                             pipeline=", n_max: 56, n_hi: 48, dp_window: 12"))
+    status = main(["verify", "hazard", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "no path from [1, 1, 1] survives to n_hi = 48" in capsys.readouterr().err
+
+
+SMALL_RUN = (", n_max: 56, n_hi: 48, dp_window: 12, harmonic_window: 10, qsd_window: 8, "
+             "qsd_sweep: [8]")
+# in d = 3 the driftless scan (``verify all``, and any row that fits p) and a
+# harmonic window grown to the tail certificate cost seconds
+COMMANDS = {2: ["whiten", "qsd", "simulate", "verify all"],
+            3: ["whiten", "qsd", "simulate", "verify hazard", "verify exp_moment"]}
+
+
+@st.composite
+def small_laws(draw):
+    """A random small law (steps in [-2, 2]^d, drift mostly into the negative
+    orthant) and an orthant or, in d = 2, a tilted wedge holding the diagonal."""
+    d = draw(st.sampled_from([2, 3]))
+    box = [tuple(int(v) - 2 for v in z) for z in np.ndindex(*[5] * d)]
+    steps = draw(st.permutations(box))[:draw(st.integers(3, 6))]
+    if draw(st.booleans()):       # the unit steps make the law span positively
+        axes = np.vstack([np.eye(d, dtype=int), -np.eye(d, dtype=int)]).tolist()
+        steps = [tuple(z) for z in axes] + [z for z in steps if list(z) not in axes]
+    weights = [draw(st.integers(1, 9)) * (4 if sum(z) < 0 else 1) for z in steps]
+    probs = [f"{w}/{sum(weights)}" for w in weights]
+    cone = f"{{kind: orthant, dim: {d}}}"
+    if d == 2 and draw(st.booleans()):
+        beta = draw(st.sampled_from([0.4, 0.6, 0.75, 0.9])) * np.pi
+        theta0 = draw(st.floats(np.pi / 4 - beta + 0.1, np.pi / 4 - 0.1))
+        cone = f"{{kind: wedge2d, beta: {beta!r}, theta0: {theta0!r}}}"
+    return steps, probs, cone
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(law=small_laws())
+def test_random_small_laws_reach_a_status(law, spans_oracle, capsys):
+    # a crash (exit 4) is never a verdict, whatever the law
+    steps, probs, cone = law
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.yaml"
+        path.write_text(law_yaml(steps, probs, cone=cone, pipeline=SMALL_RUN))
+        out = Path(tmp) / "out"
+        status = main(["cramer", "--config", str(path), "--out", str(out)])
+        assert status in (0, 2, 3)
+        assert (status == 0) <= spans_oracle(steps)
+        for command in COMMANDS[len(steps[0])] if status == 0 else []:
+            status = main([*command.split(), "--config", str(path), "--out", str(out)])
+            assert status in (0, 1, 2, 3), capsys.readouterr().err
+        for report in out.glob("verify_*.jsonl"):
+            for row in map(json.loads, report.read_text().splitlines()):
+                assert all(np.isfinite(row[key]) for key in
+                           ("predicted", "measured", "deviation", "tolerance")), row
+    capsys.readouterr()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
 from conelab.cramer import log_mgf, solve_cramer_point, tilt_law
+from conelab.dp_oracle import halfspace_1d
 from conelab.errors import ConfigError
 from conelab.model import StepLaw
 
@@ -103,3 +106,33 @@ def test_tilt_rejects_inconsistent_rate(nn4):
 def test_mgf_dimension_check(nn4):
     with pytest.raises(ConfigError):
         log_mgf(nn4, np.zeros(3))
+
+
+def _law(steps, probs):
+    return StepLaw(support=np.array(steps), probs=np.array([float(Fraction(p)) for p in probs]))
+
+
+@pytest.mark.parametrize("steps, probs", [
+    ([[-1, 1], [1, 2], [-1, 2]], ["1/7", "1/2", "5/14"]),     # Newton ran to c = 3.6e-13
+    ([[1, 0], [-1, 0], [0, 1]], ["1/5", "1/2", "3/10"]),      # Newton ran to h2 = -27
+])
+def test_no_cramer_point_without_positive_span(steps, probs):
+    with pytest.raises(ConfigError, match="do not positively span"):
+        solve_cramer_point(_law(steps, probs))
+
+
+def test_halfspace_projection_without_cramer_point(nn4):
+    # projected on e1, the steps (-1, 0), (0, 1), (0, -1) never move up
+    law = _law([[-1, 0], [0, 1], [0, -1]], ["1/2", "1/4", "1/4"])
+    with pytest.raises(ConfigError, match="do not positively span R\\^1"):
+        halfspace_1d(law, np.array([1.0, 0.0]), 1, 50)
+
+
+def test_armijo_test_allows_for_roundoff():
+    # near the minimum the decrease in R falls below its ulp; without slack
+    # every step was cut to t ~ 3e-8 until the iteration cap
+    law = _law([[1, 2], [-2, 1], [1, -2], [-1, 0], [0, 2]],
+               ["7/29", "6/29", "3/29", "5/29", "8/29"])
+    cd = solve_cramer_point(law)
+    assert cd.grad_residual <= 1e-15
+    assert len(cd.newton_residuals) <= 8

@@ -7,62 +7,60 @@ from conelab import harmonic
 from conelab._lattice import KilledKernel
 from conelab.cramer import solve_cramer_point
 from conelab.errors import ConfigError, NumericsError, WindowTooSmallError
-from conelab.harmonic import (ContinuousHarmonic, build_U_tables, build_V_tables,
-                              u_eval_many,
-                              c_harmonicity_residual, continuous_harmonic_for,
-                              qsd_fixed_point_residual, tables_rows, u_eval)
+from conelab.harmonic import (build_U_tables, build_V_tables, c_harmonicity_residual,
+                              qsd_fixed_point_residual, tables_rows, u_eval, u_eval_many)
 from conelab.model import ConeSpec, cone_contains
-from conelab.whiten import cone_image_and_p, whiten_model
+from conelab.whiten import cone_image_and_p, image_degree, whiten_model
+
+QUADRANT_IMAGE = ConeSpec.orthant(2)
 
 
-def fd_laplacian(ch, x, step=1e-3):
+def wedge_of_degree(p, theta0):
+    """Image wedge whose harmonic function has degree p: opening pi / p."""
+    return ConeSpec.wedge2d(np.pi / p, theta0)
+
+
+def fd_laplacian(image, x, step=1e-3):
     """Five-point finite-difference Laplacian, the independent harmonicity oracle."""
     x = np.asarray(x, dtype=float)
-    total = -2.0 * len(x) * u_eval(ch, x)
+    total = -2.0 * len(x) * u_eval(image, x)
     for i in range(len(x)):
         e = np.zeros_like(x)
         e[i] = step
-        total += u_eval(ch, x + e) + u_eval(ch, x - e)
+        total += u_eval(image, x + e) + u_eval(image, x - e)
     return total / step ** 2
 
 
 def test_product_form():
-    ch = ContinuousHarmonic(kind="orthant_product", p=2.0)
-    assert u_eval(ch, [2.0, 3.0]) == 6.0
-    assert u_eval(ch, [2.0, 0.0]) == 0.0
+    assert u_eval(QUADRANT_IMAGE, [2.0, 3.0]) == 6.0
+    assert u_eval(QUADRANT_IMAGE, [2.0, 0.0]) == 0.0
 
 
 def test_wedge_closed_form():
-    ch = ContinuousHarmonic(kind="wedge2d", p=2.0, theta1=0.0)
+    image = wedge_of_degree(2.0, 0.0)
     x = np.array([np.cos(np.pi / 4.0), np.sin(np.pi / 4.0)])
-    assert u_eval(ch, x) == pytest.approx(1.0, abs=1e-15)
-    assert u_eval(ch, [1.0, 0.0]) == 0.0
-    assert u_eval(ch, [0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_halfline_form():
-    ch = ContinuousHarmonic(kind="halfline", p=1.0)
-    assert u_eval(ch, [3.5]) == 3.5
-    assert u_eval(ch, [0.0]) == 0.0
+    assert u_eval(image, x) == pytest.approx(1.0, abs=1e-15)
+    assert u_eval(image, [1.0, 0.0]) == 0.0
+    assert u_eval(image, [0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("ch,points", [
-    (ContinuousHarmonic(kind="orthant_product", p=2.0), [[1.0, 2.0], [3.0, 0.5]]),
-    (ContinuousHarmonic(kind="wedge2d", p=2.0959, theta1=0.1),
-     [[1.0, 1.0], [0.5, 1.5]]),
+    (QUADRANT_IMAGE, [[1.0, 2.0], [3.0, 0.5]]),
+    (wedge_of_degree(2.0959, 0.1), [[1.0, 1.0], [0.5, 1.5]]),
 ])
 def test_homogeneity(ch, points):
+    # ch: the image cone that carries the harmonic function
     for x in points:
         base = u_eval(ch, x)
         for lam in (2.0, 3.0):
             assert u_eval(ch, lam * np.asarray(x)) == pytest.approx(
-                lam ** ch.p * base, rel=1e-10)
+                lam ** image_degree(ch) * base, rel=1e-10)
 
 
 @pytest.mark.parametrize("ch,x", [
-    (ContinuousHarmonic(kind="orthant_product", p=2.0), [1.5, 2.5]),
-    (ContinuousHarmonic(kind="wedge2d", p=2.0959, theta1=0.05), [2.0, 1.5]),
-    (ContinuousHarmonic(kind="wedge2d", p=1.3, theta1=0.3), [1.0, 2.0]),
+    (QUADRANT_IMAGE, [1.5, 2.5]),
+    (wedge_of_degree(2.0959, 0.05), [2.0, 1.5]),
+    (wedge_of_degree(1.3, 0.3), [1.0, 2.0]),
 ])
 def test_harmonicity_by_finite_differences(ch, x):
     scale = u_eval(ch, x)
@@ -70,12 +68,12 @@ def test_harmonicity_by_finite_differences(ch, x):
 
 
 def test_domain_error_outside():
-    ch = ContinuousHarmonic(kind="orthant_product", p=2.0)
     with pytest.raises(ConfigError, match="outside"):
-        u_eval(ch, [-1.0, 2.0])
-    chw = ContinuousHarmonic(kind="wedge2d", p=2.0, theta1=0.0)
+        u_eval(QUADRANT_IMAGE, [-1.0, 2.0])
     with pytest.raises(ConfigError, match="outside"):
-        u_eval(chw, [1.0, -0.5])
+        u_eval(wedge_of_degree(2.0, 0.0), [1.0, -0.5])
+    with pytest.raises(ConfigError, match="halfspace"):
+        u_eval(ConeSpec.halfspace(np.array([1.0, 0.0])), [1.0, 0.0])
 
 
 def test_reference_tables_reproduce_product(ctx, tables_nn4):
@@ -123,7 +121,7 @@ def test_growth_bound(diag_ctx):
     C = tabs.growth_constant
     assert np.isfinite(C) and C > 0.0
     hat = tabs.grid.points() @ tabs.M.T
-    bound = C * (1.0 + np.linalg.norm(hat, axis=1) ** tabs.ch.p)
+    bound = C * (1.0 + np.linalg.norm(hat, axis=1) ** image_degree(tabs.cone_image))
     assert np.all(tabs.Vprime[tabs.grid.mask] <= bound * (1.0 + 1e-12))
 
 
@@ -132,10 +130,9 @@ def test_solve_departs_from_u_on_small_window(diag_ctx, quadrant):
     # diagonal walk, so the solve has real work to do
     cd = diag_ctx.cramer
     wd = diag_ctx.whitening
-    ch = continuous_harmonic_for(wd.cone_image, wd.p)
-    solve = build_V_tables(cd.tilted, quadrant, ch, wd.M, L=18)
+    solve = build_V_tables(cd.tilted, quadrant, wd.cone_image, wd.M, L=18)
     assert np.max(np.abs(solve.V[solve.grid.mask] - u_eval_many(
-        ch, solve.grid.coords[solve.grid.mask] @ wd.M.T))) > 1e-3
+        wd.cone_image, solve.grid.coords[solve.grid.mask] @ wd.M.T))) > 1e-3
 
 
 def test_level_set_ratio(tables_nn4):
@@ -155,8 +152,7 @@ def test_normalizer(tables_nn4):
 
 def test_default_window_fails_tail_certificate(cramer_nn4, quadrant, ctx):
     wd = ctx.whitening
-    ch = continuous_harmonic_for(wd.cone_image, wd.p)
-    tabs = build_V_tables(cramer_nn4.tilted, quadrant, ch, wd.M, L=60)
+    tabs = build_V_tables(cramer_nn4.tilted, quadrant, wd.cone_image, wd.M, L=60)
     with pytest.raises(WindowTooSmallError) as err:
         build_U_tables(tabs, cramer_nn4.h)
     assert err.value.suggested_L is not None
@@ -166,7 +162,7 @@ def test_default_window_fails_tail_certificate(cramer_nn4, quadrant, ctx):
 def explicit_shell_sum(tabs, h, shells):
     """Sum of e^(-h.y) (1 + |M y|^p) over the cone points of max-norm r_in + 1 ...
     r_in + shells, point by point: a lower bound on the tail the certificate bounds."""
-    M, cone, p, d = tabs.M, tabs.cone, tabs.ch.p, tabs.grid.dim
+    M, cone, p, d = tabs.M, tabs.cone, image_degree(tabs.cone_image), tabs.grid.dim
     r_in = int(np.floor(tabs.L / np.max(np.abs(M).sum(axis=1))))
     r_ext = r_in + shells
     lo = 1 if cone.kind == "orthant" else -r_ext
@@ -182,12 +178,11 @@ def explicit_shell_sum(tabs, h, shells):
 def tail_cases(ctx, diag_ctx, solved, octant_law):
     """(tables, h, shells summed by the oracle) for each cone the certificate covers."""
     wd = ctx.whitening
-    nn4_60 = build_V_tables(ctx.cramer.tilted, ctx.cone, ctx.harmonic.ch, wd.M, L=60)
+    nn4_60 = build_V_tables(ctx.cramer.tilted, ctx.cone, wd.cone_image, wd.M, L=60)
     octant = ConeSpec.orthant(3)
     cd = solve_cramer_point(octant_law)
     ow = whiten_model(cd, octant)
-    oct_36 = build_V_tables(cd.tilted, octant, continuous_harmonic_for(ow.cone_image, ow.p),
-                            ow.M, L=36)
+    oct_36 = build_V_tables(cd.tilted, octant, ow.cone_image, ow.M, L=36)
     return {"nn4-60": (nn4_60, ctx.cramer.h, 150),
             "nn4-72": (ctx.harmonic, ctx.cramer.h, 150),
             "diagonal-96": (diag_ctx.harmonic, diag_ctx.cramer.h, 150),
@@ -231,9 +226,8 @@ def test_rows_export(tables_nn4):
 
 def test_needs_driftless_input(nn4, quadrant, ctx):
     wd = ctx.whitening
-    ch = continuous_harmonic_for(wd.cone_image, wd.p)
     with pytest.raises(ConfigError, match="driftless"):
-        build_V_tables(nn4, quadrant, ch, wd.M, L=20)
+        build_V_tables(nn4, quadrant, wd.cone_image, wd.M, L=20)
 
 
 def spsolve_oracle(tabs, law):
@@ -243,7 +237,7 @@ def spsolve_oracle(tabs, law):
     grid = tabs.grid
     ring = grid.in_cone & ~grid.mask
     u_ring = np.zeros(grid.shape)
-    u_ring[ring] = u_eval_many(tabs.ch, grid.coords[ring] @ tabs.M.T)
+    u_ring[ring] = u_eval_many(tabs.cone_image, grid.coords[ring] @ tabs.M.T)
     kernel = KilledKernel(grid, law)
     b = kernel.pull(u_ring)[grid.mask]
     A = sparse.identity(grid.n_states, format="csc") - kernel.matrix().tocsc()
@@ -255,12 +249,11 @@ def solved(ctx, diag_ctx):
     """Tables and the tilted law they solve for: nn4, diagonal, and a wedge cone."""
     # a 120-degree wedge: u is not discrete-harmonic there, so the solve iterates
     wedge = ConeSpec.wedge2d(2.0 * np.pi / 3.0, 0.1)
-    image, p = cone_image_and_p(wedge, ctx.whitening.M)
-    ch = continuous_harmonic_for(image, p)
+    image, _ = cone_image_and_p(wedge, ctx.whitening.M)
     tilted = ctx.cramer.tilted
     return {"nn4": (ctx.harmonic, tilted),
             "diagonal": (diag_ctx.harmonic, diag_ctx.cramer.tilted),
-            "wedge": (build_V_tables(tilted, wedge, ch, ctx.whitening.M, L=40), tilted)}
+            "wedge": (build_V_tables(tilted, wedge, image, ctx.whitening.M, L=40), tilted)}
 
 
 @pytest.mark.parametrize("which", ["nn4", "diagonal", "wedge"])
@@ -277,7 +270,7 @@ def test_nn4_solve_returns_u_exactly(tables_nn4):
     # u is discrete-harmonic for the reference walk, so the warm start is
     # already converged and V is u(M y) to the last bit
     grid = tables_nn4.grid
-    u = u_eval_many(tables_nn4.ch, grid.points() @ tables_nn4.M.T)
+    u = u_eval_many(tables_nn4.cone_image, grid.points() @ tables_nn4.M.T)
     assert np.array_equal(tables_nn4.V[grid.mask], u)
     assert np.array_equal(tables_nn4.Vprime[grid.mask], u)
 
@@ -286,7 +279,7 @@ def test_iteration_cap_raises(diag_ctx, quadrant, monkeypatch):
     monkeypatch.setattr(harmonic, "SOLVE_MAX_ITER", 1)
     tabs = diag_ctx.harmonic
     with pytest.raises(NumericsError, match="not converged"):
-        build_V_tables(diag_ctx.cramer.tilted, quadrant, tabs.ch, tabs.M, L=96)
+        build_V_tables(diag_ctx.cramer.tilted, quadrant, tabs.cone_image, tabs.M, L=96)
 
 
 def test_octant_walk_in_three_dimensions(octant_law):
@@ -297,11 +290,10 @@ def test_octant_walk_in_three_dimensions(octant_law):
     assert np.max(np.abs(cd.h - np.log(3.0) / 2.0)) <= 1e-10
     assert cd.c == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-12)
     assert wd.p == 3.0
-    ch = continuous_harmonic_for(wd.cone_image, wd.p)
     t0 = time.perf_counter()
-    tabs = build_V_tables(cd.tilted, cone, ch, wd.M, L=36)
+    tabs = build_V_tables(cd.tilted, cone, wd.cone_image, wd.M, L=36)
     elapsed = time.perf_counter() - t0
-    u = u_eval_many(ch, tabs.grid.points() @ wd.M.T)
+    u = u_eval_many(wd.cone_image, tabs.grid.points() @ wd.M.T)
     for table in (tabs.V, tabs.Vprime):
         assert np.max(np.abs(table[tabs.grid.mask] - u) / u) <= 1e-12
     assert tabs.convergence_residual <= 1e-12

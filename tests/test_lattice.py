@@ -172,6 +172,17 @@ def test_grid_contains_round_trip(quadrant, nn4):
     assert np.array_equal(grid.mask, grid.in_cone & (np.abs(grid.coords).max(axis=-1) <= 6))
 
 
+@pytest.mark.parametrize("cone", [ConeSpec.orthant(2), ConeSpec.wedge2d(0.75 * np.pi, 0.3),
+                                  ConeSpec.orthant(3)], ids=["quadrant", "wedge", "octant"])
+def test_points_in_lexicographic_order(cone):
+    # CSV writers rely on it and sort nothing themselves
+    law = StepLaw(support=np.vstack([np.eye(cone.dim, dtype=int), -np.eye(cone.dim, dtype=int)]),
+                  probs=np.full(2 * cone.dim, 0.5 / cone.dim))
+    pts = make_grid(cone, 7.5, law, M=np.diag(np.linspace(1.0, 2.0, cone.dim))).points()
+    assert len(pts) > 10
+    assert np.array_equal(pts, pts[np.lexsort(pts.T[::-1])])
+
+
 @st.composite
 def padded_box_cases(draw):
     """A small non-collinear law with step entries in [-2, 2], a cone and a whitening."""

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conelab.errors import ConfigError
 from conelab.model import (ConeSpec, StepLaw, build_model, check_acute_cone_condition,
-                           cone_contains, cone_geometry, lattice_structure)
+                           cone_contains, cone_geometry, lattice_structure,
+                           span_obstruction)
 
 
 def test_drift_and_aperiodicity(nn4, quadrant):
@@ -124,6 +125,35 @@ def noncollinear_supports(draw):
 @given(noncollinear_supports())
 def test_lattice_structure_matches_finite_quotient_oracle(support):
     assert lattice_structure(_uniform(support)) == _oracle(support)
+
+
+@pytest.mark.parametrize("support, u", [
+    ([[-1, 1], [1, 2], [-1, 2]], [-1, -1]),
+    ([[1, 0], [-1, 0], [0, 1]], [0, -1]),
+    ([[1, 1], [2, 2], [-1, -1]], [1, -1]),
+    ([[1, 0, 0], [2, 0, 0], [-1, 0, 0]], [0, 0, 1]),
+    ([[1], [2]], [-1]),
+], ids=["upper-half-plane", "no-down-step", "one-line", "one-line-3d", "1d-up"])
+def test_span_obstruction_names_a_blocking_direction(support, u):
+    assert span_obstruction(_uniform(support)) == u
+
+
+@pytest.mark.parametrize("support", [
+    [[1, 0], [-1, 0], [0, 1], [0, -1]], [[1, 0], [0, 1], [-1, -1]], E3, [[1], [-2]],
+], ids=["nn4", "period-3", "octant-3d", "1d"])
+def test_span_obstruction_none_when_steps_span(support):
+    assert span_obstruction(_uniform(support)) is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), data=st.data())
+def test_span_obstruction_matches_hull_oracle(d, data, spans_oracle):
+    support = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1,
+                                 max_size=7, unique=True))
+    u = span_obstruction(_uniform(support))
+    assert (u is None) == spans_oracle(support)
+    if u is not None:
+        assert any(u) and max(np.asarray(support) @ u) <= 0
 
 
 def test_step_law_validation():

@@ -10,7 +10,7 @@ import conelab.simulate as simulate
 from conelab._lattice import KilledKernel
 from conelab.dp_oracle import dp_evolve
 from conelab.errors import ConfigError
-from conelab.harmonic import build_U_tables, build_V_tables, continuous_harmonic_for
+from conelab.harmonic import build_U_tables, build_V_tables
 from conelab.model import ConeSpec, cone_contains
 from conelab.simulate import (_simulate_killed, _worker_rng, is_survival,
                               mc_survival, transience_indicator, z_chain)
@@ -172,8 +172,7 @@ def test_pool_capped_at_core_count(nn4, quadrant, cramer_nn4, monkeypatch):
 @pytest.fixture(scope="module")
 def z_tables(ctx):
     wd = ctx.whitening
-    ch = continuous_harmonic_for(wd.cone_image, wd.p)
-    tabs = build_V_tables(ctx.cramer.tilted, ctx.cone, ch, wd.M, L=120)
+    tabs = build_V_tables(ctx.cramer.tilted, ctx.cone, wd.cone_image, wd.M, L=120)
     return build_U_tables(tabs, ctx.cramer.h)
 
 
@@ -202,8 +201,7 @@ def test_z_chain_truncation_notice(nn4, cramer_nn4, ctx):
     # (the chain samples from the V table alone, so the normalizer
     # certificate that a 14-wide window cannot meet is not needed here)
     wd = ctx.whitening
-    ch = continuous_harmonic_for(wd.cone_image, wd.p)
-    small = build_V_tables(cramer_nn4.tilted, ctx.cone, ch, wd.M, L=14)
+    small = build_V_tables(cramer_nn4.tilted, ctx.cone, wd.cone_image, wd.M, L=14)
     run = z_chain(nn4, cramer_nn4, small, [1, 1], 400, seed=2, n_paths=50)
     assert run.n_truncated > 0
     assert np.all(run.paths > 0)
@@ -256,8 +254,7 @@ def _z_chain_reference(law, cramer, tables, x0, n_steps, seed, n_paths):
 @pytest.fixture(scope="module")
 def small_tables(ctx, cramer_nn4):
     wd = ctx.whitening
-    ch = continuous_harmonic_for(wd.cone_image, wd.p)
-    return build_V_tables(cramer_nn4.tilted, ctx.cone, ch, wd.M, L=14)
+    return build_V_tables(cramer_nn4.tilted, ctx.cone, wd.cone_image, wd.M, L=14)
 
 
 @pytest.fixture(scope="module")

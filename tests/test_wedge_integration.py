@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conelab.dp_oracle import dp_evolve
-from conelab.harmonic import build_V_tables, continuous_harmonic_for
+from conelab.harmonic import build_V_tables
 from conelab.model import ConeSpec, cone_contains
 from conelab.spectral import qsd_for_model
 from conelab.whiten import cone_image_and_p, whiten_model
@@ -40,8 +40,7 @@ def test_wedge_harmonic_table_proportional(ctx, cramer_nn4, wedge):
     wd = ctx.whitening
     image, p = cone_image_and_p(wedge, wd.M)
     assert p == pytest.approx(2.0, abs=1e-12)
-    ch = continuous_harmonic_for(image, p)
-    tabs = build_V_tables(cramer_nn4.tilted, wedge, ch, wd.M, L=24)
+    tabs = build_V_tables(cramer_nn4.tilted, wedge, image, wd.M, L=24)
     # r^2 sin(2 theta) = 2 x1 x2 in whitened coordinates = 4 y1 y2
     for y in ([1, 1], [2, 5], [7, 3]):
         assert tabs.value(tabs.V, y) == pytest.approx(4.0 * y[0] * y[1], rel=1e-9)

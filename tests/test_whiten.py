@@ -108,13 +108,10 @@ def test_orthant_diagonal_degree_is_dimension():
     assert image.kind == "orthant"
 
 
-def test_unsupported_combination_needs_fit_flag():
+def test_non_diagonal_orthant_in_3d_has_no_image():
     M = np.eye(3)
     M[0, 1] = 0.3
-    with pytest.raises(ConfigError, match="fit"):
-        cone_image_and_p(ConeSpec.orthant(3), M, allow_fit=False)
-    image, p = cone_image_and_p(ConeSpec.orthant(3), M, allow_fit=True)
-    assert p is None
+    assert cone_image_and_p(ConeSpec.orthant(3), M) == (None, None)
 
 
 def test_wide_image_wedge_rejected():
