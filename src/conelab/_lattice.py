@@ -1,19 +1,22 @@
 """Lattice windows and the killed-walk kernel every oracle applies.
 
 A window is an axis-aligned integer box intersected with an open cone.
-Arrays live on the full box; a boolean mask selects the window points.
-``make_grid`` pads every box by the law's longest step, so each one-step
-neighbour of a window cell is a box cell, and it records which box cells lie
-in the cone (``in_cone``).  Every stage reads the cone from there; none
-repeats the membership pass.
+Arrays live on the full box, C-ordered; a boolean mask selects the window
+points.  ``make_grid`` pads every box by the law's longest step, so each
+one-step neighbour of a window cell is a box cell, and it records which box
+cells lie in the cone (``in_cone``).  Every stage reads the cone from there;
+none repeats the membership pass.
 
 ``KilledKernel`` is the one-step operator of the walk killed outside the
 window: a step moves mass by +z with probability p_z, mass landing off the
 mask is killed, and a cell whose step leaves the window while staying in the
 cone *leaks* (the window truncates it rather than the cone killing it).  The
 DP evolution, the survival scan, the harmonic fixed point, the truncated QSD
-kernel, the exit-position law and the conditioned chain all step through it;
-``shift_add`` is the single stencil primitive underneath.
+kernel, the exit-position law and the conditioned chain all step through it,
+by the flat offset k = z . strides of each step on the flattened box.  The
+padding makes that exact on the mask (see ``KilledKernel``).  ``shift_add``,
+a per-axis clipped shift, only maps a table between boxes of different
+shapes (``WindowGrid.place``).
 """
 
 from dataclasses import dataclass
@@ -120,71 +123,104 @@ def shift_add(out, arr, z, w):
 class KilledKernel:
     """One step of ``law`` on ``grid``, killed off the window mask.
 
-    The grid's box must be padded for ``law`` (``make_grid`` pads it).
+    Arrays are C-ordered over the grid's box, which must be padded for
+    ``law`` (``make_grid`` pads it).  A step of z shifts the flattened box
+    by the flat offset k = z . strides, so one step is a few whole-box
+    multiply-adds written in place: the first shift straight into ``out``,
+    each further one through a scratch buffer.  A flat shift wraps from one
+    row of the box into the next, but the padding keeps that harmless.
+    Every one-step neighbour of a mask cell is a box cell reached without
+    wrapping, so each mask cell gets exactly the terms, in the order of the
+    law's support, that a per-axis clipped shift gives it.  A wrapped term
+    adds to a cell off the mask and reads a cell off the mask.  Hence
+    ``forward``, ``backward`` and the mask cells of ``push`` and ``pull``
+    equal the per-axis stencil exactly for any input, and ``push`` and
+    ``pull`` equal it on every cell for an input that is zero off the mask
+    (a wrapped term is then an exact +0.0).  Only the sign of a zero can
+    differ: the first shift is written, not added to +0.0.
     """
 
     def __init__(self, grid, law):
         self.grid = grid
         self.law = law
-        # shifts as plain ints: +z for push, -z for pull
-        self._push = list(zip(law.support.tolist(), law.probs))
-        self._pull = list(zip((-law.support).tolist(), law.probs))
+        self._off = ~grid.mask
+        strides = np.cumprod((grid.shape[1:] + (1,))[::-1])[::-1]
+        self._k = law.support @ strides        # flat offset of each step
+        self._push = self._moves(self._k)
+        self._pull = self._moves(-self._k)
+        self._tmp = np.empty(grid.mask.size)
 
-    @staticmethod
-    def _step(a, moves, out):
+    def _moves(self, offsets):
+        """(destination, source, uncovered strip, p) slices of out[i] += p a[i - k]."""
+        n = self.grid.mask.size
+        moves = []
+        for k, p in zip(offsets.tolist(), self.law.probs.tolist()):
+            if k >= 0:
+                moves.append((slice(k, n), slice(0, n - k), slice(0, k), p))
+            else:
+                moves.append((slice(0, n + k), slice(-k, n), slice(n + k, n), p))
+        return moves
+
+    def _step(self, a, moves, out):
+        if np.shape(a) != self.grid.shape:
+            raise ValueError(f"array of shape {np.shape(a)} is not the kernel's box "
+                             f"{self.grid.shape}")
         if out is None:
-            out = np.zeros(np.shape(a))
-        else:
-            out[...] = 0.0
-        for z, p in moves:
-            shift_add(out, a, z, p)
+            out = np.empty(self.grid.shape)
+        src, dst, tmp = np.ravel(a), out.reshape(-1), self._tmp
+        (d0, s0, strip, p0), *rest = moves
+        np.multiply(src[s0], p0, out=dst[d0])
+        dst[strip] = 0.0
+        for d, s, _, p in rest:
+            t = tmp[d]
+            np.multiply(src[s], p, out=t)
+            dst[d] += t
         return out
 
     def push(self, a, out=None):
-        """Unmasked forward step: out[y] = sum_z p_z a[y - z]."""
+        """Unmasked forward step: out[y] = sum_z p_z a[y - z] (see the class note)."""
         return self._step(a, self._push, out)
 
     def pull(self, a, out=None):
-        """Unmasked backward step: out[x] = sum_z p_z a[x + z]."""
+        """Unmasked backward step: out[x] = sum_z p_z a[x + z] (see the class note)."""
         return self._step(a, self._pull, out)
-
-    def gather(self, a):
-        """a[x + z] for each step z, stacked along a new last axis (0 beyond the box)."""
-        out = np.zeros(np.shape(a) + (len(self._pull),))
-        for j, (minus_z, _) in enumerate(self._pull):
-            shift_add(out[..., j], a, minus_z, 1.0)
-        return out
 
     def forward(self, a, out=None):
         """Forward step of a measure, zeroed off the mask."""
         out = self.push(a, out)
-        out[~self.grid.mask] = 0.0
+        np.copyto(out, 0.0, where=self._off)
         return out
 
     def backward(self, a, out=None):
         """Backward step of a function, zeroed off the mask."""
         out = self.pull(a, out)
-        out[~self.grid.mask] = 0.0
+        np.copyto(out, 0.0, where=self._off)
         return out
+
+    @cached_property
+    def states(self):
+        """Flat box index of each window point, in C order."""
+        return np.flatnonzero(self.grid.mask)
+
+    def gather(self, a):
+        """a[x + z] for each window point x (rows, C order) and step z (columns)."""
+        return np.ravel(a)[self.states[:, None] + self._k[None, :]]
 
     def matrix(self):
         """Sparse substochastic kernel P(x -> x+z) on the masked states (CSR)."""
         from scipy import sparse  # local import: only ``qsd`` loads scipy.sparse
         grid = self.grid
-        sidx = np.zeros(grid.shape, dtype=np.int64)     # 0 marks cells off the mask
-        sidx[grid.mask] = np.arange(1, grid.n_states + 1)
-        rows, cols, vals = [], [], []
-        for minus_z, p in self._pull:
-            dst = np.zeros(grid.shape, dtype=np.int64)
-            shift_add(dst, sidx, minus_z, 1)     # dst[x] = sidx[x + z]
-            ok = grid.mask & (dst > 0)
-            rows.append(sidx[ok] - 1)
-            cols.append(dst[ok] - 1)
-            vals.append(np.full(int(ok.sum()), p))
         n = grid.n_states
-        return sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)).tocsr()
+        sidx = np.full(grid.mask.size, -1, dtype=np.int64)     # -1 off the mask
+        sidx[self.states] = np.arange(n)
+        cols = sidx[self.states[:, None] + self._k[None, :]]
+        ok = cols >= 0
+        rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+        vals = np.broadcast_to(self.law.probs[None, :], cols.shape)
+        # COO entries step by step, rows in C order within each: this fixes the
+        # column order inside each CSR row
+        return sparse.coo_matrix((vals.T[ok.T], (rows.T[ok.T], cols.T[ok.T])),
+                                 shape=(n, n)).tocsr()
 
     @cached_property
     def leak(self):
@@ -192,13 +228,11 @@ class KilledKernel:
 
         Mass on such cells is truncated by the window, not killed by the
         cone; the DP monitors it to certify the window is large enough.  The
-        padded box holds every one-step neighbour, so one pull of the cone
-        cells off the mask sees them all.
+        padded box holds every one-step neighbour, so one backward step of the
+        cone cells off the mask sees them all.
         """
         grid = self.grid
-        leak = self.pull((grid.in_cone & ~grid.mask).astype(float))
-        leak[~grid.mask] = 0.0
-        return leak
+        return self.backward((grid.in_cone & ~grid.mask).astype(float))
 
     @cached_property
     def interior(self):

@@ -86,8 +86,10 @@ def _evolve(kernel, L, x0, n_max, rescale_by, retain):
     survival[0] = 1.0
     tables = {0: q.copy()} if 0 in retain else {}
     leak_max = 0.0
+    ring = np.flatnonzero(kernel.leak)          # the cells that can leak
+    ring_leak = kernel.leak.reshape(-1)[ring]
     for n in range(1, n_max + 1):
-        leaked = float((q * kernel.leak).sum()) / rescale_by
+        leaked = float(q.reshape(-1)[ring] @ ring_leak) / rescale_by
         out = kernel.forward(q, out=out)
         out /= rescale_by
         q, out = out, q
@@ -211,18 +213,16 @@ def survival_scan(law, cone, starts, n_max):
     kernel = KilledKernel(grid, law)
     s = np.where(grid.mask, 1.0, 0.0)
     out = np.empty_like(s)
-    idx = []
     for x in starts:
         if not grid.contains(x):
             raise ConfigError(f"start {x.tolist()} outside the scan window")
-        idx.append(tuple(x - grid.lo))
+    flat_idx = np.ravel_multi_index((np.array(starts) - grid.lo).T, grid.shape)
     result = np.empty((len(starts), n_max + 1))
     result[:, 0] = 1.0
     for n in range(1, n_max + 1):
         out = kernel.backward(s, out=out)
         s, out = out, s
-        for j, ix in enumerate(idx):
-            result[j, n] = s[ix]
+        result[:, n] = s.reshape(-1)[flat_idx]
     return result
 
 

@@ -14,7 +14,7 @@ on the window holds there too, passes.
 V is the unique solution of the killed-kernel fixed-point equation on a
 truncated window with u as far-field data on the one-step exterior ring.
 The truncated kernel has spectral radius below one, so I - T is invertible;
-the system is solved by BiCGSTAB, matrix-free through the kernel's pull and
+the system is solved by BiCGSTAB, matrix-free through the kernel's step and
 started from u itself, so no sparse matrix is assembled and scipy is never
 imported.  When u is itself discretely harmonic (the four-step reference
 walk on the quadrant), the start already meets the stopping rule and V is
@@ -121,7 +121,7 @@ def build_V_tables(tilted, cone, cone_image, M, L):
 
 
 def _solve_killed_harmonic(kernel, ring_u, v0):
-    """BiCGSTAB on v - T v = b, matrix-free through ``kernel.pull``, started at v0.
+    """BiCGSTAB on v - T v = b, matrix-free through ``kernel.backward``, started at v0.
 
     b(x) = sum_z p_z u(M(x+z)) over ring neighbours.  The iteration stops once
     the recurrence residual is within SOLVE_TOL of |b| and a recomputed true
@@ -130,12 +130,13 @@ def _solve_killed_harmonic(kernel, ring_u, v0):
     grid = kernel.grid
     mask = grid.mask
     box = np.zeros(grid.shape)
+    stepped = np.empty(grid.shape)
 
     def apply(v):                      # v - T v on the window states
         box[mask] = v
-        return v - kernel.pull(box)[mask]
+        return v - kernel.backward(box, out=stepped)[mask]
 
-    b = kernel.pull(ring_u)[mask]
+    b = kernel.backward(ring_u, out=stepped)[mask]
     tol = SOLVE_TOL * float(np.linalg.norm(b))
     v = np.array(v0, dtype=float)
     r = b - apply(v)
@@ -171,7 +172,8 @@ def _solve_killed_harmonic(kernel, ring_u, v0):
     V[mask] = v
     # residual of the mean-value equation at points whose neighbours stay inside
     rel = np.zeros(grid.shape)
-    rel[mask] = np.abs(kernel.pull(V)[mask] + b - v) / np.maximum(v, 1e-300)
+    rel[mask] = (np.abs(kernel.backward(V, out=stepped)[mask] + b - v)
+                 / np.maximum(v, 1e-300))
     interior = kernel.interior
     residual = float(rel[interior].max()) if interior.any() else float(rel[mask].max())
     return V, residual

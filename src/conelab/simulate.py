@@ -207,7 +207,7 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     kernel = KilledKernel(grid, law)
     V, mask = tables.V, grid.mask
     weights = np.zeros(grid.shape + (support.shape[0],))
-    weights[mask] = step_w * kernel.gather(V)[mask] / V[mask][:, None]
+    weights[mask] = step_w * kernel.gather(V) / V[mask][:, None]
     row_sum = weights.sum(axis=-1)
     cdf = np.cumsum(weights / np.maximum(row_sum, 1e-300)[..., None], axis=-1)
     interior = kernel.interior

@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from test_lattice import padded_box_cases
 
-from conelab._lattice import KilledKernel
+from conelab._lattice import KilledKernel, make_grid
+from conelab.cramer import solve_cramer_point
 from conelab.dp_oracle import (LEAK_TOL, bridge_value, check_tilt_identity,
                                dp_evolve, exit_position_law,
                                exit_time_pmf_rescaled, halfspace_1d, hazard_ratio,
                                survival_scan, window_reach)
 from conelab.errors import ConfigError
-from conelab.model import StepLaw, cone_contains
+from conelab.model import ConeSpec, StepLaw, cone_contains, span_obstruction
 
 ROOT3 = np.sqrt(3.0)
 
@@ -191,6 +194,42 @@ def test_window_monitor_grows(quadrant, cramer_nn4, L, n_max):
     assert fresh.L == series.L
     assert np.array_equal(series.survival, fresh.survival)
     assert np.array_equal(series.tables[n_max], fresh.tables[n_max])
+
+
+def test_octant_window_grows_to_42(octant_law):
+    # from L = 20 the leak monitor restarts twice (20 -> 29 -> 42), and the
+    # result is a fresh run at the final window
+    octant, x0 = ConeSpec.orthant(3), [1, 1, 1]
+    series = dp_evolve(octant_law, octant, x0, 200, rescale_by=ROOT3 / 2.0, L=20,
+                       retain=[100, 200])
+    assert series.L == 42 and series.leak_max < LEAK_TOL
+    fresh = dp_evolve(octant_law, octant, x0, 200, rescale_by=ROOT3 / 2.0, L=42,
+                      retain=[100, 200])
+    assert fresh.L == 42
+    assert np.array_equal(series.survival, fresh.survival)
+    for n in (100, 200):
+        assert np.array_equal(series.tables[n], fresh.tables[n])
+    assert series.survival[100] == pytest.approx(5.591829575462262e-06, rel=1e-12)
+    assert series.survival[200] == pytest.approx(3.5348857867363805e-07, rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(padded_box_cases())
+def test_random_spanning_laws_tilt_identity_and_leak(case):
+    # over laws whose steps positively span R^d a series grown from a small
+    # window certifies its leak, and the tilt identity holds to roundoff.  The
+    # defect is absolute, and the exponential weights make it scale with the
+    # rescaled tables, which reach the hundreds on some of these laws
+    law, cone, _, _ = case
+    assume(span_obstruction(law) is None and np.linalg.norm(law.mean()) > 1e-9)
+    assume(cone.kind != "halfspace" or law.dim == 2)   # a d = 3 half-space box is large
+    cramer = solve_cramer_point(law)
+    x0 = make_grid(cone, 2, law).points()[0]
+    series = dp_evolve(law, cone, x0, 20, rescale_by=cramer.c, L=3, retain=range(21))
+    assert series.leak_max < LEAK_TOL
+    assert 3 <= series.L <= window_reach(law, x0, 20)
+    scale = max(1.0, max(float(t.max()) for t in series.tables.values()))
+    assert check_tilt_identity(law, cramer, cone, x0, n_max=20) <= 1e-12 * scale
 
 
 def test_start_validation(nn4, quadrant):

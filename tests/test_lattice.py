@@ -67,12 +67,15 @@ def test_shift_add_clips_at_box_edge():
 
 def test_pull_gathers(quadrant):
     step = StepLaw(support=np.array([[1, 0]]), probs=np.array([1.0]))
-    arr = np.arange(9.0).reshape(3, 3)
-    out = KilledKernel(make_grid(quadrant, 3, step), step).pull(arr)
+    grid = make_grid(quadrant, 3, step)
+    arr = np.arange(float(np.prod(grid.shape))).reshape(grid.shape)
+    out = KilledKernel(grid, step).pull(arr)
     # out[x] = arr[x + z]
     assert out[0, 0] == arr[1, 0]
     assert out[1, 2] == arr[2, 2]
-    assert np.all(out[2] == 0.0)     # no source beyond the edge
+    assert np.all(out[-1] == 0.0)    # no source beyond the edge
+    with pytest.raises(ValueError):  # the kernel steps arrays over its own box only
+        KilledKernel(grid, step).pull(np.ones((3, 3)))
 
 
 def test_forward_conserves_on_interior(quadrant, nn4):
@@ -183,22 +186,33 @@ def test_points_in_lexicographic_order(cone):
     assert np.array_equal(pts, pts[np.lexsort(pts.T[::-1])])
 
 
+WHITENINGS = {2: np.array([[1.0, 0.4], [-0.3, 0.8]]),
+              3: np.array([[1.0, 0.3, 0.0], [-0.2, 0.9, 0.1], [0.0, 0.2, 1.1]])}
+HALFSPACE_NORMAL = np.array([1.0, -2.0, 0.5])
+
+
 @st.composite
 def padded_box_cases(draw):
-    """A small non-collinear law with step entries in [-2, 2], a cone and a whitening."""
+    """A small non-collinear law with step entries in [-2, 2]^d (d = 2 or 3), an
+    orthant, half-space or (d = 2) wedge cone, and a whitening or none."""
+    d = draw(st.sampled_from([2, 3]))
     entry = st.integers(-2, 2)
-    vectors = draw(st.lists(st.tuples(entry, entry), min_size=3, max_size=5, unique=True))
+    vectors = draw(st.lists(st.tuples(*[entry] * d), min_size=d + 1, max_size=d + 3,
+                            unique=True))
     support = np.array(vectors)
-    assume(np.linalg.matrix_rank(support[1:] - support[0]) == 2)
+    assume(np.linalg.matrix_rank(support[1:] - support[0]) == d)
     weights = np.array(draw(st.lists(st.integers(1, 4), min_size=len(vectors),
                                      max_size=len(vectors))), dtype=float)
     law = StepLaw(support=support, probs=weights / weights.sum())
-    cone = draw(st.sampled_from([ConeSpec.orthant(2), ConeSpec.wedge2d(0.6 * np.pi, 0.4)]))
-    M = draw(st.sampled_from([None, np.array([[1.0, 0.4], [-0.3, 0.8]])]))
-    return law, cone, M, draw(st.integers(3, 6))
+    cones = [ConeSpec.orthant(d), ConeSpec.halfspace(HALFSPACE_NORMAL[:d])]
+    if d == 2:
+        cones.append(ConeSpec.wedge2d(0.6 * np.pi, 0.4))
+    cone = draw(st.sampled_from(cones))
+    M = draw(st.sampled_from([None, WHITENINGS[d]]))
+    return law, cone, M, draw(st.integers(3, 6 if d == 2 else 4))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(padded_box_cases())
 def test_padded_box_holds_every_neighbour(case):
     law, cone, M, L = case
@@ -206,11 +220,45 @@ def test_padded_box_holds_every_neighbour(case):
     kernel = KilledKernel(grid, law)
     off = (grid.points()[:, None, :] + law.support[None, :, :]) - grid.lo
     assert np.all((off >= 0) & (off < np.asarray(grid.shape)))
-    assert np.array_equal(grid.in_cone,
-                          cone_contains(cone, grid.coords.reshape(-1, 2)).reshape(grid.shape))
+    assert np.array_equal(grid.in_cone, cone_contains(
+        cone, grid.coords.reshape(-1, grid.dim)).reshape(grid.shape))
     expected = pointwise_leak(grid, law, cone)
     assert np.array_equal(kernel.leak, expected)
     assert np.array_equal(kernel.interior, grid.mask & (expected == 0.0))
+
+
+def reference_step(a, law, sign):
+    """The per-axis stencil: one clipped ``shift_add`` of sign * z per step, in order."""
+    out = np.zeros(a.shape)
+    for z, p in zip(law.support, law.probs):
+        shift_add(out, a, sign * z, p)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(padded_box_cases(), st.integers(0, 2**32 - 1))
+def test_flat_step_matches_per_axis_reference(case, seed):
+    # the flat-offset contract, bit for bit: forward, backward and the mask cells
+    # of push and pull for any input; every cell of push and pull for an input
+    # that is zero off the mask
+    law, cone, M, L = case
+    grid = make_grid(cone, L, law, M=M)
+    kernel = KilledKernel(grid, law)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(grid.shape)
+    on_mask = np.where(grid.mask, a, 0.0)
+    push, pull = reference_step(a, law, 1), reference_step(a, law, -1)
+    assert np.array_equal(kernel.push(a)[grid.mask], push[grid.mask])
+    assert np.array_equal(kernel.pull(a)[grid.mask], pull[grid.mask])
+    assert np.array_equal(kernel.forward(a), np.where(grid.mask, push, 0.0))
+    assert np.array_equal(kernel.backward(a), np.where(grid.mask, pull, 0.0))
+    assert np.array_equal(kernel.push(on_mask), reference_step(on_mask, law, 1))
+    assert np.array_equal(kernel.pull(on_mask), reference_step(on_mask, law, -1))
+    # gather reads the same neighbours: column j holds a[x + z_j] on the window
+    for j, z in enumerate(law.support):
+        shifted = np.zeros(grid.shape)
+        shift_add(shifted, a, -z, 1.0)
+        assert np.array_equal(kernel.gather(a)[:, j], shifted[grid.mask])
 
 
 def _box_cone_passes(tree):
@@ -226,11 +274,23 @@ def _box_cone_passes(tree):
             yield fn.name
 
 
+def _shift_add_callers(tree):
+    """Functions that call ``shift_add``."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(n, ast.Call) and getattr(n.func, "id", None) == "shift_add"
+                for n in ast.walk(fn)):
+            yield fn.name
+
+
 def test_one_stencil_in_src():
-    # every killed-walk step goes through KilledKernel, and the window's cone
-    # membership and lattice points are computed once, by make_grid; a second
-    # hand-written stencil, interior rule, box-wide cone pass or point mesh
-    # elsewhere in the package fails here
+    # every killed-walk step goes through KilledKernel's flat offsets, and the
+    # window's cone membership and lattice points are computed once, by
+    # make_grid; the per-axis shift_add only maps a table between two boxes
+    # (WindowGrid.place).  A second hand-written stencil, interior rule,
+    # box-wide cone pass or point mesh anywhere in the package fails here
+    lattice = ast.parse((SRC / "_lattice.py").read_text())
+    assert list(_shift_add_callers(lattice)) == ["place"]
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_lattice.py":
             continue
