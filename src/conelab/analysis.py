@@ -17,8 +17,7 @@ from ._lattice import KilledKernel
 from .cramer import solve_cramer_point
 from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
                         exit_time_pmf_rescaled, hazard_ratio, survival_scan)
-from .errors import (ConfigError, NoEndpointMassError, NoExitMassError, NumericsError,
-                     WindowTooSmallError)
+from .errors import ConfigError, NumericsError, StructuralZeroError, WindowTooSmallError
 from .harmonic import build_U_tables, build_V_tables
 from .model import build_model, check_acute_cone_condition
 from .spectral import qsd_for_model, tv_distance_tables
@@ -88,8 +87,7 @@ def fit_survival_series(b, rescale_by=1.0, n_hi=None):
     return TailFit(
         c_hat=c_hat, exponent_hat=float(exponent), constant_hat=constant,
         window_used=(int(n1), int(n_hi)),
-        diagnostics={"dyadic_estimates": (float(e1), float(e2)),
-                     "anchors": (int(n1), int(n2), int(n_hi))},
+        diagnostics={"dyadic_estimates": (float(e1), float(e2))},
     )
 
 
@@ -223,14 +221,18 @@ class PipelineContext:
         return qsd_for_model(self.law, self.cramer, self.cone, self.params.qsd_window)
 
     @cached_property
+    def p(self):
+        """Degree of u: the image cone's, or fitted from the driftless scan without one."""
+        if self.whitening.p is not None:
+            return self.whitening.p
+        fit = fit_survival_series(self.driftless_scan[0], rescale_by=1.0,
+                                  n_hi=self.params.n_max)
+        return 2.0 * fit.exponent_hat
+
+    @cached_property
     def exponent(self):
-        """Polynomial tail order p + d/2; p fitted from the driftless scan if open."""
-        p = self.whitening.p
-        if p is None:
-            fit = fit_survival_series(self.driftless_scan[0], rescale_by=1.0,
-                                      n_hi=self.params.n_max)
-            p = 2.0 * fit.exponent_hat
-        return p + self.law.dim / 2.0
+        """Polynomial tail order p + d/2."""
+        return self.p + self.law.dim / 2.0
 
     def parity_note(self):
         """Period or sublattice confinement blocks fixed-time TV limits."""
@@ -263,13 +265,6 @@ def _structural_note(ctx, event):
     period = ctx.report.period
     cause = f" (the walk has period {period})" if period > 1 else ""
     return f"structural, not numerical: from x0 = {list(ctx.params.x0)} {event}{cause}"
-
-
-def _kappa_Uprime_table(ctx):
-    tabs = ctx.harmonic
-    table = np.zeros(tabs.grid.shape)
-    table[tabs.grid.mask] = tabs.kappa * tabs.Uprime[tabs.grid.mask]
-    return table, tabs.grid
 
 
 def verify_limits(ctx, selector):
@@ -322,12 +317,13 @@ def _check_hazard(ctx):
 
 def _check_yaglom(ctx):
     prm = ctx.params
-    mu_table, mu_grid = _kappa_Uprime_table(ctx)
+    tabs = ctx.harmonic
+    mu = tabs.kappa * tabs.Uprime             # zero off the window, as U' is
     notes = [n for n in [ctx.parity_note()] if n]
     tvs = {}
     for n in (prm.n_hi // 4, prm.n_hi):
         cond = conditional_law(ctx.series, n)
-        tvs[n] = tv_distance_tables(cond, ctx.series.grid, mu_table, mu_grid)
+        tvs[n] = tv_distance_tables(cond, ctx.series.grid, mu, tabs.grid)
     rep = [_report("yaglom.tv", 0.0, tvs[prm.n_hi], TOL_TV_DP, relative=False,
                    notes=notes)]
     improve = tvs[prm.n_hi] - tvs[prm.n_hi // 4]
@@ -342,7 +338,7 @@ def _check_exit_law(ctx):
     notes = [n for n in [ctx.parity_note()] if n]
     try:
         measured_law, outside = exit_position_law(ctx.series, prm.n_hi)
-    except NoExitMassError:
+    except StructuralZeroError:
         notes.append(_structural_note(ctx, f"no path leaves the cone at n = {prm.n_hi}"))
         return [_report("exit_law.tv", 0.0, 1.0, TOL_TV_DP, relative=False,
                         notes=notes)]
@@ -372,7 +368,7 @@ def _check_bridge(ctx):
     try:
         b1 = bridge_value(ctx.series, n, t1, A, z)
         b2 = bridge_value(ctx.series, n, t2, A, z)
-    except NoEndpointMassError:
+    except StructuralZeroError:
         event = f"no path reaches the endpoint {z.tolist()} at n = {n}"
     else:
         empty = [int(np.floor(t * n)) for t, b in ((t1, b1), (t2, b2)) if b == 0.0]
@@ -416,10 +412,7 @@ def _check_driftless_bound(ctx):
         raise ConfigError(f"pipeline.n_max must exceed {SCAN_N_LO} for the driftless "
                           f"bound, got {prm.n_max}")
     scan = ctx.driftless_scan
-    M = ctx.whitening.M
-    p = ctx.whitening.p
-    if p is None:
-        p = ctx.exponent - ctx.law.dim / 2.0
+    M, p = ctx.whitening.M, ctx.p
     pts = np.asarray(scan_grid(ctx.law.dim), dtype=float)
     denom = 1.0 + np.linalg.norm(pts @ M.T, axis=1) ** p
     ns = np.arange(SCAN_N_LO, prm.n_max + 1)

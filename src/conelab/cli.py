@@ -50,12 +50,6 @@ class RunConfig:
     config_sha: str
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _parse_prob(value, where):
     if isinstance(value, (int, float)):
         return float(value)
@@ -89,8 +83,18 @@ def _read(convert, value, where):
         raise ConfigError(f"{where}: cannot read {value!r}") from exc
 
 
+def _int(value):
+    """``int(value)``, refusing a bool or a fraction rather than truncating it."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _int_tuple(values):
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in values)
+
+
+CONE_KEYS = {"orthant": ("dim",), "wedge2d": ("beta", "theta0"), "halfspace": ("normal",)}
 
 
 def parse_run_config(path, seed=None, workers=None, out_dir=None):
@@ -127,20 +131,21 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
     law = StepLaw(support=np.array(support, dtype=int), probs=np.array(probs))
 
     cone_sec = model.get("cone", {})
-    _require_keys(cone_sec, {"kind", "dim", "beta", "theta0", "normal"}, "model.cone")
+    _require_keys(cone_sec, ("kind",) + sum(CONE_KEYS.values(), ()), "model.cone")
     kind = cone_sec.get("kind")
+    if kind not in CONE_KEYS:
+        raise ConfigError(f"model.cone.kind: unknown kind {kind!r}")
+    _require_keys(cone_sec, ("kind",) + CONE_KEYS[kind], f"model.cone of kind {kind}")
     if kind == "orthant":
-        cone = ConeSpec.orthant(_read(int, cone_sec.get("dim", law.dim), "model.cone.dim"))
+        cone = ConeSpec.orthant(_read(_int, cone_sec.get("dim", law.dim), "model.cone.dim"))
     elif kind == "wedge2d":
         cone = ConeSpec.wedge2d(
             _read(float, _need(cone_sec, "beta", "model.cone"), "model.cone.beta"),
             _read(float, cone_sec.get("theta0", 0.0), "model.cone.theta0"))
-    elif kind == "halfspace":
+    else:
         cone = ConeSpec.halfspace(_read(lambda a: np.array(a, dtype=float),
                                         _need(cone_sec, "normal", "model.cone"),
                                         "model.cone.normal"))
-    else:
-        raise ConfigError(f"model.cone.kind: unknown kind {kind!r}")
 
     pipe = data.get("pipeline", {}) or {}
     allowed = {"n_max", "n_hi", "dp_window", "harmonic_window", "qsd_window",
@@ -152,7 +157,7 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
             if key in ("x0", "ratio_start", "bridge_endpoint", "qsd_sweep"):
                 convert = _int_tuple
             else:
-                convert = float if key == "harmonic_window" else int
+                convert = float if key == "harmonic_window" else _int
             setattr(params, key, _read(convert, pipe[key], f"pipeline.{key}"))
     if seed is not None:
         params.seed = int(seed)
@@ -170,7 +175,7 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
     zchain = {"x0": [1, 1], "n_steps": 200, "n_paths": 1000, **zchain}
     for section, values in (("simulate", sim), ("zchain", zchain)):
         for key in sorted(values.keys() - {"estimator"}):
-            values[key] = _read(_int_tuple if key == "x0" else int, values[key],
+            values[key] = _read(_int_tuple if key == "x0" else _int, values[key],
                                 f"{section}.{key}")
     for where, value, low in (("workers", params.workers, 1), ("seed", params.seed, 0),
                               ("pipeline.n_hi", params.n_hi, 1), ("simulate.n", sim["n"], 0),
@@ -217,7 +222,7 @@ def _write_csv(path, header, rows):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_fmt)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -247,7 +252,7 @@ def emit_report(config, command, run_id, artifacts):
         elif kind == "jsonl":
             with open(path, "w") as fh:
                 for record in payload:
-                    fh.write(json.dumps(record, sort_keys=True, default=_fmt) + "\n")
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
         written.append(path.name)
     manifest_path = config.out_dir / f"manifest_{command}_{run_id}.json"
     _write_json(manifest_path, _manifest(config, command, run_id, written))
@@ -331,20 +336,15 @@ def _cmd_dp(config, ctx, run_id):
 
 def _cmd_simulate(config, ctx, run_id):
     sim = config.simulate
-    x0 = tuple(sim["x0"])
-    n, n_samples = int(sim["n"]), int(sim["n_samples"])
-    seed, workers = config.params.seed, config.params.workers
     records = []
-    if sim["estimator"] in ("direct", "both"):
-        est = mc_survival(ctx.law, ctx.cone, x0, n, n_samples, seed, workers)
-        records.append({"estimator": "direct", "value": est.value,
-                        "std_error": est.std_error, "n_samples": est.n_samples,
-                        "seed": est.seed, "workers": est.workers})
-    if sim["estimator"] in ("tilted", "both"):
-        est = is_survival(ctx.cramer, ctx.cone, x0, n, n_samples, seed, workers)
-        records.append({"estimator": "tilted", "value": est.value,
-                        "std_error": est.std_error, "n_samples": est.n_samples,
-                        "seed": est.seed, "workers": est.workers})
+    for name, estimate, model in (("direct", mc_survival, "law"),
+                                  ("tilted", is_survival, "cramer")):
+        if sim["estimator"] in (name, "both"):
+            est = estimate(getattr(ctx, model), ctx.cone, sim["x0"], sim["n"],
+                           sim["n_samples"], config.params.seed, config.params.workers)
+            records.append({"estimator": name, "value": est.value,
+                            "std_error": est.std_error, "n_samples": est.n_samples,
+                            "seed": est.seed, "workers": est.workers})
     for rec in records:
         print(f"{rec['estimator']:>7s}: {rec['value']:.6e} +- {rec['std_error']:.2e}")
     files = emit_report(config, "simulate", run_id, [("simulate", "jsonl", records)])
@@ -375,7 +375,6 @@ def _cmd_verify(config, ctx, run_id, selector):
         reports = verify_all(ctx)
     else:
         reports = verify_limits(ctx, selector)
-    rows = []
     records = []
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -384,16 +383,15 @@ def _cmd_verify(config, ctx, run_id, selector):
               f"tolerance {r.tolerance:g})")
         for note in r.notes:
             print(f"    note: {note}")
-        rows.append([r.check, r.predicted, r.measured, r.deviation,
-                     r.tolerance, r.passed])
         records.append({"check": r.check, "predicted": r.predicted,
                         "measured": r.measured, "deviation": r.deviation,
                         "tolerance": r.tolerance, "pass": r.passed,
                         "notes": r.notes})
+    header = ["check", "predicted", "measured", "deviation", "tolerance", "pass"]
+    rows = [[rec[key] for key in header] for rec in records]
     files = emit_report(config, "verify", run_id, [
         ("verify", "jsonl", records),
-        ("verify_summary", "csv",
-         (["check", "predicted", "measured", "deviation", "tolerance", "pass"], rows)),
+        ("verify_summary", "csv", (header, rows)),
     ])
     ok = all(r.passed for r in reports)
     return (EXIT_OK if ok else EXIT_VERIFY_FAILED), files
@@ -403,8 +401,8 @@ def _cmd_zchain(config, ctx, run_id):
     from .simulate import transience_indicator, z_chain
 
     z = config.zchain
-    run = z_chain(ctx.law, ctx.cramer, ctx.harmonic, tuple(z["x0"]),
-                  int(z["n_steps"]), config.params.seed, n_paths=int(z["n_paths"]))
+    run = z_chain(ctx.law, ctx.cramer, ctx.harmonic, z["x0"], z["n_steps"],
+                  config.params.seed, n_paths=z["n_paths"])
     diff, se = transience_indicator(run, early=min(20, run.n_steps),
                                     late=run.n_steps)
     print(f"row sums (interior): [{run.row_sum_min:.8f}, {run.row_sum_max:.8f}]")
@@ -412,8 +410,8 @@ def _cmd_zchain(config, ctx, run_id):
           f"{run.n_truncated} paths hit the window edge")
     payload = {"row_sum_min": run.row_sum_min, "row_sum_max": run.row_sum_max,
                "n_truncated": run.n_truncated, "distance_gain": diff,
-               "distance_gain_se": se, "n_paths": int(z["n_paths"]),
-               "n_steps": int(z["n_steps"]), "seed": config.params.seed}
+               "distance_gain_se": se, "n_paths": z["n_paths"],
+               "n_steps": z["n_steps"], "seed": config.params.seed}
     files = emit_report(config, "zchain", run_id, [("zchain", "json", payload)])
     return EXIT_OK, files
 
@@ -442,9 +440,6 @@ def main(argv=None):
     try:
         config = parse_run_config(args.config, seed=args.seed, workers=args.workers,
                                   out_dir=args.out)
-        if args.command == "verify" and args.selector != "all" \
-                and args.selector not in SELECTORS:
-            raise ConfigError(f"unknown selector {args.selector!r}")
         ctx = PipelineContext(config.law, config.cone, config.params)
         run_id = _run_id(config, args.command,
                          extra=args.selector if args.command == "verify" else "")

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._lattice import KilledKernel, make_grid
 from .cramer import log_mgf, solve_cramer_point
-from .errors import ConfigError, NoEndpointMassError, NoExitMassError
+from .errors import ConfigError, StructuralZeroError
 from .model import ConeSpec, StepLaw, cone_contains
 
 LEAK_TOL = 1e-12
@@ -145,7 +145,7 @@ def exit_position_law(series, n):
     exit_mass = np.where(outside, full, 0.0)
     total = exit_mass.sum()
     if total <= 0.0:
-        raise NoExitMassError(f"no exit mass at n = {n}")
+        raise StructuralZeroError(f"no exit mass at n = {n}")
     return exit_mass / total, outside
 
 
@@ -163,7 +163,7 @@ def bridge_value(series, n, t, A, z):
         raise ConfigError(f"bridge needs tables at {m}, {n - m} and {n}")
     denom = grid.value_at(q_n, z)
     if denom <= 0.0:
-        raise NoEndpointMassError(f"endpoint {z.tolist()} has no mass at n = {n}")
+        raise StructuralZeroError(f"endpoint {z.tolist()} has no mass at n = {n}")
     total = 0.0
     for y in A:
         y = np.asarray(y, dtype=int)

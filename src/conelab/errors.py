@@ -5,12 +5,8 @@ class ConfigError(ValueError):
     """Invalid model or run configuration (bad law, cone, or config file)."""
 
 
-class NoExitMassError(ConfigError):
-    """The walk cannot leave the cone at the requested time: a structural zero."""
-
-
-class NoEndpointMassError(ConfigError):
-    """The walk cannot sit at a bridge endpoint at the requested time: a structural zero."""
+class StructuralZeroError(ConfigError):
+    """The walk cannot reach the requested event at the requested time (exit, endpoint)."""
 
 
 class NumericsError(RuntimeError):

@@ -7,9 +7,11 @@ discrete counterpart V satisfies the one-step mean-value equation of the
 killed driftless walk; V' is the same object for the reversed walk.
 Drift-adjusted versions U(x) = e^(h.x) V(Mx) and U'(y) = e^(-h.y) V'(My)
 and the normalizer kappa feed every limit check downstream, always through
-scale-free ratios.  The pipeline grows the window until a closed-form bound
-on the mass of U' beyond it, which assumes that the growth constant C of V'
-on the window holds there too, passes.
+scale-free ratios.  The one certificate, ``convergence_residual``, is the
+mean-value defect of V and V'; c-harmonicity of U and the one-step relation
+of U' are those equations in tilted coordinates.  The pipeline grows the
+window until a closed-form bound on the mass of U' beyond it, which assumes
+that the growth constant C of V' on the window holds there too, passes.
 
 V is the unique solution of the killed-kernel fixed-point equation on a
 truncated window with u as far-field data on the one-step exterior ring.
@@ -110,8 +112,9 @@ def build_V_tables(tilted, cone, cone_image, M, L):
     grid = make_grid(cone, L, tilted, M=M)
     if grid.n_states == 0:
         raise ConfigError("window contains no cone points; increase L")
-    ring_u = _ring_payoff(grid, cone_image, M)
-    u0 = u_eval_many(cone_image, grid.points() @ M.T)
+    u = np.zeros(grid.shape)    # u(M y) on the cone: the start on the window, data off it
+    u[grid.in_cone] = u_eval_many(cone_image, grid.coords[grid.in_cone] @ M.T)
+    u0, ring_u = u[grid.mask], np.where(grid.mask, 0.0, u)
     V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted), ring_u, u0)
     Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed()), ring_u, u0)
     return HarmonicTables(
@@ -177,15 +180,6 @@ def _solve_killed_harmonic(kernel, ring_u, v0):
     interior = kernel.interior
     residual = float(rel[interior].max()) if interior.any() else float(rel[mask].max())
     return V, residual
-
-
-def _ring_payoff(grid, cone_image, M):
-    """u(M y) on cone points inside the box but outside the window."""
-    ring = grid.in_cone & ~grid.mask
-    vals = np.zeros(grid.shape)
-    if ring.any():
-        vals[ring] = u_eval_many(cone_image, grid.coords[ring] @ M.T)
-    return vals
 
 
 def build_U_tables(tables, h):
@@ -262,25 +256,6 @@ def _tail_certificate(tables, h, total):
     passing = np.flatnonzero(tail < TAIL_FRACTION * total)
     suggested = int(np.ceil(r[passing[0]] * row_norm)) if passing.size else None
     return growth_C, float(tail[0]), suggested
-
-
-def _defect(tables, table, law, c):
-    """Max relative defect of c table(x) = sum_z P(X=z) table(x+z) over interior x."""
-    kernel = KilledKernel(tables.grid, law)
-    interior = kernel.interior
-    rhs = kernel.pull(table)
-    lhs = c * table
-    return float(np.max(np.abs(rhs[interior] - lhs[interior]) / lhs[interior]))
-
-
-def c_harmonicity_residual(tables, law, c):
-    """Max relative defect of c U(x) = sum_z P(X=z) U(x+z) over interior points."""
-    return _defect(tables, tables.U, law, c)
-
-
-def qsd_fixed_point_residual(tables, law, c):
-    """Max relative defect of sum_x U'(x) P(x + X = y) = c U'(y) over interior y."""
-    return _defect(tables, tables.Uprime, law.reversed(), c)
 
 
 def tables_rows(tables):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 import time
@@ -136,10 +137,37 @@ STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
     ("n: 12,", "n: -5,", "simulate.n must be at least 0, got -5"),
     ("n_steps: 40", "n_steps: -1", "zchain.n_steps must be at least 1, got -1"),
     ("n_paths: 50", "n_paths: 0", "zchain.n_paths must be at least 2, got 0"),
+    # an integer key never truncates a fraction or reads a bool as 0 or 1
+    ("- {step: [1, 0],  prob: 1/8}", "- {step: [1.5, 0],  prob: 1/8}",
+     "model.law.steps[0].step: cannot read [1.5, 0]"),
+    ("- {step: [1, 0],  prob: 1/8}", "- {step: [true, 0],  prob: 1/8}",
+     "model.law.steps[0].step: cannot read [True, 0]"),
+    ("n_max: 96", "n_max: 400.7", "pipeline.n_max: cannot read 400.7"),
+    ("n_hi: 72", "n_hi: 72\n  x0: [1.9, 1]", "pipeline.x0: cannot read [1.9, 1]"),
+    ("qsd_sweep: [12, 20]", "qsd_sweep: [12, 20.5]", "pipeline.qsd_sweep: cannot read"),
+    ("workers: 2", "workers: 3.9", "pipeline.workers: cannot read 3.9"),
+    ("seed: 99", "seed: true", "pipeline.seed: cannot read True"),
+    ("dim: 2}", "dim: 2.5}", "model.cone.dim: cannot read 2.5"),
+    ("n: 12,", "n: 12.5,", "simulate.n: cannot read 12.5"),
+    ("x0: [3, 3]", "x0: [3.5, 3]", "simulate.x0: cannot read [3.5, 3]"),
+    ("n_paths: 50", "n_paths: 50.5", "zchain.n_paths: cannot read 50.5"),
+    # each cone kind takes only its own keys
+    ("cone: {kind: orthant, dim: 2}", "cone: {kind: orthant, dim: 2, beta: 1.0, normal: [1, 0]}",
+     "model.cone of kind orthant: unknown key(s) ['beta', 'normal']"),
+    ("cone: {kind: orthant, dim: 2}", "cone: {kind: wedge2d, beta: 1.5, dim: 2}",
+     "model.cone of kind wedge2d: unknown key(s) ['dim']"),
+    ("cone: {kind: orthant, dim: 2}", "cone: {kind: halfspace, normal: [1, 0], dim: 2}",
+     "model.cone of kind halfspace: unknown key(s) ['dim']"),
+    ("cone: {kind: orthant, dim: 2}", "cone: {kind: halfspace, normal: [1, 0], theta0: 0}",
+     "model.cone of kind halfspace: unknown key(s) ['theta0']"),
 ], ids=["no-prob", "wedge-no-beta", "step-not-int", "n_max-not-int", "step-not-mapping",
         "n_hi-zero", "n_hi-above-n_max", "x0-dim", "ratio_start-dim",
         "bridge_endpoint-dim", "simulate-x0-dim", "zchain-x0-dim", "simulate-n-negative",
-        "zchain-n_steps-negative", "zchain-n_paths-zero"])
+        "zchain-n_steps-negative", "zchain-n_paths-zero", "step-fraction", "step-bool",
+        "n_max-fraction", "x0-fraction", "qsd_sweep-fraction", "workers-fraction",
+        "seed-bool", "cone-dim-fraction", "simulate-n-fraction", "simulate-x0-fraction",
+        "zchain-n_paths-fraction", "orthant-foreign-keys", "wedge-dim", "halfspace-dim",
+        "halfspace-theta0"])
 def test_malformed_config_exits_2(tmp_path, capsys, line, bad, named):
     path = tmp_path / "bad.yaml"
     path.write_text(NN4_YAML.replace(line, bad))
@@ -302,27 +330,64 @@ def test_driftless_bound_needs_a_fit_window(tmp_path, capsys, selector):
     assert "n_max must exceed 50" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, edits", [
-    ("dp", {}),
-    ("qsd", {}),
+@pytest.mark.parametrize("command, edits, status", [
+    ("dp", {}, 0),
+    ("qsd", {}, 0),
     # four streams on a pool of processes: the merge must not follow completion order
-    ("simulate", {"workers: 2": "workers: 4", "n_samples: 20000": "n_samples: 4000"}),
-    ("zchain", {}),
-], ids=["dp", "qsd", "simulate", "zchain"])
-def test_artifacts_byte_identical(tmp_path, command, edits):
+    ("simulate", {"workers: 2": "workers: 4", "n_samples: 20000": "n_samples: 4000"}, 0),
+    ("zchain", {}, 0),
+    ("verify", {}, 1),            # `verify all` fails the two period-2 rows on nn4
+], ids=["dp", "qsd", "simulate", "zchain", "verify"])
+def test_artifacts_byte_identical(tmp_path, command, edits, status):
     text = NN4_YAML
     for line, edited in edits.items():
         text = text.replace(line, edited)
     config_path = tmp_path / "run.yaml"
     config_path.write_text(text)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main([command, "--config", str(config_path), "--out", str(out_a)]) == 0
-    assert main([command, "--config", str(config_path), "--out", str(out_b)]) == 0
+    assert main([command, "--config", str(config_path), "--out", str(out_a)]) == status
+    assert main([command, "--config", str(config_path), "--out", str(out_b)]) == status
     files_a = sorted(p.name for p in out_a.iterdir())
     files_b = sorted(p.name for p in out_b.iterdir())
     assert files_a == files_b
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# sha256 of every artifact the eight commands write for NN4_YAML, keyed by name
+# without the run id; manifests, which carry package versions, are left out
+ARTIFACT_SHA256 = {
+    "cramer.json": "2cb9b13ec27c0a86e924e994b307ceb8ff39aa904b8da4cb09a064366cd3397c",
+    "dp.csv": "c9dd1429e12f036d983b67bafa1fe85700ad7f14604f96039dbc8bb3595bcfc8",
+    "dp_fit.json": "18a6ca45aa6274a84fe3606c95e87f49bdbee37cb85cc76b94e7b47c46fdcced",
+    "harmonic.csv": "d6da9283d73bbdbd8cd46a9e3c810ce7a5654ba8aa3a047b0a818d4e7465e221",
+    "qsd.csv": "b05582db1faa96597299ccbed6c1a17ad102b586833d3e2fe39e26d26f7fa622",
+    "qsd_summary.json": "8921a40ca0ff18b089e2a224f0363b546c79c988f5dd4258398ea2b6464318e3",
+    "simulate.jsonl": "4aa1dd940b3da27c07c6c99019645a02ed8abdeb47d66fd02c755dc3a2790f56",
+    "verify.jsonl": "9750696f710a1ff62ef082b435c5abff3e15d7ebb22c30e152b54e2f3b4cf8de",
+    "verify_summary.csv": "d43ead736ccf6f99aae9a8738f5ef86f6ff2293ff2d3e2b44f15033f9c64fa9f",
+    "whiten.json": "518d548e0fc910af3ad80207286ef8c6579dbfe9c130261e0674deaf6b7c068e",
+    "zchain.json": "0b1f1c83378d51a3b1185bda8bcf95a1f63dc44689ae249559c003af53f72b75",
+}
+
+
+def test_artifacts_match_recorded_digests(config_path, tmp_path, capsys):
+    """Every artifact of the eight commands on NN4_YAML has its recorded sha256.
+
+    The digests were taken with numpy 2.4.6 and scipy 1.17.1; other versions may
+    round differently.  A change that moves artifact bytes on purpose updates
+    the digests here and says which bytes moved, and why, in CHANGES.md.
+    """
+    out = tmp_path / "out"
+    for command in ("cramer", "whiten", "harmonic", "dp", "qsd", "zchain", "simulate",
+                    "verify"):
+        status = main([command, "--config", str(config_path), "--out", str(out)])
+        assert status == (1 if command == "verify" else 0)
+    digests = {f"{p.name.rsplit('_', 1)[0]}{p.suffix}":
+               hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if not p.name.startswith("manifest_")}
+    assert digests == ARTIFACT_SHA256
+    capsys.readouterr()
 
 
 def test_seventeen_digit_artifacts(config_path, tmp_path):

@@ -7,8 +7,7 @@ from conelab import harmonic
 from conelab._lattice import KilledKernel
 from conelab.cramer import solve_cramer_point
 from conelab.errors import ConfigError, NumericsError, WindowTooSmallError
-from conelab.harmonic import (build_U_tables, build_V_tables, c_harmonicity_residual,
-                              qsd_fixed_point_residual, tables_rows, u_eval, u_eval_many)
+from conelab.harmonic import build_U_tables, build_V_tables, tables_rows, u_eval, u_eval_many
 from conelab.model import ConeSpec, cone_contains
 from conelab.whiten import cone_image_and_p, image_degree, whiten_model
 
@@ -203,20 +202,6 @@ def test_tail_bound_is_a_true_upper_bound(case, tail_cases):
         assert tail <= 1.15 * oracle
 
 
-def test_c_harmonicity(ctx, tables_nn4, nn4):
-    assert c_harmonicity_residual(tables_nn4, nn4, ctx.cramer.c) <= 1e-6
-
-
-def test_qsd_one_step_identity(ctx, tables_nn4, nn4):
-    assert qsd_fixed_point_residual(tables_nn4, nn4, ctx.cramer.c) <= 1e-6
-
-
-def test_c_harmonicity_diagonal(diag_ctx, diagonal_law):
-    tabs = diag_ctx.harmonic
-    assert c_harmonicity_residual(tabs, diagonal_law, diag_ctx.cramer.c) <= 1e-6
-    assert qsd_fixed_point_residual(tabs, diagonal_law, diag_ctx.cramer.c) <= 1e-6
-
-
 def test_rows_export(tables_nn4):
     rows = tables_rows(tables_nn4)
     assert len(rows) == tables_nn4.grid.n_states
@@ -263,6 +248,43 @@ def test_krylov_solve_matches_direct_solve(which, solved):
     for table, law in ((tabs.V, tilted), (tabs.Vprime, tilted.reversed())):
         direct = spsolve_oracle(tabs, law)
         assert np.max(np.abs(table[mask] - direct) / direct) <= 1e-10
+    assert tabs.convergence_residual <= 1e-12
+
+
+def shifted(table, z):
+    """table[x + z] at every box cell x, zero where x + z leaves the box."""
+    out = np.zeros_like(table)
+    src = tuple(slice(max(k, 0), n + min(k, 0)) for k, n in zip(z, table.shape))
+    dst = tuple(slice(max(-k, 0), n + min(-k, 0)) for k, n in zip(z, table.shape))
+    out[dst] = table[src]
+    return out
+
+
+def one_step_mismatch(table, mask, law, c, sign):
+    """Max over interior x of |sum_z p_z table(x + sign z) - c table(x)| / (c table(x))."""
+    steps = [sign * np.asarray(z) for z in law.support]
+    interior = mask & np.logical_and.reduce([shifted(mask, z) for z in steps])
+    rhs = sum(prob * shifted(table, z) for z, prob in zip(steps, law.probs))
+    lhs = c * table[interior]
+    return float(np.max(np.abs(rhs[interior] - lhs) / lhs))
+
+
+@pytest.mark.parametrize("which", ["nn4", "diagonal", "wedge"])
+def test_U_and_Uprime_one_step_relations(which, solved, ctx, diag_ctx):
+    # c U(x) = sum_z p_z U(x + z) and c U'(y) = sum_z p_z U'(y - z) for the drifted
+    # law: V's and V''s mean-value equations for the tilted and the reversed law,
+    # multiplied through by c e^(+-h.x), so the stage certificate covers them
+    tabs, _ = solved[which]
+    model = diag_ctx if which == "diagonal" else ctx
+    h, c, mask = model.cramer.h, model.cramer.c, tabs.grid.mask
+    if tabs.U is not None:             # the pipeline's own U and U'
+        U, Uprime = tabs.U, tabs.Uprime
+    else:                              # the wedge tables carry V and V' only
+        dots = np.where(mask, tabs.grid.coords @ h, 0.0)
+        U = np.where(mask, np.exp(dots) * tabs.V, 0.0)
+        Uprime = np.where(mask, np.exp(-dots) * tabs.Vprime, 0.0)
+    assert one_step_mismatch(U, mask, model.law, c, +1) <= 1e-12
+    assert one_step_mismatch(Uprime, mask, model.law, c, -1) <= 1e-12
     assert tabs.convergence_residual <= 1e-12
 
 
