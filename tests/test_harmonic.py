@@ -269,23 +269,48 @@ def one_step_mismatch(table, mask, law, c, sign):
     return float(np.max(np.abs(rhs[interior] - lhs) / lhs))
 
 
-@pytest.mark.parametrize("which", ["nn4", "diagonal", "wedge"])
-def test_U_and_Uprime_one_step_relations(which, solved, ctx, diag_ctx):
-    # c U(x) = sum_z p_z U(x + z) and c U'(y) = sum_z p_z U'(y - z) for the drifted
-    # law: V's and V''s mean-value equations for the tilted and the reversed law,
-    # multiplied through by c e^(+-h.x), so the stage certificate covers them
+def one_step_tables(which, solved, model):
+    """U, U', the box mask and the certificate for one solved case.
+
+    c U(x) = sum_z p_z U(x + z) and c U'(y) = sum_z p_z U'(y - z) for the drifted
+    law: V's and V''s mean-value equations for the tilted and the reversed law,
+    multiplied through by c e^(+-h.x), so the stage certificate covers them.
+    """
     tabs, _ = solved[which]
-    model = diag_ctx if which == "diagonal" else ctx
-    h, c, mask = model.cramer.h, model.cramer.c, tabs.grid.mask
+    mask = tabs.grid.mask
     if tabs.U is not None:             # the pipeline's own U and U'
-        U, Uprime = tabs.U, tabs.Uprime
-    else:                              # the wedge tables carry V and V' only
-        dots = np.where(mask, tabs.grid.coords @ h, 0.0)
-        U = np.where(mask, np.exp(dots) * tabs.V, 0.0)
-        Uprime = np.where(mask, np.exp(-dots) * tabs.Vprime, 0.0)
-    assert one_step_mismatch(U, mask, model.law, c, +1) <= 1e-12
-    assert one_step_mismatch(Uprime, mask, model.law, c, -1) <= 1e-12
-    assert tabs.convergence_residual <= 1e-12
+        return tabs.U, tabs.Uprime, mask, tabs.convergence_residual
+    dots = np.where(mask, tabs.grid.coords @ model.cramer.h, 0.0)   # wedge: V and V' only
+    U = np.where(mask, np.exp(dots) * tabs.V, 0.0)
+    Uprime = np.where(mask, np.exp(-dots) * tabs.Vprime, 0.0)
+    return U, Uprime, mask, tabs.convergence_residual
+
+
+def test_c_harmonicity(solved, ctx, nn4):
+    U, _, mask, residual = one_step_tables("nn4", solved, ctx)
+    assert one_step_mismatch(U, mask, nn4, ctx.cramer.c, +1) <= 1e-12
+    assert residual <= 1e-12
+
+
+def test_qsd_one_step_identity(solved, ctx, nn4):
+    _, Uprime, mask, residual = one_step_tables("nn4", solved, ctx)
+    assert one_step_mismatch(Uprime, mask, nn4, ctx.cramer.c, -1) <= 1e-12
+    assert residual <= 1e-12
+
+
+def test_c_harmonicity_diagonal(solved, diag_ctx, diagonal_law):
+    U, Uprime, mask, residual = one_step_tables("diagonal", solved, diag_ctx)
+    c = diag_ctx.cramer.c
+    assert one_step_mismatch(U, mask, diagonal_law, c, +1) <= 1e-12
+    assert one_step_mismatch(Uprime, mask, diagonal_law, c, -1) <= 1e-12
+    assert residual <= 1e-12
+
+
+def test_one_step_relations_on_a_wedge(solved, ctx):
+    U, Uprime, mask, residual = one_step_tables("wedge", solved, ctx)
+    assert one_step_mismatch(U, mask, ctx.law, ctx.cramer.c, +1) <= 1e-12
+    assert one_step_mismatch(Uprime, mask, ctx.law, ctx.cramer.c, -1) <= 1e-12
+    assert residual <= 1e-12
 
 
 def test_nn4_solve_returns_u_exactly(tables_nn4):
