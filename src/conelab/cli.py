@@ -51,6 +51,9 @@ class RunConfig:
 
 
 def _parse_prob(value, where):
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: probability must be a number or 'p/q' string, "
+                          f"got {value!r}")
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str):
@@ -84,13 +87,16 @@ def _read(convert, value, where):
 
 
 def _int(value):
-    """``int(value)``, refusing a bool or a fraction rather than truncating it."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)``, refusing a bool, a string or a fraction rather than
+    converting or truncating it."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
 def _int_tuple(values):
+    if isinstance(values, str):
+        raise ValueError(f"{values!r} is not a list of integers")
     return tuple(_int(v) for v in values)
 
 

@@ -9,6 +9,10 @@ block results are merged in block order.  Estimates therefore depend on
 count: the blocks run in a forked process pool of min(workers, cores)
 processes, or in the calling process when that is one or the platform cannot
 fork.
+
+Each step of a live path with uniform u is step number #{k < K-1 : u >= cdf_k}:
+the map of a binary search of the cdf clipped to the last step, so estimates
+do not depend on which of the two finds it.
 """
 
 import os
@@ -49,26 +53,38 @@ def _split_samples(n_samples, workers):
 def _simulate_killed(law, cone, x0, n, m, rng):
     """Final positions and alive flags of m killed paths of length n.
 
-    Survivors are kept compacted, one int64 row per coordinate, in their
-    original order, so each step draws the same uniforms for the same paths
-    as a loop over the full (m, d) array would.  A path that dies has its
-    exit position written to ``pos`` and leaves the compacted rows.
+    Survivors are kept compacted, one row per coordinate (int32 unless a path
+    could reach 2^31 in n steps), in their original order, so each step draws
+    the same uniforms for the same paths as a loop over the full (m, d) array
+    would.  A path that dies has its exit position written to ``pos`` and
+    leaves the compacted rows.  The step count, made into buffers allocated
+    once, equals min(searchsorted(cdf, u, side="right"), K - 1) for any
+    non-decreasing cdf, ties from zero probabilities included.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     pos = np.tile(x0, (m, 1))
     alive = np.zeros(m, dtype=bool)
-    p = np.repeat(x0[:, None], m, axis=1)
+    reach = int(np.abs(x0).max()) + n * int(np.abs(law.support).max())
+    dtype = np.int32 if reach < 2 ** 31 else np.int64
+    p = np.repeat(x0[:, None].astype(dtype), m, axis=1)
     live = np.arange(m)
-    cdf = np.cumsum(law.probs)
-    steps = law.support.T.astype(np.int64)
-    last = law.support.shape[0] - 1
+    cuts = np.cumsum(law.probs)[:-1]
+    steps = law.support.T.astype(dtype)
+    u = np.empty(m)
+    idx = np.empty(m, dtype=np.intp)
+    ge = np.empty(m, dtype=bool)
     for _ in range(n):
-        if live.size == 0:
+        k = live.size
+        if k == 0:
             break
-        idx = np.searchsorted(cdf, rng.random(live.size), side="right")
-        idx = np.minimum(idx, last)
+        uk, ik, gk = u[:k], idx[:k], ge[:k]
+        rng.random(out=uk)
+        ik.fill(0)
+        for cut in cuts:
+            np.greater_equal(uk, cut, out=gk)
+            ik += gk
         for row, step in zip(p, steps):
-            row += step.take(idx)
+            row += step.take(ik)
         if cone.kind == "orthant":
             inside = p[0] > 0
             for row in p[1:]:

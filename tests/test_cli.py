@@ -177,6 +177,33 @@ def test_malformed_config_exits_2(tmp_path, capsys, line, bad, named):
     assert "configuration error" in err and named in err
 
 
+@pytest.mark.parametrize("line, edited, named", [
+    ("- {step: [1, 0],  prob: 1/8}", "- {step: [1, 0],  prob: true}",
+     "model.law.steps[0].prob: probability must be a number or 'p/q' string, got True"),
+    ("n_max: 400", 'n_max: "400"', "pipeline.n_max: cannot read '400'"),
+    ("  x0: [5, 5]", '  x0: "55"', "simulate.x0: cannot read '55'"),
+], ids=["prob-bool", "n_max-string", "simulate-x0-string"])
+def test_bool_or_string_in_shipped_config_exits_2(tmp_path, capsys, line, edited, named):
+    # a bool is no probability, and a quoted number is no integer: neither is
+    # read as 1.0, 400 or the start (5, 5)
+    text = (CONFIGS / "nn4.yaml").read_text()
+    assert text.count(line) == 1
+    path = tmp_path / "nn4_edited.yaml"
+    path.write_text(text.replace(line, edited))
+    status = main(["cramer", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_configs_parse(config):
+    parsed = parse_run_config(config)
+    assert parsed.params.n_max == 400
+    assert parsed.simulate["x0"] == (5, 5)
+    assert parsed.law.probs.sum() == 1.0
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     status = main(["cramer", "--config", str(tmp_path / "nope.yaml")])
     assert status == 2

@@ -6,6 +6,7 @@ import pytest
 from conelab import harmonic
 from conelab._lattice import KilledKernel
 from conelab.cramer import solve_cramer_point
+from conelab.dp_oracle import dp_evolve
 from conelab.errors import ConfigError, NumericsError, WindowTooSmallError
 from conelab.harmonic import build_U_tables, build_V_tables, tables_rows, u_eval, u_eval_many
 from conelab.model import ConeSpec, cone_contains
@@ -311,6 +312,21 @@ def test_one_step_relations_on_a_wedge(solved, ctx):
     assert one_step_mismatch(U, mask, ctx.law, ctx.cramer.c, +1) <= 1e-12
     assert one_step_mismatch(Uprime, mask, ctx.law, ctx.cramer.c, -1) <= 1e-12
     assert residual <= 1e-12
+
+
+@pytest.mark.parametrize("model, x0", [("ctx", (1, 1)), ("diag_ctx", (2, 2))],
+                         ids=["nn4", "diagonal"])
+@pytest.mark.parametrize("k", [20, 40])
+def test_h_transform_mass_is_one(request, model, x0, k):
+    # the k-step law of the walk conditioned to stay in the cone,
+    # c^-k q_k(x0, y) U(y) / U(x0), has mass 1 up to k one-step residuals
+    pipeline = request.getfixturevalue(model)
+    tabs = pipeline.harmonic
+    series = dp_evolve(pipeline.law, pipeline.cone, x0, k, rescale_by=pipeline.cramer.c,
+                       retain=[k])
+    U = tabs.grid.place(tabs.U, series.grid.lo, series.grid.shape)
+    mass = float((series.tables[k] * U).sum()) / tabs.U_at(x0)
+    assert abs(mass - 1.0) <= k * tabs.convergence_residual + 1e-12
 
 
 def test_nn4_solve_returns_u_exactly(tables_nn4):

@@ -2,9 +2,12 @@ import concurrent.futures
 import os
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import conelab.simulate as simulate
 from conelab._lattice import KilledKernel
@@ -118,6 +121,55 @@ def test_compacted_loop_matches_reference(nn4, cramer_nn4, cone, x0, tilted):
     assert 0 < alive.sum() < alive.size
     assert np.array_equal(pos, ref_pos)
     assert np.array_equal(alive, ref_alive)
+
+
+@st.composite
+def killed_walk_cases(draw):
+    """3-8 steps in [-2, 2]^d (d = 2 or 3) whose weights may be zero and whose
+    probabilities may sum to 0.9, an orthant or half-space cone, a start in it
+    and a seed.  The law is a bare (support, probs) pair: ``StepLaw`` refuses
+    a zero probability and a sum below 1."""
+    d = draw(st.sampled_from([2, 3]))
+    entry = st.integers(-2, 2)
+    steps = draw(st.lists(st.tuples(*[entry] * d), min_size=3, max_size=8, unique=True))
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=len(steps),
+                                     max_size=len(steps))), dtype=float)
+    assume(weights.sum() > 0)
+    total = draw(st.sampled_from([1.0, 0.9]))
+    law = SimpleNamespace(support=np.array(steps), probs=total * weights / weights.sum())
+    a = draw(st.integers(1, 8))
+    cone, x0 = draw(st.sampled_from([
+        (ConeSpec.orthant(d), (a,) * d),
+        (ConeSpec.halfspace(np.array([1.0, -2.0, 0.5])[:d]), (a + 2,) + (1,) * (d - 1)),
+    ]))
+    return law, cone, x0, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_matches_reference(law, cone, x0, n, m, seed):
+    pos, alive = _simulate_killed(law, cone, x0, n, m, _worker_rng(seed, 0))
+    ref_pos, ref_alive = _reference_simulate_killed(law, cone, x0, n, m,
+                                                    _worker_rng(seed, 0))
+    assert np.array_equal(pos, ref_pos)
+    assert np.array_equal(alive, ref_alive)
+    return pos
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(killed_walk_cases())
+def test_cut_point_count_matches_searchsorted_reference(case):
+    # counting cut points picks the step the binary search picks, also across
+    # ties from zero-probability steps and a cdf that ends below 1
+    law, cone, x0, seed = case
+    assert_matches_reference(law, cone, x0, 30, 2_000, seed)
+
+
+def test_far_start_takes_int64_rows():
+    # from 2^31 - 10, twenty steps of up to +2 pass int32's range
+    law = SimpleNamespace(support=np.array([[2, 0], [-1, 1], [0, -1]]),
+                          probs=np.array([0.5, 0.25, 0.25]))
+    pos = assert_matches_reference(law, ConeSpec.orthant(2), (2**31 - 10, 5), 20,
+                                   2_000, 8)
+    assert pos[:, 0].max() >= 2**31
 
 
 # (value, std_error) of both estimators at x0 (2, 2), n = 30, seed 42,
