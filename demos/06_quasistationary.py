@@ -1,7 +1,8 @@
 """Quasistationarity: the killed walk's long-run conditional profile.
 
 Three independently computed objects meet here: the Perron pair of the
-truncated killed kernel (one shift-invert solve on the tilted kernel), the
+truncated killed kernel (inverse iteration at shift 1 on the tilted kernel,
+factored once by block elimination over slabs of the window), the
 normalized table kappa * U' (harmonic construction), and the DP conditional
 law at large n.  The first two agree to sub-percent total variation and the
 eigenvalue matches the survival rate c.  The DP conditional is the

@@ -21,6 +21,7 @@ shapes (``WindowGrid.place``).
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +71,25 @@ class WindowGrid:
         out = np.zeros(shape)
         shift_add(out, np.where(self.mask, table, 0.0), self.lo - np.asarray(lo), 1.0)
         return out
+
+
+class Csr(NamedTuple):
+    """A sparse matrix as compressed sparse rows: row i has the entries
+    ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices[...]``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def rows(self):
+        """Row index of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def rmatvec(self, v):
+        """v @ A: a measure on the rows pushed to the columns."""
+        return np.bincount(self.indices, weights=self.data * v[self.rows()],
+                           minlength=self.shape[1])
 
 
 def make_grid(cone, L, law, M=None):
@@ -207,20 +227,21 @@ class KilledKernel:
         return np.ravel(a)[self.states[:, None] + self._k[None, :]]
 
     def matrix(self):
-        """Sparse substochastic kernel P(x -> x+z) on the masked states (CSR)."""
-        from scipy import sparse  # local import: only ``qsd`` loads scipy.sparse
-        grid = self.grid
-        n = grid.n_states
-        sidx = np.full(grid.mask.size, -1, dtype=np.int64)     # -1 off the mask
+        """Substochastic kernel P(x -> x+z) on the masked states, as compressed rows.
+
+        Row i holds the steps from window point i that stay on the mask, its
+        columns ascending (the order of the flat offsets k).
+        """
+        n = self.grid.n_states
+        sidx = np.full(self.grid.mask.size, -1, dtype=np.int32)   # -1 off the mask
         sidx[self.states] = np.arange(n)
-        cols = sidx[self.states[:, None] + self._k[None, :]]
+        by_k = np.argsort(self._k)
+        cols = sidx[self.states[:, None] + self._k[by_k]]
         ok = cols >= 0
-        rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
-        vals = np.broadcast_to(self.law.probs[None, :], cols.shape)
-        # COO entries step by step, rows in C order within each: this fixes the
-        # column order inside each CSR row
-        return sparse.coo_matrix((vals.T[ok.T], (rows.T[ok.T], cols.T[ok.T])),
-                                 shape=(n, n)).tocsr()
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(ok.sum(axis=1), out=indptr[1:])
+        data = np.broadcast_to(self.law.probs[by_k], cols.shape)[ok]
+        return Csr(data, cols[ok], indptr, (n, n))
 
     @cached_property
     def leak(self):

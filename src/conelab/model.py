@@ -3,7 +3,7 @@ model's standing assumptions."""
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -192,14 +192,21 @@ def lattice_structure(law):
 
 
 def _lattice_index(rows, d):
-    """[Z^d : lattice generated by the integer rows], or 0 if they do not span.
+    """[Z^d : lattice generated by the integer rows], or 0 if they do not span."""
+    basis = _lattice_basis(rows, d)
+    return 0 if basis is None else prod(b[i] for i, b in enumerate(basis))
+
+
+def _lattice_basis(rows, d):
+    """Triangular basis of the lattice the integer rows generate, or None if they
+    do not span: row i is zero before column i and has a positive pivot there.
 
     Euclid's algorithm down each column (unimodular row operations, which
-    keep the gcd of the d x d minors) leaves one pivot per column; the index
-    is the product of the pivots, the diagonal of the Hermite normal form.
+    keep the gcd of the d x d minors) leaves one pivot per column; the pivots
+    are the diagonal of the Hermite normal form, and their product is the index.
     """
     rows = [list(r) for r in rows]
-    index = 1
+    basis = []
     for col in range(d):
         live = [r for r in rows if r[col]]
         while len(live) > 1:
@@ -210,10 +217,29 @@ def _lattice_index(rows, d):
                     r[:] = [a - q * b for a, b in zip(r, pivot)]
             live = [r for r in live if r[col]]
         if not live:
-            return 0
-        index *= abs(live[0][col])
+            return None
+        basis.append([a if live[0][col] > 0 else -a for a in live[0]])
         rows = [r for r in rows if r is not live[0]]
-    return index
+    return basis
+
+
+def lattice_classes(support, points):
+    """Label each integer point by its coset of the group the steps generate.
+
+    Steps never leave a coset, so the cosets are the closed lattice classes of
+    any killed walk.  Reducing a point by the triangular basis column by column
+    leaves the canonical residue r with 0 <= r_i < pivot_i, computed in exact
+    integer arithmetic; labels number the residues present 0, 1, ... in sorted order.
+    Returns ``(labels, index)`` with ``index`` the number of cosets in Z^d.
+    """
+    basis = np.array(_lattice_basis(np.asarray(support).tolist(), points.shape[1]),
+                     dtype=np.int64)
+    residue = np.array(points, dtype=np.int64)
+    code = np.zeros(len(residue), dtype=np.int64)
+    for i, b in enumerate(basis):
+        residue -= (residue[:, i] // b[i])[:, None] * b
+        code = code * b[i] + residue[:, i]
+    return np.unique(code, return_inverse=True)[1], int(np.prod(np.diag(basis)))
 
 
 def span_obstruction(law):

@@ -59,6 +59,15 @@ def diag_ctx(diagonal_law, quadrant):
     return PipelineContext(diagonal_law, quadrant, params)
 
 
+def scipy_csr(matrix):
+    """``KilledKernel.matrix()``'s compressed rows as a ``scipy.sparse.csr_matrix``
+    over the same arrays: the package runs on numpy alone, and scipy's sparse API
+    serves the tests as an oracle."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 def hull_spans(steps):
     """Whether the steps positively span R^d (d >= 2), by an oracle independent of
     ``span_obstruction``: the origin must lie strictly inside their convex hull."""

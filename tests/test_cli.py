@@ -388,8 +388,8 @@ ARTIFACT_SHA256 = {
     "dp.csv": "c9dd1429e12f036d983b67bafa1fe85700ad7f14604f96039dbc8bb3595bcfc8",
     "dp_fit.json": "18a6ca45aa6274a84fe3606c95e87f49bdbee37cb85cc76b94e7b47c46fdcced",
     "harmonic.csv": "d6da9283d73bbdbd8cd46a9e3c810ce7a5654ba8aa3a047b0a818d4e7465e221",
-    "qsd.csv": "b05582db1faa96597299ccbed6c1a17ad102b586833d3e2fe39e26d26f7fa622",
-    "qsd_summary.json": "8921a40ca0ff18b089e2a224f0363b546c79c988f5dd4258398ea2b6464318e3",
+    "qsd.csv": "0333061e952691620bb8571c20c3503156441b38909d1e2afc7b162fb2bb3308",
+    "qsd_summary.json": "b3c0c170fe701d029d156b70ed7943f78f5e92f962254b1023c23e0529357b96",
     "simulate.jsonl": "4aa1dd940b3da27c07c6c99019645a02ed8abdeb47d66fd02c755dc3a2790f56",
     "verify.jsonl": "9750696f710a1ff62ef082b435c5abff3e15d7ebb22c30e152b54e2f3b4cf8de",
     "verify_summary.csv": "d43ead736ccf6f99aae9a8738f5ef86f6ff2293ff2d3e2b44f15033f9c64fa9f",
@@ -563,7 +563,8 @@ def test_exit_law_without_exit_mass_is_a_failing_row(tmp_path):
 def test_qsd_warnings_go_to_stderr(tmp_path, capsys):
     path = diagonal_config(tmp_path, "qsd_window: 60", "qsd_window: 20")
     assert main(["qsd", "--config", str(path), "--out", str(tmp_path)]) == 0
-    assert "warning: kernel has 2 strongly connected components" in capsys.readouterr().err
+    assert ("warning: the steps generate a sublattice of index 2: the window holds 2 lattice "
+            "classes") in capsys.readouterr().err
 
 
 def law_yaml(steps, probs, cone="{kind: orthant, dim: 2}", pipeline=""):

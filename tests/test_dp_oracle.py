@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import scipy_csr
 from hypothesis import assume, given, settings
 from test_lattice import padded_box_cases
 
@@ -81,7 +82,7 @@ def test_rescaled_series_stays_in_range(ctx):
 def test_dp_matches_kernel_power(nn4, quadrant):
     # independent oracle: sparse-kernel matrix power on the same window
     series = dp_evolve(nn4, quadrant, [2, 2], 6, rescale_by=1.0, L=12, retain=[6])
-    kernel = KilledKernel(series.grid, nn4).matrix()
+    kernel = scipy_csr(KilledKernel(series.grid, nn4).matrix())
     vec = np.zeros(series.grid.n_states)
     vec[series.grid.points().tolist().index([2, 2])] = 1.0
     for _ in range(6):

@@ -1,4 +1,4 @@
-"""Only ``qsd``, which solves a sparse system, loads scipy's submodules.
+"""No command loads scipy's submodules: the package runs on numpy alone.
 
 Each check runs in a fresh interpreter, since the test session itself has
 imported scipy long before.
@@ -49,12 +49,12 @@ def _fresh(code):
     return done.stdout
 
 
-SCIPY_FREE = (["cramer"], ["whiten"], ["dp"], ["simulate"], ["harmonic"], ["zchain"],
-              *(["verify", selector] for selector in SELECTORS), ["verify", "all"])
+SCIPY_FREE = (["cramer"], ["whiten"], ["dp"], ["simulate"], ["harmonic"], ["qsd"],
+              ["zchain"], *(["verify", selector] for selector in SELECTORS),
+              ["verify", "all"])
 
 
 def test_scipy_free_commands_stay_scipy_free(tmp_path):
-    # qsd runs last: it is the one command that solves a sparse system
     config = tmp_path / "nn4.yaml"
     config.write_text(SMALL_NN4_YAML)
     out = _fresh(f"""
@@ -65,7 +65,7 @@ def test_scipy_free_commands_stay_scipy_free(tmp_path):
             return sorted(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules)
 
         print("import", loaded())
-        for argv in {[*SCIPY_FREE, ["qsd"]]!r}:
+        for argv in {SCIPY_FREE!r}:
             try:
                 with contextlib.redirect_stdout(io.StringIO()):
                     status = main([*argv, "--config", {str(config)!r},
@@ -76,13 +76,12 @@ def test_scipy_free_commands_stay_scipy_free(tmp_path):
     """)
     lines = out.strip().splitlines()
     assert lines[0] == "import []"
-    for argv, line in zip(SCIPY_FREE, lines[1:-1]):
+    for argv, line in zip(SCIPY_FREE, lines[1:]):
         assert line.startswith(" ".join(argv) + " ")
         assert line.endswith(" []"), line
         # verify may exit 1 (the period-2 rows fail); every other command exits 0
         assert line.split()[-2] in (("0", "1") if argv[0] == "verify" else ("0",)), line
-    assert len(lines) == len(SCIPY_FREE) + 2
-    assert lines[-1] == "qsd 0 ['scipy.linalg', 'scipy.sparse']"
+    assert len(lines) == len(SCIPY_FREE) + 1
 
 
 def test_manifest_keeps_scipy_version(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import scipy_csr
 
 from conelab._lattice import KilledKernel, make_grid, shift_add
 from conelab.model import ConeSpec, StepLaw, cone_contains
@@ -109,8 +110,33 @@ def test_matrix_matches_forward(kernel):
     mu = np.where(grid.mask, rng.random(grid.shape), 0.0)
     direct = kernel.forward(mu)
     via_kernel = np.zeros(grid.shape)
-    via_kernel[grid.mask] = kernel.matrix().T @ mu[grid.mask]
+    via_kernel[grid.mask] = scipy_csr(kernel.matrix()).T @ mu[grid.mask]
     assert np.max(np.abs(direct - via_kernel)) < 1e-14
+
+
+@pytest.mark.parametrize("walk, cone", [
+    ("nn4", ConeSpec.orthant(2)), ("diagonal_law", ConeSpec.orthant(2)),
+    ("nn4", ConeSpec.wedge2d(0.75 * np.pi, 0.3)), ("octant_law", ConeSpec.orthant(3)),
+], ids=["nn4", "diagonal", "nn4-wedge", "octant"])
+def test_matrix_equals_scipy_csr_of_pointwise_entries(request, walk, cone):
+    # entry for entry, dtypes included, the arrays scipy's coo -> csr conversion
+    # makes of the kernel's entries enumerated point by point and step by step
+    from scipy.sparse import coo_matrix
+
+    law = request.getfixturevalue(walk)
+    grid = make_grid(cone, 6, law)
+    pts = grid.points()
+    index = {tuple(x): i for i, x in enumerate(pts.tolist())}
+    entries = [(i, index[tuple(x + z)], p) for z, p in zip(law.support, law.probs)
+               for i, x in enumerate(pts) if tuple(x + z) in index]
+    rows, cols, vals = map(np.array, zip(*entries))
+    n = grid.n_states
+    expected = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    got = KilledKernel(grid, law).matrix()
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_leak_and_interior_match_pointwise_rule(kernel, case):
@@ -299,3 +325,20 @@ def test_one_stencil_in_src():
         assert "leak == 0" not in text, path.name
         assert "np.meshgrid" not in text and "np.indices" not in text, path.name
         assert list(_box_cone_passes(ast.parse(text))) == [], path.name
+
+
+def _scipy_imports(tree):
+    """Every import of a scipy name other than the bare package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.startswith("scipy."))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            yield from (f"{node.module}.{a.name}" for a in node.names)
+
+
+def test_no_scipy_submodule_in_src():
+    # the package runs on numpy alone; the CLI's bare ``import scipy`` only
+    # records the version in the manifest
+    for path in sorted(SRC.glob("*.py")):
+        assert list(_scipy_imports(ast.parse(path.read_text()))) == [], path.name
+

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conelab.errors import ConfigError
 from conelab.model import (ConeSpec, StepLaw, build_model, check_acute_cone_condition,
-                           cone_contains, cone_geometry, lattice_structure,
-                           span_obstruction)
+                           cone_contains, cone_geometry, lattice_classes,
+                           lattice_structure, span_obstruction)
 
 
 def test_drift_and_aperiodicity(nn4, quadrant):
@@ -125,6 +125,24 @@ def noncollinear_supports(draw):
 @given(noncollinear_supports())
 def test_lattice_structure_matches_finite_quotient_oracle(support):
     assert lattice_structure(_uniform(support)) == _oracle(support)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(noncollinear_supports(), st.data())
+def test_lattice_classes_match_finite_quotient_oracle(support, data):
+    # two points share a label exactly when their difference lies in the group
+    # the steps generate, read off in Z^d / N Z^d, which N Z^d lies inside
+    d = support.shape[1]
+    points = np.array(data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d),
+                                         min_size=2, max_size=12)))
+    labels, index = lattice_classes(support, points)
+    N = _modulus(support)
+    group = _subgroup(support, N)
+    for i, j in itertools.combinations(range(len(points)), 2):
+        same = tuple(int(v) % N for v in points[i] - points[j]) in group
+        assert (labels[i] == labels[j]) == same
+    assert sorted(set(labels.tolist())) == list(range(labels.max() + 1))
+    assert index == lattice_structure(_uniform(support))[0]
 
 
 @pytest.mark.parametrize("support, u", [

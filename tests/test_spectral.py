@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from conftest import scipy_csr
+from hypothesis import assume, given, settings
+from test_lattice import padded_box_cases
 
+from conelab._lattice import KilledKernel, make_grid
 from conelab.cramer import solve_cramer_point
 from conelab.errors import ConfigError
-from conelab.model import ConeSpec, StepLaw
+from conelab.model import ConeSpec, StepLaw, lattice_classes, span_obstruction
 from conelab.spectral import (mu_as_table, qsd_for_model, qsd_power_iteration,
                               truncated_kernel, tv_distance_tables)
 
@@ -12,6 +16,7 @@ ROOT3 = np.sqrt(3.0)
 
 def test_small_window_row(nn4, quadrant):
     kernel, grid = truncated_kernel(nn4, quadrant, 4)
+    kernel = scipy_csr(kernel)
     i = grid.points().tolist().index([1, 1])
     row = kernel[i].toarray().ravel()
     entries = {tuple(grid.points()[j]): v for j, v in enumerate(row) if v != 0.0}
@@ -21,7 +26,7 @@ def test_small_window_row(nn4, quadrant):
 
 def test_row_sums_substochastic(nn4, quadrant):
     kernel, _ = truncated_kernel(nn4, quadrant, 12)
-    sums = np.asarray(kernel.sum(axis=1)).ravel()
+    sums = np.asarray(scipy_csr(kernel).sum(axis=1)).ravel()
     assert np.all(sums <= 1.0 + 1e-15)
     assert np.all(sums >= 0.0)
 
@@ -30,12 +35,20 @@ def test_empty_row_when_all_successors_killed(quadrant):
     law = StepLaw(support=np.array([[-2, 0], [0, -2]]), probs=np.array([0.5, 0.5]))
     kernel, grid = truncated_kernel(law, quadrant, 8)
     i = grid.points().tolist().index([2, 2])
-    assert kernel[i].nnz == 0
+    assert scipy_csr(kernel)[i].nnz == 0
 
 
 def test_window_size_validated(nn4, quadrant):
     with pytest.raises(ConfigError):
         truncated_kernel(nn4, quadrant, 3)
+
+
+def test_slab_inverse_budget_is_a_config_error(octant_law):
+    # d = 3 slab inverses grow as L^5: the octant window at L = 50 would need
+    # 2.3 GiB, refused before anything is factored
+    cramer = solve_cramer_point(octant_law)
+    with pytest.raises(ConfigError, match=r"L = 50 needs 2\.3 GiB of slab inverses"):
+        qsd_for_model(octant_law, cramer, ConeSpec.orthant(3), 50)
 
 
 def test_eigenvalue_monotone_and_close_to_c(ctx):
@@ -69,7 +82,9 @@ def test_disconnected_kernel_warns(diagonal_law, quadrant, diag_ctx):
     # diagonal steps keep x1 + x2 mod 2: the window holds two closed classes
     kernel, grid = truncated_kernel(diagonal_law, quadrant, 20)
     result = qsd_power_iteration(kernel, grid, diag_ctx.cramer, 20)
-    assert len(result.warnings) == 1 and "2 strongly connected" in result.warnings[0]
+    assert len(result.warnings) == 1
+    assert result.warnings[0].startswith(
+        "the steps generate a sublattice of index 2: the window holds 2 lattice classes")
     named = [int(v) for v in result.warnings[0].split("[")[-1].rstrip("]").split(",")]
     parity = grid.points().sum(axis=1) % 2
     assert result.mu[parity != sum(named) % 2].sum() <= 1e-8
@@ -77,6 +92,7 @@ def test_disconnected_kernel_warns(diagonal_law, quadrant, diag_ctx):
 
 @pytest.mark.parametrize("walk, L", [
     pytest.param("nn4", 20, id="20"), pytest.param("nn4", 60, id="60"),
+    pytest.param("nn4", 120, id="120"),
     pytest.param("octant_law", 8, id="octant-8"),
     pytest.param("octant_law", 12, id="octant-12"),
 ])
@@ -95,13 +111,41 @@ def test_nn4_qsd_matches_closed_form(request, walk, L):
 
 
 def test_diagonal_qsd_sweep(diagonal_law, quadrant, diag_ctx):
-    # at L = 80 the raw solve leaves entries near -4e-10 on the other class
+    # each window's QSD lies on one parity class, with no mass at all on the
+    # other; which class has the larger root depends on L
     lams = []
-    for L in (20, 30, 40, 60, 80):
+    for L, odd in ((20, 1), (30, 1), (40, 1), (60, 1), (61, 0), (80, 1)):
         result = qsd_for_model(diagonal_law, diag_ctx.cramer, quadrant, L)
         assert result.converged and result.residual <= 1e-12
         assert np.all(result.mu >= 0.0)
         assert result.mu.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(result.mu[result.grid.points().sum(axis=1) % 2 != odd] == 0.0)
         lams.append(result.lambda_)
     assert lams[-1] < diag_ctx.cramer.c
     assert all(a <= b for a, b in zip(lams, lams[1:]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(padded_box_cases())
+def test_random_law_qsd_matches_dense_eig(case):
+    # over small positively spanning laws, on orthants, a tilted wedge and
+    # half-spaces, the QSD is the dense kernel's left Perron vector, it lies
+    # on one lattice class only, and that class holds the largest root
+    law, cone, _, L = case
+    assume(span_obstruction(law) is None and np.linalg.norm(law.mean()) > 1e-9)
+    grid = make_grid(cone, L, law)
+    assume(20 <= grid.n_states <= 400)
+    kernel = KilledKernel(grid, law).matrix()
+    roots, vectors = np.linalg.eig(scipy_csr(kernel).toarray().T)
+    k = np.argmax(roots.real)
+    lam = roots[k].real
+    assume(lam > 1e-3 and np.sum(np.abs(roots - lam) <= 1e-9 * lam) == 1)
+    oracle = np.abs(vectors[:, k].real)
+    oracle /= oracle.sum()
+    result = qsd_power_iteration(kernel, grid, solve_cramer_point(law), L)
+    assert abs(result.lambda_ - lam) <= 1e-12 * lam
+    assert 0.5 * np.abs(result.mu - oracle).sum() <= 1e-10
+    labels, _ = lattice_classes(law.support, grid.points())
+    chosen = labels == labels[np.argmax(result.mu)]
+    assert np.all(result.mu[~chosen] == 0.0)
+    assert chosen[np.argmax(oracle)]
