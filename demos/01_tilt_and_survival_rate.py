@@ -51,4 +51,4 @@ print("=" * 70)
 print("killed transition masses satisfy q_n(x, y) = c^n e^(h.(x-y)) d_n(x, y),")
 print("an algebraic identity between the drifted and tilted evolutions:")
 err = check_tilt_identity(law, cd, cone, [1, 1], n_max=20)
-print(f"max absolute defect over n <= 20: {err:.3e}  (floating-point noise)")
+print(f"max relative defect over n <= 20: {err:.3e}  (floating-point noise)")

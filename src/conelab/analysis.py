@@ -13,10 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lattice import KilledKernel
 from .cramer import solve_cramer_point
 from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
-                        exit_time_pmf_rescaled, hazard_ratio, survival_scan)
+                        exit_profile, exit_time_pmf_rescaled, hazard_ratio, survival_scan)
 from .errors import ConfigError, NumericsError, StructuralZeroError, WindowTooSmallError
 from .harmonic import build_U_tables, build_V_tables
 from .model import build_model, check_acute_cone_condition
@@ -337,7 +336,7 @@ def _check_exit_law(ctx):
     prm = ctx.params
     notes = [n for n in [ctx.parity_note()] if n]
     try:
-        measured_law, outside = exit_position_law(ctx.series, prm.n_hi)
+        measured_law, _ = exit_position_law(ctx.series, prm.n_hi)
     except StructuralZeroError:
         notes.append(_structural_note(ctx, f"no path leaves the cone at n = {prm.n_hi}"))
         return [_report("exit_law.tv", 0.0, 1.0, TOL_TV_DP, relative=False,
@@ -345,11 +344,7 @@ def _check_exit_law(ctx):
     grid = ctx.series.grid
     tabs = ctx.harmonic
     uprime = np.where(grid.mask, tabs.grid.place(tabs.Uprime, grid.lo, grid.shape), 0.0)
-    profile = np.where(outside, KilledKernel(grid, ctx.law).push(uprime), 0.0)
-    total = profile.sum()
-    if total <= 0.0:
-        raise ConfigError("exit profile has no mass on the window")
-    profile /= total
+    profile, _ = exit_profile(grid, ctx.law, uprime, "kappa U'")
     tv = 0.5 * float(np.abs(measured_law - profile).sum())
     return [_report("exit_law.tv", 0.0, tv, TOL_TV_DP, relative=False, notes=notes)]
 
@@ -385,12 +380,13 @@ def _check_exp_moment(ctx):
     prm = ctx.params
     n_hi = prm.n_hi
     series = ctx.series
-    terms = series.survival[:-1] / series.rescale_by - series.survival[1:]
+    n = np.arange(1, series.n_max + 1)
     # at delta = -ln(c) the rescaled exit terms are the summand itself
+    terms = exit_time_pmf_rescaled(series, n)
     block1 = terms[n_hi // 4: n_hi // 2].sum()
     block2 = terms[n_hi // 2: n_hi].sum()
     conv_ratio = block2 / block1
-    grow = np.exp(0.05 * np.arange(1, prm.n_max + 1))
+    grow = np.exp(0.05 * n)
     gblock1 = (terms * grow)[n_hi // 4: n_hi // 2].sum()
     gblock2 = (terms * grow)[n_hi // 2: n_hi].sum()
     div_ratio = gblock2 / gblock1

@@ -20,7 +20,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -240,8 +239,7 @@ def _manifest(config, command, run_id, files):
         "seed": config.params.seed,
         "workers": config.params.workers,
         "artifacts": sorted(files),
-        "versions": {"conelab": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"conelab": __version__, "numpy": np.__version__},
     }
 
 

@@ -112,8 +112,8 @@ def _evolve(kernel, L, x0, n_max, rescale_by, retain):
 # statistics on a finished series
 
 def exit_time_pmf_rescaled(series, n):
-    """P(tau = n) / rescale_by^n."""
-    if n < 1 or n > series.n_max:
+    """P(tau = n) / rescale_by^n, for one time n or an array of times."""
+    if np.min(n) < 1 or np.max(n) > series.n_max:
         raise ConfigError(f"exit time {n} outside the computed horizon")
     return series.survival[n - 1] / series.rescale_by - series.survival[n]
 
@@ -131,22 +131,25 @@ def conditional_law(series, n):
     return q / q.sum()
 
 
-def exit_position_law(series, n):
-    """Normalized law of the exit position at tau = n (needs the table at n - 1).
+def exit_profile(grid, law, table, name):
+    """Normalized law of the exit position one step on from ``table``, and the mask.
 
-    One more step is applied to the retained measure at n - 1 and the mass
-    landing outside the open cone is collected, per landing point.
+    One more step is applied to ``table`` and the mass landing outside the
+    open cone is collected, per landing point; ``name`` names the table.
     """
-    if n - 1 not in series.tables:
-        raise ConfigError(f"exit law at {n} needs the table retained at {n - 1}")
-    grid = series.grid
-    full = KilledKernel(grid, series.law).push(series.tables[n - 1])
     outside = ~grid.in_cone
-    exit_mass = np.where(outside, full, 0.0)
+    exit_mass = np.where(outside, KilledKernel(grid, law).push(table), 0.0)
     total = exit_mass.sum()
     if total <= 0.0:
-        raise StructuralZeroError(f"no exit mass at n = {n}")
+        raise StructuralZeroError(f"no exit mass from {name}")
     return exit_mass / total, outside
+
+
+def exit_position_law(series, n):
+    """Normalized law of the exit position at tau = n (needs the table at n - 1)."""
+    if n - 1 not in series.tables:
+        raise ConfigError(f"exit law at {n} needs the table retained at {n - 1}")
+    return exit_profile(series.grid, series.law, series.tables[n - 1], f"q_{n - 1}")
 
 
 def bridge_value(series, n, t, A, z):
@@ -174,12 +177,13 @@ def bridge_value(series, n, t, A, z):
 
 
 def check_tilt_identity(law, cramer, cone, x0, n_max=20):
-    """Max absolute defect of q_n(x0, y) = c^n e^(h.(x0-y)) d_n(x0, y), n <= n_max.
+    """Max relative defect of q_n(x0, y) = c^n e^(h.(x0-y)) d_n(x0, y), n <= n_max.
 
     The drifted walk evolved under the original law and the driftless walk
     evolved under the tilted law are compared cell by cell; the identity is
-    algebraic, so the defect is pure floating-point noise.  The window is
-    sized to hold every reachable point, so nothing is truncated, and the
+    algebraic, so the defect, each n's largest cell defect over its largest
+    |q_n| (0 for an all-zero table), is floating-point noise on every law.
+    The window holds every reachable point, so nothing is truncated, and the
     DP leak monitor checks exactly that.
     """
     if n_max > 40:
@@ -192,8 +196,9 @@ def check_tilt_identity(law, cramer, cone, x0, n_max=20):
     grid = drifted.grid
     weight = np.exp((x0 @ cramer.h) - grid.coords.reshape(-1, grid.dim) @ cramer.h) \
         .reshape(grid.shape)
-    return max(float(np.max(np.abs(drifted.tables[n] - weight * driftless.tables[n])))
-               for n in steps)
+    q, d = drifted.tables, driftless.tables
+    return max((float(np.max(np.abs(q[n] - weight * d[n])) / np.max(np.abs(q[n])))
+                for n in steps if q[n].any()), default=0.0)
 
 
 def survival_scan(law, cone, starts, n_max):

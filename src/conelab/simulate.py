@@ -234,7 +234,6 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     paths = np.empty((m, n_steps + 1, law.dim), dtype=np.int64)
     paths[:, 0] = pos
     row_min, row_max = np.inf, -np.inf
-    last = support.shape[0] - 1
     for t in range(1, n_steps + 1):
         at = tuple((pos - grid.lo).T)
         row_sums = row_sum[at]
@@ -245,8 +244,8 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
         # freeze paths whose row lost more than truncation noise allows
         frozen |= row_sums <= 0.5
         u = rng.random(m)
-        choice = (u[:, None] > cdf[at]).sum(axis=1)
-        pos = pos + np.where(frozen[:, None], 0, support[np.minimum(choice, last)])
+        choice = (u[:, None] >= cdf[at][:, :-1]).sum(axis=1)
+        pos = pos + np.where(frozen[:, None], 0, support[choice])
         paths[:, t] = pos
     return ZChainRun(
         paths=paths, row_sum_min=float(row_min), row_sum_max=float(row_max),

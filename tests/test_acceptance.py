@@ -79,7 +79,7 @@ def test_criterion_03_tilt_identity(nn4, quadrant, cramer_nn4):
     t0 = time.perf_counter()
     err = check_tilt_identity(nn4, cramer_nn4, quadrant, [1, 1], n_max=20)
     elapsed = time.perf_counter() - t0
-    ok = _line(3, f"tilt identity: max abs defect {err:.2e} in {elapsed:.2f}s",
+    ok = _line(3, f"tilt identity: max relative defect {err:.2e} in {elapsed:.2f}s",
                err <= 1e-12 and elapsed < 1.0)
     assert ok
 

@@ -401,9 +401,10 @@ ARTIFACT_SHA256 = {
 def test_artifacts_match_recorded_digests(config_path, tmp_path, capsys):
     """Every artifact of the eight commands on NN4_YAML has its recorded sha256.
 
-    The digests were taken with numpy 2.4.6 and scipy 1.17.1; other versions may
-    round differently.  A change that moves artifact bytes on purpose updates
-    the digests here and says which bytes moved, and why, in CHANGES.md.
+    The digests were taken with numpy 2.4.6, the only library they depend on;
+    other numpy versions may round differently.  A change that moves artifact
+    bytes on purpose updates the digests here and says which bytes moved, and
+    why, in CHANGES.md.
     """
     out = tmp_path / "out"
     for command in ("cramer", "whiten", "harmonic", "dp", "qsd", "zchain", "simulate",

@@ -1,4 +1,4 @@
-"""No command loads scipy's submodules: the package runs on numpy alone.
+"""No command loads scipy: the package runs on numpy alone.
 
 Each check runs in a fresh interpreter, since the test session itself has
 imported scipy long before.
@@ -11,7 +11,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-import scipy
+import numpy as np
 
 import conelab
 from conelab.analysis import SELECTORS
@@ -62,7 +62,7 @@ def test_scipy_free_commands_stay_scipy_free(tmp_path):
         from conelab.cli import main
 
         def loaded():
-            return sorted(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules)
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
         print("import", loaded())
         for argv in {SCIPY_FREE!r}:
@@ -84,9 +84,10 @@ def test_scipy_free_commands_stay_scipy_free(tmp_path):
     assert len(lines) == len(SCIPY_FREE) + 1
 
 
-def test_manifest_keeps_scipy_version(tmp_path):
+def test_manifest_versions_name_conelab_and_numpy(tmp_path):
     config = tmp_path / "nn4.yaml"
     config.write_text(SMALL_NN4_YAML)
     assert main(["dp", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     (manifest,) = (tmp_path / "out").glob("manifest_dp_*.json")
-    assert json.loads(manifest.read_text())["versions"]["scipy"] == scipy.__version__
+    versions = json.loads(manifest.read_text())["versions"]
+    assert versions == {"conelab": conelab.__version__, "numpy": np.__version__}

@@ -300,11 +300,12 @@ def _box_cone_passes(tree):
             yield fn.name
 
 
-def _shift_add_callers(tree):
-    """Functions that call ``shift_add``."""
+def _callers(tree, name):
+    """Functions that call ``name``, as a bare function or as a method."""
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef) and any(
-                isinstance(n, ast.Call) and getattr(n.func, "id", None) == "shift_add"
+                isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                     getattr(n.func, "attr", None))
                 for n in ast.walk(fn)):
             yield fn.name
 
@@ -313,32 +314,37 @@ def test_one_stencil_in_src():
     # every killed-walk step goes through KilledKernel's flat offsets, and the
     # window's cone membership and lattice points are computed once, by
     # make_grid; the per-axis shift_add only maps a table between two boxes
-    # (WindowGrid.place).  A second hand-written stencil, interior rule,
-    # box-wide cone pass or point mesh anywhere in the package fails here
+    # (WindowGrid.place), and one push-and-collect (dp_oracle.exit_profile)
+    # serves every exit law.  A second hand-written stencil, interior rule,
+    # exit push, box-wide cone pass or point mesh anywhere in the package
+    # fails here
     lattice = ast.parse((SRC / "_lattice.py").read_text())
-    assert list(_shift_add_callers(lattice)) == ["place"]
+    assert list(_callers(lattice, "shift_add")) == ["place"]
+    pushers = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_lattice.py":
             continue
         text = path.read_text()
+        tree = ast.parse(text)
+        pushers += [f"{path.stem}.{fn}" for fn in _callers(tree, "push")]
         assert "shift_add(" not in text, path.name
         assert "leak == 0" not in text, path.name
         assert "np.meshgrid" not in text and "np.indices" not in text, path.name
-        assert list(_box_cone_passes(ast.parse(text))) == [], path.name
+        assert list(_box_cone_passes(tree)) == [], path.name
+    assert pushers == ["dp_oracle.exit_profile"]
 
 
 def _scipy_imports(tree):
-    """Every import of a scipy name other than the bare package."""
+    """Every import of scipy or of a scipy name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            yield from (a.name for a in node.names if a.name.startswith("scipy."))
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "scipy")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
             yield from (f"{node.module}.{a.name}" for a in node.names)
 
 
 def test_no_scipy_submodule_in_src():
-    # the package runs on numpy alone; the CLI's bare ``import scipy`` only
-    # records the version in the manifest
+    # the package runs on numpy alone; scipy is a test-only oracle
     for path in sorted(SRC.glob("*.py")):
         assert list(_scipy_imports(ast.parse(path.read_text()))) == [], path.name
 

@@ -121,7 +121,7 @@ def noncollinear_supports(draw):
     return support
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(noncollinear_supports())
 def test_lattice_structure_matches_finite_quotient_oracle(support):
     assert lattice_structure(_uniform(support)) == _oracle(support)

@@ -242,6 +242,20 @@ def test_z_chain_reproducible(nn4, cramer_nn4, z_tables):
     assert np.array_equal(a.paths, b.paths)
 
 
+def test_z_chain_ties_pick_the_binary_search_step(nn4, cramer_nn4, z_tables, monkeypatch):
+    # at (1, 1) the two killing steps carry no weight and the others half
+    # each, so the cdf row is [0.5, 0.5, 1, 1]; u = 0.5 sits on its cut points
+    # and searchsorted(cdf, 0.5, side="right") = 2 picks (0, 1), not (1, 0)
+    class Halves:
+        def random(self, m):
+            return np.full(m, 0.5)
+
+    monkeypatch.setattr(simulate, "_worker_rng", lambda seed, worker: Halves())
+    run = z_chain(nn4, cramer_nn4, z_tables, [1, 1], 1, seed=0, n_paths=3)
+    assert nn4.support.tolist() == [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    assert run.paths[:, 1].tolist() == [[1, 2]] * 3
+
+
 def test_z_chain_is_transient(nn4, cramer_nn4, z_tables):
     run = z_chain(nn4, cramer_nn4, z_tables, [1, 1], 200, seed=17, n_paths=400)
     diff, se = transience_indicator(run, early=20, late=200)
