@@ -151,6 +151,7 @@ class PipelineContext:
         self.law = law
         self.cone = cone
         self.params = params or VerifyParams()
+        self._scan_child = None
 
     @cached_property
     def report(self):
@@ -207,6 +208,9 @@ class PipelineContext:
 
     @cached_property
     def driftless_scan(self):
+        """The backward survival scan, collected from ``verify_all``'s child if one runs it."""
+        if self._scan_child is not None:
+            return self._scan_child.result()
         return survival_scan(self.cramer.tilted, self.cone, scan_grid(self.law.dim),
                              self.params.n_max)
 
@@ -274,10 +278,24 @@ def verify_limits(ctx, selector):
 
 
 def verify_all(ctx):
-    reports = []
-    for selector in SELECTORS:
-        reports.extend(verify_limits(ctx, selector))
-    return reports
+    """Every selector in order.
+
+    The driftless scan shares nothing with the other stages, so with a second
+    usable core a child forked before any stage runs computes it while the
+    selectors compute the rest in this process; the first selector that needs
+    the scan waits for it.  Errors therefore surface in the serial order, and
+    a child whose scan is never needed is killed and reaped on the way out.
+    """
+    from . import _fork  # imported here, so commands that never fork skip it
+
+    if _fork.usable_cores() > 1 and "driftless_scan" not in vars(ctx):
+        ctx._scan_child = _fork.Child(lambda: ctx.driftless_scan)
+    try:
+        return [rep for selector in SELECTORS for rep in verify_limits(ctx, selector)]
+    finally:
+        if ctx._scan_child is not None:
+            ctx._scan_child.close()
+            ctx._scan_child = None
 
 
 def _check_survival_tail(ctx):

@@ -363,7 +363,7 @@ def _cmd_qsd(config, ctx, run_id):
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     d = ctx.law.dim
-    rows = [list(x) + [mu] for x, mu in zip(result.grid.points(), result.mu)]
+    rows = zip(*result.grid.points().T.tolist(), result.mu.tolist())
     header = [f"x{i + 1}" for i in range(d)] + ["mu"]
     payload = {"L": result.L, "lambda": result.lambda_, "residual": result.residual,
                "iterations": result.iterations, "converged": result.converged}
@@ -436,8 +436,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None,
                         help="Monte Carlo streams; estimates depend on (seed, samples, "
-                             "workers), not on the core count, and the streams run "
-                             "in a forked pool of min(workers, cores) processes")
+                             "workers), not on the core count, and the streams are "
+                             "shared among at most one forked child per usable core")
     parser.add_argument("--out", default=None, help="output directory override")
     args = parser.parse_args(argv)
 

@@ -6,8 +6,8 @@ and ``workers`` streams splits its samples into ``workers`` blocks; block
 ``w`` draws from ``Philox(SeedSequence(entropy=s, spawn_key=(w,)))`` and the
 block results are merged in block order.  Estimates therefore depend on
 (seed, n_samples, workers) and reproduce bit for bit, whatever the core
-count: the blocks run in a forked process pool of min(workers, cores)
-processes, or in the calling process when that is one or the platform cannot
+count: the blocks are shared among at most one forked child per usable core,
+or run in the calling process when there is one core or the platform cannot
 fork.
 
 Each step of a live path with uniform u is step number #{k < K-1 : u >= cdf_k}:
@@ -15,7 +15,6 @@ the map of a binary search of the cdf clipped to the last step, so estimates
 do not depend on which of the two finds it.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,25 +114,21 @@ def _tilted_block(tilted, h, cone, x0, n, m, seed, worker):
 def _run_blocks(block, args, n_samples, seed, workers):
     """``block(*args, m, seed, w)`` for each non-empty block w, in block order.
 
-    Blocks run in a pool of at most one process per core, skipped with one
-    core or where fork is missing.  Fork is named (Python 3.14 defaults to
-    forkserver) because each child then inherits the imported numpy and
-    conelab instead of importing them again; threads would cost more peak
-    memory.  The pool modules are imported here, so commands that never
-    simulate skip them.
+    With more than one usable core, the blocks are shared in order among at
+    most one forked child per core and the caller only waits: a child leaves
+    out of its RSS the pages it never touches, so the peak stays lower than
+    if the caller ran blocks too.  The fork helper is imported here, so
+    commands that never simulate skip it.
     """
-    jobs = [(m, seed, w) for w, m in enumerate(_split_samples(n_samples, workers)) if m > 0]
-    procs = min(len(jobs), os.cpu_count() or 1)
-    if procs > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    from . import _fork
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(procs, mp_context=fork) as pool:
-                futures = [pool.submit(block, *args, *job) for job in jobs]
-                return [f.result() for f in futures]
-    return [block(*args, *job) for job in jobs]
+    jobs = [(m, seed, w) for w, m in enumerate(_split_samples(n_samples, workers)) if m > 0]
+    procs = min(len(jobs), _fork.usable_cores())
+    if procs == 1:
+        return [block(*args, *job) for job in jobs]
+    shares = [jobs[len(jobs) * i // procs: len(jobs) * (i + 1) // procs] for i in range(procs)]
+    results = _fork.run_each(lambda share: [block(*args, *job) for job in share], shares)
+    return [r for share in results for r in share]
 
 
 def _check_start(cone, x0, n_samples):

@@ -1,4 +1,5 @@
-"""No command loads scipy: the package runs on numpy alone.
+"""No command loads scipy, multiprocessing or concurrent.futures: the package
+runs on numpy alone and forks its children without a pool.
 
 Each check runs in a fresh interpreter, since the test session itself has
 imported scipy long before.
@@ -12,6 +13,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import conelab
 from conelab.analysis import SELECTORS
@@ -33,7 +35,7 @@ pipeline:
   n_hi: 40
   dp_window: 30
   seed: 7
-  workers: 1
+  workers: 2
 simulate: {estimator: both, x0: [3, 3], n: 10, n_samples: 300}
 output: {dir: out}
 """
@@ -54,17 +56,25 @@ SCIPY_FREE = (["cramer"], ["whiten"], ["dp"], ["simulate"], ["harmonic"], ["qsd"
               ["verify", "all"])
 
 
-def test_scipy_free_commands_stay_scipy_free(tmp_path):
+@pytest.fixture(scope="module")
+def loaded_after_each_command(tmp_path_factory):
+    """(argv, exit status, loaded modules) after import and after each command.
+
+    The modules listed are those under scipy, multiprocessing and
+    concurrent: scipy is not needed, and forked children replace the pool.
+    """
+    tmp_path = tmp_path_factory.mktemp("imports")
     config = tmp_path / "nn4.yaml"
     config.write_text(SMALL_NN4_YAML)
     out = _fresh(f"""
-        import contextlib, io, sys
+        import contextlib, io, json, sys
         from conelab.cli import main
 
         def loaded():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] in ("scipy", "multiprocessing", "concurrent"))
 
-        print("import", loaded())
+        print(json.dumps([["import"], None, loaded()]))
         for argv in {SCIPY_FREE!r}:
             try:
                 with contextlib.redirect_stdout(io.StringIO()):
@@ -72,16 +82,24 @@ def test_scipy_free_commands_stay_scipy_free(tmp_path):
                                    "--out", {str(tmp_path / "out")!r}])
             except SystemExit as exc:
                 status = exc.code
-            print(" ".join(argv), status, loaded())
+            print(json.dumps([argv, status, loaded()]))
     """)
-    lines = out.strip().splitlines()
-    assert lines[0] == "import []"
-    for argv, line in zip(SCIPY_FREE, lines[1:]):
-        assert line.startswith(" ".join(argv) + " ")
-        assert line.endswith(" []"), line
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [argv for argv, _, _ in rows] == [["import"], *map(list, SCIPY_FREE)]
+    return rows
+
+
+def test_scipy_free_commands_stay_scipy_free(loaded_after_each_command):
+    for argv, status, modules in loaded_after_each_command:
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], argv
         # verify may exit 1 (the period-2 rows fail); every other command exits 0
-        assert line.split()[-2] in (("0", "1") if argv[0] == "verify" else ("0",)), line
-    assert len(lines) == len(SCIPY_FREE) + 1
+        assert status in ((None,) if argv == ["import"] else
+                          (0, 1) if argv[0] == "verify" else (0,)), argv
+
+
+def test_no_command_loads_a_process_pool(loaded_after_each_command):
+    for argv, _, modules in loaded_after_each_command:
+        assert modules == [], argv
 
 
 def test_manifest_versions_name_conelab_and_numpy(tmp_path):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import re
 import time
@@ -10,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import conelab.simulate as simulate
+from conelab import _fork
 from conelab._lattice import KilledKernel
 from conelab.dp_oracle import dp_evolve
 from conelab.errors import ConfigError
@@ -189,7 +189,7 @@ def _both(nn4, quadrant, cramer_nn4, n_samples, workers):
 def test_pinned_estimates_independent_of_core_count(nn4, quadrant, cramer_nn4,
                                                      monkeypatch):
     assert _both(nn4, quadrant, cramer_nn4, 200_000, 3) == PINNED
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(_fork, "usable_cores", lambda: 1)
     assert _both(nn4, quadrant, cramer_nn4, 200_000, 3) == PINNED
 
 
@@ -204,21 +204,23 @@ def test_blocks_merge_in_block_order():
 
 
 def test_pool_capped_at_core_count(nn4, quadrant, cramer_nn4, monkeypatch):
-    cores = os.cpu_count()
+    cores = _fork.usable_cores()
     with monkeypatch.context() as mp:
-        mp.setattr(os, "cpu_count", lambda: 1)
+        mp.setattr(_fork, "usable_cores", lambda: 1)
         serial = _both(nn4, quadrant, cramer_nn4, 50, 64)
-    sizes = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
+    forks = []
+    real_fork = os.fork
 
-    def recording_pool(max_workers, **kwargs):
-        sizes.append(max_workers)
-        return real_pool(max_workers, **kwargs)
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    # 64 streams of 50 samples: 50 non-empty blocks, shared by one child per core
     assert _both(nn4, quadrant, cramer_nn4, 50, 64) == serial
-    assert all(size <= cores for size in sizes)
-    assert len(sizes) == (2 if cores > 1 else 0)
+    assert len(forks) == (2 * cores if cores > 1 else 0)
 
 
 @pytest.fixture(scope="module")
