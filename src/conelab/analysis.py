@@ -300,8 +300,9 @@ def verify_all(ctx):
 
 def _check_survival_tail(ctx):
     prm = ctx.params
+    series = ctx.series   # first: a start that cannot survive is named before p is fitted
     s = ctx.exponent
-    fit = fit_tail(ctx.series)
+    fit = fit_tail(series)
     # octave slopes of b_n * n^s are s minus the dyadic exponent estimates;
     # their Richardson extrapolation, s minus the fitted exponent, should vanish
     s1, s2 = (s - e for e in fit.diagnostics["dyadic_estimates"])
@@ -311,7 +312,7 @@ def _check_survival_tail(ctx):
                    notes=[f"octave slopes {s1:.4f}, {s2:.4f} of b_n * n^{s:.3f}"])]
     tabs = ctx.harmonic
     predicted = tabs.U_at(prm.x0) / tabs.U_at(prm.ratio_start)
-    measured = ctx.series.survival[prm.n_hi] / ctx.series_ratio_start.survival[prm.n_hi]
+    measured = series.survival[prm.n_hi] / ctx.series_ratio_start.survival[prm.n_hi]
     rep.append(_report("survival_tail.plateau_ratio", predicted, measured, TOL_RATIO))
     return rep
 

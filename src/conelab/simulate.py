@@ -12,9 +12,16 @@ fork.
 
 Each step of a live path with uniform u is step number #{k < K-1 : u >= cdf_k}:
 the map of a binary search of the cdf clipped to the last step, so estimates
-do not depend on which of the two finds it.
+do not depend on which of the two finds it.  The killed-walk loop never forms
+u: ``Generator.random`` makes u = (r >> 11) 2^-53 of the path's raw 64-bit
+Philox word r, so u >= cdf_k exactly when (r >> 11) >= ceil(cdf_k 2^53).  The
+step is looked up from the top 16 bits of r, and settled by that integer
+comparison in the few lookup buckets a threshold falls strictly inside.  The
+loop tracks surviving paths only: the estimators read nothing of the others,
+so a killed path's exit position is not kept.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +29,8 @@ import numpy as np
 from ._lattice import KilledKernel
 from .errors import ConfigError
 from .model import cone_contains
+
+_BUCKET_BITS = 16
 
 
 @dataclass
@@ -49,41 +58,62 @@ def _split_samples(n_samples, workers):
     return counts
 
 
+def _step_tables(law, dtype):
+    """Steps, lookup tables and thresholds that turn raw Philox words into steps.
+
+    A word r is the uniform u = (r >> 11) 2^-53 of ``Generator.random``, so
+    u >= cut_k exactly when (r >> 11) >= T_k = ceil(cut_k 2^53), and the step
+    is #{k < K-1 : (r >> 11) >= T_k}.  Bucket j = r >> 48 holds the r >> 11 in
+    [j 2^37, (j+1) 2^37); ``disp`` gives, per coordinate, the step of the
+    bucket's lowest word.  A bucket with a T_k strictly inside it, which needs
+    a cut that is not a multiple of 2^-16, is flagged in ``straddles``: at most
+    K-1 buckets, whose words are settled against ``thresholds``.
+    """
+    cuts = np.cumsum(law.probs)[:-1]
+    thresholds = np.array([math.ceil(float(cut) * 2.0 ** 53) for cut in cuts], dtype=np.uint64)
+    width = np.uint64(1 << (53 - _BUCKET_BITS))
+    lowest = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) * width
+    first = np.searchsorted(thresholds, lowest, side="right")
+    last = np.searchsorted(thresholds, lowest + (width - np.uint64(1)), side="right")
+    steps = law.support.T.astype(dtype)
+    return steps, steps.take(first, axis=1), thresholds, first != last
+
+
 def _simulate_killed(law, cone, x0, n, m, rng):
-    """Final positions and alive flags of m killed paths of length n.
+    """Original indices and final positions, shape (k, d), of the k of m killed
+    paths of length n that survive.
 
     Survivors are kept compacted, one row per coordinate (int32 unless a path
     could reach 2^31 in n steps), in their original order, so each step draws
-    the same uniforms for the same paths as a loop over the full (m, d) array
-    would.  A path that dies has its exit position written to ``pos`` and
-    leaves the compacted rows.  The step count, made into buffers allocated
-    once, equals min(searchsorted(cdf, u, side="right"), K - 1) for any
-    non-decreasing cdf, ties from zero probabilities included.
+    the same words for the same paths as a loop over all m paths would.  A
+    step is looked up from the top bits of the path's raw word (``_step_tables``)
+    and is the step min(searchsorted(cdf, u, side="right"), K - 1) for the
+    uniform u that ``rng.random`` makes of that word, for any non-decreasing
+    cdf, ties from zero probabilities included.  A path that dies leaves the
+    rows and its exit position is not kept.
     """
     x0 = np.asarray(x0, dtype=np.int64)
-    pos = np.tile(x0, (m, 1))
-    alive = np.zeros(m, dtype=bool)
     reach = int(np.abs(x0).max()) + n * int(np.abs(law.support).max())
     dtype = np.int32 if reach < 2 ** 31 else np.int64
+    steps, disp, thresholds, straddles = _step_tables(law, dtype)
+    settle = straddles.any()
     p = np.repeat(x0[:, None].astype(dtype), m, axis=1)
     live = np.arange(m)
-    cuts = np.cumsum(law.probs)[:-1]
-    steps = law.support.T.astype(dtype)
-    u = np.empty(m)
-    idx = np.empty(m, dtype=np.intp)
-    ge = np.empty(m, dtype=bool)
+    raw = rng.bit_generator.random_raw
     for _ in range(n):
-        k = live.size
-        if k == 0:
+        if live.size == 0:
             break
-        uk, ik, gk = u[:k], idx[:k], ge[:k]
-        rng.random(out=uk)
-        ik.fill(0)
-        for cut in cuts:
-            np.greater_equal(uk, cut, out=gk)
-            ik += gk
-        for row, step in zip(p, steps):
-            row += step.take(ik)
+        words = raw(live.size)
+        bk = (words >> np.uint64(64 - _BUCKET_BITS)).view(np.intp)
+        for row, tab in zip(p, disp):
+            row += tab.take(bk)
+        if settle:
+            odd = np.flatnonzero(straddles.take(bk))
+            if odd.size:
+                exact = ((words.take(odd) >> np.uint64(11))[:, None] >= thresholds).sum(axis=1)
+                looked_up = bk.take(odd)
+                for row, step, tab in zip(p, steps, disp):
+                    row[odd] += step.take(exact) - tab.take(looked_up)
         if cone.kind == "orthant":
             inside = p[0] > 0
             for row in p[1:]:
@@ -91,23 +121,20 @@ def _simulate_killed(law, cone, x0, n, m, rng):
         else:
             inside = cone_contains(cone, p.T)
         if not inside.all():
-            dead = np.flatnonzero(~inside)
-            pos[live.take(dead)] = p.take(dead, axis=1).T
             keep = np.flatnonzero(inside)
             p, live = p.take(keep, axis=1), live.take(keep)
-    pos[live] = p.T
-    alive[live] = True
-    return pos, alive
+    return live, p.T
 
 
 def _direct_block(law, cone, x0, n, m, seed, worker):
-    _, alive = _simulate_killed(law, cone, x0, n, m, _worker_rng(seed, worker))
-    return int(alive.sum())
+    live, _ = _simulate_killed(law, cone, x0, n, m, _worker_rng(seed, worker))
+    return live.size
 
 
 def _tilted_block(tilted, h, cone, x0, n, m, seed, worker):
-    pos, alive = _simulate_killed(tilted, cone, x0, n, m, _worker_rng(seed, worker))
-    wts = np.where(alive, np.exp(-((pos - x0) @ h)), 0.0)
+    live, pos = _simulate_killed(tilted, cone, x0, n, m, _worker_rng(seed, worker))
+    wts = np.zeros(m)
+    wts[live] = np.exp(-((pos - x0) @ h))
     return float(wts.sum()), float((wts * wts).sum())
 
 

@@ -165,9 +165,12 @@ def qsd_power_iteration(kernel, grid, cramer, L):
         f"the steps generate a sublattice of index {index}: the window holds "
         f"{n_classes} lattice classes; the QSD is the Perron vector of the one with "
         f"the largest root, which contains {pts[np.argmax(mu)].tolist()}"]
+    converged = residual < QSD_TOL
+    if not converged:
+        warnings.append(f"the QSD did not converge: after {solves} shift-invert solves "
+                        f"its residual {residual:.2e} is not below QSD_TOL = {QSD_TOL:g}")
     return QsdResult(L=float(L), lambda_=lam, mu=mu, residual=residual,
-                     iterations=solves, grid=grid,
-                     converged=residual < QSD_TOL, warnings=warnings)
+                     iterations=solves, grid=grid, converged=converged, warnings=warnings)
 
 
 def qsd_for_model(law, cramer, cone, L):

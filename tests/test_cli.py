@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conelab import analysis, harmonic
+from conelab import analysis, harmonic, spectral
 from conelab.analysis import PipelineContext
 from conelab.cli import main, parse_run_config
 from conelab.errors import ConfigError
@@ -566,6 +566,16 @@ def test_qsd_warnings_go_to_stderr(tmp_path, capsys):
     assert main(["qsd", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert ("warning: the steps generate a sublattice of index 2: the window holds 2 lattice "
             "classes") in capsys.readouterr().err
+
+
+def test_unconverged_qsd_warns_on_stderr(config_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_SOLVES", 2)
+    assert main(["qsd", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    summary = json.loads(next(tmp_path.glob("qsd_summary_*.json")).read_text())
+    assert (summary["converged"], summary["iterations"]) == (False, 2)
+    warning = ("warning: the QSD did not converge: after 2 shift-invert solves its residual "
+               f"{summary['residual']:.2e} is not below QSD_TOL = 1e-10\n")
+    assert capsys.readouterr().err == warning
 
 
 def law_yaml(steps, probs, cone="{kind: orthant, dim: 2}", pipeline=""):

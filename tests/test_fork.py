@@ -145,16 +145,16 @@ def test_normal_run_leaves_no_child(tmp_path, capsys, forks):
 
 
 def test_caller_error_leaves_no_child(tmp_path, capsys, forks):
-    # from (1, 1, 1) every step leaves the octant: without a closed-form image
-    # cone, the first selector fits p to the scan and finds it vanishing
+    # from (1, 1, 1) every step leaves the octant: the first selector reads the
+    # DP series before it would fit p to the scan, and names the start at once
     doomed = tmp_path / "doomed.yaml"
     doomed.write_text(law_yaml([(-2, 1, 1), (-1, -2, 2), (-2, -2, -2), (2, 1, -2)],
                                ["1/10", "4/10", "4/10", "1/10"],
                                cone="{kind: orthant, dim: 3}",
                                pipeline=", n_max: 40, n_hi: 32, dp_window: 12"))
     status, _, err = _run(["verify", "all"], doomed, tmp_path / "out", capsys)
-    assert (status, err) == (2, "configuration error: survival series vanishes "
-                                "inside the fit window\n")
+    assert (status, err) == (2, "configuration error: no path from [1, 1, 1] survives "
+                                "to n_hi = 32: the start cannot stay in the cone\n")
     assert len(forks) == 1
     assert_no_child()
 

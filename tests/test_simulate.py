@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import time
@@ -69,8 +70,8 @@ def test_importance_weights_bounded(cramer_nn4, quadrant):
     h = cramer_nn4.h
     bound = float(np.exp(h @ x0 - h @ np.array([1, 1])))
     rng = _worker_rng(123, 0)
-    pos, alive = _simulate_killed(cramer_nn4.tilted, quadrant, x0, 30, 20_000, rng)
-    weights = np.exp(-((pos[alive] - x0) @ h))
+    _, pos = _simulate_killed(cramer_nn4.tilted, quadrant, x0, 30, 20_000, rng)
+    weights = np.exp(-((pos - x0) @ h))
     assert weights.max() <= bound + 1e-12
     assert np.all(weights > 0.0)
 
@@ -115,12 +116,12 @@ def _reference_simulate_killed(law, cone, x0, n, m, rng):
 @pytest.mark.parametrize("tilted", [False, True], ids=["direct", "tilted"])
 def test_compacted_loop_matches_reference(nn4, cramer_nn4, cone, x0, tilted):
     law = cramer_nn4.tilted if tilted else nn4
-    pos, alive = _simulate_killed(law, cone, x0, 40, 5_000, _worker_rng(3, 1))
+    live, pos = _simulate_killed(law, cone, x0, 40, 5_000, _worker_rng(3, 1))
     ref_pos, ref_alive = _reference_simulate_killed(law, cone, x0, 40, 5_000,
                                                     _worker_rng(3, 1))
-    assert 0 < alive.sum() < alive.size
-    assert np.array_equal(pos, ref_pos)
-    assert np.array_equal(alive, ref_alive)
+    assert 0 < live.size < ref_alive.size
+    assert np.array_equal(live, np.flatnonzero(ref_alive))
+    assert np.array_equal(pos, ref_pos[ref_alive])
 
 
 @st.composite
@@ -146,11 +147,13 @@ def killed_walk_cases(draw):
 
 
 def assert_matches_reference(law, cone, x0, n, m, seed):
-    pos, alive = _simulate_killed(law, cone, x0, n, m, _worker_rng(seed, 0))
+    # the survivors, in their original order, and where they are; killed
+    # paths' exit positions are not kept
+    live, pos = _simulate_killed(law, cone, x0, n, m, _worker_rng(seed, 0))
     ref_pos, ref_alive = _reference_simulate_killed(law, cone, x0, n, m,
                                                     _worker_rng(seed, 0))
-    assert np.array_equal(pos, ref_pos)
-    assert np.array_equal(alive, ref_alive)
+    assert np.array_equal(live, np.flatnonzero(ref_alive))
+    assert np.array_equal(pos, ref_pos[ref_alive])
     return pos
 
 
@@ -170,6 +173,71 @@ def test_far_start_takes_int64_rows():
     pos = assert_matches_reference(law, ConeSpec.orthant(2), (2**31 - 10, 5), 20,
                                    2_000, 8)
     assert pos[:, 0].max() >= 2**31
+
+
+class CraftedWords:
+    """Replays a cycle of 64-bit words: raw to the lookup, and as the doubles
+    ``Generator.random`` makes of them, (r >> 11) 2^-53, to the reference."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.drawn = 0
+        self.bit_generator = self
+
+    def random_raw(self, k):
+        out = self.words[(self.drawn + np.arange(k)) % self.words.size]
+        self.drawn += k
+        return out
+
+    def random(self, k):
+        return (self.random_raw(k) >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+
+def boundary_words(probs):
+    """Words on either side of each threshold T_k = ceil(cut_k 2^53), with the
+    low 11 bits clear and set, and at the edges of the 2^16 lookup buckets:
+    those holding a threshold, the first, a middle one and the last."""
+    thresholds = [math.ceil(float(cut) * 2.0 ** 53) for cut in np.cumsum(probs)[:-1]]
+    words = {q << 11 | low for t in thresholds for q in (t - 1, t) if 0 <= q < 2 ** 53
+             for low in (0, 0x7FF)}
+    for j in [1, 2 ** 15, 2 ** 16 - 1] + [min(t >> 37, 2 ** 16 - 1) for t in thresholds]:
+        words |= {j << 48, (j << 48) - 1, ((j + 1) << 48) - 1}
+    return sorted(w for w in words if 0 <= w < 2 ** 64)
+
+
+def test_philox_double_is_top_53_bits_of_raw_word():
+    # the rule the lookup relies on, checked on the generator itself
+    words = _worker_rng(5, 0).bit_generator.random_raw(10_000)
+    assert np.array_equal(_worker_rng(5, 0).random(10_000), CraftedWords(words).random(10_000))
+
+
+NN4_STEPS = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+
+
+@pytest.mark.parametrize("steps, probs, x0, straddling", [
+    (NN4_STEPS, [1 / 8, 3 / 8, 1 / 8, 3 / 8], (2, 2), 0),
+    (NN4_STEPS, "tilted", (2, 2), 2),
+    ([[-1, 0], [1, 1], [0, 1], [0, -1]], [0.0, 0.3, 0.0, 0.7], (2, 2), 1),
+    ([[1, 0], [-1, 1], [0, -1]], [0.3, 0.3, 0.3], (2, 2), 2),
+    (NN4_STEPS, [9 / 28, 18 / 28, 1 / 28, 0.0], (2, 2), 2),
+    ([[2, 0], [-1, 1], [0, -1]], [0.5, 0.3, 0.2], (2 ** 31 - 10, 2), 1),
+], ids=["dyadic", "nn4-tilted", "zero-steps-first-cut-0", "cdf-ends-at-0.9",
+        "partial-sum-above-1", "int64-rows"])
+def test_lookup_settles_words_at_thresholds_exactly(cramer_nn4, steps, probs, x0, straddling):
+    # a path whose word sits next to a threshold, or at a bucket edge, takes
+    # the step the uniform (r >> 11) 2^-53 picks in the reference loop
+    if probs == "tilted":
+        probs = cramer_nn4.tilted.probs
+    law = SimpleNamespace(support=np.array(steps), probs=np.array(probs))
+    assert simulate._step_tables(law, np.int64)[3].sum() == straddling
+    words = boundary_words(law.probs)
+    m, n = len(words) + 3, 6
+    live, pos = _simulate_killed(law, ConeSpec.orthant(2), x0, n, m, CraftedWords(words))
+    ref_pos, ref_alive = _reference_simulate_killed(law, ConeSpec.orthant(2), x0, n, m,
+                                                    CraftedWords(words))
+    assert 0 < live.size < m
+    assert np.array_equal(live, np.flatnonzero(ref_alive))
+    assert np.array_equal(pos, ref_pos[ref_alive])
 
 
 # (value, std_error) of both estimators at x0 (2, 2), n = 30, seed 42,

@@ -8,8 +8,8 @@ from conelab._lattice import KilledKernel, make_grid
 from conelab.cramer import solve_cramer_point
 from conelab.errors import ConfigError
 from conelab.model import ConeSpec, StepLaw, lattice_classes, span_obstruction
-from conelab.spectral import (mu_as_table, qsd_for_model, qsd_power_iteration,
-                              truncated_kernel, tv_distance_tables)
+from conelab.spectral import (MAX_SOLVES, QSD_TOL, mu_as_table, qsd_for_model,
+                              qsd_power_iteration, truncated_kernel, tv_distance_tables)
 
 ROOT3 = np.sqrt(3.0)
 
@@ -123,6 +123,34 @@ def test_diagonal_qsd_sweep(diagonal_law, quadrant, diag_ctx):
         lams.append(result.lambda_)
     assert lams[-1] < diag_ctx.cramer.c
     assert all(a <= b for a, b in zip(lams, lams[1:]))
+
+
+@pytest.mark.parametrize("steps, probs, converged", [
+    ([(1, -2, -1), (-2, 0, -2), (-1, 0, 2), (0, 1, -1), (1, 2, 2), (0, 2, 1)],
+     [.3, .2, .1, .1, .2, .1], True),
+    ([(0, 1, -1), (0, 2, 1), (1, 0, -2), (1, -1, -2), (-1, 0, 2)], [.2] * 5, False),
+], ids=["rate-0.974", "rate-0.99994"])
+def test_slow_octant_laws_report_convergence(steps, probs, converged):
+    # shift-1 inverse iteration gains (1 - lambda_1) / (1 - lambda_2) per solve:
+    # at 0.974 it needs hundreds of solves and still meets the dense root; with
+    # top roots 0.2000647 and a double 0.2000200 it runs out of solves 1.6% off,
+    # and the result must say so
+    law = StepLaw(support=np.array(steps), probs=np.array(probs))
+    grid = make_grid(ConeSpec.orthant(3), 3, law)
+    kernel = KilledKernel(grid, law).matrix()
+    lam = np.linalg.eigvals(scipy_csr(kernel).toarray()).real.max()
+    result = qsd_power_iteration(kernel, grid, solve_cramer_point(law), 3)
+    assert result.converged == converged
+    if converged:
+        assert 100 < result.iterations < MAX_SOLVES
+        assert abs(result.lambda_ - lam) <= 1e-10 * lam
+        assert result.warnings == []
+    else:
+        assert result.iterations == MAX_SOLVES
+        assert abs(result.lambda_ - lam) > 0.01 * lam
+        assert result.warnings == [
+            f"the QSD did not converge: after {MAX_SOLVES} shift-invert solves its "
+            f"residual {result.residual:.2e} is not below QSD_TOL = {QSD_TOL:g}"]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
