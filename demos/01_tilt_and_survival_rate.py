@@ -20,7 +20,6 @@ print("model validation")
 print("=" * 70)
 report = build_model(law, cone)
 print(f"drift E[X]        : {report.drift}")
-print(f"non-collinear     : {report.noncollinear}")
 print(f"sublattice index  : {report.sublattice_index}  (the steps generate all of Z^2)")
 print(f"period            : {report.period}  (every step flips the coordinate-sum parity)")
 

@@ -3,11 +3,17 @@
 ``conelab <command> --config <path> [--seed N] [--workers N] [--out DIR]``
 
 Commands: ``cramer``, ``whiten``, ``harmonic``, ``dp``, ``simulate``,
-``qsd``, ``zchain``, ``verify [selector|all]``.  Artifacts are CSV/JSON files with
-deterministic names and 17-significant-digit numbers; rerunning the same
-config reproduces them byte for byte.  Exit status: 0 on success with all
-requested verifications passing, 1 on verification failure, 2 on a bad
-config, 3 on a numerical failure, 4 on an internal error (any other
+``qsd``, ``zchain``, ``verify [selector|all]``.  The ``pipeline``,
+``simulate`` and ``zchain`` sections are read through one table
+(``SECTIONS``): the pipeline keys and defaults are the fields of
+``VerifyParams``, each value is read by the converter of its default's type,
+and ``LOWEST`` holds every lower bound.  Each ``_cmd_*`` function prints its
+summary and returns ``(status, artifacts)``; ``main`` writes the artifacts
+and the run manifest with one ``emit_report`` call.  Artifacts are CSV/JSON
+files with deterministic names and 17-significant-digit numbers; rerunning
+the same config reproduces them byte for byte.  Exit status: 0 on success
+with all requested verifications passing, 1 on verification failure, 2 on a
+bad config, 3 on a numerical failure, 4 on an internal error (any other
 exception; its traceback goes to stderr).
 """
 
@@ -15,7 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,6 +106,19 @@ def _int_tuple(values):
 
 
 CONE_KEYS = {"orthant": ("dim",), "wedge2d": ("beta", "theta0"), "halfspace": ("normal",)}
+# every key of the flat sections, with its default; a given value is read by
+# the converter of its default's type
+SECTIONS = {
+    "pipeline": {f.name: f.default for f in fields(VerifyParams)},
+    "simulate": {"estimator": "both", "x0": (5, 5), "n": 60, "n_samples": 1_000_000},
+    "zchain": {"x0": (1, 1), "n_steps": 200, "n_paths": 1000},
+}
+CONVERT = {tuple: _int_tuple, int: _int, float: float, str: str}
+# the least value of each bounded key, checked in this order; seed and workers,
+# which --seed and --workers also set, are named without their section
+LOWEST = {"workers": 1, "seed": 0, "pipeline.n_hi": 1, "pipeline.dp_window": 1,
+          "pipeline.harmonic_window": 1, "pipeline.qsd_window": 1, "simulate.n": 0,
+          "simulate.n_samples": 1, "zchain.n_steps": 1, "zchain.n_paths": 2}
 
 
 def parse_run_config(path, seed=None, workers=None, out_dir=None):
@@ -152,57 +171,39 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
                                         _need(cone_sec, "normal", "model.cone"),
                                         "model.cone.normal"))
 
-    pipe = data.get("pipeline", {}) or {}
-    allowed = {"n_max", "n_hi", "dp_window", "harmonic_window", "qsd_window",
-               "qsd_sweep", "x0", "ratio_start", "bridge_endpoint", "seed", "workers"}
-    _require_keys(pipe, allowed, "pipeline")
-    params = VerifyParams()
-    for key in allowed:
-        if key in pipe:
-            if key in ("x0", "ratio_start", "bridge_endpoint", "qsd_sweep"):
-                convert = _int_tuple
-            else:
-                convert = float if key == "harmonic_window" else _int
-            setattr(params, key, _read(convert, pipe[key], f"pipeline.{key}"))
+    read = {}
+    for section, defaults in SECTIONS.items():
+        given = data.get(section) or {}
+        _require_keys(given, defaults, section)
+        read[section] = {key: _read(CONVERT[type(default)], given[key], f"{section}.{key}")
+                         if key in given else default for key, default in defaults.items()}
+    pipe, sim, zchain = read["pipeline"], read["simulate"], read["zchain"]
     if seed is not None:
-        params.seed = int(seed)
+        pipe["seed"] = int(seed)
     if workers is not None:
-        params.workers = int(workers)
-
-    sim = data.get("simulate") or {}
-    _require_keys(sim, {"estimator", "x0", "n", "n_samples"}, "simulate")
-    sim = {"estimator": "both", "x0": [5, 5], "n": 60, "n_samples": 1_000_000, **sim}
-    if sim["estimator"] not in ("direct", "tilted", "both"):
-        raise ConfigError("simulate.estimator must be direct, tilted, or both")
-
-    zchain = data.get("zchain") or {}
-    _require_keys(zchain, {"x0", "n_steps", "n_paths"}, "zchain")
-    zchain = {"x0": [1, 1], "n_steps": 200, "n_paths": 1000, **zchain}
-    for section, values in (("simulate", sim), ("zchain", zchain)):
-        for key in sorted(values.keys() - {"estimator"}):
-            values[key] = _read(_int_tuple if key == "x0" else _int, values[key],
-                                f"{section}.{key}")
-    for where, value, low in (("workers", params.workers, 1), ("seed", params.seed, 0),
-                              ("pipeline.n_hi", params.n_hi, 1), ("simulate.n", sim["n"], 0),
-                              ("zchain.n_steps", zchain["n_steps"], 1),
-                              ("zchain.n_paths", zchain["n_paths"], 2)):
+        pipe["workers"] = int(workers)
+    for where, low in LOWEST.items():
+        section, _, key = where.rpartition(".")
+        value = read[section or "pipeline"][key]
         if value < low:
             raise ConfigError(f"{where} must be at least {low}, got {value}")
-    if params.n_hi > params.n_max:
-        raise ConfigError(f"pipeline.n_hi must be at most n_max = {params.n_max}, "
-                          f"got {params.n_hi}")
-    points = [(f"pipeline.{key}", getattr(params, key))
-              for key in ("x0", "ratio_start", "bridge_endpoint")]
-    for where, x in points + [("simulate.x0", sim["x0"]), ("zchain.x0", zchain["x0"])]:
-        if len(x) != law.dim:
-            raise ConfigError(f"{where} needs {law.dim} coordinates, got {len(x)}")
+    if pipe["n_hi"] > pipe["n_max"]:
+        raise ConfigError(f"pipeline.n_hi must be at most n_max = {pipe['n_max']}, "
+                          f"got {pipe['n_hi']}")
+    if sim["estimator"] not in ("direct", "tilted", "both"):
+        raise ConfigError("simulate.estimator must be direct, tilted, or both")
+    for section, values in read.items():
+        for key, x in values.items():
+            # every integer tuple but the sweep of window sizes is a lattice point
+            if isinstance(x, tuple) and key != "qsd_sweep" and len(x) != law.dim:
+                raise ConfigError(f"{section}.{key} needs {law.dim} coordinates, got {len(x)}")
 
     out = data.get("output", {}) or {}
     _require_keys(out, {"dir"}, "output")
     out_path = Path(out_dir) if out_dir else Path(out.get("dir", "out"))
 
     return RunConfig(
-        law=law, cone=cone, params=params, simulate=sim, zchain=zchain,
+        law=law, cone=cone, params=VerifyParams(**pipe), simulate=sim, zchain=zchain,
         out_dir=out_path, config_sha=hashlib.sha256(blob).hexdigest(),
     )
 
@@ -263,7 +264,7 @@ def emit_report(config, command, run_id, artifacts):
     return written + [manifest_path.name]
 
 
-def _cmd_cramer(config, ctx, run_id):
+def _cmd_cramer(config, ctx):
     cd = ctx.cramer
     print(f"tilt point h = ({', '.join(f'{v:.6f}' for v in cd.h)})")
     print(f"survival rate c = {cd.c:.6f}")
@@ -279,11 +280,10 @@ def _cmd_cramer(config, ctx, run_id):
         "sublattice_index": ctx.report.sublattice_index,
         "period": ctx.report.period,
     }
-    files = emit_report(config, "cramer", run_id, [("cramer", "json", payload)])
-    return EXIT_OK, files
+    return EXIT_OK, [("cramer", "json", payload)]
 
 
-def _cmd_whiten(config, ctx, run_id):
+def _cmd_whiten(config, ctx):
     wd = ctx.whitening
     image = wd.cone_image
     print(f"tilted covariance:\n{wd.cov}")
@@ -298,11 +298,10 @@ def _cmd_whiten(config, ctx, run_id):
             "kind": image.kind, "dim": image.dim, "beta": image.beta,
             "theta0": image.theta0},
     }
-    files = emit_report(config, "whiten", run_id, [("whiten", "json", payload)])
-    return EXIT_OK, files
+    return EXIT_OK, [("whiten", "json", payload)]
 
 
-def _cmd_harmonic(config, ctx, run_id):
+def _cmd_harmonic(config, ctx):
     tabs = ctx.harmonic
     d = ctx.law.dim
     header = [f"x{i + 1}" for i in range(d)] + ["V", "Vprime", "U", "Uprime"]
@@ -311,12 +310,10 @@ def _cmd_harmonic(config, ctx, run_id):
     grown = "" if tabs.L == start else f", grown from the configured {start:g}"
     print(f"window L = {tabs.L}{grown} ({tabs.grid.n_states} lattice points), "
           f"kappa = {tabs.kappa:.9g}, residual = {tabs.convergence_residual:.3e}")
-    files = emit_report(config, "harmonic", run_id,
-                        [("harmonic", "csv", (header, rows))])
-    return EXIT_OK, files
+    return EXIT_OK, [("harmonic", "csv", (header, rows))]
 
 
-def _cmd_dp(config, ctx, run_id):
+def _cmd_dp(config, ctx):
     series = ctx.series
     rows = [(n, series.raw_survival_log(n), series.survival[n])
             for n in range(series.n_max + 1)]
@@ -329,16 +326,15 @@ def _cmd_dp(config, ctx, run_id):
     print(f"hazard ratio at n = {n_hi}: {hazard_ratio(series, n_hi):.6f}")
     fit = fit_tail(series)
     print(f"tail fit: c_hat = {fit.c_hat:.6f}, exponent = {fit.exponent_hat:.4f}")
-    files = emit_report(config, "dp", run_id, [
+    return EXIT_OK, [
         ("dp", "csv", (["n", "raw_survival_log", "rescaled_b_n"], rows)),
         ("dp_fit", "json", {"c_hat": fit.c_hat, "exponent_hat": fit.exponent_hat,
                             "constant_hat": fit.constant_hat,
                             "window": list(fit.window_used)}),
-    ])
-    return EXIT_OK, files
+    ]
 
 
-def _cmd_simulate(config, ctx, run_id):
+def _cmd_simulate(config, ctx):
     sim = config.simulate
     records = []
     for name, estimate, model in (("direct", mc_survival, "law"),
@@ -351,11 +347,10 @@ def _cmd_simulate(config, ctx, run_id):
                             "seed": est.seed, "workers": est.workers})
     for rec in records:
         print(f"{rec['estimator']:>7s}: {rec['value']:.6e} +- {rec['std_error']:.2e}")
-    files = emit_report(config, "simulate", run_id, [("simulate", "jsonl", records)])
-    return EXIT_OK, files
+    return EXIT_OK, [("simulate", "jsonl", records)]
 
 
-def _cmd_qsd(config, ctx, run_id):
+def _cmd_qsd(config, ctx):
     result = ctx.qsd
     print(f"window L = {result.L}: lambda = {result.lambda_:.9f} "
           f"(survival rate c = {ctx.cramer.c:.9f}), residual = {result.residual:.2e}, "
@@ -367,14 +362,10 @@ def _cmd_qsd(config, ctx, run_id):
     header = [f"x{i + 1}" for i in range(d)] + ["mu"]
     payload = {"L": result.L, "lambda": result.lambda_, "residual": result.residual,
                "iterations": result.iterations, "converged": result.converged}
-    files = emit_report(config, "qsd", run_id, [
-        ("qsd", "csv", (header, rows)),
-        ("qsd_summary", "json", payload),
-    ])
-    return EXIT_OK, files
+    return EXIT_OK, [("qsd", "csv", (header, rows)), ("qsd_summary", "json", payload)]
 
 
-def _cmd_verify(config, ctx, run_id, selector):
+def _cmd_verify(ctx, selector):
     if selector == "all":
         reports = verify_all(ctx)
     else:
@@ -393,15 +384,11 @@ def _cmd_verify(config, ctx, run_id, selector):
                         "notes": r.notes})
     header = ["check", "predicted", "measured", "deviation", "tolerance", "pass"]
     rows = [[rec[key] for key in header] for rec in records]
-    files = emit_report(config, "verify", run_id, [
-        ("verify", "jsonl", records),
-        ("verify_summary", "csv", (header, rows)),
-    ])
-    ok = all(r.passed for r in reports)
-    return (EXIT_OK if ok else EXIT_VERIFY_FAILED), files
+    status = EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
+    return status, [("verify", "jsonl", records), ("verify_summary", "csv", (header, rows))]
 
 
-def _cmd_zchain(config, ctx, run_id):
+def _cmd_zchain(config, ctx):
     from .simulate import transience_indicator, z_chain
 
     z = config.zchain
@@ -416,8 +403,7 @@ def _cmd_zchain(config, ctx, run_id):
                "n_truncated": run.n_truncated, "distance_gain": diff,
                "distance_gain_se": se, "n_paths": z["n_paths"],
                "n_steps": z["n_steps"], "seed": config.params.seed}
-    files = emit_report(config, "zchain", run_id, [("zchain", "json", payload)])
-    return EXIT_OK, files
+    return EXIT_OK, [("zchain", "json", payload)]
 
 
 def main(argv=None):
@@ -448,10 +434,10 @@ def main(argv=None):
         run_id = _run_id(config, args.command,
                          extra=args.selector if args.command == "verify" else "")
         if args.command == "verify":
-            status, files = _cmd_verify(config, ctx, run_id, args.selector)
+            status, artifacts = _cmd_verify(ctx, args.selector)
         else:
-            status, files = globals()[f"_cmd_{args.command}"](config, ctx, run_id)
-        for name in files:
+            status, artifacts = globals()[f"_cmd_{args.command}"](config, ctx)
+        for name in emit_report(config, args.command, run_id, artifacts):
             print(f"wrote {config.out_dir / name}")
         return status
     except ConfigError as exc:

@@ -1,7 +1,7 @@
 """Step laws, cones, the walk's lattice structure, and executable checks of the
 model's standing assumptions."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
@@ -92,10 +92,8 @@ class ConeSpec:
 @dataclass
 class ModelReport:
     drift: np.ndarray
-    noncollinear: bool
     sublattice_index: int      # [Z^d : G], G the group the steps generate
     period: int                # the walk's period; 1 when aperiodic
-    notes: list = field(default_factory=list)
 
 
 def cone_contains(cone, pts):
@@ -158,18 +156,7 @@ def build_model(law, cone):
     drift = law.mean()
     if np.linalg.norm(drift) <= 1e-14:
         raise ConfigError("zero drift: law is outside the nonzero-drift regime")
-    notes = []
-    if cone.kind == "halfspace":
-        notes.append(
-            "halfspace cone: acute-angle condition cannot hold; "
-            "use the one-dimensional projection path"
-        )
-    notes.append(
-        "boundary regularity of the cone cross-section is asserted for the "
-        "supported cone variants, not tested"
-    )
-    return ModelReport(drift=drift, noncollinear=True, sublattice_index=index,
-                       period=period, notes=notes)
+    return ModelReport(drift=drift, sublattice_index=index, period=period)
 
 
 def lattice_structure(law):

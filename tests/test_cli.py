@@ -6,12 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conelab import analysis, harmonic, spectral
 from conelab.analysis import PipelineContext
-from conelab.cli import main, parse_run_config
+from conelab.cli import SECTIONS, main, parse_run_config
 from conelab.errors import ConfigError
 
 NN4_YAML = """\
@@ -160,6 +161,12 @@ STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
      "model.cone of kind halfspace: unknown key(s) ['dim']"),
     ("cone: {kind: orthant, dim: 2}", "cone: {kind: halfspace, normal: [1, 0], theta0: 0}",
      "model.cone of kind halfspace: unknown key(s) ['theta0']"),
+    # a window or a sample count below 1 is a bad config, not a crash in numpy
+    ("dp_window: 40", "dp_window: -5", "pipeline.dp_window must be at least 1, got -5"),
+    ("harmonic_window: 72", "harmonic_window: -5",
+     "pipeline.harmonic_window must be at least 1, got -5"),
+    ("qsd_window: 20", "qsd_window: -5", "pipeline.qsd_window must be at least 1, got -5"),
+    ("n_samples: 20000", "n_samples: 0", "simulate.n_samples must be at least 1, got 0"),
 ], ids=["no-prob", "wedge-no-beta", "step-not-int", "n_max-not-int", "step-not-mapping",
         "n_hi-zero", "n_hi-above-n_max", "x0-dim", "ratio_start-dim",
         "bridge_endpoint-dim", "simulate-x0-dim", "zchain-x0-dim", "simulate-n-negative",
@@ -167,7 +174,8 @@ STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
         "n_max-fraction", "x0-fraction", "qsd_sweep-fraction", "workers-fraction",
         "seed-bool", "cone-dim-fraction", "simulate-n-fraction", "simulate-x0-fraction",
         "zchain-n_paths-fraction", "orthant-foreign-keys", "wedge-dim", "halfspace-dim",
-        "halfspace-theta0"])
+        "halfspace-theta0", "dp_window-negative", "harmonic_window-negative",
+        "qsd_window-negative", "simulate-n_samples-zero"])
 def test_malformed_config_exits_2(tmp_path, capsys, line, bad, named):
     path = tmp_path / "bad.yaml"
     path.write_text(NN4_YAML.replace(line, bad))
@@ -175,6 +183,20 @@ def test_malformed_config_exits_2(tmp_path, capsys, line, bad, named):
     assert status == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err
+
+
+@pytest.mark.parametrize("name", [f"{section}.{key}" for section, keys in SECTIONS.items()
+                                  for key in keys])
+def test_unreadable_value_names_its_key(tmp_path, capsys, name):
+    # every key of the flat sections refuses a value it cannot read, by name
+    section, key = name.split(".")
+    data = yaml.safe_load(NN4_YAML)
+    data[section][key] = [1.5, 1] if isinstance(SECTIONS[section][key], tuple) else "x"
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["cramer", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and name in err
 
 
 @pytest.mark.parametrize("line, edited, named", [

@@ -14,7 +14,6 @@ from conelab.model import (ConeSpec, StepLaw, build_model, check_acute_cone_cond
 def test_drift_and_aperiodicity(nn4, quadrant):
     report = build_model(nn4, quadrant)
     assert np.allclose(report.drift, [-0.25, -0.25])
-    assert report.noncollinear
     assert (report.sublattice_index, report.period) == (1, 2)
 
 
@@ -23,7 +22,6 @@ def test_build_model_deterministic(nn4, quadrant):
     b = build_model(nn4, quadrant)
     assert np.array_equal(a.drift, b.drift)
     assert (a.sublattice_index, a.period) == (b.sublattice_index, b.period)
-    assert a.notes == b.notes
 
 
 def test_collinear_support_rejected(quadrant):
