@@ -19,7 +19,9 @@ exception; its traceback goes to stderr).
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -87,7 +89,7 @@ def _read(convert, value, where):
     """``convert(value)``; a value it cannot take is a ConfigError naming ``where``."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: cannot read {value!r}") from exc
 
 
@@ -97,6 +99,13 @@ def _int(value):
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _float(value):
+    """``float(value)``, refusing a bool, a string or a value that is not finite."""
+    if isinstance(value, (bool, str)) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
 
 
 def _int_tuple(values):
@@ -113,7 +122,7 @@ SECTIONS = {
     "simulate": {"estimator": "both", "x0": (5, 5), "n": 60, "n_samples": 1_000_000},
     "zchain": {"x0": (1, 1), "n_steps": 200, "n_paths": 1000},
 }
-CONVERT = {tuple: _int_tuple, int: _int, float: float, str: str}
+CONVERT = {tuple: _int_tuple, int: _int, float: _float, str: str}
 # the least value of each bounded key, checked in this order; seed and workers,
 # which --seed and --workers also set, are named without their section
 LOWEST = {"workers": 1, "seed": 0, "pipeline.n_hi": 1, "pipeline.dp_window": 1,
@@ -164,8 +173,8 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
         cone = ConeSpec.orthant(_read(_int, cone_sec.get("dim", law.dim), "model.cone.dim"))
     elif kind == "wedge2d":
         cone = ConeSpec.wedge2d(
-            _read(float, _need(cone_sec, "beta", "model.cone"), "model.cone.beta"),
-            _read(float, cone_sec.get("theta0", 0.0), "model.cone.theta0"))
+            _read(_float, _need(cone_sec, "beta", "model.cone"), "model.cone.beta"),
+            _read(_float, cone_sec.get("theta0", 0.0), "model.cone.theta0"))
     else:
         cone = ConeSpec.halfspace(_read(lambda a: np.array(a, dtype=float),
                                         _need(cone_sec, "normal", "model.cone"),
@@ -218,12 +227,19 @@ def _run_id(config, command, extra=""):
 
 
 def _write_csv(path, header, rows):
-    """The bytes ``csv.writer`` writes, for cells that hold no comma, quote or newline."""
+    """The bytes ``csv.writer`` writes, for cells that hold no comma, quote or newline.
+
+    Floats are written to 17 significant digits.  Every row holds the cell
+    types of the first, so one template, built from that row, writes them all.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            template = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row])
-            fh.write(template % tuple(row) + "\r\n")
+        if first is not None:
+            template = ",".join(["%.17g" if isinstance(v, float) else "%s"
+                                 for v in first]) + "\r\n"
+            fh.writelines(template % tuple(row) for row in itertools.chain([first], rows))
 
 
 def _write_json(path, payload):

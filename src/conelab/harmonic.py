@@ -20,7 +20,8 @@ the system is solved by BiCGSTAB, matrix-free through the kernel's step and
 started from u itself, so no sparse matrix is assembled and scipy is never
 imported.  When u is itself discretely harmonic (the four-step reference
 walk on the quadrant), the start already meets the stopping rule and V is
-u on the window bit for bit.
+u on the window bit for bit.  V' starts from V instead when V is the closer
+start, as it is for a tilted law that is its own reversal up to rounding.
 """
 
 from dataclasses import dataclass
@@ -90,9 +91,6 @@ class HarmonicTables:
     def U_at(self, x):
         return self.value(self.U, x)
 
-    def Uprime_at(self, x):
-        return self.value(self.Uprime, x)
-
 
 def build_V_tables(tilted, cone, cone_image, M, L):
     """Discrete harmonic functions V (tilted walk) and V' (reversed walk).
@@ -100,10 +98,12 @@ def build_V_tables(tilted, cone, cone_image, M, L):
     The window holds lattice points y with max-norm of M y at most L; the
     one-step ring outside it carries the far-field data u(M y).  Each table
     solves V = T V + b, with T the killed kernel on the window and b the ring
-    data it reaches in one step, by one Krylov solve started from u(M y)
-    (``_solve_killed_harmonic``); ``convergence_residual`` is the larger
-    relative defect of the two mean-value equations at points whose
-    neighbours stay in the window.
+    data it reaches in one step, by one Krylov solve (``_solve_killed_harmonic``).
+    V starts from u(M y), V' from whichever of u(M y) and V has the smaller
+    residual under the reversed kernel: a tilted law that is its own reversal,
+    up to rounding, leaves V at or next to the reversed solution.
+    ``convergence_residual`` is the larger relative defect of the two
+    mean-value equations at points whose neighbours stay in the window.
     """
     drift = tilted.mean()
     if np.linalg.norm(drift) > 1e-10:
@@ -115,16 +115,18 @@ def build_V_tables(tilted, cone, cone_image, M, L):
     u = np.zeros(grid.shape)    # u(M y) on the cone: the start on the window, data off it
     u[grid.in_cone] = u_eval_many(cone_image, grid.coords[grid.in_cone] @ M.T)
     u0, ring_u = u[grid.mask], np.where(grid.mask, 0.0, u)
-    V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted), ring_u, u0)
-    Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed()), ring_u, u0)
+    V, res_v = _solve_killed_harmonic(KilledKernel(grid, tilted), ring_u, [u0])
+    Vp, res_vp = _solve_killed_harmonic(KilledKernel(grid, tilted.reversed()), ring_u,
+                                        [u0, V[grid.mask]])
     return HarmonicTables(
         grid=grid, L=float(L), cone=cone, M=M, cone_image=cone_image,
         V=V, Vprime=Vp, convergence_residual=float(max(res_v, res_vp)),
     )
 
 
-def _solve_killed_harmonic(kernel, ring_u, v0):
-    """BiCGSTAB on v - T v = b, matrix-free through ``kernel.backward``, started at v0.
+def _solve_killed_harmonic(kernel, ring_u, starts):
+    """BiCGSTAB on v - T v = b, matrix-free through ``kernel.backward``, started at
+    whichever of ``starts`` has the smallest true residual (the first on a tie).
 
     b(x) = sum_z p_z u(M(x+z)) over ring neighbours.  The iteration stops once
     the recurrence residual is within SOLVE_TOL of |b| and a recomputed true
@@ -141,8 +143,8 @@ def _solve_killed_harmonic(kernel, ring_u, v0):
 
     b = kernel.backward(ring_u, out=stepped)[mask]
     tol = SOLVE_TOL * float(np.linalg.norm(b))
-    v = np.array(v0, dtype=float)
-    r = b - apply(v)
+    v, r = min(((np.array(v0, dtype=float), b - apply(v0)) for v0 in starts),
+               key=lambda pair: float(np.linalg.norm(pair[1])))
     iterations = 0
     while np.linalg.norm(r) > tol:       # restart from the true residual until it holds
         r_hat, rho, alpha, omega = r.copy(), 1.0, 1.0, 1.0

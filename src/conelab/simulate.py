@@ -19,6 +19,12 @@ step is looked up from the top 16 bits of r, and settled by that integer
 comparison in the few lookup buckets a threshold falls strictly inside.  The
 loop tracks surviving paths only: the estimators read nothing of the others,
 so a killed path's exit position is not kept.
+
+Positions are held in the narrowest signed integer type that holds the
+walk's reach |x0| + n max|z|, in the killed-walk loop (int8 for the shipped
+60 steps from (5, 5)) and in the conditioned chain's path record, and
+surviving path ids in int32.  The integers are those an int64 walk would
+hold, so estimates and paths do not depend on the type.
 """
 
 import math
@@ -58,6 +64,16 @@ def _split_samples(n_samples, workers):
     return counts
 
 
+def _position_type(x0, n, support):
+    """The narrowest signed integer type that holds every position n steps of
+    ``support`` can reach from x0: |x0| + n max|z| at most."""
+    reach = int(np.abs(x0).max()) + n * int(np.abs(support).max())
+    for dtype in (np.int8, np.int16, np.int32):
+        if reach <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _step_tables(law, dtype):
     """Steps, lookup tables and thresholds that turn raw Philox words into steps.
 
@@ -83,22 +99,21 @@ def _simulate_killed(law, cone, x0, n, m, rng):
     """Original indices and final positions, shape (k, d), of the k of m killed
     paths of length n that survive.
 
-    Survivors are kept compacted, one row per coordinate (int32 unless a path
-    could reach 2^31 in n steps), in their original order, so each step draws
-    the same words for the same paths as a loop over all m paths would.  A
-    step is looked up from the top bits of the path's raw word (``_step_tables``)
-    and is the step min(searchsorted(cdf, u, side="right"), K - 1) for the
-    uniform u that ``rng.random`` makes of that word, for any non-decreasing
-    cdf, ties from zero probabilities included.  A path that dies leaves the
-    rows and its exit position is not kept.
+    Survivors are kept compacted, one row per coordinate of ``_position_type``
+    and their ids in int32 while m < 2^31, in their original order, so each
+    step draws the same words for the same paths as a loop over all m paths
+    would.  A step is looked up from the top bits of the path's raw word
+    (``_step_tables``) and is the step min(searchsorted(cdf, u, side="right"),
+    K - 1) for the uniform u that ``rng.random`` makes of that word, for any
+    non-decreasing cdf, ties from zero probabilities included.  A path that
+    dies leaves the rows and its exit position is not kept.
     """
     x0 = np.asarray(x0, dtype=np.int64)
-    reach = int(np.abs(x0).max()) + n * int(np.abs(law.support).max())
-    dtype = np.int32 if reach < 2 ** 31 else np.int64
+    dtype = _position_type(x0, n, law.support)
     steps, disp, thresholds, straddles = _step_tables(law, dtype)
     settle = straddles.any()
     p = np.repeat(x0[:, None].astype(dtype), m, axis=1)
-    live = np.arange(m)
+    live = np.arange(m, dtype=np.int32 if m < 2 ** 31 else np.int64)
     raw = rng.bit_generator.random_raw
     for _ in range(n):
         if live.size == 0:
@@ -112,6 +127,7 @@ def _simulate_killed(law, cone, x0, n, m, rng):
             if odd.size:
                 exact = ((words.take(odd) >> np.uint64(11))[:, None] >= thresholds).sum(axis=1)
                 looked_up = bk.take(odd)
+                # a step difference may wrap in a narrow type; the sum, in range, is exact
                 for row, step, tab in zip(p, steps, disp):
                     row[odd] += step.take(exact) - tab.take(looked_up)
         if cone.kind == "orthant":
@@ -217,7 +233,7 @@ class ZChainRun:
     frozen there and counted in ``n_truncated``.
     """
 
-    paths: np.ndarray        # (n_paths, n_steps + 1, d)
+    paths: np.ndarray        # (n_paths, n_steps + 1, d), narrowest integer type
     row_sum_min: float
     row_sum_max: float
     n_truncated: int
@@ -233,7 +249,8 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     step z, from the kernel's shifts of V.  Each row's raw sum is kept and the
     row normalized into a cumulative table, so table truncation shows up as a
     diagnostic rather than a bias; a sampled step is a lookup at the paths'
-    positions.  The table is zero off the window, so paths stay on it.
+    positions.  The table is zero off the window, so paths stay on it.  The
+    path record takes ``_position_type`` (int16 for 200 unit steps).
     """
     x0 = np.asarray(x0, dtype=int)
     grid = tables.grid
@@ -253,7 +270,7 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     m = n_paths
     pos = np.tile(x0, (m, 1))
     frozen = np.zeros(m, dtype=bool)
-    paths = np.empty((m, n_steps + 1, law.dim), dtype=np.int64)
+    paths = np.empty((m, n_steps + 1, law.dim), dtype=_position_type(x0, n_steps, support))
     paths[:, 0] = pos
     row_min, row_max = np.inf, -np.inf
     for t in range(1, n_steps + 1):

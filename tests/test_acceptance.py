@@ -169,7 +169,7 @@ def test_criterion_09_exit_law(ctx):
     tabs = ctx.harmonic
     uprime = np.zeros(grid.shape)
     pts = grid.coords[grid.mask]
-    uprime[grid.mask] = [tabs.Uprime_at(pt) for pt in pts]
+    uprime[grid.mask] = [tabs.value(tabs.Uprime, pt) for pt in pts]
     profile = np.zeros(grid.shape)
     for z, p in zip(ctx.law.support, ctx.law.probs):
         shift_add(profile, uprime, np.asarray(z), p)

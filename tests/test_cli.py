@@ -167,6 +167,19 @@ STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
      "pipeline.harmonic_window must be at least 1, got -5"),
     ("qsd_window: 20", "qsd_window: -5", "pipeline.qsd_window must be at least 1, got -5"),
     ("n_samples: 20000", "n_samples: 0", "simulate.n_samples must be at least 1, got 0"),
+    # a float key takes finite numbers only: no infinity, nan, bool or string
+    ("harmonic_window: 72", "harmonic_window: .inf",
+     "pipeline.harmonic_window: cannot read inf"),
+    ("harmonic_window: 72", "harmonic_window: .nan",
+     "pipeline.harmonic_window: cannot read nan"),
+    ("harmonic_window: 72", "harmonic_window: true",
+     "pipeline.harmonic_window: cannot read True"),
+    ("harmonic_window: 72", 'harmonic_window: "72"',
+     "pipeline.harmonic_window: cannot read '72'"),
+    ("cone: {kind: orthant, dim: 2}", "cone: {kind: wedge2d, beta: 1.5, theta0: .inf}",
+     "model.cone.theta0: cannot read inf"),
+    ("harmonic_window: 72", "harmonic_window: 1" + "0" * 400,
+     "pipeline.harmonic_window: cannot read 1000"),
 ], ids=["no-prob", "wedge-no-beta", "step-not-int", "n_max-not-int", "step-not-mapping",
         "n_hi-zero", "n_hi-above-n_max", "x0-dim", "ratio_start-dim",
         "bridge_endpoint-dim", "simulate-x0-dim", "zchain-x0-dim", "simulate-n-negative",
@@ -175,7 +188,9 @@ STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
         "seed-bool", "cone-dim-fraction", "simulate-n-fraction", "simulate-x0-fraction",
         "zchain-n_paths-fraction", "orthant-foreign-keys", "wedge-dim", "halfspace-dim",
         "halfspace-theta0", "dp_window-negative", "harmonic_window-negative",
-        "qsd_window-negative", "simulate-n_samples-zero"])
+        "qsd_window-negative", "simulate-n_samples-zero", "harmonic_window-inf",
+        "harmonic_window-nan", "harmonic_window-bool", "harmonic_window-string",
+        "wedge-theta0-inf", "harmonic_window-beyond-float"])
 def test_malformed_config_exits_2(tmp_path, capsys, line, bad, named):
     path = tmp_path / "bad.yaml"
     path.write_text(NN4_YAML.replace(line, bad))

@@ -152,6 +152,7 @@ def assert_matches_reference(law, cone, x0, n, m, seed):
     live, pos = _simulate_killed(law, cone, x0, n, m, _worker_rng(seed, 0))
     ref_pos, ref_alive = _reference_simulate_killed(law, cone, x0, n, m,
                                                     _worker_rng(seed, 0))
+    assert live.dtype == np.int32
     assert np.array_equal(live, np.flatnonzero(ref_alive))
     assert np.array_equal(pos, ref_pos[ref_alive])
     return pos
@@ -173,6 +174,24 @@ def test_far_start_takes_int64_rows():
     pos = assert_matches_reference(law, ConeSpec.orthant(2), (2**31 - 10, 5), 20,
                                    2_000, 8)
     assert pos[:, 0].max() >= 2**31
+
+
+@pytest.mark.parametrize("edge, dtype, wider", [
+    (2**7 - 1, np.int8, np.int16),
+    (2**15 - 1, np.int16, np.int32),
+    (2**31 - 1, np.int32, np.int64),
+], ids=["int8", "int16", "int32"])
+@pytest.mark.parametrize("past", [0, 1], ids=["at-edge", "past-edge"])
+def test_rows_take_the_narrowest_type_that_fits(edge, dtype, wider, past):
+    # five steps of up to +2 from edge - 10 + past reach the largest value of
+    # dtype, or one more, which takes the next wider type; paths that take
+    # five +2 steps land there
+    law = SimpleNamespace(support=np.array([[2, 0], [-1, 1], [0, -1]]),
+                          probs=np.array([0.5, 0.25, 0.25]))
+    pos = assert_matches_reference(law, ConeSpec.orthant(2), (edge - 10 + past, 5), 5,
+                                   2_000, 3)
+    assert pos.dtype == (wider if past else dtype)
+    assert pos[:, 0].max() == edge + past
 
 
 class CraftedWords:
@@ -238,6 +257,24 @@ def test_lookup_settles_words_at_thresholds_exactly(cramer_nn4, steps, probs, x0
     assert 0 < live.size < m
     assert np.array_equal(live, np.flatnonzero(ref_alive))
     assert np.array_equal(pos, ref_pos[ref_alive])
+
+
+def test_settling_wraps_exactly_in_int8_rows():
+    # one step of up to 64 from (2, 2) keeps int8 rows; the word at the first
+    # threshold is looked up as (-64, 0) and settled as (64, 0), a correction
+    # of 128 that wraps in int8 and still lands the path on (66, 2)
+    law = SimpleNamespace(support=np.array([[-64, 0], [64, 0], [0, 1], [0, -1]]),
+                          probs=np.array([0.3, 0.3, 0.3, 0.1]))
+    words = boundary_words(law.probs)
+    live, pos = _simulate_killed(law, ConeSpec.orthant(2), (2, 2), 1, len(words),
+                                 CraftedWords(words))
+    ref_pos, ref_alive = _reference_simulate_killed(law, ConeSpec.orthant(2), (2, 2), 1,
+                                                    len(words), CraftedWords(words))
+    assert pos.dtype == np.int8
+    assert np.array_equal(live, np.flatnonzero(ref_alive))
+    assert np.array_equal(pos, ref_pos[ref_alive])
+    at_threshold = words.index(math.ceil(0.3 * 2.0 ** 53) << 11)
+    assert pos[live.tolist().index(at_threshold)].tolist() == [66, 2]
 
 
 # (value, std_error) of both estimators at x0 (2, 2), n = 30, seed 42,
@@ -398,18 +435,23 @@ def diag_tables(diag_ctx):
     return diag_ctx.harmonic
 
 
-@pytest.mark.parametrize("model, tables, x0, n_steps, n_paths", [
-    ("ctx", "z_tables", [1, 1], 200, 300),
-    ("diag_ctx", "diag_tables", [2, 2], 200, 300),
-    ("ctx", "small_tables", [1, 1], 400, 50),
-], ids=["nn4-L120", "diagonal-L96", "nn4-L14-truncating"])
-def test_z_chain_table_matches_per_step_loop(request, model, tables, x0, n_steps, n_paths):
+@pytest.mark.parametrize("model, tables, x0, n_steps, n_paths, dtype", [
+    ("ctx", "z_tables", [1, 1], 200, 300, np.int16),
+    ("diag_ctx", "diag_tables", [2, 2], 200, 300, np.int16),
+    ("ctx", "small_tables", [1, 1], 400, 50, np.int16),
+    ("ctx", "z_tables", [1, 1], 126, 300, np.int8),
+], ids=["nn4-L120", "diagonal-L96", "nn4-L14-truncating", "nn4-L120-int8"])
+def test_z_chain_table_matches_per_step_loop(request, model, tables, x0, n_steps, n_paths,
+                                             dtype):
+    # the path record takes the narrowest type that holds |x0| + n_steps max|z|
+    # and the int64 reference's values
     pipeline = request.getfixturevalue(model)
     tabs = request.getfixturevalue(tables)
     run = z_chain(pipeline.law, pipeline.cramer, tabs, x0, n_steps, seed=11,
                   n_paths=n_paths)
     paths, row_min, row_max, n_truncated = _z_chain_reference(
         pipeline.law, pipeline.cramer, tabs, x0, n_steps, 11, n_paths)
+    assert run.paths.dtype == dtype
     assert np.array_equal(run.paths, paths)
     assert (run.row_sum_min, run.row_sum_max, run.n_truncated) == \
         (row_min, row_max, n_truncated)
