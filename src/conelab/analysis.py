@@ -14,8 +14,9 @@ from functools import cached_property
 import numpy as np
 
 from .cramer import solve_cramer_point
-from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
-                        exit_profile, exit_time_pmf_rescaled, hazard_ratio, survival_scan)
+from .dp_oracle import (LEAK_TOL, bridge_value, conditional_law, dp_evolve,
+                        exit_position_law, exit_profile, exit_time_pmf_rescaled,
+                        hazard_ratio, survival_scan)
 from .errors import ConfigError, NumericsError, StructuralZeroError, WindowTooSmallError
 from .harmonic import build_U_tables, build_V_tables
 from .model import build_model, check_acute_cone_condition
@@ -215,11 +216,6 @@ class PipelineContext:
                              self.params.n_max)
 
     @cached_property
-    def qsd_sweep(self):
-        return {L: qsd_for_model(self.law, self.cramer, self.cone, L)
-                for L in self.params.qsd_sweep}
-
-    @cached_property
     def qsd(self):
         return qsd_for_model(self.law, self.cramer, self.cone, self.params.qsd_window)
 
@@ -255,7 +251,8 @@ def _report(check, predicted, measured, tolerance, relative=True, notes=None,
             deviation = abs(measured - predicted) / abs(predicted)
         else:
             deviation = measured - predicted
-    passed = bool(deviation <= tolerance)
+    finite = np.all(np.isfinite([predicted, measured, deviation, tolerance]))
+    passed = bool(deviation <= tolerance and finite)
     return VerificationReport(
         check=check, predicted=float(predicted), measured=float(measured),
         deviation=float(deviation), tolerance=float(tolerance), passed=passed,
@@ -263,11 +260,12 @@ def _report(check, predicted, measured, tolerance, relative=True, notes=None,
     )
 
 
-def _structural_note(ctx, event):
+def _structural_note(ctx, event, start="x0"):
     """Note for a verdict the walk's lattice structure decides, not the numerics."""
     period = ctx.report.period
     cause = f" (the walk has period {period})" if period > 1 else ""
-    return f"structural, not numerical: from x0 = {list(ctx.params.x0)} {event}{cause}"
+    point = list(getattr(ctx.params, start))
+    return f"structural, not numerical: from {start} = {point} {event}{cause}"
 
 
 def verify_limits(ctx, selector):
@@ -321,8 +319,16 @@ def _check_start_ratio(ctx):
     prm = ctx.params
     tabs = ctx.harmonic
     predicted = tabs.U_at(prm.x0) / tabs.U_at(prm.ratio_start)
-    measured = (exit_time_pmf_rescaled(ctx.series, prm.n_hi)
-                / exit_time_pmf_rescaled(ctx.series_ratio_start, prm.n_hi))
+    starts = {"x0": ctx.series, "ratio_start": ctx.series_ratio_start}
+    pmf = {start: exit_time_pmf_rescaled(series, prm.n_hi) for start, series in starts.items()}
+    # an exit pmf within roundoff of zero has no ratio to read
+    empty = [start for start, mass in pmf.items()
+             if mass <= LEAK_TOL * starts[start].survival[prm.n_hi]]
+    if empty:
+        note = _structural_note(ctx, f"no path leaves the cone at n = {prm.n_hi}", empty[0])
+        return [_report("start_ratio.exit_pmf", predicted, 0.0, TOL_RATIO,
+                        deviation=1.0, notes=[note])]
+    measured = pmf["x0"] / pmf["ratio_start"]
     return [_report("start_ratio.exit_pmf", predicted, measured, TOL_RATIO)]
 
 
@@ -404,6 +410,16 @@ def _check_exp_moment(ctx):
     terms = exit_time_pmf_rescaled(series, n)
     block1 = terms[n_hi // 4: n_hi // 2].sum()
     block2 = terms[n_hi // 2: n_hi].sum()
+    # a block of pure roundoff has no ratio to read: it fails both rows
+    for block, first, last in ((block1, n_hi // 4 + 1, n_hi // 2),
+                               (block2, n_hi // 2 + 1, n_hi)):
+        if block <= LEAK_TOL * series.survival[first]:
+            note = (f"the exit pmf over n = {first}..{last} sums to {block:.3g}, at most "
+                    f"{LEAK_TOL:g} of the rescaled survival at n = {first}: roundoff, "
+                    "not exit mass")
+            return [_report(check, 1.0, 0.0, 0.0, deviation=1.0, notes=[note])
+                    for check in ("exp_moment.convergent_at_critical",
+                                  "exp_moment.divergent_above_critical")]
     conv_ratio = block2 / block1
     grow = np.exp(0.05 * n)
     gblock1 = (terms * grow)[n_hi // 4: n_hi // 2].sum()

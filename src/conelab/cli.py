@@ -125,7 +125,7 @@ SECTIONS = {
 CONVERT = {tuple: _int_tuple, int: _int, float: _float, str: str}
 # the least value of each bounded key, checked in this order; seed and workers,
 # which --seed and --workers also set, are named without their section
-LOWEST = {"workers": 1, "seed": 0, "pipeline.n_hi": 1, "pipeline.dp_window": 1,
+LOWEST = {"workers": 1, "seed": 0, "pipeline.n_hi": 3, "pipeline.dp_window": 1,
           "pipeline.harmonic_window": 1, "pipeline.qsd_window": 1, "simulate.n": 0,
           "simulate.n_samples": 1, "zchain.n_steps": 1, "zchain.n_paths": 2}
 

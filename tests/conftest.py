@@ -3,6 +3,7 @@ import pytest
 
 from conelab.analysis import PipelineContext, VerifyParams
 from conelab.model import ConeSpec, StepLaw
+from conelab.spectral import qsd_for_model
 
 ROOT3 = np.sqrt(3.0)
 
@@ -51,6 +52,12 @@ def tables_nn4(ctx):
 @pytest.fixture(scope="session")
 def series_nn4(ctx):
     return ctx.series
+
+
+@pytest.fixture(scope="session")
+def qsd_sweep(ctx):
+    """The reference model's QSD on each window of ``params.qsd_sweep``."""
+    return {L: qsd_for_model(ctx.law, ctx.cramer, ctx.cone, L) for L in ctx.params.qsd_sweep}
 
 
 @pytest.fixture(scope="session")

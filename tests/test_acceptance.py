@@ -126,11 +126,10 @@ def test_criterion_07_start_ratio(ctx):
     assert ok
 
 
-def test_criterion_08a_qsd_eigenvalue(ctx):
-    sweep = ctx.qsd_sweep
-    lams = [sweep[L].lambda_ for L in sorted(sweep)]
+def test_criterion_08a_qsd_eigenvalue(ctx, qsd_sweep):
+    lams = [qsd_sweep[L].lambda_ for L in sorted(qsd_sweep)]
     monotone = all(a <= b + 1e-12 for a, b in zip(lams, lams[1:]))
-    gap = abs(sweep[60].lambda_ - ctx.cramer.c)
+    gap = abs(qsd_sweep[60].lambda_ - ctx.cramer.c)
     ok = _line("8a", f"QSD eigenvalue: |lambda_60 - c| = {gap:.2e}, "
                      f"monotone {monotone}", gap <= 0.005 and monotone)
     assert ok

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conelab.analysis import (SELECTORS, PipelineContext, fit_survival_series,
+from conelab.analysis import (SELECTORS, PipelineContext, _report, fit_survival_series,
                               fit_tail, verify_all, verify_limits)
 from conelab.dp_oracle import halfspace_1d
 from conelab.errors import ConfigError
@@ -79,6 +79,13 @@ def test_reports_reproducible(ctx):
 def test_report_invariant_pass_iff_within_tolerance(ctx):
     for r in verify_all(ctx):
         assert r.passed == (r.deviation <= r.tolerance)
+
+
+@pytest.mark.parametrize("predicted, measured, deviation", [
+    (1.0, np.inf, -np.inf), (np.nan, 0.0, -1.0), (1.0, -np.inf, None)])
+def test_report_never_passes_a_non_finite_row(predicted, measured, deviation):
+    row = _report("row", predicted, measured, 0.0, relative=False, deviation=deviation)
+    assert not row.passed
 
 
 def test_ratio_checks_pass(ctx):

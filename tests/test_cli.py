@@ -1,14 +1,13 @@
 import hashlib
 import json
-import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from cases import small_law
 
 from conelab import analysis, harmonic, spectral
 from conelab.analysis import PipelineContext
@@ -126,7 +125,7 @@ STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
      "model.law.steps[0].step: cannot read [1, 'x']"),
     ("n_max: 96", "n_max: many", "pipeline.n_max: cannot read 'many'"),
     (STEPS, "    steps: [1, 2]\n", "model.law.steps[0] must be a mapping"),
-    ("n_hi: 72", "n_hi: 0", "pipeline.n_hi must be at least 1, got 0"),
+    ("n_hi: 72", "n_hi: 0", "pipeline.n_hi must be at least 3, got 0"),
     ("n_hi: 72", "n_hi: 500", "pipeline.n_hi must be at most n_max = 96, got 500"),
     ("n_hi: 72", "n_hi: 72\n  x0: [1, 1, 1]", "pipeline.x0 needs 2 coordinates, got 3"),
     ("n_hi: 72", "n_hi: 72\n  ratio_start: [2]",
@@ -382,6 +381,55 @@ def test_bridge_endpoint_without_mass_is_a_failing_row(tmp_path, selector):
     assert any(note.startswith("structural, not numerical")
                and "endpoint [2, 2] at n = 71" in note and "period 2" in note
                for note in bridge["notes"])
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which JSON does not have."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+
+
+LATE_FIRST_EXIT = {"n_hi: 300": "n_hi: 8", "x0: [1, 1]": "x0: [5, 5]",
+                   "ratio_start: [2, 2]": "ratio_start: [6, 6]",
+                   "bridge_endpoint: [2, 2]": "bridge_endpoint: [5, 5]"}
+
+
+@pytest.mark.parametrize("config, edits, status, named", [
+    # the ratio start (2, 2) has no exit mass at odd times
+    ("diagonal", {"n_hi: 300": "n_hi: 301"}, 1,
+     {"start_ratio.exit_pmf": "from ratio_start = [2, 2] no path leaves the cone at n = 301"}),
+    # floor(n_hi / 3) = 0 would put a bridge time at 0
+    ("nn4", {"n_hi: 300": "n_hi: 1"}, 2, "pipeline.n_hi must be at least 3, got 1"),
+    # from (5, 5) no path exits before step 5: the first block (n = 3..4) is roundoff
+    ("nn4", LATE_FIRST_EXIT, 1, {f"exp_moment.{row}": "n = 3..4 sums to" for row in
+                                 ("convergent_at_critical", "divergent_above_critical")}),
+], ids=["diagonal-odd-n_hi", "nn4-n_hi-1", "nn4-late-first-exit"])
+def test_verify_rows_stay_finite_and_fail_without_mass(tmp_path, capsys, config, edits,
+                                                       status, named):
+    text = (CONFIGS / f"{config}.yaml").read_text()
+    for line, edited in edits.items():
+        assert line in text
+        text = text.replace(line, edited, 1)
+    path, out = tmp_path / "edited.yaml", tmp_path / "out"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # no division by zero on the way
+        assert main(["verify", "all", "--config", str(path), "--out", str(out)]) == status
+    if status == 2:
+        assert named in capsys.readouterr().err
+        return
+    for artifact in out.iterdir():
+        text = artifact.read_text()
+        for line in text.splitlines() if artifact.suffix == ".jsonl" else [text]:
+            if artifact.suffix != ".csv":
+                strict_json(line)
+    rows = {r["check"]: r for r in map(strict_json, next(out.glob("verify_*.jsonl"))
+                                       .read_text().splitlines())}
+    assert all(np.isfinite([r["predicted"], r["measured"], r["deviation"]]).all()
+               for r in rows.values())
+    for check, fragment in named.items():
+        row = rows[check]
+        assert not row["pass"] and row["deviation"] == 1.0 and row["measured"] == 0.0
+        assert any(fragment in note for note in row["notes"]), row["notes"]
 
 
 @pytest.mark.parametrize("selector", ["driftless_bound", "all"])
@@ -726,44 +774,19 @@ COMMANDS = {2: ["whiten", "qsd", "simulate", "verify all"],
             3: ["whiten", "qsd", "simulate", "verify hazard", "verify exp_moment"]}
 
 
-@st.composite
-def small_laws(draw):
-    """A random small law (steps in [-2, 2]^d, drift mostly into the negative
-    orthant) and an orthant or, in d = 2, a tilted wedge holding the diagonal."""
-    d = draw(st.sampled_from([2, 3]))
-    box = [tuple(int(v) - 2 for v in z) for z in np.ndindex(*[5] * d)]
-    steps = draw(st.permutations(box))[:draw(st.integers(3, 6))]
-    if draw(st.booleans()):       # the unit steps make the law span positively
-        axes = np.vstack([np.eye(d, dtype=int), -np.eye(d, dtype=int)]).tolist()
-        steps = [tuple(z) for z in axes] + [z for z in steps if list(z) not in axes]
-    weights = [draw(st.integers(1, 9)) * (4 if sum(z) < 0 else 1) for z in steps]
-    probs = [f"{w}/{sum(weights)}" for w in weights]
-    cone = f"{{kind: orthant, dim: {d}}}"
-    if d == 2 and draw(st.booleans()):
-        beta = draw(st.sampled_from([0.4, 0.6, 0.75, 0.9])) * np.pi
-        theta0 = draw(st.floats(np.pi / 4 - beta + 0.1, np.pi / 4 - 0.1))
-        cone = f"{{kind: wedge2d, beta: {beta!r}, theta0: {theta0!r}}}"
-    return steps, probs, cone
-
-
-@settings(max_examples=30, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(law=small_laws())
-def test_random_small_laws_reach_a_status(law, spans_oracle, capsys):
+@pytest.mark.parametrize("seed", range(30))
+def test_random_small_laws_reach_a_status(seed, spans_oracle, tmp_path, capsys):
     # a crash (exit 4) is never a verdict, whatever the law
-    steps, probs, cone = law
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "run.yaml"
-        path.write_text(law_yaml(steps, probs, cone=cone, pipeline=SMALL_RUN))
-        out = Path(tmp) / "out"
-        status = main(["cramer", "--config", str(path), "--out", str(out)])
-        assert status in (0, 2, 3)
-        assert (status == 0) <= spans_oracle(steps)
-        for command in COMMANDS[len(steps[0])] if status == 0 else []:
-            status = main([*command.split(), "--config", str(path), "--out", str(out)])
-            assert status in (0, 1, 2, 3), capsys.readouterr().err
-        for report in out.glob("verify_*.jsonl"):
-            for row in map(json.loads, report.read_text().splitlines()):
-                assert all(np.isfinite(row[key]) for key in
-                           ("predicted", "measured", "deviation", "tolerance")), row
-    capsys.readouterr()
+    steps, probs, cone = small_law(seed)
+    path, out = tmp_path / "run.yaml", tmp_path / "out"
+    path.write_text(law_yaml(steps, probs, cone=cone, pipeline=SMALL_RUN))
+    status = main(["cramer", "--config", str(path), "--out", str(out)])
+    assert status in (0, 2, 3)
+    assert (status == 0) <= spans_oracle(steps)
+    for command in COMMANDS[len(steps[0])] if status == 0 else []:
+        status = main([*command.split(), "--config", str(path), "--out", str(out)])
+        assert status in (0, 1, 2, 3), capsys.readouterr().err
+    for report in out.glob("verify_*.jsonl"):
+        for row in map(json.loads, report.read_text().splitlines()):
+            assert all(np.isfinite(row[key]) for key in
+                       ("predicted", "measured", "deviation", "tolerance")), row

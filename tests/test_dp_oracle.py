@@ -1,10 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from cases import padded_box_case
 from conftest import scipy_csr
-from hypothesis import assume, given, settings
-from test_lattice import padded_box_cases
 
 from conelab._lattice import KilledKernel, make_grid
 from conelab.cramer import solve_cramer_point
@@ -214,21 +214,58 @@ def test_octant_window_grows_to_42(octant_law):
     assert series.survival[200] == pytest.approx(3.5348857867363805e-07, rel=1e-12)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(padded_box_cases())
-def test_random_spanning_laws_tilt_identity_and_leak(case):
+@pytest.mark.parametrize("seed", [*range(20), "tilt-defect-law"])
+def test_random_spanning_laws_tilt_identity_and_leak(seed):
     # over laws whose steps positively span R^d a series grown from a small
     # window certifies its leak, and the tilt identity holds to roundoff
     # relative to the rescaled tables, which reach the hundreds on some laws
-    law, cone, _, _ = case
-    assume(span_obstruction(law) is None and np.linalg.norm(law.mean()) > 1e-9)
-    assume(cone.kind != "halfspace" or law.dim == 2)   # a d = 3 half-space box is large
+    if seed == "tilt-defect-law":   # 2.56e-12 absolute once failed a fixed bound
+        law, cone = StepLaw(support=np.array([[0, -1], [0, 1], [-1, 0], [1, 2]]),
+                            probs=np.array([1 / 8, 1 / 4, 1 / 8, 1 / 2])), ConeSpec.orthant(2)
+    else:
+        law, cone, _, _ = padded_box_case(seed, keep=lambda law, cone, M, L: (
+            span_obstruction(law) is None and np.linalg.norm(law.mean()) > 1e-9
+            and (cone.kind != "halfspace" or law.dim == 2)))   # a d = 3 half-space box is large
     cramer = solve_cramer_point(law)
     x0 = make_grid(cone, 2, law).points()[0]
     series = dp_evolve(law, cone, x0, 20, rescale_by=cramer.c, L=3, retain=range(21))
     assert series.leak_max < LEAK_TOL
     assert 3 <= series.L <= window_reach(law, x0, 20)
     assert check_tilt_identity(law, cramer, cone, x0, n_max=20) <= 1e-12
+
+
+def quadrant_paths(n, x, y, comb):
+    """Paths of the simple walk (steps +-e_i) from x to y in n steps that stay in the
+    open quadrant, by reflection: u = y1 + y2 and v = y1 - y2 walk independently,
+    and ``comb[k]`` is C(n, k)."""
+    total = 0
+    for e1, e2 in itertools.product((1, -1), repeat=2):
+        d1, d2 = e1 * y[0] - x[0], e2 * y[1] - x[1]
+        a, b = d1 + d2, d1 - d2
+        if (n + a) % 2 == 0 and abs(a) <= n and abs(b) <= n:
+            total += e1 * e2 * comb[(n + a) // 2] * comb[(n + b) // 2]
+    return total
+
+
+def test_dp_matches_exact_nn4_counts_at_n_hi(series_nn4):
+    # nn4's tilted law is the simple walk, so the shipped series' rescaled table at
+    # n_hi is exactly e^(-h.(y - x)) N_n(x, y) / 4^n with h = (ln 3 / 2)(1, 1), on
+    # and beyond its L = 60 window; the mass beyond it must lie below leak_max
+    series, n, x = series_nn4, 300, (1, 1)
+    assert series.L == 60 and series.x0.tolist() == list(x)
+    comb = [math.comb(n, k) for k in range(n + 1)]
+
+    def exact(y):
+        return 3.0 ** (-(y[0] + y[1] - 2) / 2) * (quadrant_paths(n, x, y, comb) / 4 ** n)
+
+    grid = series.grid
+    on_window = np.array([exact(y) for y in grid.points()])
+    off_window = math.fsum(exact(y) for s in range(2, n + 3, 2) for y in
+                           ((y1, s - y1) for y1 in range(1, s)) if not grid.contains(y))
+    survival = math.fsum(on_window) + off_window
+    assert abs(series.survival[n] - survival) <= 1e-12 * survival
+    assert np.abs(series.tables[n][grid.mask] - on_window).sum() <= 1e-12 * survival
+    assert off_window / survival <= series.leak_max
 
 
 def test_start_validation(nn4, quadrant):

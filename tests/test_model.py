@@ -2,8 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from cases import any_support, noncollinear_support
 
 from conelab.errors import ConfigError
 from conelab.model import (ConeSpec, StepLaw, build_model, check_acute_cone_condition,
@@ -108,31 +107,17 @@ def _oracle(support):
     return index, period
 
 
-@st.composite
-def noncollinear_supports(draw):
-    d, bound = draw(st.sampled_from([(2, 3), (3, 1)]))
-    entry = st.integers(-bound, bound)
-    vectors = draw(st.lists(st.tuples(*[entry] * d), min_size=d + 1, max_size=6,
-                            unique=True))
-    support = np.array(vectors)
-    assume(np.linalg.matrix_rank(support[1:] - support[0]) == d)
-    return support
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(noncollinear_supports())
-def test_lattice_structure_matches_finite_quotient_oracle(support):
+@pytest.mark.parametrize("seed", range(150))
+def test_lattice_structure_matches_finite_quotient_oracle(seed):
+    support, _ = noncollinear_support(seed)
     assert lattice_structure(_uniform(support)) == _oracle(support)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(noncollinear_supports(), st.data())
-def test_lattice_classes_match_finite_quotient_oracle(support, data):
+@pytest.mark.parametrize("seed", range(60))
+def test_lattice_classes_match_finite_quotient_oracle(seed):
     # two points share a label exactly when their difference lies in the group
     # the steps generate, read off in Z^d / N Z^d, which N Z^d lies inside
-    d = support.shape[1]
-    points = np.array(data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d),
-                                         min_size=2, max_size=12)))
+    support, points = noncollinear_support(seed)
     labels, index = lattice_classes(support, points)
     N = _modulus(support)
     group = _subgroup(support, N)
@@ -161,11 +146,9 @@ def test_span_obstruction_none_when_steps_span(support):
     assert span_obstruction(_uniform(support)) is None
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(d=st.sampled_from([2, 3]), data=st.data())
-def test_span_obstruction_matches_hull_oracle(d, data, spans_oracle):
-    support = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1,
-                                 max_size=7, unique=True))
+@pytest.mark.parametrize("seed", range(150))
+def test_span_obstruction_matches_hull_oracle(seed, spans_oracle):
+    support = any_support(seed)
     u = span_obstruction(_uniform(support))
     assert (u is None) == spans_oracle(support)
     if u is not None:

@@ -6,8 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from cases import killed_walk_case
 
 import conelab.simulate as simulate
 from conelab import _fork
@@ -124,28 +123,6 @@ def test_compacted_loop_matches_reference(nn4, cramer_nn4, cone, x0, tilted):
     assert np.array_equal(pos, ref_pos[ref_alive])
 
 
-@st.composite
-def killed_walk_cases(draw):
-    """3-8 steps in [-2, 2]^d (d = 2 or 3) whose weights may be zero and whose
-    probabilities may sum to 0.9, an orthant or half-space cone, a start in it
-    and a seed.  The law is a bare (support, probs) pair: ``StepLaw`` refuses
-    a zero probability and a sum below 1."""
-    d = draw(st.sampled_from([2, 3]))
-    entry = st.integers(-2, 2)
-    steps = draw(st.lists(st.tuples(*[entry] * d), min_size=3, max_size=8, unique=True))
-    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=len(steps),
-                                     max_size=len(steps))), dtype=float)
-    assume(weights.sum() > 0)
-    total = draw(st.sampled_from([1.0, 0.9]))
-    law = SimpleNamespace(support=np.array(steps), probs=total * weights / weights.sum())
-    a = draw(st.integers(1, 8))
-    cone, x0 = draw(st.sampled_from([
-        (ConeSpec.orthant(d), (a,) * d),
-        (ConeSpec.halfspace(np.array([1.0, -2.0, 0.5])[:d]), (a + 2,) + (1,) * (d - 1)),
-    ]))
-    return law, cone, x0, draw(st.integers(0, 2**32 - 1))
-
-
 def assert_matches_reference(law, cone, x0, n, m, seed):
     # the survivors, in their original order, and where they are; killed
     # paths' exit positions are not kept
@@ -158,13 +135,12 @@ def assert_matches_reference(law, cone, x0, n, m, seed):
     return pos
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(killed_walk_cases())
-def test_cut_point_count_matches_searchsorted_reference(case):
+@pytest.mark.parametrize("seed", range(40))
+def test_cut_point_count_matches_searchsorted_reference(seed):
     # counting cut points picks the step the binary search picks, also across
     # ties from zero-probability steps and a cdf that ends below 1
-    law, cone, x0, seed = case
-    assert_matches_reference(law, cone, x0, 30, 2_000, seed)
+    law, cone, x0, sim_seed = killed_walk_case(seed)
+    assert_matches_reference(law, cone, x0, 30, 2_000, sim_seed)
 
 
 def test_far_start_takes_int64_rows():

@@ -1,8 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from cases import padded_box_case
 from conftest import scipy_csr
-from hypothesis import assume, given, settings
-from test_lattice import padded_box_cases
 
 from conelab._lattice import KilledKernel, make_grid
 from conelab.cramer import solve_cramer_point
@@ -51,11 +52,10 @@ def test_slab_inverse_budget_is_a_config_error(octant_law):
         qsd_for_model(octant_law, cramer, ConeSpec.orthant(3), 50)
 
 
-def test_eigenvalue_monotone_and_close_to_c(ctx):
-    sweep = ctx.qsd_sweep
-    lams = [sweep[L].lambda_ for L in sorted(sweep)]
+def test_eigenvalue_monotone_and_close_to_c(ctx, qsd_sweep):
+    lams = [qsd_sweep[L].lambda_ for L in sorted(qsd_sweep)]
     assert all(a <= b + 1e-12 for a, b in zip(lams, lams[1:]))
-    assert abs(sweep[60].lambda_ - ctx.cramer.c) <= 0.005
+    assert abs(qsd_sweep[60].lambda_ - ctx.cramer.c) <= 0.005
     assert all(0.0 < lam < 1.0 for lam in lams)
 
 
@@ -125,6 +125,22 @@ def test_diagonal_qsd_sweep(diagonal_law, quadrant, diag_ctx):
     assert all(a <= b for a, b in zip(lams, lams[1:]))
 
 
+def exact_rank(matrix):
+    """Rank of an integer matrix, by Gaussian elimination over the rationals."""
+    rows = [[Fraction(int(v)) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 @pytest.mark.parametrize("steps, probs, converged", [
     ([(1, -2, -1), (-2, 0, -2), (-1, 0, 2), (0, 1, -1), (1, 2, 2), (0, 2, 1)],
      [.3, .2, .1, .1, .2, .1], True),
@@ -132,20 +148,32 @@ def test_diagonal_qsd_sweep(diagonal_law, quadrant, diag_ctx):
 ], ids=["rate-0.974", "rate-0.99994"])
 def test_slow_octant_laws_report_convergence(steps, probs, converged):
     # shift-1 inverse iteration gains (1 - lambda_1) / (1 - lambda_2) per solve:
-    # at 0.974 it needs hundreds of solves and still meets the dense root; with
-    # top roots 0.2000647 and a double 0.2000200 it runs out of solves 1.6% off,
+    # at 0.974 it needs hundreds of solves and still meets the dense root; on a
+    # defective root 1/5, one 6 x 6 Jordan block, it runs out of solves 1.6% off,
     # and the result must say so
     law = StepLaw(support=np.array(steps), probs=np.array(probs))
     grid = make_grid(ConeSpec.orthant(3), 3, law)
     kernel = KilledKernel(grid, law).matrix()
-    lam = np.linalg.eigvals(scipy_csr(kernel).toarray()).real.max()
+    dense = scipy_csr(kernel).toarray()
     result = qsd_power_iteration(kernel, grid, solve_cramer_point(law), 3)
     assert result.converged == converged
     if converged:
+        lam = np.linalg.eigvals(dense).real.max()
         assert 100 < result.iterations < MAX_SOLVES
         assert abs(result.lambda_ - lam) <= 1e-10 * lam
         assert result.warnings == []
     else:
+        # 5A is a 0/1 matrix.  The exact ranks of (5A - I)^j, (5A + I)^j and (5A)^j
+        # give nullities 6, 6 and 15, which fill all 27 states: the spectrum is
+        # exactly 1/5 (one Jordan block), -1/5 six times and 0 fifteen times
+        five_a = np.rint(5 * dense).astype(np.int64)
+        assert np.array_equal(five_a, 5 * dense) and set(np.unique(five_a)) == {0, 1}
+        eye = np.eye(len(five_a), dtype=np.int64)
+        ranks = {shift: [exact_rank(np.linalg.matrix_power(five_a + shift * eye, j))
+                         for j in range(1, top)] for shift, top in ((-1, 7), (1, 7), (0, 6))}
+        assert ranks == {-1: [26, 25, 24, 23, 22, 21], 1: [26, 25, 24, 23, 22, 21],
+                         0: [20, 15, 14, 13, 12]}
+        lam = 0.2
         assert result.iterations == MAX_SOLVES
         assert abs(result.lambda_ - lam) > 0.01 * lam
         assert result.warnings == [
@@ -153,23 +181,29 @@ def test_slow_octant_laws_report_convergence(steps, probs, converged):
             f"residual {result.residual:.2e} is not below QSD_TOL = {QSD_TOL:g}"]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(padded_box_cases())
-def test_random_law_qsd_matches_dense_eig(case):
+def dense_perron(law, cone, L):
+    """The grid, kernel, dense left Perron law and root of a drifted spanning law on a
+    window of 20 to 400 states, if the root is simple and above 1e-3; else None."""
+    grid = make_grid(cone, L, law)
+    if span_obstruction(law) is None and np.linalg.norm(law.mean()) > 1e-9 and (
+            20 <= grid.n_states <= 400):
+        kernel = KilledKernel(grid, law).matrix()
+        roots, vectors = np.linalg.eig(scipy_csr(kernel).toarray().T)
+        k = np.argmax(roots.real)
+        lam = roots[k].real
+        if lam > 1e-3 and np.sum(np.abs(roots - lam) <= 1e-9 * lam) == 1:
+            oracle = np.abs(vectors[:, k].real)
+            return grid, kernel, oracle / oracle.sum(), lam
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_law_qsd_matches_dense_eig(seed):
     # over small positively spanning laws, on orthants, a tilted wedge and
     # half-spaces, the QSD is the dense kernel's left Perron vector, it lies
     # on one lattice class only, and that class holds the largest root
-    law, cone, _, L = case
-    assume(span_obstruction(law) is None and np.linalg.norm(law.mean()) > 1e-9)
-    grid = make_grid(cone, L, law)
-    assume(20 <= grid.n_states <= 400)
-    kernel = KilledKernel(grid, law).matrix()
-    roots, vectors = np.linalg.eig(scipy_csr(kernel).toarray().T)
-    k = np.argmax(roots.real)
-    lam = roots[k].real
-    assume(lam > 1e-3 and np.sum(np.abs(roots - lam) <= 1e-9 * lam) == 1)
-    oracle = np.abs(vectors[:, k].real)
-    oracle /= oracle.sum()
+    law, cone, _, L = padded_box_case(
+        seed, keep=lambda law, cone, M, L: dense_perron(law, cone, L) is not None)
+    grid, kernel, oracle, lam = dense_perron(law, cone, L)
     result = qsd_power_iteration(kernel, grid, solve_cramer_point(law), L)
     assert abs(result.lambda_ - lam) <= 1e-12 * lam
     assert 0.5 * np.abs(result.mu - oracle).sum() <= 1e-10
