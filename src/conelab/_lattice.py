@@ -1,11 +1,12 @@
 """Lattice windows and the killed-walk kernel every oracle applies.
 
-A window is an axis-aligned integer box intersected with an open cone.
-Arrays live on the full box, C-ordered; a boolean mask selects the window
-points.  ``make_grid`` pads every box by the law's longest step, so each
-one-step neighbour of a window cell is a box cell, and it records which box
-cells lie in the cone (``in_cone``).  Every stage reads the cone from there;
-none repeats the membership pass.
+A window is the open-cone points y with |y|_inf <= L, at every stage (the
+harmonic one takes L = its whitened radius over |M|_inf).  Arrays live on
+the full box, C-ordered; a boolean mask selects the window points.
+``make_grid`` pads every box by the law's longest step, so each one-step
+neighbour of a window cell is a box cell, and it records which box cells lie
+in the cone (``in_cone``).  Every stage reads the cone from there; none
+repeats the membership pass.
 
 ``KilledKernel`` is the one-step operator of the walk killed outside the
 window: a step moves mass by +z with probability p_z, mass landing off the
@@ -24,6 +25,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .model import cone_contains
 
 
 @dataclass
@@ -92,19 +95,13 @@ class Csr(NamedTuple):
                            minlength=self.shape[1])
 
 
-def make_grid(cone, L, law, M=None):
-    """Window grid for ``{y in cone : max-norm of (M y or y) <= L}``.
+def make_grid(cone, L, law):
+    """Window grid for ``{y in cone : |y|_inf <= L}``, the window of every stage.
 
     The box extends one longest step of ``law`` beyond the window on every
     side, so each one-step neighbour of a window point is a box cell.
     """
-    from .model import cone_contains  # local import, avoids cycle
-
-    if M is None:
-        reach = int(np.ceil(L))
-    else:
-        Minv = np.linalg.inv(M)
-        reach = int(np.ceil(L * np.max(np.abs(Minv).sum(axis=1))))
+    reach = int(np.ceil(L))
     pad = int(np.max(np.abs(law.support)))
     d = cone.dim
     if cone.kind == "orthant":
@@ -117,12 +114,13 @@ def make_grid(cone, L, law, M=None):
     coords = np.moveaxis(np.indices(shape), 0, -1) + lo
     pts = coords.reshape(-1, d)
     in_cone = cone_contains(cone, pts).reshape(shape)
-    if M is None:
-        in_window = np.max(np.abs(pts), axis=1) <= L
-    else:
-        in_window = np.max(np.abs(pts @ M.T), axis=1) <= L
-    mask = in_cone & in_window.reshape(shape)
+    mask = in_cone & (np.max(np.abs(pts), axis=1) <= L).reshape(shape)
     return WindowGrid(lo=lo, shape=shape, mask=mask, coords=coords, in_cone=in_cone)
+
+
+def walk_reach(x0, n, support):
+    """The largest max-norm n steps of ``support`` can reach from x0: |x0| + n max|z|."""
+    return int(np.max(np.abs(x0))) + n * int(np.max(np.abs(support)))
 
 
 def shift_add(out, arr, z, w):

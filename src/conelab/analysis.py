@@ -56,7 +56,7 @@ class VerificationReport:
     notes: list = field(default_factory=list)
 
 
-def fit_survival_series(b, rescale_by=1.0, n_hi=None):
+def fit_survival_series(b, rescale_by=1.0):
     """Geometric rate and polynomial order of a survival series b_n.
 
     The dyadic exponent estimate -log2(b_2n / b_n) is Richardson-extrapolated
@@ -66,9 +66,7 @@ def fit_survival_series(b, rescale_by=1.0, n_hi=None):
     pipeline fit runs up to ``pipeline.n_max``, so a short series names it.
     """
     b = np.asarray(b, dtype=float)
-    n_max = b.shape[0] - 1
-    if n_hi is None:
-        n_hi = n_max
+    n_hi = b.shape[0] - 1
     if n_hi - n_hi % 8 < 32:
         raise ConfigError(f"pipeline.n_max must be at least 32, got {n_hi}: the series "
                           "is too short for the tail fit")
@@ -95,8 +93,7 @@ def fit_tail(series):
     """Tail fit of a drifted DP series; requires the rescaled evolution."""
     if series.rescale_by == 1.0:
         raise ConfigError("drifted fits need the series rescaled by the survival rate")
-    return fit_survival_series(series.survival, rescale_by=series.rescale_by,
-                               n_hi=series.n_max)
+    return fit_survival_series(series.survival, rescale_by=series.rescale_by)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +221,7 @@ class PipelineContext:
         """Degree of u: the image cone's, or fitted from the driftless scan without one."""
         if self.whitening.p is not None:
             return self.whitening.p
-        fit = fit_survival_series(self.driftless_scan[0], rescale_by=1.0,
-                                  n_hi=self.params.n_max)
+        fit = fit_survival_series(self.driftless_scan[0], rescale_by=1.0)
         return 2.0 * fit.exponent_hat
 
     @cached_property
@@ -378,7 +374,6 @@ def _check_bridge(ctx):
     prm = ctx.params
     t1, t2 = BRIDGE_TIMES
     n = prm.n_hi
-    A = [np.asarray(prm.x0, dtype=int)]
     z = np.asarray(prm.bridge_endpoint, dtype=int)
     s = ctx.exponent
     w1 = (np.floor(t1 * n) * (n - np.floor(t1 * n))) / n ** 2
@@ -386,8 +381,8 @@ def _check_bridge(ctx):
     predicted = (w1 / w2) ** (-s)
     notes = [f"time fractions {t1:.4f} and {t2:.4f}, endpoint {z.tolist()}"]
     try:
-        b1 = bridge_value(ctx.series, n, t1, A, z)
-        b2 = bridge_value(ctx.series, n, t2, A, z)
+        b1 = bridge_value(ctx.series, n, t1, z)
+        b2 = bridge_value(ctx.series, n, t2, z)
     except StructuralZeroError:
         event = f"no path reaches the endpoint {z.tolist()} at n = {n}"
     else:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lattice import KilledKernel, make_grid
+from ._lattice import KilledKernel, make_grid, walk_reach
 from .cramer import log_mgf, solve_cramer_point
 from .errors import ConfigError, StructuralZeroError
 from .model import ConeSpec, StepLaw, cone_contains
@@ -45,8 +45,7 @@ class DpSeries:
 
 def window_reach(law, x0, n_max):
     """Window radius L beyond which an ``n_max``-step walk from x0 cannot leak."""
-    pad = int(np.max(np.abs(law.support)))
-    return int(np.max(np.abs(x0))) + n_max * pad + 1
+    return walk_reach(x0, n_max, law.support) + 1
 
 
 def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
@@ -152,11 +151,11 @@ def exit_position_law(series, n):
     return exit_profile(series.grid, series.law, series.tables[n - 1], f"q_{n - 1}")
 
 
-def bridge_value(series, n, t, A, z):
-    """Conditioned bridge mass P(walk at [t n] in A | alive at n, endpoint z).
+def bridge_value(series, n, t, z):
+    """Conditioned bridge mass P(walk at x0 at time [t n] | alive at n, endpoint z).
 
-    Uses the Markov factorization through the retained tables, so every
-    midpoint in A must be the series' start x0.
+    Uses the Markov factorization through the retained tables: the walk from
+    x0 back at x0 after [t n] steps, then on to z in the remaining n - [t n].
     """
     m = int(np.floor(t * n))
     z = np.asarray(z, dtype=int)
@@ -167,13 +166,7 @@ def bridge_value(series, n, t, A, z):
     denom = grid.value_at(q_n, z)
     if denom <= 0.0:
         raise StructuralZeroError(f"endpoint {z.tolist()} has no mass at n = {n}")
-    total = 0.0
-    for y in A:
-        y = np.asarray(y, dtype=int)
-        if not np.array_equal(y, series.x0):
-            raise ConfigError(f"bridge midpoint {y.tolist()} is not the start x0")
-        total += grid.value_at(q_m, y) * grid.value_at(q_rest, z)
-    return total / denom
+    return grid.value_at(q_m, series.x0) * grid.value_at(q_rest, z) / denom
 
 
 def check_tilt_identity(law, cramer, cone, x0, n_max=20):

@@ -15,12 +15,14 @@ that the growth constant C of V' on the window holds there too, passes.
 
 V is the unique solution of the killed-kernel fixed-point equation on a
 truncated window with u as far-field data on the one-step exterior ring.
+The window size L is a whitened radius: the window is the max-norm box
+|y|_inf <= L / |M|_inf every stage builds, the largest inside |M y|_inf <= L.
 The truncated kernel has spectral radius below one, so I - T is invertible;
-the system is solved by BiCGSTAB, matrix-free through the kernel's step and
-started from u itself, so no sparse matrix is assembled and scipy is never
-imported.  When u is itself discretely harmonic (the four-step reference
-walk on the quadrant), the start already meets the stopping rule and V is
-u on the window bit for bit.  V' starts from V instead when V is the closer
+it is solved by BiCGSTAB, matrix-free through the kernel's step and started
+from u itself, so no sparse matrix is assembled and scipy is never imported.
+When u is itself discretely harmonic (the four-step reference walk on the
+quadrant), the start already meets the stopping rule and V is u on the
+window bit for bit.  V' starts from V instead when V is the closer
 start, as it is for a tilted law that is its own reversal up to rounding.
 """
 
@@ -38,6 +40,7 @@ TAIL_RADII = 150         # radii beyond the window searched for a passing one
 SOLVE_TOL = 1e-14        # Krylov stop: |b - A v| <= SOLVE_TOL |b|
 SOLVE_MAX_ITER = 2000    # BiCGSTAB iterations per table before giving up
 OUTSIDE_TOL = 1e-9       # relative slack before u calls a point outside its cone
+ZERO_CHECK = 1e-10       # solved values this far below the largest get the exact-zero pass
 
 
 def u_eval(image, x):
@@ -95,13 +98,14 @@ class HarmonicTables:
 def build_V_tables(tilted, cone, cone_image, M, L):
     """Discrete harmonic functions V (tilted walk) and V' (reversed walk).
 
-    The window holds lattice points y with max-norm of M y at most L; the
-    one-step ring outside it carries the far-field data u(M y).  Each table
-    solves V = T V + b, with T the killed kernel on the window and b the ring
-    data it reaches in one step, by one Krylov solve (``_solve_killed_harmonic``).
-    V starts from u(M y), V' from whichever of u(M y) and V has the smaller
-    residual under the reversed kernel: a tilted law that is its own reversal,
-    up to rounding, leaves V at or next to the reversed solution.
+    The window is ``make_grid``'s box |y|_inf <= L / |M|_inf, inside
+    |M y|_inf <= L; its one-step ring carries the far-field data u(M y).
+    Each table solves V = T V + b, T the killed kernel on the window and b
+    the ring data it reaches in one step, by one Krylov solve
+    (``_solve_killed_harmonic``).  V starts from u(M y), V' from whichever of
+    u(M y) and V has the smaller residual under the reversed kernel: a tilted
+    law that is its own reversal, up to rounding, leaves V at or next to the
+    reversed solution.
     ``convergence_residual`` is the larger relative defect of the two
     mean-value equations at points whose neighbours stay in the window.
     """
@@ -109,7 +113,7 @@ def build_V_tables(tilted, cone, cone_image, M, L):
     if np.linalg.norm(drift) > 1e-10:
         raise ConfigError("V construction needs the driftless tilted law")
     M = np.asarray(M, dtype=float)
-    grid = make_grid(cone, L, tilted, M=M)
+    grid = make_grid(cone, L / np.linalg.norm(M, np.inf), tilted)
     if grid.n_states == 0:
         raise ConfigError("window contains no cone points; increase L")
     u = np.zeros(grid.shape)    # u(M y) on the cone: the start on the window, data off it
@@ -130,7 +134,11 @@ def _solve_killed_harmonic(kernel, ring_u, starts):
 
     b(x) = sum_z p_z u(M(x+z)) over ring neighbours.  The iteration stops once
     the recurrence residual is within SOLVE_TOL of |b| and a recomputed true
-    residual agrees; otherwise it restarts from the true residual.
+    residual agrees; otherwise, and on a breakdown, it restarts from the true
+    residual.  The solution is 0 exactly at the states from which no path
+    reaches b > 0 (``_reaching``); when a solved value is near 0 those states
+    are set to 0 and left out of the residual, and every other value must be
+    positive.
     """
     grid = kernel.grid
     mask = grid.mask
@@ -156,12 +164,12 @@ def _solve_killed_harmonic(kernel, ring_u, starts):
                     f"harmonic solve not converged in {SOLVE_MAX_ITER} iterations")
             rho_new = float(r_hat @ r)
             if rho_new == 0.0 or omega == 0.0:
-                raise NumericsError("harmonic solve broke down (BiCGSTAB)")
+                break                    # breakdown: restart from the true residual
             p = r + (rho_new / rho) * (alpha / omega) * (p - omega * q)
             q = apply(p)
             rq = float(r_hat @ q)
             if rq == 0.0:
-                raise NumericsError("harmonic solve broke down (BiCGSTAB)")
+                break
             alpha = rho_new / rq
             s = r - alpha * q
             t = apply(s)
@@ -171,7 +179,11 @@ def _solve_killed_harmonic(kernel, ring_u, starts):
             r = s - omega * t
             rho = rho_new
         r = b - apply(v)
-    if np.any(v <= 0.0):
+    live = np.ones(v.shape, dtype=bool)
+    if v.min() <= ZERO_CHECK * v.max():
+        live = _reaching(kernel, b)
+        v[~live] = 0.0
+    if np.any(v[live] <= 0.0):
         raise NumericsError("killed harmonic solve produced nonpositive values")
     V = np.zeros(grid.shape)
     V[mask] = v
@@ -179,9 +191,22 @@ def _solve_killed_harmonic(kernel, ring_u, starts):
     rel = np.zeros(grid.shape)
     rel[mask] = (np.abs(kernel.backward(V, out=stepped)[mask] + b - v)
                  / np.maximum(v, 1e-300))
-    interior = kernel.interior
+    interior = kernel.interior & (V > 0.0)
     residual = float(rel[interior].max()) if interior.any() else float(rel[mask].max())
     return V, residual
+
+
+def _reaching(kernel, b):
+    """Whether each window state reaches a state with b > 0 by a path of the
+    kernel's walk inside the window: where v = sum_k T^k b is positive."""
+    mask = kernel.grid.mask
+    live = np.zeros(kernel.grid.shape, dtype=bool)
+    live[mask] = b > 0.0
+    while True:
+        grown = live | (kernel.backward(live.astype(float)) > 0.0)
+        if np.array_equal(grown, live):
+            return live[mask]
+        live = grown
 
 
 def build_U_tables(tables, h):
@@ -222,8 +247,8 @@ def _tail_certificate(tables, h, total):
     """(C, bound on the tail beyond the window, smallest passing window or None).
 
     C, the largest V'(y) / (1 + |M y|^p) on the window, is assumed to hold
-    beyond it: an assumption, not a proof.  Max-norm shells k <= r_in =
-    floor(L / |M|_inf) lie in the window.  For r = r_in ... r_in + TAIL_RADII
+    beyond it: an assumption, not a proof.  Shell r_in = floor(L / |M|_inf)
+    is the window's own edge.  For r = r_in ... r_in + TAIL_RADII
     the sum of C e^(-h.y) (1 + |M y|^p) over shells k > r is at most t(r + 1)
     / (1 - q), t(k) a shell bound and q >= t(k + 1) / t(k).  Orthant shell k
     lies on the faces y_i = k, where |M y| <= m_i k + sum_{j != i} m_j y_j
@@ -234,7 +259,7 @@ def _tail_certificate(tables, h, total):
     _, worst = check_acute_cone_condition(cone, h)   # not acute: no radius passes
     growth_C = float(np.max(tables.Vprime[grid.mask] /
                             (1.0 + np.linalg.norm(grid.points() @ M.T, axis=1) ** p)))
-    row_norm = float(np.max(np.abs(M).sum(axis=1)))
+    row_norm = float(np.linalg.norm(M, np.inf))
     r = int(np.floor(tables.L / row_norm)) + np.arange(TAIL_RADII + 1)
     k, d = r + 1.0, grid.dim
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

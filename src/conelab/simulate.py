@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import KilledKernel
+from ._lattice import KilledKernel, walk_reach
 from .errors import ConfigError
 from .model import cone_contains
 
@@ -66,8 +66,8 @@ def _split_samples(n_samples, workers):
 
 def _position_type(x0, n, support):
     """The narrowest signed integer type that holds every position n steps of
-    ``support`` can reach from x0: |x0| + n max|z| at most."""
-    reach = int(np.abs(x0).max()) + n * int(np.abs(support).max())
+    ``support`` can reach from x0 (``walk_reach``)."""
+    reach = walk_reach(x0, n, support)
     for dtype in (np.int8, np.int16, np.int32):
         if reach <= np.iinfo(dtype).max:
             return dtype
@@ -261,8 +261,12 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     step_w = law.probs * np.exp(support @ h) / c   # (1/c) P(z) e^(h.z)
     kernel = KilledKernel(grid, law)
     V, mask = tables.V, grid.mask
+    if grid.value_at(V, x0) == 0.0:
+        raise ConfigError(f"V({x0.tolist()}) = 0: no path from the start reaches the far "
+                          "field inside the cone, so the conditioned chain cannot start there")
     weights = np.zeros(grid.shape + (support.shape[0],))
-    weights[mask] = step_w * kernel.gather(V) / V[mask][:, None]
+    # a state with V = 0 has no row: every step into it has weight 0
+    weights[mask] = step_w * kernel.gather(V) / np.where(V > 0.0, V, np.inf)[mask][:, None]
     row_sum = weights.sum(axis=-1)
     cdf = np.cumsum(weights / np.maximum(row_sum, 1e-300)[..., None], axis=-1)
     interior = kernel.interior

@@ -10,8 +10,6 @@ import numpy as np
 from conelab.cramer import solve_cramer_point
 from conelab.model import ConeSpec, StepLaw
 
-WHITENINGS = {2: np.array([[1.0, 0.4], [-0.3, 0.8]]),
-              3: np.array([[1.0, 0.3, 0.0], [-0.2, 0.9, 0.1], [0.0, 0.2, 1.1]])}
 HALFSPACE_NORMAL = np.array([1.0, -2.0, 0.5])
 
 
@@ -52,9 +50,9 @@ def small_law(seed):
     return steps, probs, cone
 
 
-def padded_box_case(seed, keep=lambda law, cone, M, L: True):
+def padded_box_case(seed, keep=lambda law, cone, L: True):
     """A law of d + 1 to d + 3 spanning steps in [-2, 2]^d (d = 2 or 3), an orthant, half-space
-    or (d = 2) wedge cone, a whitening or none, and a window, that ``keep`` accepts."""
+    or (d = 2) wedge cone, and a window, that ``keep`` accepts."""
     rng = np.random.default_rng(seed)
     while True:
         support = _noncollinear(rng, [(2, 2), (3, 2)], lambda d: d + 3)
@@ -64,8 +62,7 @@ def padded_box_case(seed, keep=lambda law, cone, M, L: True):
         cones = [ConeSpec.orthant(d), ConeSpec.halfspace(HALFSPACE_NORMAL[:d])]
         if d == 2:
             cones.append(ConeSpec.wedge2d(0.6 * np.pi, 0.4))
-        case = (law, _pick(rng, cones), _pick(rng, [None, WHITENINGS[d]]),
-                int(rng.integers(3, (6 if d == 2 else 4) + 1)))
+        case = (law, _pick(rng, cones), int(rng.integers(3, (6 if d == 2 else 4) + 1)))
         if keep(*case):
             return case
 

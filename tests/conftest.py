@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from conelab.model import ConeSpec, StepLaw
 from conelab.spectral import qsd_for_model
 
 ROOT3 = np.sqrt(3.0)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -85,6 +89,19 @@ def hull_spans(steps):
     except QhullError:            # a flat hull has no interior
         return False
     return bool(np.all(hull.equations[:, -1] < -1e-9))
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    """The benchmark's ``run`` and ``spans`` modules, imported from ``perfbench/``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("run"), importlib.import_module("spans")
+
+
+@pytest.fixture()
+def wide(perfbench):
+    """The benchmark's ``WIDE`` pipeline overrides (1600 steps, n_hi 1200, L = 120 windows)."""
+    return perfbench[0].WIDE
 
 
 @pytest.fixture(scope="session")

@@ -185,10 +185,9 @@ def test_criterion_09_exit_law(ctx):
 
 def test_criterion_10_bridge(ctx):
     n = 300
-    A = [np.array([1, 1])]
     z = np.array([2, 2])
-    b13 = bridge_value(ctx.series, n, 1.0 / 3.0, A, z)
-    b12 = bridge_value(ctx.series, n, 0.5, A, z)
+    b13 = bridge_value(ctx.series, n, 1.0 / 3.0, z)
+    b12 = bridge_value(ctx.series, n, 0.5, z)
     predicted = ((2.0 / 9.0) / 0.25) ** (-3.0)
     dev = abs(b13 / b12 - predicted) / predicted
     ok = _line(10, f"bridge two-time ratio: {b13 / b12:.5f} vs {predicted:.5f} "
@@ -252,7 +251,7 @@ def test_criterion_15_fitter_self_test():
     for s in (1.5, 2.0, 3.0):
         n = np.arange(1, 401, dtype=float)
         b = np.concatenate([[1.0], 1.7 * n ** (-s)])
-        fit = fit_survival_series(b, rescale_by=0.95, n_hi=400)
+        fit = fit_survival_series(b, rescale_by=0.95)
         errs.append(abs(fit.exponent_hat - s))
     ok = _line(15, f"fitter self-test: max exponent error {max(errs):.2e}",
                max(errs) < 1e-3)

@@ -14,7 +14,7 @@ ROOT3 = np.sqrt(3.0)
 def test_synthetic_exponent_recovery(s):
     n = np.arange(1, 401, dtype=float)
     b = np.concatenate([[1.0], 2.7 * n ** (-s)])
-    fit = fit_survival_series(b, rescale_by=0.9, n_hi=400)
+    fit = fit_survival_series(b, rescale_by=0.9)
     assert abs(fit.exponent_hat - s) < 1e-3
     assert abs(fit.c_hat - 0.9) < 1e-6
 
@@ -29,7 +29,7 @@ def test_reference_tail_fit(ctx):
 
 
 def test_driftless_tail_fit(ctx):
-    fit = fit_survival_series(ctx.driftless_scan[0], rescale_by=1.0, n_hi=400)
+    fit = fit_survival_series(ctx.driftless_scan[0], rescale_by=1.0)
     assert abs(fit.exponent_hat - 1.0) <= 0.1
 
 
@@ -49,7 +49,7 @@ def test_fit_requires_rescaled_for_drifted(nn4, quadrant):
 
 def test_fit_rejects_short_series():
     with pytest.raises(ConfigError, match="short"):
-        fit_survival_series(np.ones(20), n_hi=16)
+        fit_survival_series(np.ones(20))
 
 
 def test_selector_names_and_dispatch(ctx):

@@ -5,21 +5,8 @@ points it wraps for ``--trace 1`` exist and that every workload's generated
 config parses.
 """
 
-import importlib
-from pathlib import Path
-
-import pytest
-
 import conelab.cli
 from conelab.cli import parse_run_config
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture()
-def perfbench(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    return importlib.import_module("run"), importlib.import_module("spans")
 
 
 def test_traced_entry_points_exist(perfbench):

@@ -466,8 +466,7 @@ def test_artifacts_byte_identical(tmp_path, command, edits, status):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-# sha256 of every artifact the eight commands write for NN4_YAML, keyed by name
-# without the run id; manifests, which carry package versions, are left out
+# sha256 of every artifact the eight commands write for NN4_YAML (``artifact_digests``)
 ARTIFACT_SHA256 = {
     "cramer.json": "2cb9b13ec27c0a86e924e994b307ceb8ff39aa904b8da4cb09a064366cd3397c",
     "dp.csv": "c9dd1429e12f036d983b67bafa1fe85700ad7f14604f96039dbc8bb3595bcfc8",
@@ -483,6 +482,40 @@ ARTIFACT_SHA256 = {
 }
 
 
+# the same for configs/diagonal.yaml, and for the two commands of the benchmark's
+# wide workload that write artifacts, on configs/nn4.yaml with its WIDE overrides
+DIAGONAL_SHA256 = {
+    "cramer.json": "f90a0d60d3a0420bd14eef03b5563900b993da6ef47069ca3bd1165949031c37",
+    "dp.csv": "497fcd7096fce25e31001122cd0b2f114bbd10532fd690444b50cfc92d485a9b",
+    "dp_fit.json": "53044fe43e73f535a9a0bdf0efc714133f55d2368ecc5a69ed58458f6fccda41",
+    "harmonic.csv": "19de753775a16cba1d251a5ec51ec6644b8877ab760ce028705f28405ae4a4fe",
+    "qsd.csv": "b334ee4ae19834135333a4669c66f4e35ebb2dc8be1aae52e2998a7f001c4f55",
+    "qsd_summary.json": "fab1f7e790252ab521c873be525a586c4a27df4624bab9b8edae077b3bf2093f",
+    "simulate.jsonl": "3e2aff5e0948b27ebfdb200dfcfe22779d2f0a47421186476cc96a902197a401",
+    "verify.jsonl": "d35fbce261acea914055bec1659b128df0e64041be068cca96527b413051e661",
+    "verify_summary.csv": "50f0142eb662abddaa1ac3b8bdee8023b9283cbdcc55de4250a70725dee84687",
+    "whiten.json": "708ee4dd22865db53f2b5c1cfc8d97f41db4c049a4f87ed74c5bbd1a9b8480ab",
+    "zchain.json": "3fa7e11fea0809af6a41da7bd2e08267ee15b8295bf696d1c43f1abfcba1aa1d",
+}
+WIDE_SHA256 = {
+    "dp.csv": "ba6b31539f3371cfd772c0ef6eb353d32fb6a1a13ce594601aa0fd44dd34d967",
+    "dp_fit.json": "d8a0bb95c118edad85dc7a565906818583edfb79d76e5198a8c939635db6b237",
+    "verify.jsonl": "0fed1c52c75bcd0a0b9f35a26c1b9b9bcfc368e542853e0d19b145e0c751e74c",
+    "verify_summary.csv": "41bf0c1a8c8897e9373426073bad0a56b91c7d7f7b7915eac61ca9b017843cc5",
+}
+EIGHT_COMMANDS = ("cramer", "whiten", "harmonic", "dp", "qsd", "zchain", "simulate", "verify")
+
+
+def artifact_digests(config_path, commands, out):
+    """sha256 of every artifact ``commands`` write, keyed by name without the run id;
+    manifests, which carry package versions, are left out.  Only ``verify`` fails."""
+    for command in commands:
+        status = main([command, "--config", str(config_path), "--out", str(out)])
+        assert status == (1 if command == "verify" else 0)
+    return {f"{p.name.rsplit('_', 1)[0]}{p.suffix}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir() if not p.name.startswith("manifest_")}
+
+
 def test_artifacts_match_recorded_digests(config_path, tmp_path, capsys):
     """Every artifact of the eight commands on NN4_YAML has its recorded sha256.
 
@@ -491,15 +524,22 @@ def test_artifacts_match_recorded_digests(config_path, tmp_path, capsys):
     bytes on purpose updates the digests here and says which bytes moved, and
     why, in CHANGES.md.
     """
-    out = tmp_path / "out"
-    for command in ("cramer", "whiten", "harmonic", "dp", "qsd", "zchain", "simulate",
-                    "verify"):
-        status = main([command, "--config", str(config_path), "--out", str(out)])
-        assert status == (1 if command == "verify" else 0)
-    digests = {f"{p.name.rsplit('_', 1)[0]}{p.suffix}":
-               hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in out.iterdir() if not p.name.startswith("manifest_")}
-    assert digests == ARTIFACT_SHA256
+    assert artifact_digests(config_path, EIGHT_COMMANDS, tmp_path / "out") == ARTIFACT_SHA256
+    capsys.readouterr()
+
+
+def test_diagonal_artifacts_match_recorded_digests(tmp_path, capsys):
+    digests = artifact_digests(CONFIGS / "diagonal.yaml", EIGHT_COMMANDS, tmp_path)
+    assert digests == DIAGONAL_SHA256
+    capsys.readouterr()
+
+
+def test_wide_artifacts_match_recorded_digests(tmp_path, capsys, wide):
+    data = yaml.safe_load((CONFIGS / "nn4.yaml").read_text())
+    data["pipeline"].update(wide)
+    path = tmp_path / "wide.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert artifact_digests(path, ("dp", "verify"), tmp_path / "out") == WIDE_SHA256
     capsys.readouterr()
 
 

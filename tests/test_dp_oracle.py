@@ -174,7 +174,7 @@ def test_bridge_two_step_enumeration(nn4, quadrant):
     series = dp_evolve(nn4, quadrant, [1, 1], 2, rescale_by=1.0, L=8,
                        retain=[1, 2])
     z = np.array([2, 2])
-    value = bridge_value(series, 2, 0.5, [np.array([1, 1])], z)
+    value = bridge_value(series, 2, 0.5, z)
     # only two surviving 2-step paths reach (2, 2), none through (1, 1)
     assert value == 0.0
 
@@ -223,7 +223,7 @@ def test_random_spanning_laws_tilt_identity_and_leak(seed):
         law, cone = StepLaw(support=np.array([[0, -1], [0, 1], [-1, 0], [1, 2]]),
                             probs=np.array([1 / 8, 1 / 4, 1 / 8, 1 / 2])), ConeSpec.orthant(2)
     else:
-        law, cone, _, _ = padded_box_case(seed, keep=lambda law, cone, M, L: (
+        law, cone, _ = padded_box_case(seed, keep=lambda law, cone, L: (
             span_obstruction(law) is None and np.linalg.norm(law.mean()) > 1e-9
             and (cone.kind != "halfspace" or law.dim == 2)))   # a d = 3 half-space box is large
     cramer = solve_cramer_point(law)
@@ -247,25 +247,41 @@ def quadrant_paths(n, x, y, comb):
     return total
 
 
+def nn4_table(n, x, y, comb):
+    """nn4's rescaled table at y: its tilted law is the simple walk, so it is exactly
+    e^(-h.(y - x)) N_n(x, y) / 4^n with h = (ln 3 / 2)(1, 1)."""
+    return 3.0 ** (-(y[0] + y[1] - x[0] - x[1]) / 2) * (quadrant_paths(n, x, y, comb) / 4 ** n)
+
+
 def test_dp_matches_exact_nn4_counts_at_n_hi(series_nn4):
-    # nn4's tilted law is the simple walk, so the shipped series' rescaled table at
-    # n_hi is exactly e^(-h.(y - x)) N_n(x, y) / 4^n with h = (ln 3 / 2)(1, 1), on
-    # and beyond its L = 60 window; the mass beyond it must lie below leak_max
+    # the shipped series' rescaled table at n_hi, on and beyond its L = 60 window;
+    # the mass beyond it must lie below leak_max
     series, n, x = series_nn4, 300, (1, 1)
     assert series.L == 60 and series.x0.tolist() == list(x)
     comb = [math.comb(n, k) for k in range(n + 1)]
-
-    def exact(y):
-        return 3.0 ** (-(y[0] + y[1] - 2) / 2) * (quadrant_paths(n, x, y, comb) / 4 ** n)
-
     grid = series.grid
-    on_window = np.array([exact(y) for y in grid.points()])
-    off_window = math.fsum(exact(y) for s in range(2, n + 3, 2) for y in
+    on_window = np.array([nn4_table(n, x, y, comb) for y in grid.points()])
+    off_window = math.fsum(nn4_table(n, x, y, comb) for s in range(2, n + 3, 2) for y in
                            ((y1, s - y1) for y1 in range(1, s)) if not grid.contains(y))
     survival = math.fsum(on_window) + off_window
     assert abs(series.survival[n] - survival) <= 1e-12 * survival
     assert np.abs(series.tables[n][grid.mask] - on_window).sum() <= 1e-12 * survival
     assert off_window / survival <= series.leak_max
+
+
+def test_dp_matches_exact_nn4_counts_at_the_wide_horizon(nn4, quadrant, cramer_nn4, wide):
+    # the benchmark's wide series, run from (1, 1), at its n_hi = 1200: the window
+    # sums alone, as the exact mass beyond the L = 120 window needs ~1.4M cells
+    n, x = wide["n_hi"], (1, 1)
+    series = dp_evolve(nn4, quadrant, x, wide["n_max"], rescale_by=cramer_nn4.c,
+                       L=wide["dp_window"], retain=[n])
+    assert series.L == 120
+    comb = [math.comb(n, k) for k in range(n + 1)]
+    grid = series.grid
+    on_window = np.array([nn4_table(n, x, y, comb) for y in grid.points().tolist()])
+    survival = math.fsum(on_window)
+    assert abs(series.survival[n] - survival) <= 1e-12 * survival
+    assert np.abs(series.tables[n][grid.mask] - on_window).sum() <= 1e-12 * survival
 
 
 def test_start_validation(nn4, quadrant):

@@ -12,7 +12,7 @@ from conelab.dp_oracle import dp_evolve
 from conelab.errors import ConfigError, NumericsError, WindowTooSmallError
 from conelab.harmonic import (HarmonicTables, build_U_tables, build_V_tables, tables_rows,
                               u_eval, u_eval_many)
-from conelab.model import ConeSpec, cone_contains
+from conelab.model import ConeSpec, StepLaw, cone_contains
 from conelab.whiten import cone_image_and_p, image_degree, whiten_model
 
 QUADRANT_IMAGE = ConeSpec.orthant(2)
@@ -213,7 +213,7 @@ def test_random_law_tail_bound_is_a_true_upper_bound(seed, quadrant):
     # must cover the explicit sum over 80 shells beyond the window for any law
     cramer, L = quadrant_law(seed)
     wd = whiten_model(cramer, quadrant)
-    grid = make_grid(quadrant, L, cramer.tilted, M=wd.M)
+    grid = make_grid(quadrant, L / np.linalg.norm(wd.M, np.inf), cramer.tilted)
     ones = grid.mask.astype(float)
     tabs = HarmonicTables(grid=grid, L=float(L), cone=quadrant, M=wd.M,
                           cone_image=wd.cone_image, V=ones, Vprime=ones,
@@ -362,6 +362,32 @@ def test_iteration_cap_raises(diag_ctx, quadrant, monkeypatch):
     tabs = diag_ctx.harmonic
     with pytest.raises(NumericsError, match="not converged"):
         build_V_tables(diag_ctx.cramer.tilted, quadrant, tabs.cone_image, tabs.M, L=96)
+
+
+# every reversed step of SPLIT from (1, 1) and every step of TRI from (1, 1) leaves
+# the quadrant, so V'(1, 1) = 0 and V(1, 1) = 0 exactly, while V > 0 elsewhere
+SPLIT = StepLaw(support=np.array([[-2, 1], [1, -2], [-1, 2], [2, 1]]),
+                probs=np.array([0.4, 0.4, 0.1, 0.1]))
+TRI = StepLaw(support=np.array([[2, -1], [-1, 2], [-1, -1]]), probs=np.array([0.25, 0.25, 0.5]))
+
+
+@pytest.mark.parametrize("law, L, table", [(SPLIT, 10, "Vprime"), (SPLIT, 83, "Vprime"),
+                                           (TRI, 10, "V")],
+                         ids=["split-10", "split-83", "tri-10"])
+def test_state_that_cannot_reach_the_ring_gets_an_exact_zero(law, L, table, quadrant):
+    # the solve used to leave roundoff of either sign there and fail, or pass it
+    # with a residual of 1; at L = 83 BiCGSTAB also meets r_hat . r = 0 after 338
+    # iterations and restarts from the true residual instead of failing
+    cd = solve_cramer_point(law)
+    wd = whiten_model(cd, quadrant)
+    tabs = build_V_tables(cd.tilted, quadrant, wd.cone_image, wd.M, L=L)
+    mask = tabs.grid.mask.copy()
+    assert tabs.value(getattr(tabs, table), [1, 1]) == 0.0
+    mask[tuple(np.array([1, 1]) - tabs.grid.lo)] = False
+    assert np.all(getattr(tabs, table)[mask] > 0.0)
+    other = tabs.Vprime if table == "V" else tabs.V
+    assert np.all(other[tabs.grid.mask] > 0.0)
+    assert tabs.convergence_residual <= 1e-12
 
 
 def test_octant_walk_in_three_dimensions(octant_law):

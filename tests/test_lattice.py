@@ -178,12 +178,17 @@ def test_tv_distance_matches_pointwise_fsum(quadrant, nn4):
     assert tv_distance_tables(table_b, grid_b, table_a, grid_a) == tv
 
 
-def test_grid_window_uses_whitened_norm(quadrant, nn4):
-    M = np.sqrt(2.0) * np.eye(2)
-    grid = make_grid(quadrant, 10.0, nn4, M=M)
-    pts = grid.points()
-    assert np.max(np.abs(pts @ M.T)) <= 10.0 + 1e-12
-    assert np.max(np.abs(pts)) == 7    # floor(10 / sqrt(2))
+def test_grid_window_uses_whitened_norm(ctx, diag_ctx):
+    # the harmonic window is the max-norm box inscribed in {|M y|_inf <= L}: the
+    # grid every other stage builds, at the radius L / |M|_inf
+    for c, edge in ((ctx, 50), (diag_ctx, 92)):      # floor(L / |M|_inf)
+        tabs, M = c.harmonic, c.whitening.M
+        grid = make_grid(c.cone, tabs.L / np.linalg.norm(M, np.inf), c.cramer.tilted)
+        assert np.array_equal(tabs.grid.lo, grid.lo) and tabs.grid.shape == grid.shape
+        assert np.array_equal(tabs.grid.mask, grid.mask)
+        pts = tabs.grid.points()
+        assert np.max(np.abs(pts)) == edge
+        assert np.max(np.abs(pts @ M.T)) <= tabs.L
 
 
 def test_grid_contains_round_trip(quadrant, nn4):
@@ -206,15 +211,15 @@ def test_points_in_lexicographic_order(cone):
     # CSV writers rely on it and sort nothing themselves
     law = StepLaw(support=np.vstack([np.eye(cone.dim, dtype=int), -np.eye(cone.dim, dtype=int)]),
                   probs=np.full(2 * cone.dim, 0.5 / cone.dim))
-    pts = make_grid(cone, 7.5, law, M=np.diag(np.linspace(1.0, 2.0, cone.dim))).points()
+    pts = make_grid(cone, 7.5, law).points()
     assert len(pts) > 10
     assert np.array_equal(pts, pts[np.lexsort(pts.T[::-1])])
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_padded_box_holds_every_neighbour(seed):
-    law, cone, M, L = padded_box_case(seed)
-    grid = make_grid(cone, L, law, M=M)
+    law, cone, L = padded_box_case(seed)
+    grid = make_grid(cone, L, law)
     kernel = KilledKernel(grid, law)
     off = (grid.points()[:, None, :] + law.support[None, :, :]) - grid.lo
     assert np.all((off >= 0) & (off < np.asarray(grid.shape)))
@@ -238,8 +243,8 @@ def test_flat_step_matches_per_axis_reference(seed):
     # the flat-offset contract, bit for bit: forward, backward and the mask cells
     # of push and pull for any input; every cell of push and pull for an input
     # that is zero off the mask
-    law, cone, M, L = padded_box_case(seed)
-    grid = make_grid(cone, L, law, M=M)
+    law, cone, L = padded_box_case(seed)
+    grid = make_grid(cone, L, law)
     kernel = KilledKernel(grid, law)
     a = np.random.default_rng([seed, 1]).standard_normal(grid.shape)   # apart from the case's
     on_mask = np.where(grid.mask, a, 0.0)

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,12 +12,14 @@ from cases import killed_walk_case
 import conelab.simulate as simulate
 from conelab import _fork
 from conelab._lattice import KilledKernel
+from conelab.cramer import solve_cramer_point
 from conelab.dp_oracle import dp_evolve
 from conelab.errors import ConfigError
 from conelab.harmonic import build_U_tables, build_V_tables
-from conelab.model import ConeSpec, cone_contains
+from conelab.model import ConeSpec, StepLaw, cone_contains
 from conelab.simulate import (_simulate_killed, _worker_rng, is_survival,
                               mc_survival, transience_indicator, z_chain)
+from conelab.whiten import whiten_model
 
 
 def test_zero_horizon_is_exact(nn4, quadrant, cramer_nn4):
@@ -437,3 +440,20 @@ def test_z_chain_table_matches_per_step_loop(request, model, tables, x0, n_steps
 def test_z_chain_start_validation(nn4, cramer_nn4, z_tables):
     with pytest.raises(ConfigError, match="window"):
         z_chain(nn4, cramer_nn4, z_tables, [500, 500], 10, seed=0)
+
+
+def test_z_chain_refuses_a_zero_start_and_never_divides_by_zero(quadrant):
+    # every step from (1, 1) leaves the quadrant, so V(1, 1) = 0 exactly: the chain
+    # cannot start there, and a chain from (2, 2) never steps into it
+    law = StepLaw(support=np.array([[2, -1], [-1, 2], [-1, -1]]),
+                  probs=np.array([0.25, 0.25, 0.5]))
+    cramer = solve_cramer_point(law)
+    wd = whiten_model(cramer, quadrant)
+    tabs = build_V_tables(cramer.tilted, quadrant, wd.cone_image, wd.M, L=20)
+    with pytest.raises(ConfigError, match=r"V\(\[1, 1\]\) = 0"):
+        z_chain(law, cramer, tabs, [1, 1], 10, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = z_chain(law, cramer, tabs, [2, 2], 40, seed=3, n_paths=50)
+    assert not np.any(np.all(run.paths == 1, axis=-1))
+    assert abs(run.row_sum_min - 1.0) <= 1e-4 and abs(run.row_sum_max - 1.0) <= 1e-4

@@ -183,31 +183,46 @@ def test_slow_octant_laws_report_convergence(steps, probs, converged):
 
 def dense_perron(law, cone, L):
     """The grid, kernel, dense left Perron law and root of a drifted spanning law on a
-    window of 20 to 400 states, if the root is simple and above 1e-3; else None."""
+    window of 20 to 400 states, if no other computed root lies within 1e-9 of it and it
+    is above 1e-3; else None.  Last comes the cosine between the root's left and right
+    vectors: roundoff splits a defective root into such a cluster, and the cosine is
+    then at roundoff level, where a simple root's is not."""
     grid = make_grid(cone, L, law)
     if span_obstruction(law) is None and np.linalg.norm(law.mean()) > 1e-9 and (
             20 <= grid.n_states <= 400):
         kernel = KilledKernel(grid, law).matrix()
-        roots, vectors = np.linalg.eig(scipy_csr(kernel).toarray().T)
+        dense = scipy_csr(kernel).toarray()
+        roots, vectors = np.linalg.eig(dense.T)
         k = np.argmax(roots.real)
         lam = roots[k].real
         if lam > 1e-3 and np.sum(np.abs(roots - lam) <= 1e-9 * lam) == 1:
-            oracle = np.abs(vectors[:, k].real)
-            return grid, kernel, oracle / oracle.sum(), lam
+            left = vectors[:, k].real
+            right_roots, right = np.linalg.eig(dense)
+            right = right[:, np.argmax(right_roots.real)].real
+            cosine = abs(left @ right) / (np.linalg.norm(left) * np.linalg.norm(right))
+            oracle = np.abs(left)
+            return grid, kernel, oracle / oracle.sum(), lam, cosine
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_law_qsd_matches_dense_eig(seed):
     # over small positively spanning laws, on orthants, a tilted wedge and
     # half-spaces, the QSD is the dense kernel's left Perron vector, it lies
-    # on one lattice class only, and that class holds the largest root
-    law, cone, _, L = padded_box_case(
-        seed, keep=lambda law, cone, M, L: dense_perron(law, cone, L) is not None)
-    grid, kernel, oracle, lam = dense_perron(law, cone, L)
+    # on one lattice class only, and that class holds the largest root; on a
+    # defective root (seed 17: one 4 x 4 Jordan block at 4/21; seed 33: the roots of
+    # (17x)^3 = 32, each ninefold) inverse iteration converges only algebraically, and
+    # the result must say so
+    law, cone, L = padded_box_case(
+        seed, keep=lambda law, cone, L: dense_perron(law, cone, L) is not None)
+    grid, kernel, oracle, lam, cosine = dense_perron(law, cone, L)
     result = qsd_power_iteration(kernel, grid, solve_cramer_point(law), L)
-    assert abs(result.lambda_ - lam) <= 1e-12 * lam
-    assert 0.5 * np.abs(result.mu - oracle).sum() <= 1e-10
     labels, _ = lattice_classes(law.support, grid.points())
     chosen = labels == labels[np.argmax(result.mu)]
     assert np.all(result.mu[~chosen] == 0.0)
+    if cosine < 1e-10:
+        assert not result.converged and result.iterations == MAX_SOLVES
+        assert result.warnings[-1].startswith("the QSD did not converge")
+        return
+    assert abs(result.lambda_ - lam) <= 1e-12 * lam
+    assert 0.5 * np.abs(result.mu - oracle).sum() <= 1e-10
     assert chosen[np.argmax(oracle)]
