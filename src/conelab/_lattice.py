@@ -28,6 +28,8 @@ import numpy as np
 
 from .model import cone_contains
 
+MAX_BYTES = 2**30   # the one memory limit: QSD slab inverses, harmonic window boxes
+
 
 @dataclass
 class WindowGrid:
@@ -101,7 +103,7 @@ def make_grid(cone, L, law):
     The box extends one longest step of ``law`` beyond the window on every
     side, so each one-step neighbour of a window point is a box cell.
     """
-    reach = int(np.ceil(L))
+    reach = int(np.floor(L))
     pad = int(np.max(np.abs(law.support)))
     d = cone.dim
     if cone.kind == "orthant":

@@ -175,10 +175,10 @@ class PipelineContext:
         if not check_acute_cone_condition(self.cone, cd.h)[0]:
             raise NumericsError("acute-angle condition fails: the normalizer sum over "
                                 "the cone diverges")
-        while True:
-            tables = build_V_tables(cd.tilted, self.cone, wd.cone_image, wd.M, L=L)
+        while True:                    # a failed window is freed before the next is built
             try:
-                return build_U_tables(tables, cd.h)
+                return build_U_tables(
+                    build_V_tables(cd.tilted, self.cone, wd.cone_image, wd.M, L=L), cd.h)
             except WindowTooSmallError as exc:
                 if exc.suggested_L is None:
                     raise

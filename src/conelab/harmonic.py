@@ -11,7 +11,8 @@ scale-free ratios.  The one certificate, ``convergence_residual``, is the
 mean-value defect of V and V'; c-harmonicity of U and the one-step relation
 of U' are those equations in tilted coordinates.  The pipeline grows the
 window until a closed-form bound on the mass of U' beyond it, which assumes
-that the growth constant C of V' on the window holds there too, passes.
+that the growth constant C of V' on the window holds there too, passes, or
+until no window within the memory budget ``_lattice.MAX_BYTES`` would.
 
 V is the unique solution of the killed-kernel fixed-point equation on a
 truncated window with u as far-field data on the one-step exterior ring.
@@ -30,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import KilledKernel, WindowGrid, make_grid
+from ._lattice import MAX_BYTES, KilledKernel, WindowGrid, make_grid
 from .errors import ConfigError, NumericsError, WindowTooSmallError
 from .model import check_acute_cone_condition
 from .whiten import image_degree
 
 TAIL_FRACTION = 1e-8     # certified tail of the normalizer sum, relative
-TAIL_RADII = 150         # radii beyond the window searched for a passing one
 SOLVE_TOL = 1e-14        # Krylov stop: |b - A v| <= SOLVE_TOL |b|
 SOLVE_MAX_ITER = 2000    # BiCGSTAB iterations per table before giving up
 OUTSIDE_TOL = 1e-9       # relative slack before u calls a point outside its cone
@@ -214,7 +214,7 @@ def build_U_tables(tables, h):
 
     kappa is 1 over the window sum of U'.  The bound of ``_tail_certificate``
     on the mass beyond the window must stay below a 1e-8 fraction of that sum;
-    else WindowTooSmallError names the smallest window that passes, or None.
+    else WindowTooSmallError names the smallest passing window within ``MAX_BYTES``, or None.
     """
     h = np.asarray(h, dtype=float)
     grid = tables.grid
@@ -230,7 +230,8 @@ def build_U_tables(tables, h):
     growth_C, tail, suggested = _tail_certificate(tables, h, total)
     if not tail < TAIL_FRACTION * total:      # a nan bound fails too
         where = (f"it passes at L = {suggested}" if suggested else
-                 f"no window within {TAIL_RADII} shells of L = {tables.L:g} passes")
+                 f"no window within the {MAX_BYTES / 2**30:g} GiB budget passes "
+                 f"at h = {np.round(h, 6).tolist()}")
         raise WindowTooSmallError(
             f"normalizer tail bound {tail:.3e} exceeds {TAIL_FRACTION:.0e} of the "
             f"window sum {total:.6e}; {where}", suggested_L=suggested)
@@ -248,20 +249,28 @@ def _tail_certificate(tables, h, total):
 
     C, the largest V'(y) / (1 + |M y|^p) on the window, is assumed to hold
     beyond it: an assumption, not a proof.  Shell r_in = floor(L / |M|_inf)
-    is the window's own edge.  For r = r_in ... r_in + TAIL_RADII
+    is the window's own edge.  For r from r_in to the last radius MAX_BYTES holds,
     the sum of C e^(-h.y) (1 + |M y|^p) over shells k > r is at most t(r + 1)
     / (1 - q), t(k) a shell bound and q >= t(k + 1) / t(k).  Orthant shell k
     lies on the faces y_i = k, where |M y| <= m_i k + sum_{j != i} m_j y_j
     (m_j = |M e_j|), and 1 + t <= e^t makes each face sum geometric.  A wedge
     shell has at most 2d (3k)^(d-1) points, each with h.y >= |h| cos(worst) k.
+
+    A window costs at most 8 (24 + d) bytes a box cell: d integer coordinates
+    and 24 float arrays of box or state size at the peak of the V' solve
+    (tracemalloc: 141-183 bytes a cell in d = 2, 161 in d = 3).  Rebuilt at
+    L = ceil(r |M|_inf), the radius is below r + 1 / |M|_inf, so it fits too.
     """
     grid, M, cone, p = tables.grid, tables.M, tables.cone, image_degree(tables.cone_image)
     _, worst = check_acute_cone_condition(cone, h)   # not acute: no radius passes
     growth_C = float(np.max(tables.Vprime[grid.mask] /
                             (1.0 + np.linalg.norm(grid.points() @ M.T, axis=1) ** p)))
     row_norm = float(np.linalg.norm(M, np.inf))
-    r = int(np.floor(tables.L / row_norm)) + np.arange(TAIL_RADII + 1)
-    k, d = r + 1.0, grid.dim
+    r_in, d = int(np.floor(tables.L / row_norm)), grid.dim
+    grow, cell_bytes = (1 if cone.kind == "orthant" else 2), 8 * (24 + d)   # box side per r
+    r_max = r_in + (int((MAX_BYTES / cell_bytes) ** (1 / d)) - grid.shape[0]) // grow
+    r = np.arange(r_in, max(r_in, r_max + 1 - np.ceil(1 / row_norm)) + 1)
+    k = r + 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if cone.kind == "orthant":
             def g(b):                  # sum of e^(-b y) over y >= 1; inf unless b > 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -282,6 +283,51 @@ def test_dp_matches_exact_nn4_counts_at_the_wide_horizon(nn4, quadrant, cramer_n
     survival = math.fsum(on_window)
     assert abs(series.survival[n] - survival) <= 1e-12 * survival
     assert np.abs(series.tables[n][grid.mask] - on_window).sum() <= 1e-12 * survival
+
+
+def octant_counts(n, x):
+    """y -> N_n(x, y), the paths of the simple walk (steps +-e_i) from x to y in n
+    steps that stay in the open octant.  By reflection N_n = sum over eps in
+    {+-1}^3 of eps1 eps2 eps3 W_n(eps o y - x), with W_n(d) = sum_m C(n, m)
+    C(m, (m + d1 + d2) / 2) C(m, (m + d1 - d2) / 2) C(n - m, (n - m + d3) / 2): m
+    steps in the (1, 2)-plane, the rest along e3.  The sign splits as eps1 eps2
+    times eps3, so the sum runs over m of C(n, m), the reflected plane count and
+    the reflected line count, in exact integers."""
+    comb = [[math.comb(m, k) for k in range(m + 1)] for m in range(n + 1)]
+
+    def free(m, s):                 # C(m, (m + s) / 2): m +-1 steps summing to s
+        return comb[m][(m + s) // 2] if abs(s) <= m and (m + s) % 2 == 0 else 0
+
+    @functools.cache
+    def plane(m, y1, y2):
+        return sum(e1 * e2 * free(m, e1 * y1 - x[0] + e2 * y2 - x[1])
+                   * free(m, e1 * y1 - x[0] - e2 * y2 + x[1])
+                   for e1, e2 in itertools.product((1, -1), repeat=2))
+
+    def count(y):
+        if sum(y) - sum(x) > n or (sum(y) - sum(x) - n) % 2:
+            return 0                # out of reach, or the wrong parity
+        return sum(comb[n][m] * plane(m, y[0], y[1])
+                   * (free(n - m, y[2] - x[2]) - free(n - m, -y[2] - x[2]))
+                   for m in range(n + 1))
+    return count
+
+
+def test_octant_dp_matches_exact_counts(octant_law):
+    # the octant walk's tilted law is the simple walk at 1/6 a step, with
+    # h = (ln 3 / 2)(1, 1, 1) and c = sqrt(3)/2, so its rescaled table at n is
+    # exactly e^(-h.(y - x)) N_n(x, y) / 6^n; at the walk's reach nothing leaks
+    n, x = 30, (1, 1, 1)
+    cramer = solve_cramer_point(octant_law)
+    series = dp_evolve(octant_law, ConeSpec.orthant(3), x, n, rescale_by=cramer.c,
+                       L=window_reach(octant_law, np.array(x), n), retain=[n])
+    count = octant_counts(n, x)
+    exact = np.array([3.0 ** (-(sum(y) - sum(x)) / 2) * (count(y) / 6 ** n)
+                      for y in series.grid.points().tolist()])
+    survival = math.fsum(exact)
+    assert series.leak_max == 0.0
+    assert abs(series.survival[n] - survival) <= 1e-12 * survival
+    assert np.abs(series.tables[n][series.grid.mask] - exact).sum() <= 1e-12 * survival
 
 
 def test_start_validation(nn4, quadrant):

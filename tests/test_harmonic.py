@@ -5,8 +5,9 @@ import pytest
 from cases import quadrant_law
 from conftest import scipy_csr
 
-from conelab import harmonic
+from conelab import analysis, harmonic
 from conelab._lattice import KilledKernel, make_grid
+from conelab.analysis import PipelineContext, VerifyParams
 from conelab.cramer import solve_cramer_point
 from conelab.dp_oracle import dp_evolve
 from conelab.errors import ConfigError, NumericsError, WindowTooSmallError
@@ -406,3 +407,67 @@ def test_octant_walk_in_three_dimensions(octant_law):
         assert np.max(np.abs(table[tabs.grid.mask] - u) / u) <= 1e-12
     assert tabs.convergence_residual <= 1e-12
     assert elapsed < 1.0
+
+
+def nn4_family(q):
+    """Each + step at q, each - step at 1/2 - q: the tilted law is the simple walk,
+    and h_i = ln((1/2 - q) / q) / 2 shrinks with the drift."""
+    return StepLaw(support=np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                   probs=np.array([q, 0.5 - q, q, 0.5 - q]))
+
+
+# with SPLIT, the two random laws whose searches from harmonic_window 10 once gave
+# up after 150 shells
+FIVE_STEP = StepLaw(support=np.array([[-1, 1], [0, -2], [-2, 0], [1, 2], [-1, -2]]),
+                    probs=np.array([5, 20, 16, 8, 16]) / 65)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The windows L the pipeline's harmonic stage builds, in order."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["L"])
+        return build_V_tables(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "build_V_tables", recording)
+    return seen
+
+
+@pytest.mark.parametrize("law, start, grown", [
+    (nn4_family(15 / 64), 72, 575), (FIVE_STEP, 10, 225), (FIVE_STEP, 20, 219),
+    (SPLIT, 10, 151), (SPLIT, 20, 143)],
+    ids=["q=15/64", "five-step-10", "five-step-20", "split-10", "split-20"])
+def test_tail_search_grows_weak_drift_windows(law, start, grown, quadrant, builds):
+    # a configured window is a starting size: the tail search is capped by the
+    # memory budget, not by a count of shells, so weak drift reaches a verdict
+    tabs = PipelineContext(law, quadrant, VerifyParams(harmonic_window=start)).harmonic
+    assert tabs.L == grown and builds[0] == start and builds[-1] == grown
+    assert tabs.tail_bound < harmonic.TAIL_FRACTION / tabs.kappa
+    assert tabs.convergence_residual <= 1e-12
+
+
+def test_flat_tilt_stops_after_one_build(quadrant, builds):
+    # h = 0.004 along e2: no window the budget holds passes, and the message says so
+    law = StepLaw(support=np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                  probs=np.array([1 / 8, 3 / 8, 249 / 1000, 251 / 1000]))
+    with pytest.raises(WindowTooSmallError, match=r"no window within the 1 GiB budget passes "
+                       r"at h = \[0\.549306, 0\.004\]$") as err:
+        PipelineContext(law, quadrant).harmonic
+    assert err.value.suggested_L is None and builds == [72.0]
+
+
+def test_suggested_window_fits_the_budget(quadrant, builds, monkeypatch):
+    # q = 3/16 grows from 72 to 139, a 100^2 box at 8 (24 + d) bytes a cell: a
+    # budget of exactly that still grows to it, one byte less suggests nothing
+    law = nn4_family(3 / 16)
+    tabs = PipelineContext(law, quadrant).harmonic
+    assert tabs.L == 139 and tabs.grid.shape == (100, 100)
+    monkeypatch.setattr(harmonic, "MAX_BYTES", 8 * 26 * 100 ** 2)
+    assert PipelineContext(law, quadrant).harmonic.L == 139
+    monkeypatch.setattr(harmonic, "MAX_BYTES", 8 * 26 * 100 ** 2 - 1)
+    builds.clear()
+    with pytest.raises(WindowTooSmallError, match="budget") as err:
+        PipelineContext(law, quadrant).harmonic
+    assert err.value.suggested_L is None and builds == [72.0]

@@ -180,7 +180,8 @@ def test_tv_distance_matches_pointwise_fsum(quadrant, nn4):
 
 def test_grid_window_uses_whitened_norm(ctx, diag_ctx):
     # the harmonic window is the max-norm box inscribed in {|M y|_inf <= L}: the
-    # grid every other stage builds, at the radius L / |M|_inf
+    # grid every other stage builds, at the radius L / |M|_inf; the box ends one
+    # longest step beyond the window's edge on each side, with no empty row
     for c, edge in ((ctx, 50), (diag_ctx, 92)):      # floor(L / |M|_inf)
         tabs, M = c.harmonic, c.whitening.M
         grid = make_grid(c.cone, tabs.L / np.linalg.norm(M, np.inf), c.cramer.tilted)
@@ -189,6 +190,8 @@ def test_grid_window_uses_whitened_norm(ctx, diag_ctx):
         pts = tabs.grid.points()
         assert np.max(np.abs(pts)) == edge
         assert np.max(np.abs(pts @ M.T)) <= tabs.L
+        pad = int(np.max(np.abs(c.cramer.tilted.support)))
+        assert tabs.grid.shape == (edge + 2 * pad,) * 2     # 52 and 94
 
 
 def test_grid_contains_round_trip(quadrant, nn4):

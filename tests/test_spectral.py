@@ -110,6 +110,27 @@ def test_nn4_qsd_matches_closed_form(request, walk, L):
     assert 0.5 * np.abs(result.mu - exact).sum() <= 1e-12
 
 
+@pytest.mark.parametrize("L", [20, 60])
+@pytest.mark.parametrize("walk", ["nn4", "diagonal"])
+def test_qsd_root_is_bracketed_by_collatz_wielandt(request, walk, L, quadrant):
+    # mu is a left Perron vector of the kernel on its closed class, so the ratios
+    # (mu P)(y) / mu(y) over its support bracket the class's Perron root: a
+    # certificate of lambda that needs no residual; on nn4 the bracket holds the
+    # exact root c cos(pi / (L + 1))
+    model = request.getfixturevalue({"nn4": "ctx", "diagonal": "diag_ctx"}[walk])
+    kernel, grid = truncated_kernel(model.law, quadrant, L)
+    result = qsd_power_iteration(kernel, grid, model.cramer, L)
+    on = result.mu > 0.0
+    ratios = kernel.rmatvec(result.mu)[on] / result.mu[on]
+    low, high = ratios.min(), ratios.max()
+    assert high - low <= 1e-13
+    assert low <= result.lambda_ <= high
+    if walk == "nn4":
+        assert low <= model.cramer.c * np.cos(np.pi / (L + 1)) <= high
+    else:
+        assert on.sum() == {20: 200, 60: 1800}[L]      # one parity class of the window
+
+
 def test_diagonal_qsd_sweep(diagonal_law, quadrant, diag_ctx):
     # each window's QSD lies on one parity class, with no mass at all on the
     # other; which class has the larger root depends on L
