@@ -316,23 +316,28 @@ def _check_start_ratio(ctx):
     tabs = ctx.harmonic
     predicted = tabs.U_at(prm.x0) / tabs.U_at(prm.ratio_start)
     starts = {"x0": ctx.series, "ratio_start": ctx.series_ratio_start}
+    if rows := _no_exit_rows(ctx, "start_ratio.exit_pmf", predicted, starts):
+        return rows
     pmf = {start: exit_time_pmf_rescaled(series, prm.n_hi) for start, series in starts.items()}
-    # an exit pmf within roundoff of zero has no ratio to read
-    empty = [start for start, mass in pmf.items()
-             if mass <= LEAK_TOL * starts[start].survival[prm.n_hi]]
-    if empty:
-        note = _structural_note(ctx, f"no path leaves the cone at n = {prm.n_hi}", empty[0])
-        return [_report("start_ratio.exit_pmf", predicted, 0.0, TOL_RATIO,
-                        deviation=1.0, notes=[note])]
     measured = pmf["x0"] / pmf["ratio_start"]
     return [_report("start_ratio.exit_pmf", predicted, measured, TOL_RATIO)]
 
 
 def _check_hazard(ctx):
-    c = ctx.cramer.c
-    predicted = (1.0 - c) / c
-    measured = hazard_ratio(ctx.series, ctx.params.n_hi)
-    return [_report("hazard.limit", predicted, measured, TOL_RATIO)]
+    predicted = (1.0 - ctx.cramer.c) / ctx.cramer.c
+    return _no_exit_rows(ctx, "hazard.limit", predicted, {"x0": ctx.series}) or [
+        _report("hazard.limit", predicted, hazard_ratio(ctx.series, ctx.params.n_hi), TOL_RATIO)]
+
+
+def _no_exit_rows(ctx, check, predicted, starts):
+    """The failing row of a ratio read off the exit pmf at n_hi when a start's pmf is
+    within roundoff of zero, ``LEAK_TOL`` of its survival; else None."""
+    n = ctx.params.n_hi
+    empty = [start for start, series in starts.items()
+             if exit_time_pmf_rescaled(series, n) <= LEAK_TOL * series.survival[n]]
+    if empty:
+        note = _structural_note(ctx, f"no path leaves the cone at n = {n}", empty[0])
+        return [_report(check, predicted, 0.0, TOL_RATIO, deviation=1.0, notes=[note])]
 
 
 def _check_yaglom(ctx):

@@ -19,7 +19,6 @@ exception; its traceback goes to stderr).
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -35,7 +34,6 @@ from .analysis import (SELECTORS, PipelineContext, VerifyParams, fit_tail,
                        verify_all, verify_limits)
 from .dp_oracle import hazard_ratio
 from .errors import ConfigError, NumericsError
-from .harmonic import tables_rows
 from .model import ConeSpec, StepLaw
 from .simulate import is_survival, mc_survival
 
@@ -44,6 +42,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_INTERNAL = 4
+CSV_BLOCK = 4096          # CSV rows formatted per write
 
 
 @dataclass
@@ -226,26 +225,24 @@ def _run_id(config, command, extra=""):
     return digest.hexdigest()[:12]
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
     """The bytes ``csv.writer`` writes, for cells that hold no comma, quote or newline.
 
-    Floats are written to 17 significant digits.  Every row holds the cell
-    types of the first, so one template, built from that row, writes them all.
+    ``columns`` holds one 1-D array or list per column.  Floats are written to 17
+    significant digits, anything else by ``%s``, and only ``CSV_BLOCK`` rows at a
+    time are held as Python values or text.
     """
-    rows = iter(rows)
-    first = next(rows, None)
+    columns = [np.asarray(c) for c in columns]
+    template = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        if first is not None:
-            template = ",".join(["%.17g" if isinstance(v, float) else "%s"
-                                 for v in first]) + "\r\n"
-            fh.writelines(template % tuple(row) for row in itertools.chain([first], rows))
+        for start in range(0, len(columns[0]), CSV_BLOCK):
+            fh.writelines(template % row for row in
+                          zip(*[c[start:start + CSV_BLOCK].tolist() for c in columns]))
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest(config, command, run_id, files):
@@ -271,9 +268,7 @@ def emit_report(config, command, run_id, artifacts):
         elif kind == "json":
             _write_json(path, payload)
         elif kind == "jsonl":
-            with open(path, "w") as fh:
-                for record in payload:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+            path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in payload))
         written.append(path.name)
     manifest_path = config.out_dir / f"manifest_{command}_{run_id}.json"
     _write_json(manifest_path, _manifest(config, command, run_id, written))
@@ -288,11 +283,11 @@ def _cmd_cramer(config, ctx):
     for z, p in zip(cd.tilted.support, cd.tilted.probs):
         print(f"  step {z.tolist()} prob {p:.6f}")
     payload = {
-        "h": [float(v) for v in cd.h], "c": cd.c,
+        "h": cd.h.tolist(), "c": cd.c,
         "grad_residual": cd.grad_residual,
-        "tilted": [{"step": z.tolist(), "prob": float(p)}
-                   for z, p in zip(cd.tilted.support, cd.tilted.probs)],
-        "drift": [float(v) for v in ctx.report.drift],
+        "tilted": [{"step": z, "prob": p}
+                   for z, p in zip(cd.tilted.support.tolist(), cd.tilted.probs.tolist())],
+        "drift": ctx.report.drift.tolist(),
         "sublattice_index": ctx.report.sublattice_index,
         "period": ctx.report.period,
     }
@@ -307,8 +302,7 @@ def _cmd_whiten(config, ctx):
     print(f"alpha = {wd.alpha}")
     print(f"homogeneity degree p = {wd.p}")
     payload = {
-        "cov": [[float(v) for v in row] for row in wd.cov],
-        "M": [[float(v) for v in row] for row in wd.M],
+        "cov": wd.cov.tolist(), "M": wd.M.tolist(),
         "alpha": wd.alpha, "p": wd.p,
         "cone_image": None if image is None else {
             "kind": image.kind, "dim": image.dim, "beta": image.beta,
@@ -321,29 +315,30 @@ def _cmd_harmonic(config, ctx):
     tabs = ctx.harmonic
     d = ctx.law.dim
     header = [f"x{i + 1}" for i in range(d)] + ["V", "Vprime", "U", "Uprime"]
-    rows = tables_rows(tabs)
+    columns = [*tabs.grid.points().T] + [t[tabs.grid.mask] for t in
+                                         (tabs.V, tabs.Vprime, tabs.U, tabs.Uprime)]
     start = config.params.harmonic_window
     grown = "" if tabs.L == start else f", grown from the configured {start:g}"
     print(f"window L = {tabs.L}{grown} ({tabs.grid.n_states} lattice points), "
           f"kappa = {tabs.kappa:.9g}, residual = {tabs.convergence_residual:.3e}")
-    return EXIT_OK, [("harmonic", "csv", (header, rows))]
+    return EXIT_OK, [("harmonic", "csv", (header, columns))]
 
 
 def _cmd_dp(config, ctx):
     series = ctx.series
-    rows = [(n, series.raw_survival_log(n), series.survival[n])
-            for n in range(series.n_max + 1)]
+    n = np.arange(series.n_max + 1)
     n_hi = config.params.n_hi
     print(f"survival series from {series.x0.tolist()} to n = {series.n_max} "
           f"(rescaled by c = {series.rescale_by:.9g})")
     grown = "" if series.L == config.params.dp_window else \
         f", grown from the configured {config.params.dp_window}"
-    print(f"window L = {series.L}{grown}; leak certificate {series.leak_max:.2e}")
+    print(f"window L = {series.L}{grown}; largest one-step leak {series.leak_max:.2e}")
     print(f"hazard ratio at n = {n_hi}: {hazard_ratio(series, n_hi):.6f}")
     fit = fit_tail(series)
     print(f"tail fit: c_hat = {fit.c_hat:.6f}, exponent = {fit.exponent_hat:.4f}")
     return EXIT_OK, [
-        ("dp", "csv", (["n", "raw_survival_log", "rescaled_b_n"], rows)),
+        ("dp", "csv", (["n", "raw_survival_log", "rescaled_b_n"],
+                       [n, series.raw_survival_log(n), series.survival])),
         ("dp_fit", "json", {"c_hat": fit.c_hat, "exponent_hat": fit.exponent_hat,
                             "constant_hat": fit.constant_hat,
                             "window": list(fit.window_used)}),
@@ -374,11 +369,11 @@ def _cmd_qsd(config, ctx):
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     d = ctx.law.dim
-    rows = zip(*result.grid.points().T.tolist(), result.mu.tolist())
     header = [f"x{i + 1}" for i in range(d)] + ["mu"]
     payload = {"L": result.L, "lambda": result.lambda_, "residual": result.residual,
                "iterations": result.iterations, "converged": result.converged}
-    return EXIT_OK, [("qsd", "csv", (header, rows)), ("qsd_summary", "json", payload)]
+    return EXIT_OK, [("qsd", "csv", (header, [*result.grid.points().T, result.mu])),
+                     ("qsd_summary", "json", payload)]
 
 
 def _cmd_verify(ctx, selector):
@@ -399,9 +394,9 @@ def _cmd_verify(ctx, selector):
                         "tolerance": r.tolerance, "pass": r.passed,
                         "notes": r.notes})
     header = ["check", "predicted", "measured", "deviation", "tolerance", "pass"]
-    rows = [[rec[key] for key in header] for rec in records]
+    columns = [[rec[key] for rec in records] for key in header]
     status = EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
-    return status, [("verify", "jsonl", records), ("verify_summary", "csv", (header, rows))]
+    return status, [("verify", "jsonl", records), ("verify_summary", "csv", (header, columns))]
 
 
 def _cmd_zchain(config, ctx):

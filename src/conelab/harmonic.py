@@ -293,10 +293,3 @@ def _tail_certificate(tables, h, total):
     suggested = int(np.ceil(r[passing[0]] * row_norm)) if passing.size else None
     return growth_C, float(tail[0]), suggested
 
-
-def tables_rows(tables):
-    """Rows (x1..xd, V, V', U, U') of tables with U attached, sorted, ready for CSV."""
-    mask = tables.grid.mask
-    vals = np.column_stack([t[mask] for t in (tables.V, tables.Vprime, tables.U,
-                                              tables.Uprime)])
-    return [x + v for x, v in zip(tables.grid.points().tolist(), vals.tolist())]

@@ -3,7 +3,7 @@ import pytest
 
 from conelab.analysis import (SELECTORS, PipelineContext, _report, fit_survival_series,
                               fit_tail, verify_all, verify_limits)
-from conelab.dp_oracle import halfspace_1d
+from conelab.dp_oracle import halfspace_1d, hazard_ratio
 from conelab.errors import ConfigError
 from conelab.model import StepLaw
 
@@ -162,6 +162,18 @@ def test_diagonal_note_names_period_two(diag_ctx):
     # every diagonal step flips the parity of x2 (and of x1)
     note = diag_ctx.parity_note()
     assert "period 2" in note
+
+
+def test_hazard_names_a_structural_zero(ctx, diag_ctx):
+    # from (1, 1) the diagonal walk leaves the quadrant only at odd times, so its
+    # exit pmf at n_hi = 300 is roundoff and the row reads 0 with a note
+    row, = verify_limits(diag_ctx, "hazard")
+    assert (row.measured, row.deviation, row.passed) == (0.0, 1.0, False)
+    assert len(row.notes) == 1 and row.notes[0].startswith("structural, not numerical")
+    assert "period 2" in row.notes[0]
+    row, = verify_limits(ctx, "hazard")
+    assert row.measured == hazard_ratio(ctx.series, 300)
+    assert row.passed and row.notes == []
 
 
 def test_period_three_note(quadrant):

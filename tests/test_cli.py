@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from cases import small_law
 
 from conelab import analysis, harmonic, spectral
 from conelab.analysis import PipelineContext
-from conelab.cli import SECTIONS, main, parse_run_config
+from conelab.cli import CSV_BLOCK, SECTIONS, _write_csv, main, parse_run_config
 from conelab.errors import ConfigError
 
 NN4_YAML = """\
@@ -492,8 +493,8 @@ DIAGONAL_SHA256 = {
     "qsd.csv": "b334ee4ae19834135333a4669c66f4e35ebb2dc8be1aae52e2998a7f001c4f55",
     "qsd_summary.json": "fab1f7e790252ab521c873be525a586c4a27df4624bab9b8edae077b3bf2093f",
     "simulate.jsonl": "3e2aff5e0948b27ebfdb200dfcfe22779d2f0a47421186476cc96a902197a401",
-    "verify.jsonl": "d35fbce261acea914055bec1659b128df0e64041be068cca96527b413051e661",
-    "verify_summary.csv": "50f0142eb662abddaa1ac3b8bdee8023b9283cbdcc55de4250a70725dee84687",
+    "verify.jsonl": "9b15836cde1e2980c2eeba8e370143154148f79956c0543728792c4d8bb022db",
+    "verify_summary.csv": "d84c6109f34afabb395077fb6561d9dd99e4ac7616599f27928d9e7c21a0f2b0",
     "whiten.json": "708ee4dd22865db53f2b5c1cfc8d97f41db4c049a4f87ed74c5bbd1a9b8480ab",
     "zchain.json": "3fa7e11fea0809af6a41da7bd2e08267ee15b8295bf696d1c43f1abfcba1aa1d",
 }
@@ -541,6 +542,42 @@ def test_wide_artifacts_match_recorded_digests(tmp_path, capsys, wide):
     path.write_text(yaml.safe_dump(data))
     assert artifact_digests(path, ("dp", "verify"), tmp_path / "out") == WIDE_SHA256
     capsys.readouterr()
+
+
+def per_row_csv(header, columns):
+    """The bytes of a table written a row of Python values at a time, each row through
+    one template built from the first: ``%.17g`` for a float, ``%s`` for anything else."""
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) \
+        if rows else ""
+    return "".join([",".join(header) + "\r\n"] + [template % row + "\r\n" for row in rows]
+                   ).encode()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK, CSV_BLOCK + 1])
+def test_csv_writer_matches_the_per_row_bytes(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    floats[:5] = [np.inf, -0.0, np.nan, 1.0, 0.1][:n_rows]
+    header = ["i", "x", "label", "flag"]
+    columns = [np.arange(n_rows, dtype=np.int16) - 3, floats,
+               [f"row{i}" for i in range(n_rows)], (np.arange(n_rows) % 3 == 0).tolist()]
+    path = tmp_path / "table.csv"
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == per_row_csv(header, columns)
+
+
+def test_csv_writer_memory_stays_flat(tmp_path):
+    # the columns exist before tracing starts; the writer holds one block of rows
+    peaks = []
+    for n_rows in (4 * CSV_BLOCK, 8 * CSV_BLOCK):
+        columns = [np.arange(n_rows), np.linspace(0.0, 1.0, n_rows),
+                   np.full(n_rows, "label"), np.arange(n_rows) % 2 == 0]
+        tracemalloc.start()
+        _write_csv(tmp_path / "table.csv", ["i", "x", "label", "flag"], columns)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_seventeen_digit_artifacts(config_path, tmp_path):

@@ -270,6 +270,34 @@ def test_dp_matches_exact_nn4_counts_at_n_hi(series_nn4):
     assert off_window / survival <= series.leak_max
 
 
+def test_dp_exit_pmf_and_hazard_match_exact_nn4_counts(series_nn4, cramer_nn4):
+    # a walk leaves the quadrant at n from y1 = 1 by -e1 or from y2 = 1 by -e2, each
+    # at 3/8, so the rescaled exit mass is sum q_{n-1}(y) (3/8) / c over each edge
+    # of the window; the corner (1, 1) lies on both and is counted twice
+    series, x, c = series_nn4, (1, 1), cramer_nn4.c
+    edges = [y for y in series.grid.points().tolist() if 1 in y]
+    corner = edges.index([1, 1])
+
+    def exact_pmf(n):
+        comb = [math.comb(n - 1, k) for k in range(n)]
+        mass = [nn4_table(n - 1, x, y, comb) for y in edges]
+        return math.fsum(mass + [mass[corner]]) * (3 / 8) / c
+
+    for n in (299, 300, 301):
+        pmf = exact_pmf(n)
+        assert abs(exit_time_pmf_rescaled(series, n) - pmf) <= 1e-12 * pmf
+    comb = [math.comb(300, k) for k in range(301)]
+    survival = math.fsum(nn4_table(300, x, y, comb) for y in series.grid.points().tolist())
+    assert abs(hazard_ratio(series, 300) - exact_pmf(300) / survival) <= 1e-12 * (
+        exact_pmf(300) / survival)
+
+
+def test_raw_survival_log_of_all_times_equals_the_per_time_values(series_nn4):
+    n = np.arange(series_nn4.n_max + 1)
+    assert series_nn4.raw_survival_log(n).tolist() == [series_nn4.raw_survival_log(k)
+                                                       for k in range(series_nn4.n_max + 1)]
+
+
 def test_dp_matches_exact_nn4_counts_at_the_wide_horizon(nn4, quadrant, cramer_nn4, wide):
     # the benchmark's wide series, run from (1, 1), at its n_hi = 1200: the window
     # sums alone, as the exact mass beyond the L = 120 window needs ~1.4M cells

@@ -11,8 +11,8 @@ from conelab.analysis import PipelineContext, VerifyParams
 from conelab.cramer import solve_cramer_point
 from conelab.dp_oracle import dp_evolve
 from conelab.errors import ConfigError, NumericsError, WindowTooSmallError
-from conelab.harmonic import (HarmonicTables, build_U_tables, build_V_tables, tables_rows,
-                              u_eval, u_eval_many)
+from conelab.harmonic import (HarmonicTables, build_U_tables, build_V_tables, u_eval,
+                              u_eval_many)
 from conelab.model import ConeSpec, StepLaw, cone_contains
 from conelab.whiten import cone_image_and_p, image_degree, whiten_model
 
@@ -221,13 +221,6 @@ def test_random_law_tail_bound_is_a_true_upper_bound(seed, quadrant):
                           convergence_residual=0.0)
     C, tail, _ = harmonic._tail_certificate(tabs, cramer.h, 1.0)
     assert 0.0 < C * explicit_shell_sum(tabs, cramer.h, 80) <= tail
-
-
-def test_rows_export(tables_nn4):
-    rows = tables_rows(tables_nn4)
-    assert len(rows) == tables_nn4.grid.n_states
-    assert rows[0][:2] == [1, 1]
-    assert all(len(r) == 6 for r in rows)
 
 
 def test_needs_driftless_input(nn4, quadrant, ctx):
