@@ -11,7 +11,8 @@ repeats the membership pass.
 ``KilledKernel`` is the one-step operator of the walk killed outside the
 window: a step moves mass by +z with probability p_z, mass landing off the
 mask is killed, and a cell whose step leaves the window while staying in the
-cone *leaks* (the window truncates it rather than the cone killing it).  The
+cone *leaks* (the window truncates it rather than the cone killing it); one
+whose step leaves the cone *exits*.  The
 DP evolution, the survival scan, the harmonic fixed point, the truncated QSD
 kernel, the exit-position law and the conditioned chain all step through it,
 by the flat offset k = z . strides of each step on the flattened box.  The
@@ -254,6 +255,12 @@ class KilledKernel:
         """
         grid = self.grid
         return self.backward((grid.in_cone & ~grid.mask).astype(float))
+
+    @cached_property
+    def exit(self):
+        """Per-cell probability of stepping out of the cone, exactly 0 where no step
+        does; the DP records the mass it kills as each step's exit mass."""
+        return self.backward((~self.grid.in_cone).astype(float))
 
     @cached_property
     def interior(self):

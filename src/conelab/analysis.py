@@ -14,10 +14,9 @@ from functools import cached_property
 import numpy as np
 
 from .cramer import solve_cramer_point
-from .dp_oracle import (LEAK_TOL, bridge_value, conditional_law, dp_evolve,
-                        exit_position_law, exit_profile, exit_time_pmf_rescaled,
-                        hazard_ratio, survival_scan)
-from .errors import ConfigError, NumericsError, StructuralZeroError, WindowTooSmallError
+from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
+                        exit_profile, exit_time_pmf_rescaled, hazard_ratio, survival_scan)
+from .errors import ConfigError, NumericsError, WindowTooSmallError
 from .harmonic import build_U_tables, build_V_tables
 from .model import build_model, check_acute_cone_condition
 from .spectral import qsd_for_model, tv_distance_tables
@@ -256,12 +255,23 @@ def _report(check, predicted, measured, tolerance, relative=True, notes=None,
     )
 
 
-def _structural_note(ctx, event, start="x0"):
-    """Note for a verdict the walk's lattice structure decides, not the numerics."""
-    period = ctx.report.period
-    cause = f" (the walk has period {period})" if period > 1 else ""
-    point = list(getattr(ctx.params, start))
-    return f"structural, not numerical: from {start} = {point} {event}{cause}"
+def _structural_zero_rows(ctx, checks, predicted, tolerance, zeros, measured=0.0, notes=()):
+    """The failing rows of ``checks`` when a value they read is exactly 0, else [].
+
+    ``zeros`` lists (value, event, start) triples.  An exact zero is decided by
+    the walk's structure, not by the numerics: one note names the first one's
+    event, and each row reads ``measured`` (0 for a ratio, 1 for a TV) with
+    deviation 1.
+    """
+    for value, event, start in zeros:
+        if value == 0.0:
+            period = ctx.report.period
+            cause = f" (the walk has period {period})" if period > 1 else ""
+            note = (f"structural, not numerical: from {start} = "
+                    f"{list(getattr(ctx.params, start))} {event}{cause}")
+            return [_report(check, predicted, measured, tolerance, deviation=1.0,
+                            notes=[*notes, note]) for check in checks]
+    return []
 
 
 def verify_limits(ctx, selector):
@@ -315,29 +325,20 @@ def _check_start_ratio(ctx):
     prm = ctx.params
     tabs = ctx.harmonic
     predicted = tabs.U_at(prm.x0) / tabs.U_at(prm.ratio_start)
-    starts = {"x0": ctx.series, "ratio_start": ctx.series_ratio_start}
-    if rows := _no_exit_rows(ctx, "start_ratio.exit_pmf", predicted, starts):
-        return rows
-    pmf = {start: exit_time_pmf_rescaled(series, prm.n_hi) for start, series in starts.items()}
-    measured = pmf["x0"] / pmf["ratio_start"]
-    return [_report("start_ratio.exit_pmf", predicted, measured, TOL_RATIO)]
+    n = prm.n_hi
+    pmf = {"x0": exit_time_pmf_rescaled(ctx.series, n),
+           "ratio_start": exit_time_pmf_rescaled(ctx.series_ratio_start, n)}
+    zeros = [(value, f"no path leaves the cone at n = {n}", start) for start, value in pmf.items()]
+    return _structural_zero_rows(ctx, ["start_ratio.exit_pmf"], predicted, TOL_RATIO, zeros) or [
+        _report("start_ratio.exit_pmf", predicted, pmf["x0"] / pmf["ratio_start"], TOL_RATIO)]
 
 
 def _check_hazard(ctx):
-    predicted = (1.0 - ctx.cramer.c) / ctx.cramer.c
-    return _no_exit_rows(ctx, "hazard.limit", predicted, {"x0": ctx.series}) or [
-        _report("hazard.limit", predicted, hazard_ratio(ctx.series, ctx.params.n_hi), TOL_RATIO)]
-
-
-def _no_exit_rows(ctx, check, predicted, starts):
-    """The failing row of a ratio read off the exit pmf at n_hi when a start's pmf is
-    within roundoff of zero, ``LEAK_TOL`` of its survival; else None."""
     n = ctx.params.n_hi
-    empty = [start for start, series in starts.items()
-             if exit_time_pmf_rescaled(series, n) <= LEAK_TOL * series.survival[n]]
-    if empty:
-        note = _structural_note(ctx, f"no path leaves the cone at n = {n}", empty[0])
-        return [_report(check, predicted, 0.0, TOL_RATIO, deviation=1.0, notes=[note])]
+    predicted = (1.0 - ctx.cramer.c) / ctx.cramer.c
+    zero = (exit_time_pmf_rescaled(ctx.series, n), f"no path leaves the cone at n = {n}", "x0")
+    return _structural_zero_rows(ctx, ["hazard.limit"], predicted, TOL_RATIO, [zero]) or [
+        _report("hazard.limit", predicted, hazard_ratio(ctx.series, n), TOL_RATIO)]
 
 
 def _check_yaglom(ctx):
@@ -361,12 +362,12 @@ def _check_yaglom(ctx):
 def _check_exit_law(ctx):
     prm = ctx.params
     notes = [n for n in [ctx.parity_note()] if n]
-    try:
-        measured_law, _ = exit_position_law(ctx.series, prm.n_hi)
-    except StructuralZeroError:
-        notes.append(_structural_note(ctx, f"no path leaves the cone at n = {prm.n_hi}"))
-        return [_report("exit_law.tv", 0.0, 1.0, TOL_TV_DP, relative=False,
-                        notes=notes)]
+    zero = (exit_time_pmf_rescaled(ctx.series, prm.n_hi),
+            f"no path leaves the cone at n = {prm.n_hi}", "x0")
+    if rows := _structural_zero_rows(ctx, ["exit_law.tv"], 0.0, TOL_TV_DP, [zero],
+                                     measured=1.0, notes=notes):
+        return rows
+    measured_law, _ = exit_position_law(ctx.series, prm.n_hi)
     grid = ctx.series.grid
     tabs = ctx.harmonic
     uprime = np.where(grid.mask, tabs.grid.place(tabs.Uprime, grid.lo, grid.shape), 0.0)
@@ -385,46 +386,34 @@ def _check_bridge(ctx):
     w2 = (np.floor(t2 * n) * (n - np.floor(t2 * n))) / n ** 2
     predicted = (w1 / w2) ** (-s)
     notes = [f"time fractions {t1:.4f} and {t2:.4f}, endpoint {z.tolist()}"]
-    try:
-        b1 = bridge_value(ctx.series, n, t1, z)
-        b2 = bridge_value(ctx.series, n, t2, z)
-    except StructuralZeroError:
-        event = f"no path reaches the endpoint {z.tolist()} at n = {n}"
-    else:
-        empty = [int(np.floor(t * n)) for t, b in ((t1, b1), (t2, b2)) if b == 0.0]
-        event = (f"no bridge to {z.tolist()} at n = {n} passes through x0 at "
-                 f"time {' or '.join(map(str, empty))}") if empty else None
-    if event:
-        notes.append(_structural_note(ctx, event))
-        return [_report("bridge.two_time_ratio", predicted, 0.0, TOL_BRIDGE,
-                        deviation=1.0, notes=notes)]
-    return [_report("bridge.two_time_ratio", predicted, b1 / b2, TOL_BRIDGE, notes=notes)]
+    endpoint = ctx.series.grid.value_at(ctx.series.tables[n], z)
+    b1, b2 = [bridge_value(ctx.series, n, t, z) for t in (t1, t2)] if endpoint else [0.0, 0.0]
+    empty = [int(np.floor(t * n)) for t, b in ((t1, b1), (t2, b2)) if b == 0.0]
+    zeros = [(endpoint, f"no path reaches the endpoint {z.tolist()} at n = {n}", "x0"),
+             (min(b1, b2), f"no bridge to {z.tolist()} at n = {n} passes through x0 at "
+              f"time {' or '.join(map(str, empty))}", "x0")]
+    return _structural_zero_rows(ctx, ["bridge.two_time_ratio"], predicted, TOL_BRIDGE,
+                                 zeros, notes=notes) or [
+        _report("bridge.two_time_ratio", predicted, b1 / b2, TOL_BRIDGE, notes=notes)]
 
 
 def _check_exp_moment(ctx):
-    prm = ctx.params
-    n_hi = prm.n_hi
-    series = ctx.series
-    n = np.arange(1, series.n_max + 1)
-    # at delta = -ln(c) the rescaled exit terms are the summand itself
-    terms = exit_time_pmf_rescaled(series, n)
-    block1 = terms[n_hi // 4: n_hi // 2].sum()
-    block2 = terms[n_hi // 2: n_hi].sum()
-    # a block of pure roundoff has no ratio to read: it fails both rows
-    for block, first, last in ((block1, n_hi // 4 + 1, n_hi // 2),
-                               (block2, n_hi // 2 + 1, n_hi)):
-        if block <= LEAK_TOL * series.survival[first]:
-            note = (f"the exit pmf over n = {first}..{last} sums to {block:.3g}, at most "
-                    f"{LEAK_TOL:g} of the rescaled survival at n = {first}: roundoff, "
-                    "not exit mass")
-            return [_report(check, 1.0, 0.0, 0.0, deviation=1.0, notes=[note])
-                    for check in ("exp_moment.convergent_at_critical",
-                                  "exp_moment.divergent_above_critical")]
+    n_hi = ctx.params.n_hi
+    # the dyadic blocks n = n_hi/4 + 1 .. n_hi/2 and n_hi/2 + 1 .. n_hi; at
+    # delta = -ln(c) the rescaled exit terms are the summand itself
+    n = np.arange(n_hi // 4 + 1, n_hi + 1)
+    half = n_hi // 2 - n_hi // 4
+    terms = exit_time_pmf_rescaled(ctx.series, n)
+    block1, block2 = terms[:half].sum(), terms[half:].sum()
+    zeros = [(block, f"no path leaves the cone at n = {first}..{last}", "x0")
+             for block, first, last in ((block1, n[0], n[half - 1]), (block2, n[half], n_hi))]
+    if rows := _structural_zero_rows(ctx, ["exp_moment.convergent_at_critical",
+                                           "exp_moment.divergent_above_critical"],
+                                     1.0, 0.0, zeros):
+        return rows
     conv_ratio = block2 / block1
-    grow = np.exp(0.05 * n)
-    gblock1 = (terms * grow)[n_hi // 4: n_hi // 2].sum()
-    gblock2 = (terms * grow)[n_hi // 2: n_hi].sum()
-    div_ratio = gblock2 / gblock1
+    grown = terms * np.exp(0.05 * n)
+    div_ratio = grown[half:].sum() / grown[:half].sum()
     return [
         _report("exp_moment.convergent_at_critical", 1.0, conv_ratio, 0.0,
                 deviation=conv_ratio - 1.0,

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._lattice import KilledKernel, make_grid, walk_reach
 from .cramer import log_mgf, solve_cramer_point
-from .errors import ConfigError, StructuralZeroError
+from .errors import ConfigError
 from .model import ConeSpec, StepLaw, cone_contains
 
 LEAK_TOL = 1e-12
@@ -24,8 +24,10 @@ SCAN_SIGMAS = 8.0        # survival_scan window: diffusive spread in standard de
 class DpSeries:
     """Killed-walk evolution from one start, rescaled by ``rescale_by`` per step.
 
-    ``survival[n]`` is P(tau > n) / rescale_by^n; ``tables[n]`` holds the full
-    rescaled measure at the retained times; ``L`` is the window it ran on.
+    ``survival[n]`` is P(tau > n) / rescale_by^n and ``exit_mass[n]`` is
+    P(tau = n) / rescale_by^n, recorded each step (exactly 0 where no path
+    exits, and at n = 0); ``tables[n]`` holds the full rescaled measure at the
+    retained times; ``L`` is the window it ran on.
     ``leak_max`` is the largest one-step leak: over single steps, the largest
     ratio of the mass a step pushes out of the window to that step's survival.
     It does not bound the mass beyond the window at n, which gathers the leaks
@@ -36,6 +38,7 @@ class DpSeries:
     n_max: int
     rescale_by: float
     survival: np.ndarray
+    exit_mass: np.ndarray
     grid: object
     law: StepLaw
     L: int
@@ -88,12 +91,16 @@ def _evolve(kernel, L, x0, n_max, rescale_by, retain):
     out = np.empty_like(q)
     survival = np.empty(n_max + 1)
     survival[0] = 1.0
+    exit_mass = np.zeros(n_max + 1)
     tables = {0: q.copy()} if 0 in retain else {}
     leak_max = 0.0
     ring = np.flatnonzero(kernel.leak)          # the cells that can leak
     ring_leak = kernel.leak.reshape(-1)[ring]
+    edge = np.flatnonzero(kernel.exit)          # the cells that can exit
+    edge_exit = kernel.exit.reshape(-1)[edge]
     for n in range(1, n_max + 1):
         leaked = float(q.reshape(-1)[ring] @ ring_leak) / rescale_by
+        exit_mass[n] = q.reshape(-1)[edge] @ edge_exit / rescale_by
         out = kernel.forward(q, out=out)
         out /= rescale_by
         q, out = out, q
@@ -107,7 +114,7 @@ def _evolve(kernel, L, x0, n_max, rescale_by, retain):
             tables[n] = q.copy()
     return DpSeries(
         x0=x0, n_max=n_max, rescale_by=float(rescale_by),
-        survival=survival, grid=grid, law=kernel.law, L=L,
+        survival=survival, exit_mass=exit_mass, grid=grid, law=kernel.law, L=L,
         tables=tables, leak_max=float(leak_max),
     )
 
@@ -119,7 +126,7 @@ def exit_time_pmf_rescaled(series, n):
     """P(tau = n) / rescale_by^n, for one time n or an array of times."""
     if np.min(n) < 1 or np.max(n) > series.n_max:
         raise ConfigError(f"exit time {n} outside the computed horizon")
-    return series.survival[n - 1] / series.rescale_by - series.survival[n]
+    return series.exit_mass[n]
 
 
 def hazard_ratio(series, n):
@@ -145,7 +152,7 @@ def exit_profile(grid, law, table, name):
     exit_mass = np.where(outside, KilledKernel(grid, law).push(table), 0.0)
     total = exit_mass.sum()
     if total <= 0.0:
-        raise StructuralZeroError(f"no exit mass from {name}")
+        raise ConfigError(f"no exit mass from {name}")
     return exit_mass / total, outside
 
 
@@ -170,7 +177,7 @@ def bridge_value(series, n, t, z):
         raise ConfigError(f"bridge needs tables at {m}, {n - m} and {n}")
     denom = grid.value_at(q_n, z)
     if denom <= 0.0:
-        raise StructuralZeroError(f"endpoint {z.tolist()} has no mass at n = {n}")
+        raise ConfigError(f"endpoint {z.tolist()} has no mass at n = {n}")
     return grid.value_at(q_m, series.x0) * grid.value_at(q_rest, z) / denom
 
 

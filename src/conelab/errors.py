@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Invalid model or run configuration (bad law, cone, or config file)."""
 
 
-class StructuralZeroError(ConfigError):
-    """The walk cannot reach the requested event at the requested time (exit, endpoint)."""
-
-
 class NumericsError(RuntimeError):
     """A numerical procedure failed to converge or produced inconsistent values."""
 

@@ -166,7 +166,7 @@ def test_diagonal_note_names_period_two(diag_ctx):
 
 def test_hazard_names_a_structural_zero(ctx, diag_ctx):
     # from (1, 1) the diagonal walk leaves the quadrant only at odd times, so its
-    # exit pmf at n_hi = 300 is roundoff and the row reads 0 with a note
+    # exit pmf at n_hi = 300 is exactly 0 and the row reads 0 with a note
     row, = verify_limits(diag_ctx, "hazard")
     assert (row.measured, row.deviation, row.passed) == (0.0, 1.0, False)
     assert len(row.notes) == 1 and row.notes[0].startswith("structural, not numerical")

@@ -11,6 +11,7 @@ from pathlib import Path
 import yaml
 
 import conelab.cli
+from conelab.analysis import SELECTORS
 from conelab.cli import parse_run_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -43,7 +44,11 @@ TRACED = {
             "spectral.solve": ("iterations", "converged", "L")},
     "zchain": {"simulate.zchain": ()},
     "simulate": {"simulate.direct": ("path_steps",), "simulate.tilted": ("path_steps",)},
+    "verify all": {f"analysis.{selector}": () for selector in SELECTORS},
 }
+# the exit status each command reaches: on nn4 the period-2 rows yaglom.tv and
+# exit_law.tv fail, so verify reports a verification failure
+STATUS = {"verify all": 1}
 
 
 def test_traced_commands_run_every_span_reader(perfbench, tmp_path, capsys):
@@ -58,10 +63,10 @@ def test_traced_commands_run_every_span_reader(perfbench, tmp_path, capsys):
     path = tmp_path / "small.yaml"
     path.write_text(yaml.safe_dump(data))
     for command, expected in TRACED.items():
-        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        argv = [*command.split(), "--config", str(path), "--out", str(tmp_path / "out")]
         status = conelab.cli.main(argv)
         with spans.install(spans.Tracer(), conelab) as tracer:
-            assert conelab.cli.main(argv) == status == 0, command
+            assert conelab.cli.main(argv) == status == STATUS.get(command, 0), command
         by_name = {s["name"]: s for s in tracer.spans}
         for name, attrs in expected.items():
             assert set(attrs) <= set(by_name[name]["attrs"]), (command, name)

@@ -400,9 +400,10 @@ LATE_FIRST_EXIT = {"n_hi: 300": "n_hi: 8", "x0: [1, 1]": "x0: [5, 5]",
      {"start_ratio.exit_pmf": "from ratio_start = [2, 2] no path leaves the cone at n = 301"}),
     # floor(n_hi / 3) = 0 would put a bridge time at 0
     ("nn4", {"n_hi: 300": "n_hi: 1"}, 2, "pipeline.n_hi must be at least 3, got 1"),
-    # from (5, 5) no path exits before step 5: the first block (n = 3..4) is roundoff
-    ("nn4", LATE_FIRST_EXIT, 1, {f"exp_moment.{row}": "n = 3..4 sums to" for row in
-                                 ("convergent_at_critical", "divergent_above_critical")}),
+    # from (5, 5) no path exits before step 5: the first block (n = 3..4) has no exit mass
+    ("nn4", LATE_FIRST_EXIT, 1, {f"exp_moment.{row}": "no path leaves the cone at n = 3..4"
+                                 for row in ("convergent_at_critical",
+                                             "divergent_above_critical")}),
 ], ids=["diagonal-odd-n_hi", "nn4-n_hi-1", "nn4-late-first-exit"])
 def test_verify_rows_stay_finite_and_fail_without_mass(tmp_path, capsys, config, edits,
                                                        status, named):
@@ -431,6 +432,18 @@ def test_verify_rows_stay_finite_and_fail_without_mass(tmp_path, capsys, config,
         row = rows[check]
         assert not row["pass"] and row["deviation"] == 1.0 and row["measured"] == 0.0
         assert any(fragment in note for note in row["notes"]), row["notes"]
+
+
+def test_exp_moment_weights_only_its_blocks(tmp_path, capsys):
+    # e^(0.05 n) overflows from n = 14,196 on; the blocks end at n_hi = 300, so a
+    # longer horizon must not form the weights beyond them
+    path = tmp_path / "long.yaml"
+    path.write_text((CONFIGS / "nn4.yaml").read_text().replace("n_max: 400", "n_max: 14200"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "exp_moment", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("selector", ["driftless_bound", "all"])
@@ -476,8 +489,8 @@ ARTIFACT_SHA256 = {
     "qsd.csv": "0333061e952691620bb8571c20c3503156441b38909d1e2afc7b162fb2bb3308",
     "qsd_summary.json": "b3c0c170fe701d029d156b70ed7943f78f5e92f962254b1023c23e0529357b96",
     "simulate.jsonl": "4aa1dd940b3da27c07c6c99019645a02ed8abdeb47d66fd02c755dc3a2790f56",
-    "verify.jsonl": "9750696f710a1ff62ef082b435c5abff3e15d7ebb22c30e152b54e2f3b4cf8de",
-    "verify_summary.csv": "d43ead736ccf6f99aae9a8738f5ef86f6ff2293ff2d3e2b44f15033f9c64fa9f",
+    "verify.jsonl": "bd3abb112fef91f4deadfb5187f1368b21f0b916f6dcc9bed4f4a7af31469dd5",
+    "verify_summary.csv": "d5e6f8ce3880f41c813223b762882c30a4dabb3ae297a4d603a35c815d9ce516",
     "whiten.json": "518d548e0fc910af3ad80207286ef8c6579dbfe9c130261e0674deaf6b7c068e",
     "zchain.json": "0b1f1c83378d51a3b1185bda8bcf95a1f63dc44689ae249559c003af53f72b75",
 }
@@ -493,16 +506,16 @@ DIAGONAL_SHA256 = {
     "qsd.csv": "b334ee4ae19834135333a4669c66f4e35ebb2dc8be1aae52e2998a7f001c4f55",
     "qsd_summary.json": "fab1f7e790252ab521c873be525a586c4a27df4624bab9b8edae077b3bf2093f",
     "simulate.jsonl": "3e2aff5e0948b27ebfdb200dfcfe22779d2f0a47421186476cc96a902197a401",
-    "verify.jsonl": "9b15836cde1e2980c2eeba8e370143154148f79956c0543728792c4d8bb022db",
-    "verify_summary.csv": "d84c6109f34afabb395077fb6561d9dd99e4ac7616599f27928d9e7c21a0f2b0",
+    "verify.jsonl": "59e1017d95ece4938a4c5dcf46999940700adcb78eb4bb9e1620a99e93305ed6",
+    "verify_summary.csv": "12ae1230b63058fd6e32e18fb506f2109f72f11336e5c94a5e4f637b339ffca0",
     "whiten.json": "708ee4dd22865db53f2b5c1cfc8d97f41db4c049a4f87ed74c5bbd1a9b8480ab",
     "zchain.json": "3fa7e11fea0809af6a41da7bd2e08267ee15b8295bf696d1c43f1abfcba1aa1d",
 }
 WIDE_SHA256 = {
     "dp.csv": "ba6b31539f3371cfd772c0ef6eb353d32fb6a1a13ce594601aa0fd44dd34d967",
     "dp_fit.json": "d8a0bb95c118edad85dc7a565906818583edfb79d76e5198a8c939635db6b237",
-    "verify.jsonl": "0fed1c52c75bcd0a0b9f35a26c1b9b9bcfc368e542853e0d19b145e0c751e74c",
-    "verify_summary.csv": "41bf0c1a8c8897e9373426073bad0a56b91c7d7f7b7915eac61ca9b017843cc5",
+    "verify.jsonl": "50d5dd378011d791a5df77d1dadae13f6e0ed96a97150a3ee9aea7707aad0539",
+    "verify_summary.csv": "8419dc6a3b8c113c9da1d2834b6080e854a933c55084da8e5d52ecb8c5ea11bd",
 }
 EIGHT_COMMANDS = ("cramer", "whiten", "harmonic", "dp", "qsd", "zchain", "simulate", "verify")
 

@@ -292,6 +292,35 @@ def test_dp_exit_pmf_and_hazard_match_exact_nn4_counts(series_nn4, cramer_nn4):
         exact_pmf(300) / survival)
 
 
+def test_exit_pmf_is_exactly_zero_where_the_period_blocks_exits(diag_ctx):
+    # each diagonal step flips the parity of both coordinates, and a walk leaves the
+    # quadrant by landing on a zero coordinate: from (1, 1) only at odd n, from
+    # (2, 2) only at even n.  The exit mass is recorded, not read off the survival
+    # as S_{n-1}/c - S_n, which leaves up to 6.9e-18 and 5.6e-17 at those times
+    for series, start, blocked in ((diag_ctx.series, [1, 1], 0),
+                                   (diag_ctx.series_ratio_start, [2, 2], 1)):
+        assert series.x0.tolist() == start
+        n = np.arange(1, series.n_max + 1)
+        pmf = exit_time_pmf_rescaled(series, n)
+        assert np.all(pmf[n % 2 == blocked] == 0.0)
+        assert np.all(pmf[(n % 2 != blocked) & (n > 2)] > 0.0)
+
+
+def test_exit_pmf_matches_the_survival_drop_where_it_is_positive(ctx, diag_ctx, octant_law):
+    # the survival's one-step drop is the exit mass plus the step's leak, which
+    # lies far below 1e-14 of the exit mass on these windows
+    octant = [dp_evolve(octant_law, ConeSpec.orthant(3), x0, 120, rescale_by=ROOT3 / 2.0,
+                        L=42) for x0 in ([1, 1, 1], [2, 2, 2])]
+    for series in (ctx.series, ctx.series_ratio_start, diag_ctx.series,
+                   diag_ctx.series_ratio_start, *octant):
+        n = np.arange(1, series.n_max + 1)
+        pmf = exit_time_pmf_rescaled(series, n)
+        drop = series.survival[n - 1] / series.rescale_by - series.survival[n]
+        on = pmf > 0.0
+        assert on.sum() >= series.n_max // 2 - 1
+        assert np.all(np.abs(pmf[on] - drop[on]) <= 1e-14 * pmf[on]), series.x0
+
+
 def test_raw_survival_log_of_all_times_equals_the_per_time_values(series_nn4):
     n = np.arange(series_nn4.n_max + 1)
     assert series_nn4.raw_survival_log(n).tolist() == [series_nn4.raw_survival_log(k)
