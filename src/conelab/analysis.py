@@ -3,11 +3,13 @@
 Every check compares a DP-oracle measurement against an independently
 computed prediction (closed forms, harmonic tables, or the QSD), quotienting
 out the unknown global constants through ratios and normalizations.  Each
-check emits VerificationReport rows with the measured deviation and the
-tolerance it was held to; the fixed-time rows of a periodic or sublattice
-walk say so in a note built from the model's period and index.
+selector declares its rows (``Row``) and the exact-zero operands they read;
+one evaluator, ``_evaluate``, applies the structural-zero rule, measures the
+rows, and builds every VerificationReport.  The fixed-time rows of a periodic
+or sublattice walk say so in a note built from the model's period and index.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .cramer import solve_cramer_point
 from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
-                        exit_profile, exit_time_pmf_rescaled, hazard_ratio, survival_scan)
+                        exit_profile, exit_time_pmf_rescaled, survival_scan)
 from .errors import ConfigError, NumericsError, WindowTooSmallError
 from .harmonic import build_U_tables, build_V_tables
 from .model import build_model, check_acute_cone_condition
@@ -28,8 +30,6 @@ SELECTORS = ("survival_tail", "start_ratio", "hazard", "yaglom", "exit_law",
 # tolerances, sized to the slowest observed O(1/n) corrections at n_hi = 300
 # and recorded in every report
 TOL_RATIO = 0.02          # ratio-type limits at n_hi
-TOL_EXPONENT = 0.15       # fitted exponents, absolute
-TOL_C = 0.002             # fitted geometric rate, absolute
 TOL_TV_DP = 0.02          # TV of distributional limits measured off the DP
 TOL_BRIDGE = 0.05         # two-time bridge consistency
 TOL_SLOPE = 0.05          # log-log flatness slopes
@@ -228,40 +228,64 @@ class PipelineContext:
         """Polynomial tail order p + d/2."""
         return self.p + self.law.dim / 2.0
 
-    def parity_note(self):
-        """Period or sublattice confinement blocks fixed-time TV limits."""
+    @cached_property
+    def parity_notes(self):
+        """The notes of the fixed-time TV rows: period or sublattice confinement
+        blocks their limits, and an aperiodic full-lattice walk has none."""
         index, period = self.report.sublattice_index, self.report.period
         if index == 1 and period == 1:
-            return None
-        return (f"law has period {period} and its steps generate a sublattice of "
+            return []
+        return [f"law has period {period} and its steps generate a sublattice of "
                 f"index {index}: fixed-time conditionals occupy one of "
                 f"{index * period} lattice classes while the limit profile spans "
-                "all of them")
+                "all of them"]
+
+    @cached_property
+    def u_ratio(self):
+        """U(x0) / U(ratio_start), the limit of the plateau and start ratios."""
+        tabs = self.harmonic
+        return tabs.U_at(self.params.x0) / tabs.U_at(self.params.ratio_start)
+
+    def exit_pmf(self, start):
+        """The rescaled exit pmf at n_hi from "x0" or "ratio_start" as a zero operand."""
+        series = self.series if start == "x0" else self.series_ratio_start
+        n = self.params.n_hi
+        return exit_time_pmf_rescaled(series, n), f"no path leaves the cone at n = {n}", start
 
 
-def _report(check, predicted, measured, tolerance, relative=True, notes=None,
+# deviation of a measured value m from its prediction p, by the row's kind; a
+# structural zero reads 1 on a "tv" row (all mass apart) and 0 on any other
+DEVIATIONS = {"relative": lambda m, p: abs(m - p) / abs(p), "signed": lambda m, p: m - p,
+              "tv": lambda m, p: m - p, "absolute": lambda m, p: abs(m - p),
+              "shortfall": lambda m, p: p - m}
+
+
+# a verify row as its selector declares it: ``measure()`` returns the measured
+# value and runs only when no zero operand is 0; ``kind`` is a key of DEVIATIONS;
+# ``notes`` hold on every row, ``reading`` notes only on a measured one
+Row = namedtuple("Row", "check predicted tolerance measure kind notes reading",
+                 defaults=("relative", (), ()))
+
+
+def _report(check, predicted, measured, tolerance, kind="relative", notes=(),
             deviation=None):
+    """The row's VerificationReport; a row with any non-finite value never passes."""
     if deviation is None:
-        if relative:
-            deviation = abs(measured - predicted) / abs(predicted)
-        else:
-            deviation = measured - predicted
+        deviation = DEVIATIONS[kind](measured, predicted)
     finite = np.all(np.isfinite([predicted, measured, deviation, tolerance]))
     passed = bool(deviation <= tolerance and finite)
     return VerificationReport(
         check=check, predicted=float(predicted), measured=float(measured),
         deviation=float(deviation), tolerance=float(tolerance), passed=passed,
-        notes=list(notes or []),
+        notes=list(notes),
     )
 
 
-def _structural_zero_rows(ctx, checks, predicted, tolerance, zeros, measured=0.0, notes=()):
-    """The failing rows of ``checks`` when a value they read is exactly 0, else [].
-
-    ``zeros`` lists (value, event, start) triples.  An exact zero is decided by
-    the walk's structure, not by the numerics: one note names the first one's
-    event, and each row reads ``measured`` (0 for a ratio, 1 for a TV) with
-    deviation 1.
+def _evaluate(ctx, rows, zeros=()):
+    """The VerificationReports of a selector's ``rows``, which read the (value,
+    event, start) operands ``zeros``.  An exact zero is decided by the walk's
+    structure, not by the numerics: no row is measured, each reads 0 (1 for a
+    TV) with deviation 1, and one note names the first zero's event.
     """
     for value, event, start in zeros:
         if value == 0.0:
@@ -269,9 +293,11 @@ def _structural_zero_rows(ctx, checks, predicted, tolerance, zeros, measured=0.0
             cause = f" (the walk has period {period})" if period > 1 else ""
             note = (f"structural, not numerical: from {start} = "
                     f"{list(getattr(ctx.params, start))} {event}{cause}")
-            return [_report(check, predicted, measured, tolerance, deviation=1.0,
-                            notes=[*notes, note]) for check in checks]
-    return []
+            return [_report(r.check, r.predicted, 1.0 if r.kind == "tv" else 0.0,
+                            r.tolerance, notes=[*r.notes, note], deviation=1.0)
+                    for r in rows]
+    return [_report(r.check, r.predicted, r.measure(), r.tolerance, r.kind,
+                    [*r.notes, *r.reading]) for r in rows]
 
 
 def verify_limits(ctx, selector):
@@ -303,77 +329,56 @@ def verify_all(ctx):
 
 
 def _check_survival_tail(ctx):
-    prm = ctx.params
+    n_hi = ctx.params.n_hi
     series = ctx.series   # first: a start that cannot survive is named before p is fitted
     s = ctx.exponent
     fit = fit_tail(series)
     # octave slopes of b_n * n^s are s minus the dyadic exponent estimates;
     # their Richardson extrapolation, s minus the fitted exponent, should vanish
     s1, s2 = (s - e for e in fit.diagnostics["dyadic_estimates"])
-    slope = s - fit.exponent_hat
-    rep = [_report("survival_tail.flatness", 0.0, slope, TOL_SLOPE,
-                   deviation=abs(slope),
-                   notes=[f"octave slopes {s1:.4f}, {s2:.4f} of b_n * n^{s:.3f}"])]
-    tabs = ctx.harmonic
-    predicted = tabs.U_at(prm.x0) / tabs.U_at(prm.ratio_start)
-    measured = series.survival[prm.n_hi] / ctx.series_ratio_start.survival[prm.n_hi]
-    rep.append(_report("survival_tail.plateau_ratio", predicted, measured, TOL_RATIO))
-    return rep
+    return _evaluate(ctx, [
+        Row("survival_tail.flatness", 0.0, TOL_SLOPE, lambda: s - fit.exponent_hat,
+            "absolute", reading=[f"octave slopes {s1:.4f}, {s2:.4f} of b_n * n^{s:.3f}"]),
+        Row("survival_tail.plateau_ratio", ctx.u_ratio, TOL_RATIO, lambda: (
+            series.survival[n_hi] / ctx.series_ratio_start.survival[n_hi]))])
 
 
 def _check_start_ratio(ctx):
-    prm = ctx.params
-    tabs = ctx.harmonic
-    predicted = tabs.U_at(prm.x0) / tabs.U_at(prm.ratio_start)
-    n = prm.n_hi
-    pmf = {"x0": exit_time_pmf_rescaled(ctx.series, n),
-           "ratio_start": exit_time_pmf_rescaled(ctx.series_ratio_start, n)}
-    zeros = [(value, f"no path leaves the cone at n = {n}", start) for start, value in pmf.items()]
-    return _structural_zero_rows(ctx, ["start_ratio.exit_pmf"], predicted, TOL_RATIO, zeros) or [
-        _report("start_ratio.exit_pmf", predicted, pmf["x0"] / pmf["ratio_start"], TOL_RATIO)]
+    predicted = ctx.u_ratio
+    zeros = [ctx.exit_pmf("x0"), ctx.exit_pmf("ratio_start")]
+    return _evaluate(ctx, [Row("start_ratio.exit_pmf", predicted, TOL_RATIO,
+                               lambda: zeros[0][0] / zeros[1][0])], zeros)
 
 
 def _check_hazard(ctx):
-    n = ctx.params.n_hi
+    zero = ctx.exit_pmf("x0")
     predicted = (1.0 - ctx.cramer.c) / ctx.cramer.c
-    zero = (exit_time_pmf_rescaled(ctx.series, n), f"no path leaves the cone at n = {n}", "x0")
-    return _structural_zero_rows(ctx, ["hazard.limit"], predicted, TOL_RATIO, [zero]) or [
-        _report("hazard.limit", predicted, hazard_ratio(ctx.series, n), TOL_RATIO)]
+    return _evaluate(ctx, [Row("hazard.limit", predicted, TOL_RATIO, lambda: (
+        zero[0] / ctx.series.survival[ctx.params.n_hi]))], [zero])
 
 
 def _check_yaglom(ctx):
-    prm = ctx.params
+    n_lo, n_hi = ctx.params.n_hi // 4, ctx.params.n_hi
     tabs = ctx.harmonic
     mu = tabs.kappa * tabs.Uprime             # zero off the window, as U' is
-    notes = [n for n in [ctx.parity_note()] if n]
-    tvs = {}
-    for n in (prm.n_hi // 4, prm.n_hi):
-        cond = conditional_law(ctx.series, n)
-        tvs[n] = tv_distance_tables(cond, ctx.series.grid, mu, tabs.grid)
-    rep = [_report("yaglom.tv", 0.0, tvs[prm.n_hi], TOL_TV_DP, relative=False,
-                   notes=notes)]
-    improve = tvs[prm.n_hi] - tvs[prm.n_hi // 4]
-    rep.append(_report("yaglom.tv_improves", 0.0, improve, 0.0, relative=False,
-                       notes=[f"TV at {prm.n_hi // 4}: {tvs[prm.n_hi // 4]:.6f}, "
-                              f"at {prm.n_hi}: {tvs[prm.n_hi]:.6f}"]))
-    return rep
+    tvs = {n: tv_distance_tables(conditional_law(ctx.series, n), ctx.series.grid, mu,
+                                 tabs.grid) for n in (n_lo, n_hi)}
+    return _evaluate(ctx, [
+        Row("yaglom.tv", 0.0, TOL_TV_DP, lambda: tvs[n_hi], "tv", ctx.parity_notes),
+        Row("yaglom.tv_improves", 0.0, 0.0, lambda: tvs[n_hi] - tvs[n_lo], "signed",
+            reading=[f"TV at {n_lo}: {tvs[n_lo]:.6f}, at {n_hi}: {tvs[n_hi]:.6f}"])])
 
 
 def _check_exit_law(ctx):
-    prm = ctx.params
-    notes = [n for n in [ctx.parity_note()] if n]
-    zero = (exit_time_pmf_rescaled(ctx.series, prm.n_hi),
-            f"no path leaves the cone at n = {prm.n_hi}", "x0")
-    if rows := _structural_zero_rows(ctx, ["exit_law.tv"], 0.0, TOL_TV_DP, [zero],
-                                     measured=1.0, notes=notes):
-        return rows
-    measured_law, _ = exit_position_law(ctx.series, prm.n_hi)
-    grid = ctx.series.grid
-    tabs = ctx.harmonic
-    uprime = np.where(grid.mask, tabs.grid.place(tabs.Uprime, grid.lo, grid.shape), 0.0)
-    profile, _ = exit_profile(grid, ctx.law, uprime, "kappa U'")
-    tv = 0.5 * float(np.abs(measured_law - profile).sum())
-    return [_report("exit_law.tv", 0.0, tv, TOL_TV_DP, relative=False, notes=notes)]
+    def tv():
+        measured_law, _ = exit_position_law(ctx.series, ctx.params.n_hi)
+        grid, tabs = ctx.series.grid, ctx.harmonic
+        uprime = np.where(grid.mask, tabs.grid.place(tabs.Uprime, grid.lo, grid.shape), 0.0)
+        profile, _ = exit_profile(grid, ctx.law, uprime, "kappa U'")
+        return 0.5 * float(np.abs(measured_law - profile).sum())
+
+    return _evaluate(ctx, [Row("exit_law.tv", 0.0, TOL_TV_DP, tv, "tv", ctx.parity_notes)],
+                     [ctx.exit_pmf("x0")])
 
 
 def _check_bridge(ctx):
@@ -382,19 +387,16 @@ def _check_bridge(ctx):
     n = prm.n_hi
     z = np.asarray(prm.bridge_endpoint, dtype=int)
     s = ctx.exponent
-    w1 = (np.floor(t1 * n) * (n - np.floor(t1 * n))) / n ** 2
-    w2 = (np.floor(t2 * n) * (n - np.floor(t2 * n))) / n ** 2
-    predicted = (w1 / w2) ** (-s)
-    notes = [f"time fractions {t1:.4f} and {t2:.4f}, endpoint {z.tolist()}"]
+    w1, w2 = [(np.floor(t * n) * (n - np.floor(t * n))) / n ** 2 for t in (t1, t2)]
     endpoint = ctx.series.grid.value_at(ctx.series.tables[n], z)
     b1, b2 = [bridge_value(ctx.series, n, t, z) for t in (t1, t2)] if endpoint else [0.0, 0.0]
     empty = [int(np.floor(t * n)) for t, b in ((t1, b1), (t2, b2)) if b == 0.0]
     zeros = [(endpoint, f"no path reaches the endpoint {z.tolist()} at n = {n}", "x0"),
              (min(b1, b2), f"no bridge to {z.tolist()} at n = {n} passes through x0 at "
               f"time {' or '.join(map(str, empty))}", "x0")]
-    return _structural_zero_rows(ctx, ["bridge.two_time_ratio"], predicted, TOL_BRIDGE,
-                                 zeros, notes=notes) or [
-        _report("bridge.two_time_ratio", predicted, b1 / b2, TOL_BRIDGE, notes=notes)]
+    return _evaluate(ctx, [Row(
+        "bridge.two_time_ratio", (w1 / w2) ** (-s), TOL_BRIDGE, lambda: b1 / b2,
+        notes=[f"time fractions {t1:.4f} and {t2:.4f}, endpoint {z.tolist()}"])], zeros)
 
 
 def _check_exp_moment(ctx):
@@ -407,23 +409,19 @@ def _check_exp_moment(ctx):
     block1, block2 = terms[:half].sum(), terms[half:].sum()
     zeros = [(block, f"no path leaves the cone at n = {first}..{last}", "x0")
              for block, first, last in ((block1, n[0], n[half - 1]), (block2, n[half], n_hi))]
-    if rows := _structural_zero_rows(ctx, ["exp_moment.convergent_at_critical",
-                                           "exp_moment.divergent_above_critical"],
-                                     1.0, 0.0, zeros):
-        return rows
-    conv_ratio = block2 / block1
-    grown = terms * np.exp(0.05 * n)
-    div_ratio = grown[half:].sum() / grown[:half].sum()
-    return [
-        _report("exp_moment.convergent_at_critical", 1.0, conv_ratio, 0.0,
-                deviation=conv_ratio - 1.0,
-                notes=["dyadic block-sum ratio; below 1 means the series "
-                       "at the critical rate converges"]),
-        _report("exp_moment.divergent_above_critical", 1.0, div_ratio, 0.0,
-                deviation=1.0 - div_ratio,
-                notes=["dyadic block-sum ratio; above 1 means geometric growth "
-                       "once the rate exceeds the critical value"]),
-    ]
+
+    def div_ratio():
+        # the shift, 0 unless e^(0.05 n_hi) would overflow, cancels in the ratio
+        grown = terms * np.exp(0.05 * n - max(0.0, 0.05 * n_hi - 700.0))
+        return grown[half:].sum() / grown[:half].sum()
+
+    return _evaluate(ctx, [
+        Row("exp_moment.convergent_at_critical", 1.0, 0.0, lambda: block2 / block1,
+            "signed", reading=["dyadic block-sum ratio; below 1 means the series at "
+                               "the critical rate converges"]),
+        Row("exp_moment.divergent_above_critical", 1.0, 0.0, div_ratio, "shortfall",
+            reading=["dyadic block-sum ratio; above 1 means geometric growth once the "
+                     "rate exceeds the critical value"])], zeros)
 
 
 def _check_driftless_bound(ctx):
@@ -443,8 +441,7 @@ def _check_driftless_bound(ctx):
     x = np.log(ns[sel].astype(float))
     y = np.log(top[sel])
     slope = float(np.polyfit(x, y, 1)[0])
-    rep = _report("driftless_bound.scan_slope", 0.0, slope, TOL_SLOPE,
-                  deviation=abs(slope),
-                  notes=[f"scan statistic max over {len(pts)} starts in "
-                         f"[{float(top.min()):.4f}, {float(top.max()):.4f}]"])
-    return [rep]
+    return _evaluate(ctx, [Row(
+        "driftless_bound.scan_slope", 0.0, TOL_SLOPE, lambda: slope, "absolute",
+        reading=[f"scan statistic max over {len(pts)} starts in "
+                 f"[{float(top.min()):.4f}, {float(top.max()):.4f}]"])])

@@ -3,7 +3,8 @@
 ``conelab <command> --config <path> [--seed N] [--workers N] [--out DIR]``
 
 Commands: ``cramer``, ``whiten``, ``harmonic``, ``dp``, ``simulate``,
-``qsd``, ``zchain``, ``verify [selector|all]``.  The ``pipeline``,
+``qsd``, ``zchain``, ``verify [selector|all]``; only ``verify`` takes a
+selector, and reads none as ``all``.  The ``pipeline``,
 ``simulate`` and ``zchain`` sections are read through one table
 (``SECTIONS``): the pipeline keys and defaults are the fields of
 ``VerifyParams``, each value is read by the converter of its default's type,
@@ -426,9 +427,9 @@ def main(argv=None):
     parser.add_argument("command",
                         choices=["cramer", "whiten", "harmonic", "dp", "simulate",
                                  "qsd", "zchain", "verify"])
-    parser.add_argument("selector", nargs="?", default="all",
-                        help="verification selector (verify command only); "
-                             f"one of {', '.join(SELECTORS)} or 'all'")
+    parser.add_argument("selector", nargs="?",
+                        help="verification selector, taken by verify only; "
+                             f"one of {', '.join(SELECTORS)} or 'all' (the default)")
     parser.add_argument("--config", required=True, help="path to the YAML run config")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None,
@@ -439,13 +440,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        verify = args.command == "verify"
+        if args.selector is not None and not verify:
+            raise ConfigError(f"{args.command} takes no selector, got {args.selector!r}")
+        selector = "all" if args.selector is None else args.selector
         config = parse_run_config(args.config, seed=args.seed, workers=args.workers,
                                   out_dir=args.out)
         ctx = PipelineContext(config.law, config.cone, config.params)
-        run_id = _run_id(config, args.command,
-                         extra=args.selector if args.command == "verify" else "")
-        if args.command == "verify":
-            status, artifacts = _cmd_verify(ctx, args.selector)
+        run_id = _run_id(config, args.command, extra=selector if verify else "")
+        if verify:
+            status, artifacts = _cmd_verify(ctx, selector)
         else:
             status, artifacts = globals()[f"_cmd_{args.command}"](config, ctx)
         for name in emit_report(config, args.command, run_id, artifacts):

@@ -84,7 +84,7 @@ def test_report_invariant_pass_iff_within_tolerance(ctx):
 @pytest.mark.parametrize("predicted, measured, deviation", [
     (1.0, np.inf, -np.inf), (np.nan, 0.0, -1.0), (1.0, -np.inf, None)])
 def test_report_never_passes_a_non_finite_row(predicted, measured, deviation):
-    row = _report("row", predicted, measured, 0.0, relative=False, deviation=deviation)
+    row = _report("row", predicted, measured, 0.0, kind="signed", deviation=deviation)
     assert not row.passed
 
 
@@ -106,8 +106,8 @@ def test_sublattice_law_gets_a_note(diag_ctx):
     # diagonal steps preserve coordinate-sum parity: the walk is confined to
     # the even sublattice, of index 2
     assert diag_ctx.report.sublattice_index == 2
-    note = diag_ctx.parity_note()
-    assert note is not None and "sublattice of index 2" in note
+    note, = diag_ctx.parity_notes
+    assert "sublattice of index 2" in note
 
 
 def test_parity_blocked_distributional_checks(ctx, tables_nn4):
@@ -160,7 +160,7 @@ def test_exponent_uses_fitted_p_when_open(ctx):
 
 def test_diagonal_note_names_period_two(diag_ctx):
     # every diagonal step flips the parity of x2 (and of x1)
-    note = diag_ctx.parity_note()
+    note, = diag_ctx.parity_notes
     assert "period 2" in note
 
 
@@ -179,5 +179,5 @@ def test_hazard_names_a_structural_zero(ctx, diag_ctx):
 def test_period_three_note(quadrant):
     law = StepLaw(support=np.array([[1, 0], [0, 1], [-1, -1]]),
                   probs=np.array([1 / 4, 1 / 4, 1 / 2]))
-    note = PipelineContext(law, quadrant).parity_note()
-    assert note is not None and "period 3" in note
+    note, = PipelineContext(law, quadrant).parity_notes
+    assert "period 3" in note

@@ -335,6 +335,25 @@ def test_verify_unknown_selector(config_path, tmp_path, capsys):
     assert status == 2
 
 
+def test_selector_on_another_command_exits_2_before_anything_runs(config_path, tmp_path,
+                                                                 capsys, monkeypatch):
+    monkeypatch.setattr("conelab.cli.parse_run_config", lambda *a, **k: pytest.fail("ran"))
+    out = tmp_path / "out"
+    assert main(["cramer", "hazard", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "cramer takes no selector, got 'hazard'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_without_selector_is_verify_all(config_path, tmp_path, capsys):
+    written = []
+    for argv in (["verify"], ["verify", "all"]):
+        out = tmp_path / "-".join(argv)
+        assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 1
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+    capsys.readouterr()
+
+
 def test_verify_all_reports_parity_failures(config_path, tmp_path, capsys):
     # this short-horizon config inherits the reference walk's period-2
     # obstruction: the distributional checks cannot pass, so the exit
@@ -443,6 +462,22 @@ def test_exp_moment_weights_only_its_blocks(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["verify", "exp_moment", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+
+def test_exp_moment_stays_finite_on_long_horizons(tmp_path, capsys):
+    # at n_hi = 14,300 the weight e^(0.05 n_hi) alone overflows; shifted inside the
+    # exponent, the weights give the finite ratio, near 1e151
+    path, out = tmp_path / "long.yaml", tmp_path / "out"
+    path.write_text((CONFIGS / "nn4.yaml").read_text().replace("n_max: 400", "n_max: 14400")
+                    .replace("n_hi: 300", "n_hi: 14300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "exp_moment", "--config", str(path), "--out", str(out)]) == 0
+    rows = {r["check"]: r for r in map(strict_json, next(out.glob("verify_*.jsonl"))
+                                       .read_text().splitlines())}
+    row = rows["exp_moment.divergent_above_critical"]
+    assert row["pass"] and 1e150 < row["measured"] < 1e152
     capsys.readouterr()
 
 

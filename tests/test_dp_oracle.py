@@ -255,8 +255,10 @@ def nn4_table(n, x, y, comb):
 
 
 def test_dp_matches_exact_nn4_counts_at_n_hi(series_nn4):
-    # the shipped series' rescaled table at n_hi, on and beyond its L = 60 window;
-    # the mass beyond it must lie below leak_max
+    # the shipped series' rescaled table at n_hi, on and beyond its L = 60 window.
+    # leak_max is the largest one-step leak, not a bound on the mass beyond the
+    # window: that mass lies below it here only because the steps after n_hi, up
+    # to the shipped n_max = 400, leak more
     series, n, x = series_nn4, 300, (1, 1)
     assert series.L == 60 and series.x0.tolist() == list(x)
     comb = [math.comb(n, k) for k in range(n + 1)]

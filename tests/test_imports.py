@@ -1,10 +1,12 @@
 """No command loads scipy, multiprocessing or concurrent.futures: the package
-runs on numpy alone and forks its children without a pool.
+runs on numpy alone and forks its children without a pool.  No module imports
+a name it never reads.
 
-Each check runs in a fresh interpreter, since the test session itself has
+Each load check runs in a fresh interpreter, since the test session itself has
 imported scipy long before.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -109,3 +111,22 @@ def test_manifest_versions_name_conelab_and_numpy(tmp_path):
     (manifest,) = (tmp_path / "out").glob("manifest_dp_*.json")
     versions = json.loads(manifest.read_text())["versions"]
     assert versions == {"conelab": conelab.__version__, "numpy": np.__version__}
+
+
+MODULES = sorted(p for p in Path(conelab.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_reads_every_name_it_imports(path):
+    """An unused import, which no linter here would catch, fails by name and line."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:            # ``import a.b`` binds ``a``
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert {name: line for name, line in imported.items() if name not in read} == {}
