@@ -2,6 +2,7 @@ import math
 import os
 import re
 import time
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -72,7 +73,7 @@ def test_importance_weights_bounded(cramer_nn4, quadrant):
     h = cramer_nn4.h
     bound = float(np.exp(h @ x0 - h @ np.array([1, 1])))
     rng = _worker_rng(123, 0)
-    _, pos = _simulate_killed(cramer_nn4.tilted, quadrant, x0, 30, 20_000, rng)
+    _, pos = killed(cramer_nn4.tilted, quadrant, x0, 30, 20_000, rng)
     weights = np.exp(-((pos - x0) @ h))
     assert weights.max() <= bound + 1e-12
     assert np.all(weights > 0.0)
@@ -94,6 +95,13 @@ def test_start_outside_open_cone_rejected(nn4, quadrant, cramer_nn4, x0):
         is_survival(cramer_nn4, quadrant, x0, 2, 10_000, seed=1)
 
 
+def killed(law, cone, x0, n, m, rng):
+    """``_simulate_killed``'s chunks joined: the survivors' ids and positions."""
+    chunks = _simulate_killed(law, cone, x0, n, m, rng)
+    return (np.concatenate([live for live, _ in chunks]),
+            np.concatenate([rows for _, rows in chunks], axis=1).T)
+
+
 def _reference_simulate_killed(law, cone, x0, n, m, rng):
     """The uncompacted loop over the full (m, d) array."""
     pos = np.tile(np.asarray(x0, dtype=np.int64), (m, 1))
@@ -110,15 +118,18 @@ def _reference_simulate_killed(law, cone, x0, n, m, rng):
     return pos, alive
 
 
-@pytest.mark.parametrize("cone, x0", [
+CONES = [
     (ConeSpec.orthant(2), (2, 2)),
     (ConeSpec.wedge2d(3 * np.pi / 4, theta0=np.pi / 8), (2, 3)),
     (ConeSpec.halfspace(np.array([1.0, 2.0])), (1, 1)),
-], ids=["quadrant", "wedge", "halfspace"])
+]
+
+
+@pytest.mark.parametrize("cone, x0", CONES, ids=["quadrant", "wedge", "halfspace"])
 @pytest.mark.parametrize("tilted", [False, True], ids=["direct", "tilted"])
 def test_compacted_loop_matches_reference(nn4, cramer_nn4, cone, x0, tilted):
     law = cramer_nn4.tilted if tilted else nn4
-    live, pos = _simulate_killed(law, cone, x0, 40, 5_000, _worker_rng(3, 1))
+    live, pos = killed(law, cone, x0, 40, 5_000, _worker_rng(3, 1))
     ref_pos, ref_alive = _reference_simulate_killed(law, cone, x0, 40, 5_000,
                                                     _worker_rng(3, 1))
     assert 0 < live.size < ref_alive.size
@@ -129,7 +140,7 @@ def test_compacted_loop_matches_reference(nn4, cramer_nn4, cone, x0, tilted):
 def assert_matches_reference(law, cone, x0, n, m, seed):
     # the survivors, in their original order, and where they are; killed
     # paths' exit positions are not kept
-    live, pos = _simulate_killed(law, cone, x0, n, m, _worker_rng(seed, 0))
+    live, pos = killed(law, cone, x0, n, m, _worker_rng(seed, 0))
     ref_pos, ref_alive = _reference_simulate_killed(law, cone, x0, n, m,
                                                     _worker_rng(seed, 0))
     assert live.dtype == np.int32
@@ -212,15 +223,19 @@ def test_philox_double_is_top_53_bits_of_raw_word():
 NN4_STEPS = [[1, 0], [-1, 0], [0, 1], [0, -1]]
 
 
-@pytest.mark.parametrize("steps, probs, x0, straddling", [
+LOOKUP_CASES = [
     (NN4_STEPS, [1 / 8, 3 / 8, 1 / 8, 3 / 8], (2, 2), 0),
     (NN4_STEPS, "tilted", (2, 2), 2),
     ([[-1, 0], [1, 1], [0, 1], [0, -1]], [0.0, 0.3, 0.0, 0.7], (2, 2), 1),
     ([[1, 0], [-1, 1], [0, -1]], [0.3, 0.3, 0.3], (2, 2), 2),
     (NN4_STEPS, [9 / 28, 18 / 28, 1 / 28, 0.0], (2, 2), 2),
     ([[2, 0], [-1, 1], [0, -1]], [0.5, 0.3, 0.2], (2 ** 31 - 10, 2), 1),
-], ids=["dyadic", "nn4-tilted", "zero-steps-first-cut-0", "cdf-ends-at-0.9",
-        "partial-sum-above-1", "int64-rows"])
+]
+
+
+@pytest.mark.parametrize("steps, probs, x0, straddling", LOOKUP_CASES, ids=[
+    "dyadic", "nn4-tilted", "zero-steps-first-cut-0", "cdf-ends-at-0.9", "partial-sum-above-1",
+    "int64-rows"])
 def test_lookup_settles_words_at_thresholds_exactly(cramer_nn4, steps, probs, x0, straddling):
     # a path whose word sits next to a threshold, or at a bucket edge, takes
     # the step the uniform (r >> 11) 2^-53 picks in the reference loop
@@ -230,7 +245,7 @@ def test_lookup_settles_words_at_thresholds_exactly(cramer_nn4, steps, probs, x0
     assert simulate._step_tables(law, np.int64)[3].sum() == straddling
     words = boundary_words(law.probs)
     m, n = len(words) + 3, 6
-    live, pos = _simulate_killed(law, ConeSpec.orthant(2), x0, n, m, CraftedWords(words))
+    live, pos = killed(law, ConeSpec.orthant(2), x0, n, m, CraftedWords(words))
     ref_pos, ref_alive = _reference_simulate_killed(law, ConeSpec.orthant(2), x0, n, m,
                                                     CraftedWords(words))
     assert 0 < live.size < m
@@ -245,8 +260,8 @@ def test_settling_wraps_exactly_in_int8_rows():
     law = SimpleNamespace(support=np.array([[-64, 0], [64, 0], [0, 1], [0, -1]]),
                           probs=np.array([0.3, 0.3, 0.3, 0.1]))
     words = boundary_words(law.probs)
-    live, pos = _simulate_killed(law, ConeSpec.orthant(2), (2, 2), 1, len(words),
-                                 CraftedWords(words))
+    live, pos = killed(law, ConeSpec.orthant(2), (2, 2), 1, len(words),
+                       CraftedWords(words))
     ref_pos, ref_alive = _reference_simulate_killed(law, ConeSpec.orthant(2), (2, 2), 1,
                                                     len(words), CraftedWords(words))
     assert pos.dtype == np.int8
@@ -254,6 +269,77 @@ def test_settling_wraps_exactly_in_int8_rows():
     assert np.array_equal(pos, ref_pos[ref_alive])
     at_threshold = words.index(math.ceil(0.3 * 2.0 ** 53) << 11)
     assert pos[live.tolist().index(at_threshold)].tolist() == [66, 2]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunk_edges_match_the_reference(nn4, cramer_nn4, chunk, monkeypatch):
+    # chunks of 1, 7 and 64 paths cross slice edges, empty whole chunks and
+    # leave a short last one (5,000 = 714 * 7 + 2 = 78 * 64 + 8; 2,000 =
+    # 285 * 7 + 5 = 31 * 64 + 16), and every path still draws its own words
+    monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
+    chunks = _simulate_killed(nn4, ConeSpec.orthant(2), (2, 2), 40, 5_000, _worker_rng(3, 1))
+    assert len(chunks) == -(-5_000 // chunk)
+    assert any(live.size == 0 for live, _ in chunks)
+    # at one path a chunk, each chunk pass costs a dozen numpy calls: the
+    # tilted and non-orthant loops and two of the seeds (10 s there) run from
+    # 7 paths a chunk up
+    for cone, x0 in CONES if chunk > 1 else CONES[:1]:
+        for tilted in (False, True) if chunk > 1 else (False,):
+            test_compacted_loop_matches_reference(nn4, cramer_nn4, cone, x0, tilted)
+    for seed in range(3) if chunk > 1 else range(1):
+        test_cut_point_count_matches_searchsorted_reference(seed)
+    for case in LOOKUP_CASES:
+        test_lookup_settles_words_at_thresholds_exactly(cramer_nn4, *case)
+    test_settling_wraps_exactly_in_int8_rows()
+    test_far_start_takes_int64_rows()
+
+
+def test_chunks_of_the_shipped_size_match_the_reference(cramer_nn4):
+    # three whole chunks and a short fourth of 5 paths
+    m = 3 * simulate.PATH_CHUNK + 5
+    assert len(_simulate_killed(cramer_nn4.tilted, ConeSpec.orthant(2), (2, 2), 1, m,
+                                _worker_rng(11, 0))) == 4
+    assert_matches_reference(cramer_nn4.tilted, ConeSpec.orthant(2), (2, 2), 30, m, 11)
+
+
+def test_block_working_set_stays_chunk_sized(nn4, cramer_nn4, quadrant):
+    # a block holds per path its survivors' rows and ids, and the tilted block
+    # its m-long weights; every per-step temporary is one chunk long.  Traced
+    # peaks read 11.1 (direct) and 15.4 (tilted) bytes a path; stepping whole
+    # blocks held 44.0 and 41.8
+    m, x0 = 250_000, np.array([5, 5])
+    for block, args, bound in (
+            (simulate._direct_block, (nn4, quadrant, x0, 60), 16.0),
+            (simulate._tilted_block, (cramer_nn4.tilted, cramer_nn4.h, quadrant, x0, 60), 22.0)):
+        tracemalloc.start()
+        try:
+            block(*args, m, 20240718, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m <= bound, block.__name__
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_inverse_tilt_keeps_the_bits_of_the_int64_product(d):
+    # the weights are those of exp(-((pos - x0) @ h)) on the same rows, bit
+    # for bit, for int8 and int64 rows laid out as the loop's (d, k) rows
+    rng = np.random.default_rng(d)
+    x0, h = rng.integers(1, 50, d), rng.normal(size=d)
+    for k in (1, 2, 3, 17, 4_099):
+        for dtype in (np.int8, np.int64):
+            pos = rng.integers(1, 100, (d, k)).astype(dtype).T
+            assert np.array_equal(simulate._inverse_tilt(pos, x0, h), np.exp(-((pos - x0) @ h)))
+
+
+def test_tilted_error_survives_an_underflowing_rate(cramer_nn4, quadrant):
+    # c^5300 underflows to 0 while the value, built in log space, does not;
+    # the standard error must not read 0 on a positive estimate
+    assert cramer_nn4.c ** 5300 == 0.0
+    est = is_survival(cramer_nn4, quadrant, [200, 200], 5300, 2000, seed=1, workers=1)
+    assert est.value > 0.0
+    assert est.std_error > 0.0
+    assert 0.5 < est.rel_std_error <= 1.0
 
 
 # (value, std_error) of both estimators at x0 (2, 2), n = 30, seed 42,
