@@ -27,9 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import WindowTooSmallError
 from .model import cone_contains
 
-MAX_BYTES = 2**30   # the one memory limit: QSD slab inverses, harmonic window boxes
+MAX_BYTES = 2**30   # the one memory limit: QSD slab inverses, harmonic and DP window boxes
 
 
 @dataclass
@@ -119,6 +120,18 @@ def make_grid(cone, L, law):
     in_cone = cone_contains(cone, pts).reshape(shape)
     mask = in_cone & (np.max(np.abs(pts), axis=1) <= L).reshape(shape)
     return WindowGrid(lo=lo, shape=shape, mask=mask, coords=coords, in_cone=in_cone)
+
+
+def grow_window(build, L):
+    """``build(L)``, rebuilt at the ``suggested_L`` of each WindowTooSmallError it
+    raises; an error that suggests None propagates."""
+    while True:
+        try:
+            return build(L)
+        except WindowTooSmallError as exc:
+            if exc.suggested_L is None:
+                raise
+            L = exc.suggested_L   # built once the error, holding the failed window, is freed
 
 
 def walk_reach(x0, n, support):

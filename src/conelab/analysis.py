@@ -15,10 +15,11 @@ from functools import cached_property
 
 import numpy as np
 
+from ._lattice import grow_window
 from .cramer import solve_cramer_point
 from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
                         exit_profile, exit_time_pmf_rescaled, survival_scan)
-from .errors import ConfigError, NumericsError, WindowTooSmallError
+from .errors import ConfigError, NumericsError
 from .harmonic import build_U_tables, build_V_tables
 from .model import build_model, check_acute_cone_condition
 from .spectral import qsd_for_model, tv_distance_tables
@@ -174,30 +175,21 @@ class PipelineContext:
         if not check_acute_cone_condition(self.cone, cd.h)[0]:
             raise NumericsError("acute-angle condition fails: the normalizer sum over "
                                 "the cone diverges")
-        while True:                    # a failed window is freed before the next is built
-            try:
-                return build_U_tables(
-                    build_V_tables(cd.tilted, self.cone, wd.cone_image, wd.M, L=L), cd.h)
-            except WindowTooSmallError as exc:
-                if exc.suggested_L is None:
-                    raise
-                L = float(exc.suggested_L)
+        return grow_window(lambda L: build_U_tables(build_V_tables(
+            cd.tilted, self.cone, wd.cone_image, wd.M, L=float(L)), cd.h), L)
 
     @cached_property
     def series(self):
-        return self._surviving(dp_evolve(
-            self.law, self.cone, self.params.x0, self.params.n_max,
-            rescale_by=self.cramer.c, L=self.params.dp_window,
-            retain=self.params.retained_times()))
+        return self._surviving(self.params.x0, self.params.retained_times())
 
     @cached_property
     def series_ratio_start(self):
-        return self._surviving(dp_evolve(
-            self.law, self.cone, self.params.ratio_start, self.params.n_max,
-            rescale_by=self.cramer.c, L=self.params.dp_window))
+        return self._surviving(self.params.ratio_start)
 
-    def _surviving(self, series):
-        """The series, unless no path survives to n_hi: every row would read 0 / 0."""
+    def _surviving(self, x0, retain=()):
+        """The DP series from x0, unless no path survives to n_hi: every row would read 0 / 0."""
+        series = dp_evolve(self.law, self.cone, x0, self.params.n_max, rescale_by=self.cramer.c,
+                           L=self.params.dp_window, retain=retain)
         if series.survival[self.params.n_hi] == 0.0:
             raise ConfigError(f"no path from {series.x0.tolist()} survives to "
                               f"n_hi = {self.params.n_hi}: the start cannot stay in the cone")

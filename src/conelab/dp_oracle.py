@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lattice import KilledKernel, make_grid, walk_reach
+from ._lattice import KilledKernel, grow_window, make_grid, walk_reach
 from .cramer import log_mgf, solve_cramer_point
-from .errors import ConfigError
+from .errors import ConfigError, WindowTooSmallError
 from .model import ConeSpec, StepLaw, cone_contains
 
 LEAK_TOL = 1e-12
@@ -59,38 +59,32 @@ def window_reach(law, x0, n_max):
 def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     """Evolve the killed measure for ``n_max`` steps on the window max|y| <= L.
 
-    ``L`` is the starting window.  Truncation is monitored: when a step's
-    about-to-be-truncated mass (points leaving the window while staying in
-    the cone) reaches 1e-12 of the current rescaled survival, the evolution
-    restarts from x0 on the window ceil(1.4 L) + pad, capped at the reach
+    ``L`` is the starting window.  When a step's about-to-be-truncated mass
+    (points leaving the window while staying in the cone) reaches 1e-12 of
+    the current rescaled survival, ``grow_window`` restarts the evolution
+    from x0 on the window ceil(1.4 L) + pad, capped at the reach
     ``window_reach(law, x0, n_max)`` beyond which nothing can leak.  The
     result therefore equals a fresh run at the final window, kept as ``L``.
     """
     x0 = np.asarray(x0, dtype=int)
     if not cone_contains(cone, x0[None, :])[0]:
         raise ConfigError(f"start {x0.tolist()} is not inside the open cone")
-    pad = int(np.max(np.abs(law.support)))
-    grid = make_grid(cone, L, law)
-    if not grid.contains(x0):
+    if np.max(np.abs(x0)) > L:
         raise ConfigError(f"start {x0.tolist()} is outside the window (L = {L})")
     retain = set(int(n) for n in retain)
-    reach = window_reach(law, x0, n_max)
-    while True:
-        series = _evolve(KilledKernel(grid, law), L, x0, n_max, rescale_by, retain)
-        if series is not None:
-            return series
-        L = min(int(np.ceil(1.4 * L)) + pad, reach)
-        grid = make_grid(cone, L, law)
+    pad, reach = int(np.max(np.abs(law.support))), window_reach(law, x0, n_max)
+    return grow_window(lambda L: _evolve(
+        KilledKernel(make_grid(cone, L, law), law), L, x0, n_max, rescale_by, retain,
+        min(int(np.ceil(1.4 * L)) + pad, reach)), L)
 
 
-def _evolve(kernel, L, x0, n_max, rescale_by, retain):
-    """The DpSeries on the kernel's window, or None once a step leaks."""
+def _evolve(kernel, L, x0, n_max, rescale_by, retain, grown):
+    """The DpSeries on the kernel's window; a leak raises WindowTooSmallError toward ``grown``."""
     grid = kernel.grid
     q = np.zeros(grid.shape)
     q[tuple(x0 - grid.lo)] = 1.0
     out = np.empty_like(q)
-    survival = np.empty(n_max + 1)
-    survival[0] = 1.0
+    survival = np.ones(n_max + 1)
     exit_mass = np.zeros(n_max + 1)
     tables = {0: q.copy()} if 0 in retain else {}
     leak_max = 0.0
@@ -109,7 +103,8 @@ def _evolve(kernel, L, x0, n_max, rescale_by, retain):
         if b_n > 0.0:
             leak_max = max(leak_max, leaked / b_n)
             if leak_max >= LEAK_TOL:
-                return None
+                raise WindowTooSmallError(f"DP window L = {L} leaks {leak_max:.2e} of the "
+                                          f"survival at step {n}", grown if grown > L else None)
         if n in retain:
             tables[n] = q.copy()
     return DpSeries(
