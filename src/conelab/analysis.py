@@ -187,9 +187,9 @@ class PipelineContext:
         return self._surviving(self.params.ratio_start)
 
     def _surviving(self, x0, retain=()):
-        """The DP series from x0, unless no path survives to n_hi: every row would read 0 / 0."""
-        series = dp_evolve(self.law, self.cone, x0, self.params.n_max, rescale_by=self.cramer.c,
-                           L=self.params.dp_window, retain=retain)
+        """The DP series from x0, unless no path survives to n_hi: every row would read 0/0."""
+        series = dp_evolve(self.law, self.cone, x0, self.params.n_max,
+                           rescale_by=self.cramer.c, L=self.params.dp_window, retain=retain)
         if series.survival[self.params.n_hi] == 0.0:
             raise ConfigError(f"no path from {series.x0.tolist()} survives to "
                               f"n_hi = {self.params.n_hi}: the start cannot stay in the cone")
@@ -378,6 +378,9 @@ def _check_bridge(ctx):
     t1, t2 = BRIDGE_TIMES
     n = prm.n_hi
     z = np.asarray(prm.bridge_endpoint, dtype=int)
+    if np.max(np.abs(z)) > ctx.series.L:      # the tables read 0 there, structural or not
+        raise ConfigError(f"pipeline.bridge_endpoint {z.tolist()} lies outside the DP "
+                          f"window L = {ctx.series.L}")
     s = ctx.exponent
     w1, w2 = [(np.floor(t * n) * (n - np.floor(t * n))) / n ** 2 for t in (t1, t2)]
     endpoint = ctx.series.grid.value_at(ctx.series.tables[n], z)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lattice import KilledKernel, grow_window, make_grid, walk_reach
+from ._lattice import MAX_BYTES, KilledKernel, grow_window, make_grid, walk_reach
 from .cramer import log_mgf, solve_cramer_point
 from .errors import ConfigError, WindowTooSmallError
 from .model import ConeSpec, StepLaw, cone_contains
@@ -61,10 +61,13 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
 
     ``L`` is the starting window.  When a step's about-to-be-truncated mass
     (points leaving the window while staying in the cone) reaches 1e-12 of
-    the current rescaled survival, ``grow_window`` restarts the evolution
-    from x0 on the window ceil(1.4 L) + pad, capped at the reach
-    ``window_reach(law, x0, n_max)`` beyond which nothing can leak.  The
-    result therefore equals a fresh run at the final window, kept as ``L``.
+    the current rescaled survival, ``_evolve`` raises WindowTooSmallError and
+    ``grow_window``, the loop the harmonic tail search retries through too,
+    restarts the evolution from x0 on the window ceil(1.4 L) + pad.  That is
+    capped at the reach ``window_reach(law, x0, n_max)``, beyond which nothing
+    can leak, and at the largest window whose box fits ``MAX_BYTES``: a start
+    past that cap is a ConfigError, a leak at it a WindowTooSmallError naming
+    the budget.  The result equals a fresh run at the final window, kept as ``L``.
     """
     x0 = np.asarray(x0, dtype=int)
     if not cone_contains(cone, x0[None, :])[0]:
@@ -72,14 +75,37 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     if np.max(np.abs(x0)) > L:
         raise ConfigError(f"start {x0.tolist()} is outside the window (L = {L})")
     retain = set(int(n) for n in retain)
-    pad, reach = int(np.max(np.abs(law.support))), window_reach(law, x0, n_max)
+    pad = int(np.max(np.abs(law.support)))
+    fits = _budget_window(cone, pad, len(retain))
+    if L > fits:
+        raise ConfigError(f"DP window L = {L} is past L = {fits}, the largest the "
+                          f"{MAX_BYTES / 2**30:g} GiB budget holds")
+    top = min(window_reach(law, x0, n_max), fits)
     return grow_window(lambda L: _evolve(
         KilledKernel(make_grid(cone, L, law), law), L, x0, n_max, rescale_by, retain,
-        min(int(np.ceil(1.4 * L)) + pad, reach)), L)
+        min(int(np.ceil(1.4 * L)) + pad, top)), L)
+
+
+def _budget_window(cone, pad, tables):
+    """The largest window L whose DP box fits ``MAX_BYTES`` with ``tables`` retained.
+
+    A box cell costs at most 8 (7 + d + tables) bytes: d integer coordinates,
+    the measure, its step buffer, the kernel's scratch, leak and exit arrays,
+    the grid's masks and one float a retained table (tracemalloc peaks of
+    ``dp_evolve``: 67 bytes a cell in d = 2 and 76 in d = 3 with no table
+    retained, 8 more a table).  The box side is ``make_grid``'s for ``pad``.
+    """
+    d = cone.dim
+    cell_bytes = 8 * (7 + d + tables)
+    side = round((MAX_BYTES / cell_bytes) ** (1 / d))
+    if side ** d * cell_bytes > MAX_BYTES:        # the root rounded up
+        side -= 1
+    return side - 2 * pad if cone.kind == "orthant" else (side - 1) // 2 - pad
 
 
 def _evolve(kernel, L, x0, n_max, rescale_by, retain, grown):
-    """The DpSeries on the kernel's window; a leak raises WindowTooSmallError toward ``grown``."""
+    """The DpSeries on the kernel's window; a leak raises WindowTooSmallError toward
+    ``grown``, or naming the budget when ``grown`` is no larger."""
     grid = kernel.grid
     q = np.zeros(grid.shape)
     q[tuple(x0 - grid.lo)] = 1.0
@@ -103,8 +129,11 @@ def _evolve(kernel, L, x0, n_max, rescale_by, retain, grown):
         if b_n > 0.0:
             leak_max = max(leak_max, leaked / b_n)
             if leak_max >= LEAK_TOL:
+                capped = "" if grown > L else \
+                    f"; no larger window fits the {MAX_BYTES / 2**30:g} GiB budget"
                 raise WindowTooSmallError(f"DP window L = {L} leaks {leak_max:.2e} of the "
-                                          f"survival at step {n}", grown if grown > L else None)
+                                          f"survival at step {n}{capped}",
+                                          None if capped else grown)
         if n in retain:
             tables[n] = q.copy()
     return DpSeries(

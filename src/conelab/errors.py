@@ -12,7 +12,8 @@ class NumericsError(RuntimeError):
 class WindowTooSmallError(NumericsError):
     """A lattice truncation window cannot meet its accuracy contract.
 
-    Carries the smallest radius that meets it in ``suggested_L`` (None if none does).
+    Carries the window to build next in ``suggested_L``, or None when no window
+    within the memory budget would do; ``_lattice.grow_window`` retries on it.
     """
 
     def __init__(self, message, suggested_L=None):

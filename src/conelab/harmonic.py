@@ -10,9 +10,10 @@ and the normalizer kappa feed every limit check downstream, always through
 scale-free ratios.  The one certificate, ``convergence_residual``, is the
 mean-value defect of V and V'; c-harmonicity of U and the one-step relation
 of U' are those equations in tilted coordinates.  The pipeline grows the
-window until a closed-form bound on the mass of U' beyond it, which assumes
-that the growth constant C of V' on the window holds there too, passes, or
-until no window within the memory budget ``_lattice.MAX_BYTES`` would.
+window through ``_lattice.grow_window``, as the DP does, until a
+closed-form bound on the mass of U' beyond it, which assumes that the
+growth constant C of V' on the window holds there too, passes, or until no
+window within the memory budget ``_lattice.MAX_BYTES`` would.
 
 V is the unique solution of the killed-kernel fixed-point equation on a
 truncated window with u as far-field data on the one-step exterior ring.

@@ -27,8 +27,11 @@ class StepLaw:
             raise ConfigError("support must be a nonempty (m, d) array with d >= 1")
         if probs.shape != (support.shape[0],):
             raise ConfigError("probs must align with support")
-        if np.any(probs <= 0):
-            raise ConfigError("probabilities must be strictly positive")
+        bad = np.flatnonzero(~(np.isfinite(probs) & (probs > 0.0)))
+        if bad.size:
+            raise ConfigError(f"step {support[bad[0]].tolist()} has probability "
+                              f"{float(probs[bad[0]])}: probabilities must be finite and "
+                              "strictly positive")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
             raise ConfigError(f"probabilities sum to {probs.sum()!r}, not 1")
         if len({tuple(z) for z in support}) != support.shape[0]:
@@ -65,12 +68,15 @@ class ConeSpec:
         elif self.kind == "wedge2d":
             if self.dim != 2:
                 raise ConfigError("wedge cone is two-dimensional")
-            if not (0.0 < self.beta < 2.0 * np.pi):
-                raise ConfigError("wedge opening must lie in (0, 2*pi)")
+            if not (0.0 < self.beta < 2.0 * np.pi and np.isfinite(self.theta0)):
+                raise ConfigError("wedge opening must lie in (0, 2*pi) and its rotation be "
+                                  f"finite, got beta = {self.beta}, theta0 = {self.theta0}")
         elif self.kind == "halfspace":
             a = np.asarray(self.normal, dtype=float)
-            if a.ndim != 1 or a.shape[0] != self.dim or np.allclose(a, 0.0):
-                raise ConfigError("halfspace needs a nonzero normal of matching dimension")
+            if a.ndim != 1 or a.shape[0] != self.dim or np.allclose(a, 0.0) or \
+                    not np.all(np.isfinite(a)):
+                raise ConfigError("halfspace needs a finite nonzero normal of matching "
+                                  f"dimension, got {a.tolist()}")
             object.__setattr__(self, "normal", a)
         else:
             raise ConfigError(f"unknown cone kind {self.kind!r}")

@@ -10,7 +10,7 @@ import pytest
 import yaml
 from cases import small_law
 
-from conelab import analysis, harmonic, spectral
+from conelab import analysis, dp_oracle, harmonic, spectral
 from conelab.analysis import PipelineContext
 from conelab.cli import CSV_BLOCK, SECTIONS, _write_csv, main, parse_run_config
 from conelab.errors import ConfigError
@@ -180,6 +180,11 @@ STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
      "model.cone.theta0: cannot read inf"),
     ("harmonic_window: 72", "harmonic_window: 1" + "0" * 400,
      "pipeline.harmonic_window: cannot read 1000"),
+    # nan passes every bound a probability or a normal is held to
+    ("- {step: [1, 0],  prob: 1/8}", "- {step: [1, 0],  prob: .nan}",
+     "step [1, 0] has probability nan"),
+    ("cone: {kind: orthant, dim: 2}", "cone: {kind: halfspace, normal: [.nan, 1]}",
+     "normal of matching dimension, got [nan, 1.0]"),
 ], ids=["no-prob", "wedge-no-beta", "step-not-int", "n_max-not-int", "step-not-mapping",
         "n_hi-zero", "n_hi-above-n_max", "x0-dim", "ratio_start-dim",
         "bridge_endpoint-dim", "simulate-x0-dim", "zchain-x0-dim", "simulate-n-negative",
@@ -190,7 +195,8 @@ STEPS = NN4_YAML[NN4_YAML.index("    steps:"):NN4_YAML.index("  cone:")]
         "halfspace-theta0", "dp_window-negative", "harmonic_window-negative",
         "qsd_window-negative", "simulate-n_samples-zero", "harmonic_window-inf",
         "harmonic_window-nan", "harmonic_window-bool", "harmonic_window-string",
-        "wedge-theta0-inf", "harmonic_window-beyond-float"])
+        "wedge-theta0-inf", "harmonic_window-beyond-float", "prob-nan",
+        "halfspace-normal-nan"])
 def test_malformed_config_exits_2(tmp_path, capsys, line, bad, named):
     path = tmp_path / "bad.yaml"
     path.write_text(NN4_YAML.replace(line, bad))
@@ -423,7 +429,11 @@ LATE_FIRST_EXIT = {"n_hi: 300": "n_hi: 8", "x0: [1, 1]": "x0: [5, 5]",
     ("nn4", LATE_FIRST_EXIT, 1, {f"exp_moment.{row}": "no path leaves the cone at n = 3..4"
                                  for row in ("convergent_at_critical",
                                              "divergent_above_critical")}),
-], ids=["diagonal-odd-n_hi", "nn4-n_hi-1", "nn4-late-first-exit"])
+    # (70, 70) is reachable at n = 300 with the right parity, but lies beyond the
+    # L = 60 window, where the tables read 0: a config error, not a structural zero
+    ("nn4", {"bridge_endpoint: [2, 2]": "bridge_endpoint: [70, 70]"}, 2,
+     "pipeline.bridge_endpoint [70, 70] lies outside the DP window L = 60"),
+], ids=["diagonal-odd-n_hi", "nn4-n_hi-1", "nn4-late-first-exit", "nn4-far-endpoint"])
 def test_verify_rows_stay_finite_and_fail_without_mass(tmp_path, capsys, config, edits,
                                                        status, named):
     text = (CONFIGS / f"{config}.yaml").read_text()
@@ -451,6 +461,22 @@ def test_verify_rows_stay_finite_and_fail_without_mass(tmp_path, capsys, config,
         row = rows[check]
         assert not row["pass"] and row["deviation"] == 1.0 and row["measured"] == 0.0
         assert any(fragment in note for note in row["notes"]), row["notes"]
+
+
+def test_dp_past_the_budget_exits_3_naming_it(tmp_path, capsys, monkeypatch):
+    # six tables retained at n_hi = 72 cost 8 (7 + 2 + 6) = 120 bytes a cell, so a
+    # budget of 7^2 cells holds the L = 5 box and no larger: the window leaks and
+    # cannot grow (exit 3), and one byte less refuses the start window (exit 2)
+    path, out = tmp_path / "small.yaml", str(tmp_path / "out")
+    path.write_text(NN4_YAML.replace("dp_window: 40", "dp_window: 5"))
+    monkeypatch.setattr(dp_oracle, "MAX_BYTES", 120 * 7 ** 2)
+    for command in (["dp"], ["verify", "survival_tail"]):
+        assert main([*command, "--config", str(path), "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "numerical error: DP window L = 5 leaks" in err and "GiB budget" in err
+    monkeypatch.setattr(dp_oracle, "MAX_BYTES", 120 * 7 ** 2 - 1)
+    assert main(["dp", "--config", str(path), "--out", out]) == 2
+    assert "DP window L = 5 is past L = 4, the largest the" in capsys.readouterr().err
 
 
 def test_exp_moment_weights_only_its_blocks(tmp_path, capsys):

@@ -1,19 +1,22 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from cases import padded_box_case
 from conftest import scipy_csr
 
-from conelab._lattice import KilledKernel, make_grid
+from conelab import dp_oracle
+from conelab._lattice import KilledKernel, grow_window, make_grid
+from conelab.analysis import VerifyParams
 from conelab.cramer import solve_cramer_point
 from conelab.dp_oracle import (LEAK_TOL, bridge_value, check_tilt_identity,
                                dp_evolve, exit_position_law,
                                exit_time_pmf_rescaled, halfspace_1d, hazard_ratio,
                                survival_scan, window_reach)
-from conelab.errors import ConfigError
+from conelab.errors import ConfigError, WindowTooSmallError
 from conelab.model import ConeSpec, StepLaw, cone_contains, span_obstruction
 
 ROOT3 = np.sqrt(3.0)
@@ -213,6 +216,68 @@ def test_octant_window_grows_to_42(octant_law):
         assert np.array_equal(series.tables[n], fresh.tables[n])
     assert series.survival[100] == pytest.approx(5.591829575462262e-06, rel=1e-12)
     assert series.survival[200] == pytest.approx(3.5348857867363805e-07, rel=1e-12)
+
+
+def test_failed_window_is_freed_before_the_next(diagonal_law, quadrant, monkeypatch):
+    # diagonal's DP from L = 72, retaining verify's tables, leaks at step 284 and is
+    # rebuilt at 102; the 72 window and its four tables are gone by then, so the run
+    # peaks as a fresh one at 102 does (holding the failed window would add 44%)
+    c = solve_cramer_point(diagonal_law).c
+    errors = []
+
+    def recording(build, L):
+        def build_recording(L):
+            try:
+                return build(L)
+            except WindowTooSmallError as exc:
+                errors.append((str(exc), exc.suggested_L))
+                raise
+        return grow_window(build_recording, L)
+
+    def peak(L):
+        tracemalloc.start()
+        try:
+            series = dp_evolve(diagonal_law, quadrant, [1, 1], 400, rescale_by=c, L=L,
+                               retain=VerifyParams().retained_times())
+            return series.L, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fresh_L, fresh = peak(102)
+    monkeypatch.setattr(dp_oracle, "grow_window", recording)
+    grown_L, grown = peak(72)
+    assert fresh_L == grown_L == 102 and grown <= 1.01 * fresh
+    assert errors == [("DP window L = 72 leaks 1.04e-12 of the survival at step 284", 102)]
+
+
+def test_dp_window_growth_fits_the_budget(octant_law, monkeypatch):
+    # from L = 20 the ladder builds 22^3, 31^3 and 44^3 boxes, at 8 (7 + 3 + 2) = 96
+    # bytes a cell with two tables retained: a budget of exactly the last still grows
+    # to L = 42, one byte less caps the last rung at the 43^3 box (L = 41), and a
+    # budget of 31^3 cells stops at L = 29, naming the budget
+    octant, shapes = ConeSpec.orthant(3), []
+
+    def recording(*args):
+        grid = make_grid(*args)
+        shapes.append(grid.shape[0])
+        return grid
+
+    def grown(budget):
+        shapes.clear()
+        monkeypatch.setattr(dp_oracle, "MAX_BYTES", budget)
+        return dp_evolve(octant_law, octant, [1, 1, 1], 200, rescale_by=ROOT3 / 2.0, L=20,
+                         retain=[100, 200]).L
+
+    monkeypatch.setattr(dp_oracle, "make_grid", recording)
+    assert grown(96 * 44 ** 3) == 42 and shapes == [22, 31, 44]
+    assert grown(96 * 44 ** 3 - 1) == 41 and shapes == [22, 31, 43]
+    with pytest.raises(WindowTooSmallError, match=r"^DP window L = 29 leaks 1\.08e-12 of the "
+                       r"survival at step 97; no larger window fits .* budget$") as err:
+        grown(96 * 31 ** 3)
+    assert err.value.suggested_L is None and shapes == [22, 31]
+    with pytest.raises(ConfigError, match="DP window L = 20 is past L = 18, the largest"):
+        grown(96 * 20 ** 3)
+    assert shapes == []
 
 
 @pytest.mark.parametrize("seed", [*range(20), "tilt-defect-law"])

@@ -130,3 +130,20 @@ def test_module_reads_every_name_it_imports(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert {name: line for name, line in imported.items() if name not in read} == {}
+
+
+
+def test_window_growth_has_one_catch_site():
+    """Only ``_lattice.grow_window`` catches WindowTooSmallError: every stage that
+    grows a window retries through that one loop, and none keeps a loop of its own."""
+    sites = []
+    for path in sorted(Path(conelab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # ast.walk goes outside in, so a nested function's name overwrites its parent's
+        enclosing = {child: func.name for func in ast.walk(tree)
+                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for child in ast.walk(func)}
+        sites += [(path.stem, enclosing.get(node), node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler) and node.type is not None
+                  and "WindowTooSmallError" in ast.unparse(node.type)]
+    assert [site[:2] for site in sites] == [("_lattice", "grow_window")], sites

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,11 @@ def test_step_law_validation():
         StepLaw(support=np.array([[1, 0], [0, 1]]), probs=np.array([0.6, 0.6]))
     with pytest.raises(ConfigError):
         StepLaw(support=np.array([[1, 0], [0, 1]]), probs=np.array([1.0, 0.0]))
+    # nan passes no comparison, so it is refused for not being finite, by step
+    with pytest.raises(ConfigError, match=r"step \[1, 0\] has probability nan"):
+        StepLaw(support=np.array([[1, 0], [0, 1]]), probs=np.array([np.nan, 1.0]))
+    with pytest.raises(ConfigError, match=r"step \[0, 1\] has probability inf"):
+        StepLaw(support=np.array([[1, 0], [0, 1]]), probs=np.array([0.5, np.inf]))
 
 
 def test_cone_geometry_orthant(quadrant):
@@ -250,5 +256,12 @@ def test_wedge_validation():
         ConeSpec.wedge2d(2.0 * np.pi)
     with pytest.raises(ConfigError):
         ConeSpec.halfspace(np.zeros(2))
+    for build, named in ((lambda: ConeSpec.wedge2d(np.nan), "beta = nan"),
+                         (lambda: ConeSpec.wedge2d(1.0, np.nan), "theta0 = nan"),
+                         (lambda: ConeSpec.wedge2d(1.0, -np.inf), "theta0 = -inf"),
+                         (lambda: ConeSpec.halfspace([np.nan, 1.0]), "got [nan, 1.0]"),
+                         (lambda: ConeSpec.halfspace([1.0, np.inf]), "got [1.0, inf]")):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            build()
     with pytest.raises(ConfigError):
         ConeSpec.orthant(1)
