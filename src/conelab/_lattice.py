@@ -30,7 +30,7 @@ import numpy as np
 from .errors import WindowTooSmallError
 from .model import cone_contains
 
-MAX_BYTES = 2**30   # the one memory limit: QSD slab inverses, harmonic and DP window boxes
+MAX_BYTES = 2**30   # one memory limit: QSD slab inverses and budget_window's window boxes
 
 
 @dataclass
@@ -42,6 +42,7 @@ class WindowGrid:
     mask: np.ndarray        # bool array over the box, True on window points
     coords: np.ndarray      # (*shape, d) integer coordinates
     in_cone: np.ndarray     # bool array over the box, True on open-cone points
+    pad: int                # box cells beyond the window on every side
 
     @property
     def dim(self):
@@ -119,7 +120,17 @@ def make_grid(cone, L, law):
     pts = coords.reshape(-1, d)
     in_cone = cone_contains(cone, pts).reshape(shape)
     mask = in_cone & (np.max(np.abs(pts), axis=1) <= L).reshape(shape)
-    return WindowGrid(lo=lo, shape=shape, mask=mask, coords=coords, in_cone=in_cone)
+    return WindowGrid(lo=lo, shape=shape, mask=mask, coords=coords, in_cone=in_cone, pad=pad)
+
+
+def budget_window(cone, pad, cell_bytes):
+    """The largest window L whose ``make_grid`` box, padded by ``pad``, fits
+    ``MAX_BYTES`` at ``cell_bytes`` bytes a box cell (below 0 when none does)."""
+    d = cone.dim
+    side = round((MAX_BYTES / cell_bytes) ** (1 / d))
+    if side ** d * cell_bytes > MAX_BYTES:        # the float root rounded up
+        side -= 1
+    return side - 2 * pad if cone.kind == "orthant" else (side - 1) // 2 - pad
 
 
 def grow_window(build, L):

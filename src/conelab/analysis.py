@@ -236,6 +236,11 @@ class PipelineContext:
     def u_ratio(self):
         """U(x0) / U(ratio_start), the limit of the plateau and start ratios."""
         tabs = self.harmonic
+        for key in ("x0", "ratio_start"):          # U reads 0 off the window
+            x = list(getattr(self.params, key))
+            if not tabs.grid.contains(x):
+                raise ConfigError(f"pipeline.{key} {x} lies outside the harmonic window "
+                                  f"L = {tabs.L:g}")
         return tabs.U_at(self.params.x0) / tabs.U_at(self.params.ratio_start)
 
     def exit_pmf(self, start):

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import MAX_BYTES, KilledKernel, WindowGrid, make_grid
+from . import _lattice
+from ._lattice import KilledKernel, WindowGrid, budget_window, make_grid
 from .errors import ConfigError, NumericsError, WindowTooSmallError
 from .model import check_acute_cone_condition
 from .whiten import image_degree
@@ -231,7 +232,7 @@ def build_U_tables(tables, h):
     growth_C, tail, suggested = _tail_certificate(tables, h, total)
     if not tail < TAIL_FRACTION * total:      # a nan bound fails too
         where = (f"it passes at L = {suggested}" if suggested else
-                 f"no window within the {MAX_BYTES / 2**30:g} GiB budget passes "
+                 f"no window within the {_lattice.MAX_BYTES / 2**30:g} GiB budget passes "
                  f"at h = {np.round(h, 6).tolist()}")
         raise WindowTooSmallError(
             f"normalizer tail bound {tail:.3e} exceeds {TAIL_FRACTION:.0e} of the "
@@ -250,17 +251,17 @@ def _tail_certificate(tables, h, total):
 
     C, the largest V'(y) / (1 + |M y|^p) on the window, is assumed to hold
     beyond it: an assumption, not a proof.  Shell r_in = floor(L / |M|_inf)
-    is the window's own edge.  For r from r_in to the last radius MAX_BYTES holds,
+    is the window's own edge.  For r from r_in to the last radius the budget holds,
     the sum of C e^(-h.y) (1 + |M y|^p) over shells k > r is at most t(r + 1)
     / (1 - q), t(k) a shell bound and q >= t(k + 1) / t(k).  Orthant shell k
     lies on the faces y_i = k, where |M y| <= m_i k + sum_{j != i} m_j y_j
     (m_j = |M e_j|), and 1 + t <= e^t makes each face sum geometric.  A wedge
     shell has at most 2d (3k)^(d-1) points, each with h.y >= |h| cos(worst) k.
 
-    A window costs at most 8 (24 + d) bytes a box cell: d integer coordinates
-    and 24 float arrays of box or state size at the peak of the V' solve
-    (tracemalloc: 141-183 bytes a cell in d = 2, 161 in d = 3).  Rebuilt at
-    L = ceil(r |M|_inf), the radius is below r + 1 / |M|_inf, so it fits too.
+    ``_lattice.budget_window`` gives that radius at 8 (24 + d) bytes a box cell: d
+    integer coordinates and 24 float arrays of box or state size at the peak of
+    the V' solve (tracemalloc: 141-183 bytes a cell in d = 2, 161 in d = 3).  Rebuilt
+    at L = ceil(r |M|_inf), the radius is below r + 1 / |M|_inf, so it fits too.
     """
     grid, M, cone, p = tables.grid, tables.M, tables.cone, image_degree(tables.cone_image)
     _, worst = check_acute_cone_condition(cone, h)   # not acute: no radius passes
@@ -268,8 +269,7 @@ def _tail_certificate(tables, h, total):
                             (1.0 + np.linalg.norm(grid.points() @ M.T, axis=1) ** p)))
     row_norm = float(np.linalg.norm(M, np.inf))
     r_in, d = int(np.floor(tables.L / row_norm)), grid.dim
-    grow, cell_bytes = (1 if cone.kind == "orthant" else 2), 8 * (24 + d)   # box side per r
-    r_max = r_in + (int((MAX_BYTES / cell_bytes) ** (1 / d)) - grid.shape[0]) // grow
+    r_max = budget_window(cone, grid.pad, 8 * (24 + d))
     r = np.arange(r_in, max(r_in, r_max + 1 - np.ceil(1 / row_norm)) + 1)
     k = r + 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -10,7 +10,7 @@ import pytest
 import yaml
 from cases import small_law
 
-from conelab import analysis, dp_oracle, harmonic, spectral
+from conelab import _lattice, analysis, harmonic, spectral
 from conelab.analysis import PipelineContext
 from conelab.cli import CSV_BLOCK, SECTIONS, _write_csv, main, parse_run_config
 from conelab.errors import ConfigError
@@ -433,7 +433,14 @@ LATE_FIRST_EXIT = {"n_hi: 300": "n_hi: 8", "x0: [1, 1]": "x0: [5, 5]",
     # L = 60 window, where the tables read 0: a config error, not a structural zero
     ("nn4", {"bridge_endpoint: [2, 2]": "bridge_endpoint: [70, 70]"}, 2,
      "pipeline.bridge_endpoint [70, 70] lies outside the DP window L = 60"),
-], ids=["diagonal-odd-n_hi", "nn4-n_hi-1", "nn4-late-first-exit", "nn4-far-endpoint"])
+    # (90, 90) lies inside the L = 120 DP window but beyond the harmonic one, where U
+    # reads 0: a config error, not a division by zero or an infinite deviation
+    ("nn4", {"dp_window: 60": "dp_window: 120", "ratio_start: [2, 2]": "ratio_start: [90, 90]"},
+     2, "pipeline.ratio_start [90, 90] lies outside the harmonic window L = 72"),
+    ("nn4", {"dp_window: 60": "dp_window: 120", "x0: [1, 1]": "x0: [90, 90]"},
+     2, "pipeline.x0 [90, 90] lies outside the harmonic window L = 72"),
+], ids=["diagonal-odd-n_hi", "nn4-n_hi-1", "nn4-late-first-exit", "nn4-far-endpoint",
+        "nn4-far-ratio-start", "nn4-far-x0"])
 def test_verify_rows_stay_finite_and_fail_without_mass(tmp_path, capsys, config, edits,
                                                        status, named):
     text = (CONFIGS / f"{config}.yaml").read_text()
@@ -469,12 +476,12 @@ def test_dp_past_the_budget_exits_3_naming_it(tmp_path, capsys, monkeypatch):
     # cannot grow (exit 3), and one byte less refuses the start window (exit 2)
     path, out = tmp_path / "small.yaml", str(tmp_path / "out")
     path.write_text(NN4_YAML.replace("dp_window: 40", "dp_window: 5"))
-    monkeypatch.setattr(dp_oracle, "MAX_BYTES", 120 * 7 ** 2)
+    monkeypatch.setattr(_lattice, "MAX_BYTES", 120 * 7 ** 2)
     for command in (["dp"], ["verify", "survival_tail"]):
         assert main([*command, "--config", str(path), "--out", out]) == 3
         err = capsys.readouterr().err
         assert "numerical error: DP window L = 5 leaks" in err and "GiB budget" in err
-    monkeypatch.setattr(dp_oracle, "MAX_BYTES", 120 * 7 ** 2 - 1)
+    monkeypatch.setattr(_lattice, "MAX_BYTES", 120 * 7 ** 2 - 1)
     assert main(["dp", "--config", str(path), "--out", out]) == 2
     assert "DP window L = 5 is past L = 4, the largest the" in capsys.readouterr().err
 

@@ -8,7 +8,7 @@ import pytest
 from cases import padded_box_case
 from conftest import scipy_csr
 
-from conelab import dp_oracle
+from conelab import _lattice, dp_oracle
 from conelab._lattice import KilledKernel, grow_window, make_grid
 from conelab.analysis import VerifyParams
 from conelab.cramer import solve_cramer_point
@@ -264,7 +264,7 @@ def test_dp_window_growth_fits_the_budget(octant_law, monkeypatch):
 
     def grown(budget):
         shapes.clear()
-        monkeypatch.setattr(dp_oracle, "MAX_BYTES", budget)
+        monkeypatch.setattr(_lattice, "MAX_BYTES", budget)
         return dp_evolve(octant_law, octant, [1, 1, 1], 200, rescale_by=ROOT3 / 2.0, L=20,
                          retain=[100, 200]).L
 

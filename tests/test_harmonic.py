@@ -5,7 +5,7 @@ import pytest
 from cases import quadrant_law
 from conftest import scipy_csr
 
-from conelab import analysis, harmonic
+from conelab import _lattice, analysis, harmonic
 from conelab._lattice import KilledKernel, make_grid
 from conelab.analysis import PipelineContext, VerifyParams
 from conelab.cramer import solve_cramer_point
@@ -457,10 +457,25 @@ def test_suggested_window_fits_the_budget(quadrant, builds, monkeypatch):
     law = nn4_family(3 / 16)
     tabs = PipelineContext(law, quadrant).harmonic
     assert tabs.L == 139 and tabs.grid.shape == (100, 100)
-    monkeypatch.setattr(harmonic, "MAX_BYTES", 8 * 26 * 100 ** 2)
+    monkeypatch.setattr(_lattice, "MAX_BYTES", 8 * 26 * 100 ** 2)
     assert PipelineContext(law, quadrant).harmonic.L == 139
-    monkeypatch.setattr(harmonic, "MAX_BYTES", 8 * 26 * 100 ** 2 - 1)
+    monkeypatch.setattr(_lattice, "MAX_BYTES", 8 * 26 * 100 ** 2 - 1)
     builds.clear()
     with pytest.raises(WindowTooSmallError, match="budget") as err:
         PipelineContext(law, quadrant).harmonic
     assert err.value.suggested_L is None and builds == [72.0]
+
+
+def test_suggested_octant_window_fits_the_budget(octant_law, builds, monkeypatch):
+    # from 10 the octant law grows to 91, a 54^3 box at 8 (24 + d) bytes a cell: a
+    # budget of exactly that still grows to it, although 54^3 ** (1 / 3) evaluates
+    # to 53.999999999999986, and one byte less suggests nothing
+    octant, params = ConeSpec.orthant(3), VerifyParams(harmonic_window=10)
+    monkeypatch.setattr(_lattice, "MAX_BYTES", 8 * 27 * 54 ** 3)
+    tabs = PipelineContext(octant_law, octant, params).harmonic
+    assert tabs.L == 91 and tabs.grid.shape == (54, 54, 54) and builds == [10, 91]
+    monkeypatch.setattr(_lattice, "MAX_BYTES", 8 * 27 * 54 ** 3 - 1)
+    builds.clear()
+    with pytest.raises(WindowTooSmallError, match="budget") as err:
+        PipelineContext(octant_law, octant, params).harmonic
+    assert err.value.suggested_L is None and builds == [10]

@@ -133,9 +133,9 @@ def test_module_reads_every_name_it_imports(path):
 
 
 
-def test_window_growth_has_one_catch_site():
-    """Only ``_lattice.grow_window`` catches WindowTooSmallError: every stage that
-    grows a window retries through that one loop, and none keeps a loop of its own."""
+def _sites(matches, skip=()):
+    """(module, enclosing function, line) of each node in ``src/`` that ``matches``
+    accepts, outside every node of a ``skip`` type, modules in name order."""
     sites = []
     for path in sorted(Path(conelab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -143,7 +143,27 @@ def test_window_growth_has_one_catch_site():
         enclosing = {child: func.name for func in ast.walk(tree)
                      if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                      for child in ast.walk(func)}
+        skipped = {part for node in ast.walk(tree) if isinstance(node, skip)
+                   for part in ast.walk(node)}
         sites += [(path.stem, enclosing.get(node), node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.ExceptHandler) and node.type is not None
-                  and "WindowTooSmallError" in ast.unparse(node.type)]
+                  if node not in skipped and matches(node)]
+    return sites
+
+
+def test_window_growth_has_one_catch_site():
+    """Only ``_lattice.grow_window`` catches WindowTooSmallError: every stage that
+    grows a window retries through that one loop, and none keeps a loop of its own."""
+    sites = _sites(lambda node: isinstance(node, ast.ExceptHandler) and node.type is not None
+                   and "WindowTooSmallError" in ast.unparse(node.type))
     assert [site[:2] for site in sites] == [("_lattice", "grow_window")], sites
+
+
+def test_only_lattice_sizes_a_window_from_the_budget():
+    """Outside ``_lattice``, whose ``budget_window`` turns MAX_BYTES into the largest
+    window a box holds, the budget is only formatted into messages and bounds the
+    QSD's slab inverses, which ``spectral`` counts by slab, not by box cell."""
+    sites = [site for site in _sites(
+        lambda node: isinstance(node, ast.Name) and node.id == "MAX_BYTES"
+        or isinstance(node, ast.Attribute) and node.attr == "MAX_BYTES", skip=ast.JoinedStr)
+        if site[0] != "_lattice"]
+    assert [site[:2] for site in sites] == [("spectral", "qsd_power_iteration")], sites

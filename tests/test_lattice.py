@@ -7,7 +7,8 @@ import pytest
 from cases import padded_box_case
 from conftest import scipy_csr
 
-from conelab._lattice import KilledKernel, make_grid, shift_add
+from conelab import _lattice
+from conelab._lattice import KilledKernel, budget_window, make_grid, shift_add
 from conelab.model import ConeSpec, StepLaw, cone_contains
 from conelab.spectral import tv_distance_tables
 
@@ -217,6 +218,24 @@ def test_points_in_lexicographic_order(cone):
     pts = make_grid(cone, 7.5, law).points()
     assert len(pts) > 10
     assert np.array_equal(pts, pts[np.lexsort(pts.T[::-1])])
+
+
+@pytest.mark.parametrize("cone, side", [
+    (ConeSpec.orthant(2), 100), (ConeSpec.orthant(3), 44),
+    (ConeSpec.halfspace([1.0, 2.0]), 101), (ConeSpec.halfspace([1.0, 2.0, 3.0]), 45)],
+    ids=["quadrant", "octant", "halfplane", "halfspace-3d"])
+def test_budget_window_holds_an_exact_power(cone, side, monkeypatch):
+    # a budget of exactly side^d box cells holds make_grid's box of that side, one
+    # byte less only a smaller one; 44^3 = 85184 has the float cube root 43.99999999999999
+    d, cell_bytes = cone.dim, 8 * (24 + cone.dim)
+    law = StepLaw(support=np.vstack([2 * np.eye(d, dtype=int), -np.eye(d, dtype=int)]),
+                  probs=np.array([1 / 3] * d + [2 / 3] * d) / d)    # pad 2
+    for budget in (cell_bytes * side ** d, cell_bytes * side ** d - 1):
+        monkeypatch.setattr(_lattice, "MAX_BYTES", budget)
+        L = budget_window(cone, 2, cell_bytes)
+        fits, over = (make_grid(cone, w, law).shape[0] for w in (L, L + 1))
+        assert fits ** d * cell_bytes <= budget < over ** d * cell_bytes
+        assert (fits == side) == (budget % cell_bytes == 0)
 
 
 @pytest.mark.parametrize("seed", range(40))
