@@ -1,8 +1,9 @@
 """Lattice windows and the killed-walk kernel every oracle applies.
 
 A window is the open-cone points y with |y|_inf <= L, at every stage (the
-harmonic one takes L = its whitened radius over |M|_inf).  Arrays live on
-the full box, C-ordered; a boolean mask selects the window points.
+harmonic one takes L = its whitened radius over |M|_inf); ``walk_reach`` alone
+turns a horizon into a radius L.  Arrays live on the full box, C-ordered; a
+boolean mask selects the window points.
 ``make_grid`` pads every box by the law's longest step, so each one-step
 neighbour of a window cell is a box cell, and it records which box cells lie
 in the cone (``in_cone``).  Every stage reads the cone from there; none
@@ -145,9 +146,19 @@ def grow_window(build, L):
             L = exc.suggested_L   # built once the error, holding the failed window, is freed
 
 
-def walk_reach(x0, n, support):
-    """The largest max-norm n steps of ``support`` can reach from x0: |x0| + n max|z|."""
-    return int(np.max(np.abs(x0))) + n * int(np.max(np.abs(support)))
+def walk_reach(starts, n, law, tol=0.0):
+    """The max-norm n steps of ``law`` from ``starts`` stay within: surely |x| + n max|z|
+    at ``tol`` = 0, else, but for probability ``tol``, max_i |x_i| + a_i + n |mu_i| capped
+    at the sure reach: by Freedman's inequality the steps +-(z_i - mu_i) <= R_i, of
+    variance v_i, pass a_i = R_i l/3 + sqrt((R_i l/3)^2 + 2 n v_i l) w.p. <= e^-l = tol/2d."""
+    sure = int(np.max(np.abs(starts))) + n * int(np.max(np.abs(law.support)))
+    if tol == 0.0:
+        return sure
+    mu, ell = law.mean(), np.log(2 * law.dim / tol)
+    r = np.abs(law.support - mu).max(axis=0) * ell / 3
+    a = r + np.sqrt(r ** 2 + 2 * n * (law.probs @ (law.support - mu) ** 2) * ell)
+    far = np.abs(np.reshape(starts, (-1, law.dim))).max(axis=0) + a + n * np.abs(mu)
+    return min(sure, int(np.ceil(far.max())))
 
 
 def shift_add(out, arr, z, w):

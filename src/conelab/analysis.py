@@ -15,13 +15,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lattice import grow_window
+from ._lattice import grow_window, walk_reach
 from .cramer import solve_cramer_point
-from .dp_oracle import (bridge_value, conditional_law, dp_evolve, exit_position_law,
-                        exit_profile, exit_time_pmf_rescaled, survival_scan)
+from .dp_oracle import (LEAK_TOL, bridge_value, conditional_law, dp_evolve,
+                        exit_position_law, exit_profile, exit_time_pmf_rescaled,
+                        survival_scan)
 from .errors import ConfigError, NumericsError
 from .harmonic import build_U_tables, build_V_tables
-from .model import build_model, check_acute_cone_condition
+from .model import build_model, check_acute_cone_condition, cone_contains
 from .spectral import qsd_for_model, tv_distance_tables
 from .whiten import whiten_model
 
@@ -200,8 +201,20 @@ class PipelineContext:
         """The backward survival scan, collected from ``verify_all``'s child if one runs it."""
         if self._scan_child is not None:
             return self._scan_child.result()
-        return survival_scan(self.cramer.tilted, self.cone, scan_grid(self.law.dim),
+        return survival_scan(self.cramer.tilted, self.cone, self.scan_starts,
                              self.params.n_max)
+
+    @cached_property
+    def scan_starts(self):
+        """``scan_grid``'s starts when the cone holds them all, else the points of
+        the cone's axis at their max-norm scales."""
+        starts = np.array(scan_grid(self.law.dim))
+        if cone_contains(self.cone, starts).all():
+            return starts
+        cone, scales = self.cone, np.unique(starts.max(axis=1))
+        phi = cone.theta0 + cone.beta / 2.0
+        axis = cone.normal if cone.kind == "halfspace" else np.array([np.cos(phi), np.sin(phi)])
+        return np.rint(np.outer(scales, axis / np.abs(axis).max())).astype(int)
 
     @cached_property
     def qsd(self):
@@ -429,9 +442,8 @@ def _check_driftless_bound(ctx):
     if prm.n_max <= SCAN_N_LO:
         raise ConfigError(f"pipeline.n_max must exceed {SCAN_N_LO} for the driftless "
                           f"bound, got {prm.n_max}")
-    scan = ctx.driftless_scan
+    scan, pts = ctx.driftless_scan, ctx.scan_starts
     M, p = ctx.whitening.M, ctx.p
-    pts = np.asarray(scan_grid(ctx.law.dim), dtype=float)
     denom = 1.0 + np.linalg.norm(pts @ M.T, axis=1) ** p
     ns = np.arange(SCAN_N_LO, prm.n_max + 1)
     stat = (scan[:, ns] * ns ** (p / 2.0)) / denom[:, None]
@@ -441,7 +453,12 @@ def _check_driftless_bound(ctx):
     x = np.log(ns[sel].astype(float))
     y = np.log(top[sel])
     slope = float(np.polyfit(x, y, 1)[0])
+    L = walk_reach(pts, prm.n_max, ctx.cramer.tilted, LEAK_TOL)
+    axis = [] if np.array_equal(pts, scan_grid(ctx.law.dim)) else [
+        f"the cone excludes scan_grid's starts; scanned from {pts.tolist()} on its axis"]
     return _evaluate(ctx, [Row(
-        "driftless_bound.scan_slope", 0.0, TOL_SLOPE, lambda: slope, "absolute",
+        "driftless_bound.scan_slope", 0.0, TOL_SLOPE, lambda: slope, "absolute", axis,
         reading=[f"scan statistic max over {len(pts)} starts in "
-                 f"[{float(top.min()):.4f}, {float(top.max()):.4f}]"])])
+                 f"[{float(top.min()):.4f}, {float(top.max()):.4f}]",
+                 f"scan window L = {L} lowers each survival by at most {LEAK_TOL:g}, "
+                 f"{LEAK_TOL / scan[:, ns].min():.2e} of the smallest read"])])

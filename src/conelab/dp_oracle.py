@@ -13,12 +13,11 @@ import numpy as np
 
 from . import _lattice
 from ._lattice import KilledKernel, budget_window, grow_window, make_grid, walk_reach
-from .cramer import log_mgf, solve_cramer_point
+from .cramer import solve_cramer_point
 from .errors import ConfigError, WindowTooSmallError
 from .model import ConeSpec, StepLaw, cone_contains
 
 LEAK_TOL = 1e-12
-SCAN_SIGMAS = 8.0        # survival_scan window: diffusive spread in standard deviations
 
 
 @dataclass
@@ -52,11 +51,6 @@ class DpSeries:
         return n * np.log(self.rescale_by) + np.log(self.survival[n])
 
 
-def window_reach(law, x0, n_max):
-    """Window radius L beyond which an ``n_max``-step walk from x0 cannot leak."""
-    return walk_reach(x0, n_max, law.support) + 1
-
-
 def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     """Evolve the killed measure for ``n_max`` steps on the window max|y| <= L.
 
@@ -65,8 +59,8 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     the current rescaled survival, ``_evolve`` raises WindowTooSmallError and
     ``grow_window``, the loop the harmonic tail search retries through too,
     restarts the evolution from x0 on the window ceil(1.4 L) + pad.  That is
-    capped at the reach ``window_reach(law, x0, n_max)``, beyond which nothing
-    can leak, and at ``_lattice.budget_window`` for 8 (7 + d + tables) bytes a
+    capped at the sure reach ``walk_reach(x0, n_max, law)`` + 1, beyond which
+    nothing leaks, and at ``_lattice.budget_window`` for 8 (7 + d + tables) bytes a
     box cell: d integer coordinates, the measure, its step buffer, the kernel's
     scratch, leak and exit arrays, the grid's masks and one float a retained
     table (tracemalloc: 67 bytes a cell in d = 2, 76 in d = 3, 8 more a table).
@@ -84,7 +78,7 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     if L > fits:
         raise ConfigError(f"DP window L = {L} is past L = {fits}, the largest the "
                           f"{_lattice.MAX_BYTES / 2**30:g} GiB budget holds")
-    top = min(window_reach(law, x0, n_max), fits)
+    top = min(walk_reach(x0, n_max, law) + 1, fits)
     return grow_window(lambda L: _evolve(
         KilledKernel(make_grid(cone, L, law), law), L, x0, n_max, rescale_by, retain,
         min(int(np.ceil(1.4 * L)) + pad, top)), L)
@@ -205,7 +199,7 @@ def check_tilt_identity(law, cramer, cone, x0, n_max=20):
     if n_max > 40:
         raise ConfigError("identity check is meant for short horizons (n_max <= 40)")
     x0 = np.asarray(x0, dtype=int)
-    L = window_reach(law, x0, n_max)
+    L = walk_reach(x0, n_max, law) + 1
     steps = range(1, n_max + 1)
     drifted = dp_evolve(law, cone, x0, n_max, rescale_by=cramer.c, L=L, retain=steps)
     driftless = dp_evolve(cramer.tilted, cone, x0, n_max, L=L, retain=steps)
@@ -220,24 +214,19 @@ def check_tilt_identity(law, cramer, cone, x0, n_max=20):
 def survival_scan(law, cone, starts, n_max):
     """P(tau_x > n) for every start simultaneously, by backward recursion.
 
-    Returns an array of shape (len(starts), n_max + 1).  The window is sized
-    so that the truncation outside it is a ``SCAN_SIGMAS``-sigma event for the
-    diffusive spread, far below the oracle's resolution.
+    Returns an array of shape (len(starts), n_max + 1) on the window
+    ``walk_reach(starts, n_max, law, LEAK_TOL)``, which no walk leaves within n_max
+    steps but with probability ``LEAK_TOL``, so each entry is low by at most that.
     """
-    starts = [np.asarray(x, dtype=int) for x in starts]
-    R, _, hess = log_mgf(law, np.zeros(law.dim))
-    sigma_max = float(np.sqrt(np.linalg.eigvalsh(hess)[-1]))
-    L = int(max(np.max(np.abs(s)) for s in starts)
-            + np.ceil(SCAN_SIGMAS * sigma_max * np.sqrt(n_max))
-            + np.ceil(abs(float(np.linalg.norm(law.mean()))) * n_max))
-    grid = make_grid(cone, L, law)
+    starts = np.asarray(starts, dtype=int)
+    off = starts[~cone_contains(cone, starts)].tolist()
+    if off:
+        raise ConfigError(f"scan starts {off} lie outside the open {cone.kind} cone")
+    grid = make_grid(cone, walk_reach(starts, n_max, law, LEAK_TOL), law)
     kernel = KilledKernel(grid, law)
     s = np.where(grid.mask, 1.0, 0.0)
     out = np.empty_like(s)
-    for x in starts:
-        if not grid.contains(x):
-            raise ConfigError(f"start {x.tolist()} outside the scan window")
-    flat_idx = np.ravel_multi_index((np.array(starts) - grid.lo).T, grid.shape)
+    flat_idx = np.ravel_multi_index((starts - grid.lo).T, grid.shape)
     result = np.empty((len(starts), n_max + 1))
     result[:, 0] = 1.0
     for n in range(1, n_max + 1):

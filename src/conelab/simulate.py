@@ -78,10 +78,9 @@ def _split_samples(n_samples, workers):
     return counts
 
 
-def _position_type(x0, n, support):
-    """The narrowest signed integer type that holds every position n steps of
-    ``support`` can reach from x0 (``walk_reach``)."""
-    reach = walk_reach(x0, n, support)
+def _position_type(x0, n, law):
+    """The narrowest signed integer type that holds ``walk_reach(x0, n, law)``."""
+    reach = walk_reach(x0, n, law)
     for dtype in (np.int8, np.int16, np.int32):
         if reach <= np.iinfo(dtype).max:
             return dtype
@@ -125,7 +124,7 @@ def _simulate_killed(law, cone, x0, n, m, rng):
     exit position is not kept.
     """
     x0 = np.asarray(x0, dtype=np.int64)
-    dtype = _position_type(x0, n, law.support)
+    dtype = _position_type(x0, n, law)
     steps, disp, thresholds, straddles = _step_tables(law, dtype)
     settle = straddles.any()
     start = x0[:, None].astype(dtype)
@@ -284,11 +283,11 @@ class ZChainRun:
 def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     """Sample the chain conditioned to never leave the cone.
 
-    Transition weights are (1/c) P(X = z) U(x+z) / U(x), computed as
-    (1/c) P(X = z) e^(h.z) V(x+z) / V(x) once over the window, one array per
-    step z, from the kernel's shifts of V.  Each row's raw sum is kept and the
-    row normalized into a cumulative table, so table truncation shows up as a
-    diagnostic rather than a bias; a sampled step is a lookup at the paths'
+    Transition weights are (1/c) P(X = z) U(x+z) / U(x), computed as the tilted
+    law's (1/c) P(X = z) e^(h.z) times V(x+z) / V(x) once over the window, one
+    array per step z, from the kernel's shifts of V.  Each row's raw sum is kept
+    and the row normalized into a cumulative table, so table truncation shows up
+    as a diagnostic rather than a bias; a sampled step is a lookup at the paths'
     positions.  The table is zero off the window, so paths stay on it.  The
     path record takes ``_position_type`` (int16 for 200 unit steps).
     """
@@ -296,9 +295,8 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     grid = tables.grid
     if not grid.contains(x0):
         raise ConfigError(f"start {x0.tolist()} outside the harmonic window")
-    h, c = cramer.h, cramer.c
     support = law.support
-    step_w = law.probs * np.exp(support @ h) / c   # (1/c) P(z) e^(h.z)
+    step_w = cramer.tilted.probs   # (1/c) P(z) e^(h.z)
     kernel = KilledKernel(grid, law)
     V, mask = tables.V, grid.mask
     if grid.value_at(V, x0) == 0.0:
@@ -314,7 +312,7 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     m = n_paths
     pos = np.tile(x0, (m, 1))
     frozen = np.zeros(m, dtype=bool)
-    paths = np.empty((m, n_steps + 1, law.dim), dtype=_position_type(x0, n_steps, support))
+    paths = np.empty((m, n_steps + 1, law.dim), dtype=_position_type(x0, n_steps, law))
     paths[:, 0] = pos
     row_min, row_max = np.inf, -np.inf
     for t in range(1, n_steps + 1):

@@ -557,7 +557,7 @@ ARTIFACT_SHA256 = {
     "qsd.csv": "0333061e952691620bb8571c20c3503156441b38909d1e2afc7b162fb2bb3308",
     "qsd_summary.json": "b3c0c170fe701d029d156b70ed7943f78f5e92f962254b1023c23e0529357b96",
     "simulate.jsonl": "4aa1dd940b3da27c07c6c99019645a02ed8abdeb47d66fd02c755dc3a2790f56",
-    "verify.jsonl": "bd3abb112fef91f4deadfb5187f1368b21f0b916f6dcc9bed4f4a7af31469dd5",
+    "verify.jsonl": "873433ee5d0a8cb7f7f4732729cf4688fe9e103a94a91c9bda830c9919770aa8",
     "verify_summary.csv": "d5e6f8ce3880f41c813223b762882c30a4dabb3ae297a4d603a35c815d9ce516",
     "whiten.json": "518d548e0fc910af3ad80207286ef8c6579dbfe9c130261e0674deaf6b7c068e",
     "zchain.json": "0b1f1c83378d51a3b1185bda8bcf95a1f63dc44689ae249559c003af53f72b75",
@@ -574,7 +574,7 @@ DIAGONAL_SHA256 = {
     "qsd.csv": "b334ee4ae19834135333a4669c66f4e35ebb2dc8be1aae52e2998a7f001c4f55",
     "qsd_summary.json": "fab1f7e790252ab521c873be525a586c4a27df4624bab9b8edae077b3bf2093f",
     "simulate.jsonl": "3e2aff5e0948b27ebfdb200dfcfe22779d2f0a47421186476cc96a902197a401",
-    "verify.jsonl": "59e1017d95ece4938a4c5dcf46999940700adcb78eb4bb9e1620a99e93305ed6",
+    "verify.jsonl": "64b16c2dae2fd81e12d2bdec825a5ffc727366584656f40983a1b5adf9209658",
     "verify_summary.csv": "12ae1230b63058fd6e32e18fb506f2109f72f11336e5c94a5e4f637b339ffca0",
     "whiten.json": "708ee4dd22865db53f2b5c1cfc8d97f41db4c049a4f87ed74c5bbd1a9b8480ab",
     "zchain.json": "3fa7e11fea0809af6a41da7bd2e08267ee15b8295bf696d1c43f1abfcba1aa1d",
@@ -582,7 +582,7 @@ DIAGONAL_SHA256 = {
 WIDE_SHA256 = {
     "dp.csv": "ba6b31539f3371cfd772c0ef6eb353d32fb6a1a13ce594601aa0fd44dd34d967",
     "dp_fit.json": "d8a0bb95c118edad85dc7a565906818583edfb79d76e5198a8c939635db6b237",
-    "verify.jsonl": "50d5dd378011d791a5df77d1dadae13f6e0ed96a97150a3ee9aea7707aad0539",
+    "verify.jsonl": "6c6c2d7b8cdb8f07ebf48535cd6c397e7f57ece542850732cd591fc6601f4080",
     "verify_summary.csv": "8419dc6a3b8c113c9da1d2834b6080e854a933c55084da8e5d52ecb8c5ea11bd",
 }
 EIGHT_COMMANDS = ("cramer", "whiten", "harmonic", "dp", "qsd", "zchain", "simulate", "verify")
@@ -930,6 +930,19 @@ SMALL_RUN = (", n_max: 56, n_hi: 48, dp_window: 12, harmonic_window: 10, qsd_win
 # harmonic window grown to the tail certificate cost seconds
 COMMANDS = {2: ["whiten", "qsd", "simulate", "verify all"],
             3: ["whiten", "qsd", "simulate", "verify hazard", "verify exp_moment"]}
+
+
+@pytest.mark.parametrize("seed", [6, 56])
+def test_driftless_scan_starts_on_the_axis_of_a_wedge(seed, tmp_path, capsys):
+    # these wedges exclude scan_grid's (2, 1) or (1, 2): the scan starts on the axis
+    steps, probs, cone = small_law(seed)
+    path, out = tmp_path / "run.yaml", tmp_path / "out"
+    path.write_text(law_yaml(steps, probs, cone=cone, pipeline=SMALL_RUN))
+    status = main(["verify", "driftless_bound", "--config", str(path), "--out", str(out)])
+    assert status in (0, 1), capsys.readouterr().err
+    (report,) = out.glob("verify_*.jsonl")
+    (row,) = map(json.loads, report.read_text().splitlines())
+    assert row["notes"][0].startswith("the cone excludes scan_grid's starts; scanned from [[")
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -9,13 +9,13 @@ from cases import padded_box_case
 from conftest import scipy_csr
 
 from conelab import _lattice, dp_oracle
-from conelab._lattice import KilledKernel, grow_window, make_grid
+from conelab._lattice import KilledKernel, grow_window, make_grid, walk_reach
 from conelab.analysis import VerifyParams
 from conelab.cramer import solve_cramer_point
 from conelab.dp_oracle import (LEAK_TOL, bridge_value, check_tilt_identity,
                                dp_evolve, exit_position_law,
                                exit_time_pmf_rescaled, halfspace_1d, hazard_ratio,
-                               survival_scan, window_reach)
+                               survival_scan)
 from conelab.errors import ConfigError, WindowTooSmallError
 from conelab.model import ConeSpec, StepLaw, cone_contains, span_obstruction
 
@@ -192,7 +192,7 @@ def test_hazard_limit(ctx):
 def test_window_monitor_grows(quadrant, cramer_nn4, L, n_max):
     law, x0 = cramer_nn4.tilted, [1, 1]
     series = dp_evolve(law, quadrant, x0, n_max, rescale_by=1.0, L=L, retain=[n_max])
-    assert L < series.L <= window_reach(law, np.array(x0), n_max)
+    assert L < series.L <= walk_reach(np.array(x0), n_max, law) + 1
     assert series.leak_max < LEAK_TOL
     fresh = dp_evolve(law, quadrant, x0, n_max, rescale_by=1.0, L=series.L,
                       retain=[n_max])
@@ -296,7 +296,7 @@ def test_random_spanning_laws_tilt_identity_and_leak(seed):
     x0 = make_grid(cone, 2, law).points()[0]
     series = dp_evolve(law, cone, x0, 20, rescale_by=cramer.c, L=3, retain=range(21))
     assert series.leak_max < LEAK_TOL
-    assert 3 <= series.L <= window_reach(law, x0, 20)
+    assert 3 <= series.L <= walk_reach(x0, 20, law) + 1
     assert check_tilt_identity(law, cramer, cone, x0, n_max=20) <= 1e-12
 
 
@@ -444,7 +444,7 @@ def test_octant_dp_matches_exact_counts(octant_law):
     n, x = 30, (1, 1, 1)
     cramer = solve_cramer_point(octant_law)
     series = dp_evolve(octant_law, ConeSpec.orthant(3), x, n, rescale_by=cramer.c,
-                       L=window_reach(octant_law, np.array(x), n), retain=[n])
+                       L=walk_reach(np.array(x), n, octant_law) + 1, retain=[n])
     count = octant_counts(n, x)
     exact = np.array([3.0 ** (-(sum(y) - sum(x)) / 2) * (count(y) / 6 ** n)
                       for y in series.grid.points().tolist()])
@@ -461,12 +461,55 @@ def test_start_validation(nn4, quadrant):
         dp_evolve(nn4, quadrant, [1, 70], 5, L=60)
 
 
-def test_survival_scan_matches_forward_dp(cramer_nn4, quadrant):
-    starts = [(1, 1), (3, 2), (5, 5)]
-    scan = survival_scan(cramer_nn4.tilted, quadrant, starts, 40)
+@pytest.mark.parametrize("walk, cone, starts", [
+    ("nn4", ConeSpec.orthant(2), [(1, 1), (3, 2), (5, 5)]),
+    ("nn4", ConeSpec.wedge2d(0.75 * np.pi, 0.3), [(1, 1), (-1, 3), (4, 2)]),
+    ("octant_law", ConeSpec.orthant(3), [(1, 1, 1), (3, 2, 1), (4, 4, 4)]),
+], ids=["quadrant", "wedge", "octant"])
+def test_survival_scan_matches_forward_dp(request, walk, cone, starts):
+    # the wedge's box is centred on the origin; each forward run's window is the
+    # sure reach, so nothing leaks from it
+    law = solve_cramer_point(request.getfixturevalue(walk)).tilted
+    scan = survival_scan(law, cone, starts, 40)
     for row, x0 in zip(scan, starts):
-        fwd = dp_evolve(cramer_nn4.tilted, quadrant, x0, 40, rescale_by=1.0, L=80)
+        fwd = dp_evolve(law, cone, x0, 40, rescale_by=1.0, L=walk_reach(x0, 40, law) + 1)
         assert np.max(np.abs(row - fwd.survival)) < 1e-12
+
+
+def test_scan_start_off_the_cone_names_it(cramer_nn4):
+    with pytest.raises(ConfigError, match=r"scan starts \[\[5, 1\]\] lie outside the open "
+                       "wedge2d cone"):
+        survival_scan(cramer_nn4.tilted, ConeSpec.wedge2d(0.75 * np.pi, 0.3),
+                      [(1, 1), (5, 1)], 10)
+
+
+# (law fixture, or the cone kind, d and seed of a padded_box_case law, horizon); the
+# horizons are long enough that the bound at 1e-2 cuts below the sure reach
+ESCAPE_CASES = [("nn4", 40), ("diagonal_law", 40), ("octant_law", 16), (("orthant", 2, 0), 30),
+                (("orthant", 3, 0), 20), (("wedge2d", 2, 0), 30), (("halfspace", 2, 0), 30),
+                (("halfspace", 3, 1), 20)]
+
+
+@pytest.mark.parametrize("walk, n", ESCAPE_CASES, ids=lambda v: "-".join(map(str, v))
+                         if isinstance(v, tuple) else str(v))
+def test_scan_truncates_at_most_the_escape_bound(request, walk, n, monkeypatch):
+    # the scan on walk_reach's window at tol against the scan on the sure reach,
+    # which no walk leaves: each survival drops by at most tol, at every start and time
+    if isinstance(walk, str):
+        law = request.getfixturevalue(walk)
+        cone = ConeSpec.orthant(law.dim)
+    else:
+        law, cone, _ = padded_box_case(walk[2], keep=lambda law, cone, L: (
+            (cone.kind, law.dim) == walk[:2]))
+    pts = make_grid(cone, 3, law).points()
+    starts = pts[[0, len(pts) // 2, -1]]
+    monkeypatch.setattr(dp_oracle, "LEAK_TOL", 0.0)
+    exact = survival_scan(law, cone, starts, n)
+    assert walk_reach(starts, n, law, 1e-2) < walk_reach(starts, n, law)  # the bound bites
+    for tol in (0.5, 1e-2, 1e-6, 1e-12):
+        monkeypatch.setattr(dp_oracle, "LEAK_TOL", tol)
+        lost = exact - survival_scan(law, cone, starts, n)
+        assert np.all(lost <= tol) and np.all(lost >= -1e-15)
 
 
 def test_halfspace_projection(nn4):

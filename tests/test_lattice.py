@@ -1,14 +1,15 @@
 import ast
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from cases import padded_box_case
+from cases import noncollinear_support, padded_box_case
 from conftest import scipy_csr
 
 from conelab import _lattice
-from conelab._lattice import KilledKernel, budget_window, make_grid, shift_add
+from conelab._lattice import KilledKernel, budget_window, make_grid, shift_add, walk_reach
 from conelab.model import ConeSpec, StepLaw, cone_contains
 from conelab.spectral import tv_distance_tables
 
@@ -236,6 +237,30 @@ def test_budget_window_holds_an_exact_power(cone, side, monkeypatch):
         fits, over = (make_grid(cone, w, law).shape[0] for w in (L, L + 1))
         assert fits ** d * cell_bytes <= budget < over ** d * cell_bytes
         assert (fits == side) == (budget % cell_bytes == 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_walk_reach_is_the_sure_reach_or_freedman_bound(seed):
+    # tol = 0 gives |x| + n max|z| exactly; otherwise, per coordinate i and sign, the
+    # start plus a = R l / 3 + sqrt((R l / 3)^2 + 2 n v l) plus the drift, with R the
+    # largest |z_i - mu_i| and v the variance of z_i, in plain floats
+    support, starts = noncollinear_support(seed)
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 5, len(support))
+    law = StepLaw(support=support, probs=weights / weights.sum())
+    n = int(rng.integers(1, 400))
+    sure = int(np.abs(starts).max()) + n * int(np.abs(support).max())
+    assert walk_reach(starts, n, law) == sure and type(walk_reach(starts, n, law)) is int
+    for tol in (0.5, 1e-12):
+        ell, far = math.log(2 * law.dim / tol), -math.inf
+        for i, sign in itertools.product(range(law.dim), (1, -1)):
+            mu = float(law.probs @ support[:, i])
+            dev = [float(z) - mu for z in support[:, i]]
+            r = max(map(abs, dev)) * ell / 3
+            v = float(law.probs @ np.square(dev))
+            a = r + math.sqrt(r * r + 2 * n * v * ell)
+            far = max(far, max(sign * starts[:, i]) + a + n * abs(mu))
+        assert walk_reach(starts, n, law, tol) == min(sure, math.ceil(far))
 
 
 @pytest.mark.parametrize("seed", range(40))
