@@ -7,7 +7,11 @@ boolean mask selects the window points.
 ``make_grid`` pads every box by the law's longest step, so each one-step
 neighbour of a window cell is a box cell, and it records which box cells lie
 in the cone (``in_cone``).  Every stage reads the cone from there; none
-repeats the membership pass.
+repeats the membership pass.  Three questions are answered here alone:
+``admit`` whether a stage may read a lattice point (each must lie in the open
+cone, then on the window of the grid it is read on; a refusal names the
+config key), ``budget_window`` how large a window ``MAX_BYTES`` holds, and
+``walk_reach`` how far a horizon reaches.
 
 ``KilledKernel`` is the one-step operator of the walk killed outside the
 window: a step moves mass by +z with probability p_z, mass landing off the
@@ -28,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import WindowTooSmallError
+from .errors import ConfigError, WindowTooSmallError
 from .model import cone_contains
 
 MAX_BYTES = 2**30   # one memory limit: QSD slab inverses and budget_window's window boxes
@@ -122,6 +126,21 @@ def make_grid(cone, L, law):
     in_cone = cone_contains(cone, pts).reshape(shape)
     mask = in_cone & (np.max(np.abs(pts), axis=1) <= L).reshape(shape)
     return WindowGrid(lo=lo, shape=shape, mask=mask, coords=coords, in_cone=in_cone, pad=pad)
+
+
+def admit(cone, points, name, grid=None, window=None):
+    """``points``, one lattice point or an (N, d) array, as integers once each lies in the
+    open cone and then, given ``grid``, on its window, which ``window`` names ("harmonic
+    window L = 72"); else a ConfigError naming ``name`` (a config key, or "start")."""
+    pts = np.asarray(points, dtype=int)
+    if pts.shape[-1:] != (cone.dim,):
+        raise ConfigError(f"{name} {pts.tolist()} needs {cone.dim} coordinates")
+    for x in pts.reshape(-1, cone.dim).tolist():
+        if not cone_contains(cone, x)[0]:
+            raise ConfigError(f"{name} {x} lies outside the open {cone.kind} cone")
+        if grid is not None and not grid.contains(x):
+            raise ConfigError(f"{name} {x} lies outside the {window}")
+    return pts
 
 
 def budget_window(cone, pad, cell_bytes):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lattice import grow_window, walk_reach
+from ._lattice import admit, grow_window, walk_reach
 from .cramer import solve_cramer_point
 from .dp_oracle import (LEAK_TOL, bridge_value, conditional_law, dp_evolve,
                         exit_position_law, exit_profile, exit_time_pmf_rescaled,
@@ -165,36 +165,54 @@ class PipelineContext:
     def whitening(self):
         return whiten_model(self.cramer, self.cone)
 
-    @cached_property
-    def harmonic(self):
-        """Harmonic tables, from ``harmonic_window`` up until the tail bound passes;
-        without u or a convergent normalizer it raises before any solve."""
-        wd, cd, L = self.whitening, self.cramer, self.params.harmonic_window
-        if wd.cone_image is None:
+    def harmonic_hypotheses(self):
+        """Raise unless u has a closed form and the normalizer sum converges.  Both
+        depend on (law, cone) alone, so every selector that reads the harmonic
+        tables checks them before its first DP series."""
+        if self.whitening.cone_image is None:
             raise ConfigError(f"no closed-form image cone: a non-diagonal whitening "
                               f"matrix in d = {self.law.dim} leaves u undefined")
-        if not check_acute_cone_condition(self.cone, cd.h)[0]:
+        if not check_acute_cone_condition(self.cone, self.cramer.h)[0]:
             raise NumericsError("acute-angle condition fails: the normalizer sum over "
                                 "the cone diverges")
+
+    @cached_property
+    def harmonic(self):
+        """Harmonic tables, from ``harmonic_window`` up until the tail bound passes,
+        built once ``harmonic_hypotheses`` hold."""
+        self.harmonic_hypotheses()
+        wd, cd, L = self.whitening, self.cramer, self.params.harmonic_window
         return grow_window(lambda L: build_U_tables(build_V_tables(
             cd.tilted, self.cone, wd.cone_image, wd.M, L=float(L)), cd.h), L)
 
     @cached_property
     def series(self):
-        return self._surviving(self.params.x0, self.params.retained_times())
+        return self._surviving("x0", self.params.retained_times())
 
     @cached_property
     def series_ratio_start(self):
-        return self._surviving(self.params.ratio_start)
+        return self._surviving("ratio_start")
 
-    def _surviving(self, x0, retain=()):
-        """The DP series from x0, unless no path survives to n_hi: every row would read 0/0."""
-        series = dp_evolve(self.law, self.cone, x0, self.params.n_max,
+    def start(self, key):
+        """``pipeline.<key>``, admitted on the cone by that name, and refused when every
+        step from it leaves the cone, since its DP series would be 0 from step 1."""
+        x0 = admit(self.cone, getattr(self.params, key), f"pipeline.{key}")
+        if not cone_contains(self.cone, x0 + self.law.support).any():
+            raise ConfigError(self._no_survivor(x0))
+        return x0
+
+    def _surviving(self, key, retain=()):
+        """The DP series from ``start(key)``, unless no path survives to n_hi: every row
+        would read 0/0."""
+        series = dp_evolve(self.law, self.cone, self.start(key), self.params.n_max,
                            rescale_by=self.cramer.c, L=self.params.dp_window, retain=retain)
         if series.survival[self.params.n_hi] == 0.0:
-            raise ConfigError(f"no path from {series.x0.tolist()} survives to "
-                              f"n_hi = {self.params.n_hi}: the start cannot stay in the cone")
+            raise ConfigError(self._no_survivor(series.x0))
         return series
+
+    def _no_survivor(self, x0):
+        return (f"no path from {x0.tolist()} survives to n_hi = {self.params.n_hi}: "
+                "the start cannot stay in the cone")
 
     @cached_property
     def driftless_scan(self):
@@ -250,10 +268,8 @@ class PipelineContext:
         """U(x0) / U(ratio_start), the limit of the plateau and start ratios."""
         tabs = self.harmonic
         for key in ("x0", "ratio_start"):          # U reads 0 off the window
-            x = list(getattr(self.params, key))
-            if not tabs.grid.contains(x):
-                raise ConfigError(f"pipeline.{key} {x} lies outside the harmonic window "
-                                  f"L = {tabs.L:g}")
+            admit(self.cone, getattr(self.params, key), f"pipeline.{key}", tabs.grid,
+                  f"harmonic window L = {tabs.L:g}")
         return tabs.U_at(self.params.x0) / tabs.U_at(self.params.ratio_start)
 
     def exit_pmf(self, start):
@@ -340,7 +356,9 @@ def verify_all(ctx):
 
 def _check_survival_tail(ctx):
     n_hi = ctx.params.n_hi
-    series = ctx.series   # first: a start that cannot survive is named before p is fitted
+    ctx.start("x0")             # the start, then (law, cone), before any DP series
+    ctx.harmonic_hypotheses()
+    series = ctx.series   # then a start that cannot survive is named before p is fitted
     s = ctx.exponent
     fit = fit_tail(series)
     # octave slopes of b_n * n^s are s minus the dyadic exponent estimates;
@@ -380,6 +398,8 @@ def _check_yaglom(ctx):
 
 
 def _check_exit_law(ctx):
+    ctx.harmonic_hypotheses()   # before the zero operand's DP series
+
     def tv():
         measured_law, _ = exit_position_law(ctx.series, ctx.params.n_hi)
         grid, tabs = ctx.series.grid, ctx.harmonic
@@ -395,10 +415,8 @@ def _check_bridge(ctx):
     prm = ctx.params
     t1, t2 = BRIDGE_TIMES
     n = prm.n_hi
-    z = np.asarray(prm.bridge_endpoint, dtype=int)
-    if np.max(np.abs(z)) > ctx.series.L:      # the tables read 0 there, structural or not
-        raise ConfigError(f"pipeline.bridge_endpoint {z.tolist()} lies outside the DP "
-                          f"window L = {ctx.series.L}")
+    z = admit(ctx.cone, prm.bridge_endpoint, "pipeline.bridge_endpoint", ctx.series.grid,
+              f"DP window L = {ctx.series.L}")      # the tables read 0 off it, structural or not
     s = ctx.exponent
     w1, w2 = [(np.floor(t * n) * (n - np.floor(t * n))) / n ** 2 for t in (t1, t2)]
     endpoint = ctx.series.grid.value_at(ctx.series.tables[n], z)

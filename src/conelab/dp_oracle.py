@@ -7,15 +7,16 @@ every limit law: survival tails, hazard ratios, conditional laws, exit
 distributions, and bridges.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _lattice
-from ._lattice import KilledKernel, budget_window, grow_window, make_grid, walk_reach
+from ._lattice import KilledKernel, admit, budget_window, grow_window, make_grid, walk_reach
 from .cramer import solve_cramer_point
 from .errors import ConfigError, WindowTooSmallError
-from .model import ConeSpec, StepLaw, cone_contains
+from .model import ConeSpec, StepLaw
 
 LEAK_TOL = 1e-12
 
@@ -64,14 +65,9 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     box cell: d integer coordinates, the measure, its step buffer, the kernel's
     scratch, leak and exit arrays, the grid's masks and one float a retained
     table (tracemalloc: 67 bytes a cell in d = 2, 76 in d = 3, 8 more a table).
-    A start past that cap is a ConfigError, a leak at it a WindowTooSmallError
-    naming the budget.  The result equals a fresh run at the final window, kept as ``L``.
+    A start ``admit`` refuses or an L past that cap is a ConfigError, a leak at the cap a
+    WindowTooSmallError naming the budget; the result equals a fresh run at the final ``L``.
     """
-    x0 = np.asarray(x0, dtype=int)
-    if not cone_contains(cone, x0[None, :])[0]:
-        raise ConfigError(f"start {x0.tolist()} is not inside the open cone")
-    if np.max(np.abs(x0)) > L:
-        raise ConfigError(f"start {x0.tolist()} is outside the window (L = {L})")
     retain = set(int(n) for n in retain)
     pad = int(np.max(np.abs(law.support)))
     fits = budget_window(cone, pad, 8 * (7 + cone.dim + len(retain)))
@@ -80,14 +76,15 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
                           f"{_lattice.MAX_BYTES / 2**30:g} GiB budget holds")
     top = min(walk_reach(x0, n_max, law) + 1, fits)
     return grow_window(lambda L: _evolve(
-        KilledKernel(make_grid(cone, L, law), law), L, x0, n_max, rescale_by, retain,
+        KilledKernel(make_grid(cone, L, law), law), cone, L, x0, n_max, rescale_by, retain,
         min(int(np.ceil(1.4 * L)) + pad, top)), L)
 
 
-def _evolve(kernel, L, x0, n_max, rescale_by, retain, grown):
-    """The DpSeries on the kernel's window; a leak raises WindowTooSmallError toward
-    ``grown``, or naming the budget when ``grown`` is no larger."""
+def _evolve(kernel, cone, L, x0, n_max, rescale_by, retain, grown):
+    """The DpSeries from x0, admitted on the window; a leak raises WindowTooSmallError
+    toward ``grown``, or naming the budget when ``grown`` is no larger."""
     grid = kernel.grid
+    x0 = admit(cone, x0, "start", grid, f"DP window L = {L}")
     q = np.zeros(grid.shape)
     q[tuple(x0 - grid.lo)] = 1.0
     out = np.empty_like(q)
@@ -217,12 +214,21 @@ def survival_scan(law, cone, starts, n_max):
     Returns an array of shape (len(starts), n_max + 1) on the window
     ``walk_reach(starts, n_max, law, LEAK_TOL)``, which no walk leaves within n_max
     steps but with probability ``LEAK_TOL``, so each entry is low by at most that.
+    That window must fit ``_lattice.budget_window`` at 8 (6 + d) bytes a box cell
+    (tracemalloc: 45-47 bytes a cell on d = 2 orthants, 56 on a wedge, 57 in d = 3);
+    a longer ``n_max`` is a ConfigError naming the longest that fits.
     """
-    starts = np.asarray(starts, dtype=int)
-    off = starts[~cone_contains(cone, starts)].tolist()
-    if off:
-        raise ConfigError(f"scan starts {off} lie outside the open {cone.kind} cone")
-    grid = make_grid(cone, walk_reach(starts, n_max, law, LEAK_TOL), law)
+    starts = admit(cone, starts, "start")
+    L = walk_reach(starts, n_max, law, LEAK_TOL)
+    fits = budget_window(cone, int(np.max(np.abs(law.support))), 8 * (6 + cone.dim))
+    if L > fits:
+        best = bisect_right(range(n_max), fits,
+                            key=lambda n: walk_reach(starts, n, law, LEAK_TOL)) - 1
+        raise ConfigError(f"pipeline.n_max = {n_max} needs the scan window L = {L}, past "
+                          f"L = {fits}, the largest the {_lattice.MAX_BYTES / 2**30:g} GiB "
+                          f"budget holds; " + (f"n_max = {best} fits" if best >= 0 else
+                                               "no n_max fits"))
+    grid = make_grid(cone, L, law)
     kernel = KilledKernel(grid, law)
     s = np.where(grid.mask, 1.0, 0.0)
     out = np.empty_like(s)

@@ -115,7 +115,12 @@ def build_V_tables(tilted, cone, cone_image, M, L):
     if np.linalg.norm(drift) > 1e-10:
         raise ConfigError("V construction needs the driftless tilted law")
     M = np.asarray(M, dtype=float)
-    grid = make_grid(cone, L / np.linalg.norm(M, np.inf), tilted)
+    row_norm = np.linalg.norm(M, np.inf)
+    fits = _budget_radius(cone, int(np.max(np.abs(tilted.support))))
+    if np.floor(L / row_norm) > fits:
+        raise ConfigError(f"pipeline.harmonic_window = {L:g} is past {fits * row_norm:g}, the "
+                          f"largest the {_lattice.MAX_BYTES / 2**30:g} GiB budget holds")
+    grid = make_grid(cone, L / row_norm, tilted)
     if grid.n_states == 0:
         raise ConfigError("window contains no cone points; increase L")
     u = np.zeros(grid.shape)    # u(M y) on the cone: the start on the window, data off it
@@ -246,6 +251,13 @@ def build_U_tables(tables, h):
     return tables
 
 
+def _budget_radius(cone, pad):
+    """The largest window radius ``_lattice.budget_window`` holds at 8 (24 + d) bytes a
+    box cell: d integer coordinates and 24 float arrays of box or state size at the
+    peak of the V' solve (tracemalloc: 141-183 bytes a cell in d = 2, 161 in d = 3)."""
+    return budget_window(cone, pad, 8 * (24 + cone.dim))
+
+
 def _tail_certificate(tables, h, total):
     """(C, bound on the tail beyond the window, smallest passing window or None).
 
@@ -258,10 +270,8 @@ def _tail_certificate(tables, h, total):
     (m_j = |M e_j|), and 1 + t <= e^t makes each face sum geometric.  A wedge
     shell has at most 2d (3k)^(d-1) points, each with h.y >= |h| cos(worst) k.
 
-    ``_lattice.budget_window`` gives that radius at 8 (24 + d) bytes a box cell: d
-    integer coordinates and 24 float arrays of box or state size at the peak of
-    the V' solve (tracemalloc: 141-183 bytes a cell in d = 2, 161 in d = 3).  Rebuilt
-    at L = ceil(r |M|_inf), the radius is below r + 1 / |M|_inf, so it fits too.
+    ``_budget_radius`` gives that radius.  Rebuilt at L = ceil(r |M|_inf), the radius
+    is below r + 1 / |M|_inf, so it fits too.
     """
     grid, M, cone, p = tables.grid, tables.M, tables.cone, image_degree(tables.cone_image)
     _, worst = check_acute_cone_condition(cone, h)   # not acute: no radius passes
@@ -269,7 +279,7 @@ def _tail_certificate(tables, h, total):
                             (1.0 + np.linalg.norm(grid.points() @ M.T, axis=1) ** p)))
     row_norm = float(np.linalg.norm(M, np.inf))
     r_in, d = int(np.floor(tables.L / row_norm)), grid.dim
-    r_max = budget_window(cone, grid.pad, 8 * (24 + d))
+    r_max = _budget_radius(cone, grid.pad)
     r = np.arange(r_in, max(r_in, r_max + 1 - np.ceil(1 / row_norm)) + 1)
     k = r + 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import KilledKernel, walk_reach
+from ._lattice import KilledKernel, admit, walk_reach
 from .errors import ConfigError
 from .model import cone_contains
 
@@ -210,10 +210,7 @@ def _run_blocks(block, args, n_samples, seed, workers):
 def _check_start(cone, x0, n_samples):
     if n_samples < 1:
         raise ConfigError("n_samples must be at least 1")
-    x0 = np.asarray(x0, dtype=int)
-    if x0.shape != (cone.dim,) or not cone_contains(cone, x0[None, :])[0]:
-        raise ConfigError(f"start {x0.tolist()} is not inside the open cone")
-    return x0
+    return admit(cone, x0, "start")
 
 
 def mc_survival(law, cone, x0, n, n_samples, seed, workers=1):
@@ -291,10 +288,8 @@ def z_chain(law, cramer, tables, x0, n_steps, seed, n_paths=1):
     positions.  The table is zero off the window, so paths stay on it.  The
     path record takes ``_position_type`` (int16 for 200 unit steps).
     """
-    x0 = np.asarray(x0, dtype=int)
     grid = tables.grid
-    if not grid.contains(x0):
-        raise ConfigError(f"start {x0.tolist()} outside the harmonic window")
+    x0 = admit(tables.cone, x0, "start", grid, f"harmonic window L = {tables.L:g}")
     support = law.support
     step_w = cramer.tilted.probs   # (1/c) P(z) e^(h.z)
     kernel = KilledKernel(grid, law)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lattice import MAX_BYTES, KilledKernel, make_grid
+from . import _lattice
+from ._lattice import KilledKernel, make_grid
 from .errors import ConfigError
 from .model import lattice_classes
 
@@ -132,9 +133,9 @@ def qsd_power_iteration(kernel, grid, cramer, L):
     reach = max(1, int(np.max(np.abs(tilted.support[:, 0]))))
     slab = (pts[:, 0] - grid.lo[0]) // reach
     need = 8 * int(np.sum(np.bincount(slab).astype(np.int64) ** 2))
-    if need > MAX_BYTES:        # d = 3 slab inverses grow as L^5: 0.14 GB at L = 28
+    if need > _lattice.MAX_BYTES:   # d = 3 slab inverses grow as L^5: 0.14 GB at L = 28
         raise ConfigError(f"the QSD window L = {L} needs {need / 2**30:.1f} GiB of slab "
-                          f"inverses, above {MAX_BYTES // 2**30} GiB; use a smaller "
+                          f"inverses, above {_lattice.MAX_BYTES / 2**30:g} GiB; use a smaller "
                           "qsd_window")
     solve = _slab_solver(KilledKernel(grid, tilted).matrix(), slab)
     labels, index = lattice_classes(tilted.support, pts)

@@ -439,8 +439,17 @@ LATE_FIRST_EXIT = {"n_hi: 300": "n_hi: 8", "x0: [1, 1]": "x0: [5, 5]",
      2, "pipeline.ratio_start [90, 90] lies outside the harmonic window L = 72"),
     ("nn4", {"dp_window: 60": "dp_window: 120", "x0: [1, 1]": "x0: [90, 90]"},
      2, "pipeline.x0 [90, 90] lies outside the harmonic window L = 72"),
+    # points off the open quadrant are config errors that blame the cone: not a
+    # structural zero of the period-2 walk, and not the window
+    ("nn4", {"bridge_endpoint: [2, 2]": "bridge_endpoint: [0, 3]"}, 2,
+     "pipeline.bridge_endpoint [0, 3] lies outside the open orthant cone"),
+    ("nn4", {"ratio_start: [2, 2]": "ratio_start: [-1, 2]"}, 2,
+     "pipeline.ratio_start [-1, 2] lies outside the open orthant cone"),
+    ("nn4", {"x0: [1, 1]": "x0: [0, 1]"}, 2,
+     "pipeline.x0 [0, 1] lies outside the open orthant cone"),
 ], ids=["diagonal-odd-n_hi", "nn4-n_hi-1", "nn4-late-first-exit", "nn4-far-endpoint",
-        "nn4-far-ratio-start", "nn4-far-x0"])
+        "nn4-far-ratio-start", "nn4-far-x0", "nn4-endpoint-off-cone", "nn4-ratio-start-off-cone",
+        "nn4-x0-off-cone"])
 def test_verify_rows_stay_finite_and_fail_without_mass(tmp_path, capsys, config, edits,
                                                        status, named):
     text = (CONFIGS / f"{config}.yaml").read_text()
@@ -484,6 +493,21 @@ def test_dp_past_the_budget_exits_3_naming_it(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(_lattice, "MAX_BYTES", 120 * 7 ** 2 - 1)
     assert main(["dp", "--config", str(path), "--out", out]) == 2
     assert "DP window L = 5 is past L = 4, the largest the" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [
+    (["harmonic"], "pipeline.harmonic_window = 72 is past 46.669, the largest the"),
+    (["verify", "driftless_bound"], "pipeline.n_max = 400 needs the scan window L = 142, past "
+     "L = 62, the largest the 0.000244141 GiB budget holds; n_max = 38 fits"),
+    (["qsd"], "the QSD window L = 60 needs 0.0 GiB of slab inverses, above 0.000244141 GiB"),
+], ids=["harmonic", "driftless_bound", "qsd"])
+def test_first_windows_fit_the_budget(tmp_path, capsys, monkeypatch, command, message):
+    # at 2^18 bytes the DP refuses L = 60 (44 fits), and so must every other stage
+    # refuse a first window past the budget before building it
+    monkeypatch.setattr(_lattice, "MAX_BYTES", 2 ** 18)
+    assert main([*command, "--config", str(CONFIGS / "nn4.yaml"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_exp_moment_weights_only_its_blocks(tmp_path, capsys):
@@ -758,6 +782,20 @@ def test_simulate_start_outside_cone_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, line, edited", [
+    ("zchain", "zchain:\n  x0: [1, 1]", "zchain:\n  x0: [0, 2]"),
+    ("simulate", "x0: [5, 5]", "x0: [5, 0]")], ids=["zchain", "simulate"])
+def test_start_off_the_cone_blames_the_cone(tmp_path, capsys, command, line, edited):
+    # (0, 2) is a cell of the harmonic box, off its window only because it is off the cone
+    text = (CONFIGS / "nn4.yaml").read_text()
+    assert line in text
+    path = tmp_path / "edited.yaml"
+    path.write_text(text.replace(line, edited))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    point = edited.rpartition("x0: ")[2]
+    assert f"start {point} lies outside the open orthant cone" in capsys.readouterr().err
+
+
 def test_seed_override_changes_simulation(config_path, tmp_path):
     outs = []
     for seed in ("99", "100"):
@@ -943,6 +981,25 @@ def test_driftless_scan_starts_on_the_axis_of_a_wedge(seed, tmp_path, capsys):
     (report,) = out.glob("verify_*.jsonl")
     (row,) = map(json.loads, report.read_text().splitlines())
     assert row["notes"][0].startswith("the cone excludes scan_grid's starts; scanned from [[")
+
+
+@pytest.mark.parametrize("seed, status, message", [
+    (0, 2, "configuration error: no closed-form image cone: a non-diagonal whitening matrix "
+     "in d = 3 leaves u undefined"),
+    (48, 3, "numerical error: acute-angle condition fails: the normalizer sum over the cone "
+     "diverges"),
+    (56, 3, "numerical error: acute-angle condition fails: the normalizer sum over the cone "
+     "diverges")], ids=["seed0", "seed48", "seed56"])
+def test_harmonic_hypotheses_fail_before_any_dp(seed, status, message, tmp_path, capsys,
+                                                monkeypatch):
+    # each exit depends on (law, cone) alone, so no DP series may run before it
+    monkeypatch.setattr(analysis, "dp_evolve", lambda *a, **k: pytest.fail("the DP ran"))
+    steps, probs, cone = small_law(seed)
+    path = tmp_path / "run.yaml"
+    path.write_text(law_yaml(steps, probs, cone=cone, pipeline=SMALL_RUN))
+    assert main(["verify", "all", "--config", str(path), "--out", str(tmp_path / "out")]) \
+        == status
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -477,8 +477,8 @@ def test_survival_scan_matches_forward_dp(request, walk, cone, starts):
 
 
 def test_scan_start_off_the_cone_names_it(cramer_nn4):
-    with pytest.raises(ConfigError, match=r"scan starts \[\[5, 1\]\] lie outside the open "
-                       "wedge2d cone"):
+    with pytest.raises(ConfigError, match=r"start \[5, 1\] lies outside the open wedge2d "
+                       "cone"):
         survival_scan(cramer_nn4.tilted, ConeSpec.wedge2d(0.75 * np.pi, 0.3),
                       [(1, 1), (5, 1)], 10)
 

@@ -9,6 +9,7 @@ imported scipy long before.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -167,3 +168,15 @@ def test_only_lattice_sizes_a_window_from_the_budget():
         or isinstance(node, ast.Attribute) and node.attr == "MAX_BYTES", skip=ast.JoinedStr)
         if site[0] != "_lattice"]
     assert [site[:2] for site in sites] == [("spectral", "qsd_power_iteration")], sites
+
+
+OFF_POINT = re.compile(r"(outside|not inside) the (open|[^'\"]*window)")
+
+
+def test_only_lattice_admits_a_point():
+    """Only ``_lattice.admit`` raises a ConfigError that puts a point outside the open
+    cone or a window: every stage admits its starts and endpoints through it."""
+    sites = _sites(lambda node: isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "ConfigError" and node.args
+                   and OFF_POINT.search(ast.unparse(node.args[0])))
+    assert {site[:2] for site in sites} == {("_lattice", "admit")}, sites

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from cases import noncollinear_support, padded_box_case
 from conftest import scipy_csr
 
 from conelab import _lattice
-from conelab._lattice import KilledKernel, budget_window, make_grid, shift_add, walk_reach
+from conelab._lattice import (KilledKernel, admit, budget_window, make_grid, shift_add,
+                              walk_reach)
+from conelab.errors import ConfigError
 from conelab.model import ConeSpec, StepLaw, cone_contains
 from conelab.spectral import tv_distance_tables
 
@@ -208,6 +211,20 @@ def test_grid_contains_round_trip(quadrant, nn4):
     assert not grid.contains(np.array([7, 3])) and grid.in_cone[tuple([7, 3] - grid.lo)]
     assert not grid.contains(np.array([99, 1]))
     assert np.array_equal(grid.mask, grid.in_cone & (np.abs(grid.coords).max(axis=-1) <= 6))
+
+
+def test_admit_checks_the_cone_then_the_window(quadrant, nn4):
+    grid = make_grid(quadrant, 6, nn4)
+    admitted = admit(quadrant, [[1, 1], [6, 2]], "start", grid, "DP window L = 6")
+    assert admitted.dtype.kind == "i" and admitted.tolist() == [[1, 1], [6, 2]]
+    assert admit(quadrant, (9, 9), "pipeline.x0").tolist() == [9, 9]    # no grid: the cone only
+    # (0, 9) is off both the cone and the window, and the cone is named; each message
+    # names the first point refused
+    for pts, text in (([[1, 1], [0, 9], [7, 3]], "[0, 9] lies outside the open orthant cone"),
+                      ([[1, 1], [7, 3], [0, 9]], "[7, 3] lies outside the DP window L = 6"),
+                      ([1, 1, 1], "[1, 1, 1] needs 2 coordinates")):
+        with pytest.raises(ConfigError, match="^start " + re.escape(text) + "$"):
+            admit(quadrant, pts, "start", grid, "DP window L = 6")
 
 
 @pytest.mark.parametrize("cone", [ConeSpec.orthant(2), ConeSpec.wedge2d(0.75 * np.pi, 0.3),
