@@ -9,9 +9,9 @@ neighbour of a window cell is a box cell, and it records which box cells lie
 in the cone (``in_cone``).  Every stage reads the cone from there; none
 repeats the membership pass.  Three questions are answered here alone:
 ``admit`` whether a stage may read a lattice point (each must lie in the open
-cone, then on the window of the grid it is read on; a refusal names the
-config key), ``budget_window`` how large a window ``MAX_BYTES`` holds, and
-``walk_reach`` how far a horizon reaches.
+cone, then on the window of the grid it is read on, but a DP start sizes its
+first window; a refusal names the config key), ``budget_window`` how large a
+window ``MAX_BYTES`` holds, and ``walk_reach`` how far a horizon reaches.
 
 ``KilledKernel`` is the one-step operator of the walk killed outside the
 window: a step moves mass by +z with probability p_z, mass landing off the

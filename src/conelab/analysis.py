@@ -167,8 +167,8 @@ class PipelineContext:
 
     def harmonic_hypotheses(self):
         """Raise unless u has a closed form and the normalizer sum converges.  Both
-        depend on (law, cone) alone, so every selector that reads the harmonic
-        tables checks them before its first DP series."""
+        depend on (law, cone) alone: ``harmonic`` checks them, and ``survival_tail``
+        before its DP series, which it reads before the tables."""
         if self.whitening.cone_image is None:
             raise ConfigError(f"no closed-form image cone: a non-diagonal whitening "
                               f"matrix in d = {self.law.dim} leaves u undefined")
@@ -266,11 +266,11 @@ class PipelineContext:
     @cached_property
     def u_ratio(self):
         """U(x0) / U(ratio_start), the limit of the plateau and start ratios."""
+        starts = {key: self.start(key) for key in ("x0", "ratio_start")}   # before the tables
         tabs = self.harmonic
-        for key in ("x0", "ratio_start"):          # U reads 0 off the window
-            admit(self.cone, getattr(self.params, key), f"pipeline.{key}", tabs.grid,
-                  f"harmonic window L = {tabs.L:g}")
-        return tabs.U_at(self.params.x0) / tabs.U_at(self.params.ratio_start)
+        for key, x in starts.items():          # U reads 0 off the window
+            admit(self.cone, x, f"pipeline.{key}", tabs.grid, f"harmonic window L = {tabs.L:g}")
+        return tabs.U_at(starts["x0"]) / tabs.U_at(starts["ratio_start"])
 
     def exit_pmf(self, start):
         """The rescaled exit pmf at n_hi from "x0" or "ratio_start" as a zero operand."""
@@ -334,7 +334,7 @@ def verify_limits(ctx, selector):
 
 
 def verify_all(ctx):
-    """Every selector in order.
+    """Every selector in order, once ``bridge_endpoint`` lies on the cone.
 
     The driftless scan shares nothing with the other stages, so with a second
     usable core a child forked before any stage runs computes it while the
@@ -344,6 +344,7 @@ def verify_all(ctx):
     """
     from . import _fork  # imported here, so commands that never fork skip it
 
+    admit(ctx.cone, ctx.params.bridge_endpoint, "pipeline.bridge_endpoint")
     if _fork.usable_cores() > 1 and "driftless_scan" not in vars(ctx):
         ctx._scan_child = _fork.Child(lambda: ctx.driftless_scan)
     try:
@@ -398,11 +399,11 @@ def _check_yaglom(ctx):
 
 
 def _check_exit_law(ctx):
-    ctx.harmonic_hypotheses()   # before the zero operand's DP series
+    tabs = ctx.harmonic         # before the zero operand's DP series
 
     def tv():
         measured_law, _ = exit_position_law(ctx.series, ctx.params.n_hi)
-        grid, tabs = ctx.series.grid, ctx.harmonic
+        grid = ctx.series.grid
         uprime = np.where(grid.mask, tabs.grid.place(tabs.Uprime, grid.lo, grid.shape), 0.0)
         profile, _ = exit_profile(grid, ctx.law, uprime, "kappa U'")
         return 0.5 * float(np.abs(measured_law - profile).sum())

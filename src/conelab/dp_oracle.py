@@ -53,21 +53,23 @@ class DpSeries:
 
 
 def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
-    """Evolve the killed measure for ``n_max`` steps on the window max|y| <= L.
+    """Evolve the killed measure for ``n_max`` steps from x0, a point of the open cone.
 
-    ``L`` is the starting window.  When a step's about-to-be-truncated mass
-    (points leaving the window while staying in the cone) reaches 1e-12 of
-    the current rescaled survival, ``_evolve`` raises WindowTooSmallError and
-    ``grow_window``, the loop the harmonic tail search retries through too,
-    restarts the evolution from x0 on the window ceil(1.4 L) + pad.  That is
-    capped at the sure reach ``walk_reach(x0, n_max, law)`` + 1, beyond which
-    nothing leaks, and at ``_lattice.budget_window`` for 8 (7 + d + tables) bytes a
-    box cell: d integer coordinates, the measure, its step buffer, the kernel's
-    scratch, leak and exit arrays, the grid's masks and one float a retained
-    table (tracemalloc: 67 bytes a cell in d = 2, 76 in d = 3, 8 more a table).
-    A start ``admit`` refuses or an L past that cap is a ConfigError, a leak at the cap a
-    WindowTooSmallError naming the budget; the result equals a fresh run at the final ``L``.
+    ``L`` is only a starting size: the first window, max|y| <= L', is the smallest that
+    holds x0 with L' >= L.  When a step's about-to-be-truncated mass (points leaving the
+    window while staying in the cone) reaches 1e-12 of the current rescaled survival,
+    ``_evolve`` raises WindowTooSmallError and ``grow_window``, the loop the harmonic tail
+    search retries through too, restarts the run from x0 on the window ceil(1.4 L) + pad.
+    That is capped at the sure reach ``walk_reach(x0, n_max, law)`` + 1, beyond which
+    nothing leaks, and at ``_lattice.budget_window`` for 8 (7 + d + tables) bytes a box
+    cell: d integer coordinates, the measure, its step buffer, the kernel's scratch, leak
+    and exit arrays, the grid's masks and one float a retained table (tracemalloc: 67 bytes
+    a cell in d = 2, 76 in d = 3, 8 more a table).  A start off the cone or a first window
+    past that cap is a ConfigError, a leak at the cap a WindowTooSmallError naming the
+    budget; the result equals a fresh run at the final window.
     """
+    x0 = admit(cone, x0, "start")
+    L = max(L, int(np.max(np.abs(x0))))
     retain = set(int(n) for n in retain)
     pad = int(np.max(np.abs(law.support)))
     fits = budget_window(cone, pad, 8 * (7 + cone.dim + len(retain)))
@@ -76,15 +78,14 @@ def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
                           f"{_lattice.MAX_BYTES / 2**30:g} GiB budget holds")
     top = min(walk_reach(x0, n_max, law) + 1, fits)
     return grow_window(lambda L: _evolve(
-        KilledKernel(make_grid(cone, L, law), law), cone, L, x0, n_max, rescale_by, retain,
+        KilledKernel(make_grid(cone, L, law), law), L, x0, n_max, rescale_by, retain,
         min(int(np.ceil(1.4 * L)) + pad, top)), L)
 
 
-def _evolve(kernel, cone, L, x0, n_max, rescale_by, retain, grown):
-    """The DpSeries from x0, admitted on the window; a leak raises WindowTooSmallError
+def _evolve(kernel, L, x0, n_max, rescale_by, retain, grown):
+    """The DpSeries from x0, a point of the window L; a leak raises WindowTooSmallError
     toward ``grown``, or naming the budget when ``grown`` is no larger."""
     grid = kernel.grid
-    x0 = admit(cone, x0, "start", grid, f"DP window L = {L}")
     q = np.zeros(grid.shape)
     q[tuple(x0 - grid.lo)] = 1.0
     out = np.empty_like(q)
@@ -195,13 +196,12 @@ def check_tilt_identity(law, cramer, cone, x0, n_max=20):
     """
     if n_max > 40:
         raise ConfigError("identity check is meant for short horizons (n_max <= 40)")
-    x0 = np.asarray(x0, dtype=int)
     L = walk_reach(x0, n_max, law) + 1
     steps = range(1, n_max + 1)
     drifted = dp_evolve(law, cone, x0, n_max, rescale_by=cramer.c, L=L, retain=steps)
     driftless = dp_evolve(cramer.tilted, cone, x0, n_max, L=L, retain=steps)
     grid = drifted.grid
-    weight = np.exp((x0 @ cramer.h) - grid.coords.reshape(-1, grid.dim) @ cramer.h) \
+    weight = np.exp((drifted.x0 @ cramer.h) - grid.coords.reshape(-1, grid.dim) @ cramer.h) \
         .reshape(grid.shape)
     q, d = drifted.tables, driftless.tables
     return max((float(np.max(np.abs(q[n] - weight * d[n])) / np.max(np.abs(q[n])))
@@ -266,6 +266,4 @@ def halfspace_1d(law, a, x0_height, n_max):
     law_1d = StepLaw(support=support_1d, probs=probs_1d)
     cd = solve_cramer_point(law_1d)
     cone_1d = ConeSpec.halfspace(np.array([1.0]))
-    # the smallest window holding the start; the leak monitor grows it
-    return dp_evolve(law_1d, cone_1d, np.array([x0_height]), n_max,
-                     rescale_by=cd.c, L=x0_height)
+    return dp_evolve(law_1d, cone_1d, np.array([x0_height]), n_max, rescale_by=cd.c, L=1)

@@ -64,11 +64,11 @@ zchain: {x0: [1, 1, 1]}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def diagonal_config(tmp_path, line, edited):
-    """The shipped diagonal config with one line edited."""
-    text = (CONFIGS / "diagonal.yaml").read_text()
+def edited_config(tmp_path, family, line, edited):
+    """The shipped config of ``family`` with one line edited."""
+    text = (CONFIGS / f"{family}.yaml").read_text()
     assert line in text
-    path = tmp_path / "diagonal_edited.yaml"
+    path = tmp_path / f"{family}_edited.yaml"
     path.write_text(text.replace(line, edited))
     return path
 
@@ -407,6 +407,34 @@ def test_bridge_endpoint_without_mass_is_a_failing_row(tmp_path, selector):
     assert any(note.startswith("structural, not numerical")
                and "endpoint [2, 2] at n = 71" in note and "period 2" in note
                for note in bridge["notes"])
+
+
+def test_dp_start_past_dp_window_grows_it(tmp_path, capsys):
+    # dp_window is a starting size: from (70, 70), past L = 60, the series starts on
+    # a window that holds the start
+    path = edited_config(tmp_path, "nn4", "x0: [1, 1]", "x0: [70, 70]")
+    assert main(["dp", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "survival series from [70, 70]" in out and "grown from the configured 60" in out
+
+
+def test_start_past_the_harmonic_window_exits_2_naming_it(tmp_path, capsys):
+    # the DP window no longer refuses (70, 70), but U reads 0 off the harmonic window,
+    # which refuses it by its key
+    path = edited_config(tmp_path, "nn4", "x0: [1, 1]", "x0: [70, 70]")
+    assert main(["verify", "all", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("configuration error: pipeline.x0 [70, 70] lies outside "
+                                       "the harmonic window L = 72\n")
+
+
+def test_bridge_endpoint_off_the_cone_exits_2_before_any_stage(tmp_path, capsys, monkeypatch):
+    # the cone half of the endpoint's check needs the config alone
+    for stage in ("dp_evolve", "build_V_tables", "survival_scan"):
+        monkeypatch.setattr(analysis, stage, lambda *a, **k: pytest.fail("a stage ran"))
+    path = edited_config(tmp_path, "nn4", "bridge_endpoint: [2, 2]", "bridge_endpoint: [0, 3]")
+    assert main(["verify", "all", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("configuration error: pipeline.bridge_endpoint [0, 3] "
+                                       "lies outside the open orthant cone\n")
 
 
 def strict_json(text):
@@ -818,8 +846,8 @@ def test_dp_window_grows_like_a_rerun(tmp_path, capsys):
     # the shipped window of 72 leaks at step 284; the grown run must equal a
     # run configured at the grown size
     contents = []
-    for i, path in enumerate([CONFIGS / "diagonal.yaml",
-                              diagonal_config(tmp_path, "dp_window: 72", "dp_window: 102")]):
+    grown = edited_config(tmp_path, "diagonal", "dp_window: 72", "dp_window: 102")
+    for i, path in enumerate([CONFIGS / "diagonal.yaml", grown]):
         out = tmp_path / f"out{i}"
         assert main(["dp", "--config", str(path), "--out", str(out)]) == 0
         contents.append({p.name.rsplit("_", 1)[0]: p.read_bytes() for p in out.iterdir()
@@ -832,7 +860,7 @@ def test_dp_window_grows_like_a_rerun(tmp_path, capsys):
 
 
 def test_exit_law_without_exit_mass_is_a_failing_row(tmp_path):
-    path = diagonal_config(tmp_path, "dp_window: 72", "dp_window: 102")
+    path = edited_config(tmp_path, "diagonal", "dp_window: 72", "dp_window: 102")
     assert main(["verify", "all", "--config", str(path), "--out", str(tmp_path)]) == 1
     jl = list(tmp_path.glob("verify_*.jsonl"))[0]
     rows = {r["check"]: r for r in map(json.loads, jl.read_text().splitlines())}
@@ -843,7 +871,7 @@ def test_exit_law_without_exit_mass_is_a_failing_row(tmp_path):
 
 
 def test_qsd_warnings_go_to_stderr(tmp_path, capsys):
-    path = diagonal_config(tmp_path, "qsd_window: 60", "qsd_window: 20")
+    path = edited_config(tmp_path, "diagonal", "qsd_window: 60", "qsd_window: 20")
     assert main(["qsd", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert ("warning: the steps generate a sublattice of index 2: the window holds 2 lattice "
             "classes") in capsys.readouterr().err
@@ -962,6 +990,18 @@ def test_start_that_cannot_survive_exits_2(tmp_path, capsys):
     assert "no path from [1, 1, 1] survives to n_hi = 48" in capsys.readouterr().err
 
 
+def test_start_ratio_names_a_start_that_cannot_survive(tmp_path, capsys):
+    # the same doomed start, read by a selector that also needs the harmonic tables,
+    # which this law (no closed-form image) cannot have: the start is refused first
+    path = tmp_path / "doomed.yaml"
+    path.write_text(law_yaml([(-2, 1, 1), (-1, -2, 2), (-2, -2, -2), (2, 1, -2)],
+                             ["1/10", "4/10", "4/10", "1/10"], cone="{kind: orthant, dim: 3}",
+                             pipeline=", n_max: 40, n_hi: 32, dp_window: 12"))
+    out = str(tmp_path / "out")
+    assert main(["verify", "start_ratio", "--config", str(path), "--out", out]) == 2
+    assert "no path from [1, 1, 1] survives to n_hi = 32" in capsys.readouterr().err
+
+
 SMALL_RUN = (", n_max: 56, n_hi: 48, dp_window: 12, harmonic_window: 10, qsd_window: 8, "
              "qsd_sweep: [8]")
 # in d = 3 the driftless scan (``verify all``, and any row that fits p) and a
@@ -1000,6 +1040,25 @@ def test_harmonic_hypotheses_fail_before_any_dp(seed, status, message, tmp_path,
     assert main(["verify", "all", "--config", str(path), "--out", str(tmp_path / "out")]) \
         == status
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 48, 56])
+def test_each_harmonic_selector_fails_as_verify_all(seed, tmp_path, capsys, monkeypatch):
+    # every selector that reads the harmonic tables refuses these laws on its own,
+    # with the status and message of verify all, and before any DP series
+    monkeypatch.setattr(analysis, "dp_evolve", lambda *a, **k: pytest.fail("the DP ran"))
+    steps, probs, cone = small_law(seed)
+    path, out = tmp_path / "run.yaml", str(tmp_path / "out")
+    path.write_text(law_yaml(steps, probs, cone=cone, pipeline=SMALL_RUN))
+
+    def run(selector):
+        status = main(["verify", selector, "--config", str(path), "--out", out])
+        return status, capsys.readouterr().err
+
+    expected = run("all")
+    assert expected[0] in (2, 3)
+    for selector in ("survival_tail", "start_ratio", "yaglom", "exit_law"):
+        assert run(selector) == expected, selector
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -457,8 +457,15 @@ def test_octant_dp_matches_exact_counts(octant_law):
 def test_start_validation(nn4, quadrant):
     with pytest.raises(ConfigError, match="cone"):
         dp_evolve(nn4, quadrant, [0, 1], 5)
-    with pytest.raises(ConfigError, match="window"):
-        dp_evolve(nn4, quadrant, [1, 70], 5, L=60)
+    # L is only a starting size: a start past it sizes the first window, and the
+    # run equals one configured at its final window
+    series = dp_evolve(nn4, quadrant, [1, 70], 20, L=60, retain=[20])
+    assert series.L >= 70 and series.grid.contains([1, 70])
+    fresh = dp_evolve(nn4, quadrant, [1, 70], 20, L=series.L, retain=[20])
+    assert fresh.L == series.L
+    for field in ("survival", "exit_mass"):
+        assert np.array_equal(getattr(series, field), getattr(fresh, field))
+    assert np.array_equal(series.tables[20], fresh.tables[20])
 
 
 @pytest.mark.parametrize("walk, cone, starts", [
