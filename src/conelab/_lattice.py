@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, WindowTooSmallError
 from .model import cone_contains
 
-MAX_BYTES = 2**30   # one memory limit: QSD slab inverses and budget_window's window boxes
+MAX_BYTES = 2**30   # the one memory limit: budget_window holds every stage's window box to it
 
 
 @dataclass

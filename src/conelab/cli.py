@@ -364,15 +364,19 @@ def _cmd_simulate(config, ctx):
 
 def _cmd_qsd(config, ctx):
     result = ctx.qsd
+    low, high = result.bracket
     print(f"window L = {result.L}: lambda = {result.lambda_:.9f} "
           f"(survival rate c = {ctx.cramer.c:.9f}), residual = {result.residual:.2e}, "
-          f"{result.iterations} shift-invert solves")
+          f"Collatz-Wielandt bracket [{low:.12g}, {high:.12g}] of relative width "
+          f"{(high - low) / result.lambda_:.2e}, after {result.iterations} kernel steps "
+          "(Arnoldi runs and polish)")
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     d = ctx.law.dim
     header = [f"x{i + 1}" for i in range(d)] + ["mu"]
     payload = {"L": result.L, "lambda": result.lambda_, "residual": result.residual,
-               "iterations": result.iterations, "converged": result.converged}
+               "bracket": [low, high], "iterations": result.iterations,
+               "converged": result.converged}
     return EXIT_OK, [("qsd", "csv", (header, [*result.grid.points().T, result.mu])),
                      ("qsd_summary", "json", payload)]
 

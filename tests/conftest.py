@@ -79,6 +79,13 @@ def scipy_csr(matrix):
     return csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
+def mu_as_table(result):
+    """A QSD result's mu as a box array on its grid, zero off the window."""
+    table = np.zeros(result.grid.shape)
+    table[result.grid.mask] = result.mu
+    return table
+
+
 def hull_spans(steps):
     """Whether the steps positively span R^d (d >= 2), by an oracle independent of
     ``span_obstruction``: the origin must lie strictly inside their convex hull."""

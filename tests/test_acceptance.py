@@ -13,6 +13,7 @@ analysis.
 import time
 
 import numpy as np
+from conftest import mu_as_table
 
 from conelab.analysis import fit_survival_series, fit_tail
 from conelab.cramer import solve_cramer_point
@@ -21,7 +22,7 @@ from conelab.dp_oracle import (bridge_value, check_tilt_identity, conditional_la
                                halfspace_1d, hazard_ratio)
 from conelab.harmonic import build_U_tables, build_V_tables
 from conelab.simulate import is_survival, mc_survival, transience_indicator, z_chain
-from conelab.spectral import mu_as_table, tv_distance_tables
+from conelab.spectral import tv_distance_tables
 from conelab.whiten import whitening_matrix
 
 ROOT3 = np.sqrt(3.0)

@@ -527,7 +527,7 @@ def test_dp_past_the_budget_exits_3_naming_it(tmp_path, capsys, monkeypatch):
     (["harmonic"], "pipeline.harmonic_window = 72 is past 46.669, the largest the"),
     (["verify", "driftless_bound"], "pipeline.n_max = 400 needs the scan window L = 142, past "
      "L = 62, the largest the 0.000244141 GiB budget holds; n_max = 38 fits"),
-    (["qsd"], "the QSD window L = 60 needs 0.0 GiB of slab inverses, above 0.000244141 GiB"),
+    (["qsd"], "QSD window L = 60 is past L = 23, the largest the 0.000244141 GiB budget holds"),
 ], ids=["harmonic", "driftless_bound", "qsd"])
 def test_first_windows_fit_the_budget(tmp_path, capsys, monkeypatch, command, message):
     # at 2^18 bytes the DP refuses L = 60 (44 fits), and so must every other stage
@@ -606,8 +606,8 @@ ARTIFACT_SHA256 = {
     "dp.csv": "c9dd1429e12f036d983b67bafa1fe85700ad7f14604f96039dbc8bb3595bcfc8",
     "dp_fit.json": "18a6ca45aa6274a84fe3606c95e87f49bdbee37cb85cc76b94e7b47c46fdcced",
     "harmonic.csv": "d6da9283d73bbdbd8cd46a9e3c810ce7a5654ba8aa3a047b0a818d4e7465e221",
-    "qsd.csv": "0333061e952691620bb8571c20c3503156441b38909d1e2afc7b162fb2bb3308",
-    "qsd_summary.json": "b3c0c170fe701d029d156b70ed7943f78f5e92f962254b1023c23e0529357b96",
+    "qsd.csv": "ec4d30c721c9457e1824af8d5100daea1a4cd5c60c205eb202e5fa64df0f0b6c",
+    "qsd_summary.json": "db3008e97e68271fce39eee06be5ff962791d801840ec00048270bac8b9ad749",
     "simulate.jsonl": "4aa1dd940b3da27c07c6c99019645a02ed8abdeb47d66fd02c755dc3a2790f56",
     "verify.jsonl": "873433ee5d0a8cb7f7f4732729cf4688fe9e103a94a91c9bda830c9919770aa8",
     "verify_summary.csv": "d5e6f8ce3880f41c813223b762882c30a4dabb3ae297a4d603a35c815d9ce516",
@@ -616,15 +616,15 @@ ARTIFACT_SHA256 = {
 }
 
 
-# the same for configs/diagonal.yaml, and for the two commands of the benchmark's
-# wide workload that write artifacts, on configs/nn4.yaml with its WIDE overrides
+# the same for configs/diagonal.yaml, and for the three commands of the benchmark's
+# wide workload, on configs/nn4.yaml with its WIDE overrides
 DIAGONAL_SHA256 = {
     "cramer.json": "f90a0d60d3a0420bd14eef03b5563900b993da6ef47069ca3bd1165949031c37",
     "dp.csv": "497fcd7096fce25e31001122cd0b2f114bbd10532fd690444b50cfc92d485a9b",
     "dp_fit.json": "53044fe43e73f535a9a0bdf0efc714133f55d2368ecc5a69ed58458f6fccda41",
     "harmonic.csv": "19de753775a16cba1d251a5ec51ec6644b8877ab760ce028705f28405ae4a4fe",
-    "qsd.csv": "b334ee4ae19834135333a4669c66f4e35ebb2dc8be1aae52e2998a7f001c4f55",
-    "qsd_summary.json": "fab1f7e790252ab521c873be525a586c4a27df4624bab9b8edae077b3bf2093f",
+    "qsd.csv": "391aedfec654249d54c21d6a2c692f20426fe88a51189df706c9a1dc97728af3",
+    "qsd_summary.json": "104f9d8d832a2608dc17a2f11262dcc043dc8a57f6cf6fba6f25b5eff29f2c4a",
     "simulate.jsonl": "3e2aff5e0948b27ebfdb200dfcfe22779d2f0a47421186476cc96a902197a401",
     "verify.jsonl": "64b16c2dae2fd81e12d2bdec825a5ffc727366584656f40983a1b5adf9209658",
     "verify_summary.csv": "12ae1230b63058fd6e32e18fb506f2109f72f11336e5c94a5e4f637b339ffca0",
@@ -634,6 +634,8 @@ DIAGONAL_SHA256 = {
 WIDE_SHA256 = {
     "dp.csv": "ba6b31539f3371cfd772c0ef6eb353d32fb6a1a13ce594601aa0fd44dd34d967",
     "dp_fit.json": "d8a0bb95c118edad85dc7a565906818583edfb79d76e5198a8c939635db6b237",
+    "qsd.csv": "883824112fd5878b8b94851e390fe0e06f3dbbf4a153f55ab6fd996cae8dc54a",
+    "qsd_summary.json": "fa68cf1c1ff4aaf7ab744de0728ef9ba65b680f97a26de9d731ef2d49a4252ab",
     "verify.jsonl": "6c6c2d7b8cdb8f07ebf48535cd6c397e7f57ece542850732cd591fc6601f4080",
     "verify_summary.csv": "8419dc6a3b8c113c9da1d2834b6080e854a933c55084da8e5d52ecb8c5ea11bd",
 }
@@ -673,7 +675,7 @@ def test_wide_artifacts_match_recorded_digests(tmp_path, capsys, wide):
     data["pipeline"].update(wide)
     path = tmp_path / "wide.yaml"
     path.write_text(yaml.safe_dump(data))
-    assert artifact_digests(path, ("dp", "verify"), tmp_path / "out") == WIDE_SHA256
+    assert artifact_digests(path, ("dp", "qsd", "verify"), tmp_path / "out") == WIDE_SHA256
     capsys.readouterr()
 
 
@@ -878,12 +880,16 @@ def test_qsd_warnings_go_to_stderr(tmp_path, capsys):
 
 
 def test_unconverged_qsd_warns_on_stderr(config_path, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(spectral, "MAX_SOLVES", 2)
+    # two kernel steps a run, then the polish: the bracket stays wide
+    monkeypatch.setattr(spectral, "MAX_STEPS", 2)
     assert main(["qsd", "--config", str(config_path), "--out", str(tmp_path)]) == 0
     summary = json.loads(next(tmp_path.glob("qsd_summary_*.json")).read_text())
-    assert (summary["converged"], summary["iterations"]) == (False, 2)
-    warning = ("warning: the QSD did not converge: after 2 shift-invert solves its residual "
-               f"{summary['residual']:.2e} is not below QSD_TOL = 1e-10\n")
+    assert (summary["converged"], summary["iterations"]) == (False, 4 + spectral.POLISH)
+    low, high = summary["bracket"]
+    warning = (f"warning: the QSD did not converge: after {4 + spectral.POLISH} kernel steps "
+               f"(Arnoldi runs and polish) its Collatz-Wielandt bracket [{low:.12g}, "
+               f"{high:.12g}] has relative width {(high - low) / summary['lambda']:.2e}, "
+               "above QSD_TOL = 1e-10\n")
     assert capsys.readouterr().err == warning
 
 

@@ -161,13 +161,20 @@ def test_window_growth_has_one_catch_site():
 
 def test_only_lattice_sizes_a_window_from_the_budget():
     """Outside ``_lattice``, whose ``budget_window`` turns MAX_BYTES into the largest
-    window a box holds, the budget is only formatted into messages and bounds the
-    QSD's slab inverses, which ``spectral`` counts by slab, not by box cell."""
+    window a box holds, the budget is only formatted into messages."""
     sites = [site for site in _sites(
         lambda node: isinstance(node, ast.Name) and node.id == "MAX_BYTES"
         or isinstance(node, ast.Attribute) and node.attr == "MAX_BYTES", skip=ast.JoinedStr)
         if site[0] != "_lattice"]
-    assert [site[:2] for site in sites] == [("spectral", "qsd_power_iteration")], sites
+    assert sites == [], sites
+
+
+def test_no_dense_inverse():
+    """No module inverts a matrix: every window operator is applied matrix-free, and
+    a first threaded inverse in a process can stall for most of a second."""
+    sites = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "inv"
+                   or isinstance(node, ast.ImportFrom) and "inv" in [a.name for a in node.names])
+    assert sites == [], sites
 
 
 OFF_POINT = re.compile(r"(outside|not inside) the (open|[^'\"]*window)")

@@ -3,13 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from cases import padded_box_case
-from conftest import scipy_csr
+from conftest import mu_as_table, scipy_csr
 
+from conelab import _lattice
 from conelab._lattice import KilledKernel, make_grid
 from conelab.cramer import solve_cramer_point
 from conelab.errors import ConfigError
 from conelab.model import ConeSpec, StepLaw, lattice_classes, span_obstruction
-from conelab.spectral import (MAX_SOLVES, QSD_TOL, mu_as_table, qsd_for_model,
+from conelab.spectral import (BASIS, POLISH, QSD_TOL, qsd_for_model,
                               qsd_power_iteration, truncated_kernel, tv_distance_tables)
 
 ROOT3 = np.sqrt(3.0)
@@ -44,12 +45,26 @@ def test_window_size_validated(nn4, quadrant):
         truncated_kernel(nn4, quadrant, 3)
 
 
-def test_slab_inverse_budget_is_a_config_error(octant_law):
-    # d = 3 slab inverses grow as L^5: the octant window at L = 50 would need
-    # 2.3 GiB, refused before anything is factored
+def test_qsd_window_budget_is_a_config_error(octant_law):
+    # the QSD holds BASIS + 24 + 2 |support| floats a box cell, 56 on the octant walk,
+    # so the 1 GiB budget holds the octant window up to L = 131 and refuses L = 150
+    # before any grid is built
     cramer = solve_cramer_point(octant_law)
-    with pytest.raises(ConfigError, match=r"L = 50 needs 2\.3 GiB of slab inverses"):
-        qsd_for_model(octant_law, cramer, ConeSpec.orthant(3), 50)
+    with pytest.raises(ConfigError, match=r"QSD window L = 150 is past L = 131, the "
+                       r"largest the 1 GiB budget holds"):
+        qsd_for_model(octant_law, cramer, ConeSpec.orthant(3), 150)
+
+
+def test_qsd_window_fits_the_budget_exactly(nn4, quadrant, monkeypatch):
+    # the L = 20 quadrant window's box is 22^2 cells of 8 (BASIS + 24 + 8) bytes:
+    # that budget holds it, one byte less refuses it
+    cramer = solve_cramer_point(nn4)
+    budget = 8 * (BASIS + 32) * 22 ** 2
+    monkeypatch.setattr(_lattice, "MAX_BYTES", budget)
+    assert qsd_for_model(nn4, cramer, quadrant, 20).converged
+    monkeypatch.setattr(_lattice, "MAX_BYTES", budget - 1)
+    with pytest.raises(ConfigError, match=r"QSD window L = 20 is past L = 19"):
+        qsd_for_model(nn4, cramer, quadrant, 20)
 
 
 def test_eigenvalue_monotone_and_close_to_c(ctx, qsd_sweep):
@@ -95,6 +110,7 @@ def test_disconnected_kernel_warns(diagonal_law, quadrant, diag_ctx):
     pytest.param("nn4", 120, id="120"),
     pytest.param("octant_law", 8, id="octant-8"),
     pytest.param("octant_law", 12, id="octant-12"),
+    pytest.param("octant_law", 28, id="octant-28"),
 ])
 def test_nn4_qsd_matches_closed_form(request, walk, L):
     # the tilted kernel is the simple random walk killed off [1, L]^d, for nn4
@@ -110,19 +126,22 @@ def test_nn4_qsd_matches_closed_form(request, walk, L):
     assert 0.5 * np.abs(result.mu - exact).sum() <= 1e-12
 
 
-@pytest.mark.parametrize("L", [20, 60])
-@pytest.mark.parametrize("walk", ["nn4", "diagonal"])
+@pytest.mark.parametrize("walk, L", [
+    pytest.param(walk, L, id=f"{walk}-{L}")
+    for walk, L in (("nn4", 20), ("nn4", 60), ("nn4", 120), ("diagonal", 20), ("diagonal", 60))
+])
 def test_qsd_root_is_bracketed_by_collatz_wielandt(request, walk, L, quadrant):
     # mu is a left Perron vector of the kernel on its closed class, so the ratios
     # (mu P)(y) / mu(y) over its support bracket the class's Perron root: a
-    # certificate of lambda that needs no residual; on nn4 the bracket holds the
-    # exact root c cos(pi / (L + 1))
+    # certificate of lambda that needs no residual, and the one the result reports;
+    # on nn4 the bracket holds the exact root c cos(pi / (L + 1))
     model = request.getfixturevalue({"nn4": "ctx", "diagonal": "diag_ctx"}[walk])
     kernel, grid = truncated_kernel(model.law, quadrant, L)
     result = qsd_power_iteration(kernel, grid, model.cramer, L)
     on = result.mu > 0.0
     ratios = kernel.rmatvec(result.mu)[on] / result.mu[on]
     low, high = ratios.min(), ratios.max()
+    assert result.bracket == (low, high)
     assert high - low <= 1e-13
     assert low <= result.lambda_ <= high
     if walk == "nn4":
@@ -168,20 +187,25 @@ def exact_rank(matrix):
     ([(0, 1, -1), (0, 2, 1), (1, 0, -2), (1, -1, -2), (-1, 0, 2)], [.2] * 5, False),
 ], ids=["rate-0.974", "rate-0.99994"])
 def test_slow_octant_laws_report_convergence(steps, probs, converged):
-    # shift-1 inverse iteration gains (1 - lambda_1) / (1 - lambda_2) per solve:
-    # at 0.974 it needs hundreds of solves and still meets the dense root; on a
-    # defective root 1/5, one 6 x 6 Jordan block, it runs out of solves 1.6% off,
-    # and the result must say so
+    # shift-1 inverse iteration gains only (1 - lambda_1) / (1 - lambda_2) per solve
+    # on these laws; the Arnoldi runs exhaust their 27 states instead.  At 0.974 the
+    # result must meet the dense root cell by cell; on a defective root 1/5, one 6 x 6
+    # Jordan block, no vector is accurate cell by cell (LAPACK's dense one reads a
+    # bracket width of 3.5e-4), so the result must say it did not converge, whatever
+    # its residual
     law = StepLaw(support=np.array(steps), probs=np.array(probs))
     grid = make_grid(ConeSpec.orthant(3), 3, law)
     kernel = KilledKernel(grid, law).matrix()
     dense = scipy_csr(kernel).toarray()
     result = qsd_power_iteration(kernel, grid, solve_cramer_point(law), 3)
     assert result.converged == converged
+    low, high = result.bracket
+    assert low <= result.lambda_ <= high
+    assert result.iterations <= 2 * grid.n_states + POLISH    # both runs exhaust the window
     if converged:
         lam = np.linalg.eigvals(dense).real.max()
-        assert 100 < result.iterations < MAX_SOLVES
         assert abs(result.lambda_ - lam) <= 1e-10 * lam
+        assert high - low <= QSD_TOL * result.lambda_
         assert result.warnings == []
     else:
         # 5A is a 0/1 matrix.  The exact ranks of (5A - I)^j, (5A + I)^j and (5A)^j
@@ -195,11 +219,12 @@ def test_slow_octant_laws_report_convergence(steps, probs, converged):
         assert ranks == {-1: [26, 25, 24, 23, 22, 21], 1: [26, 25, 24, 23, 22, 21],
                          0: [20, 15, 14, 13, 12]}
         lam = 0.2
-        assert result.iterations == MAX_SOLVES
-        assert abs(result.lambda_ - lam) > 0.01 * lam
+        assert low <= lam <= high
+        assert high - low > QSD_TOL * result.lambda_
         assert result.warnings == [
-            f"the QSD did not converge: after {MAX_SOLVES} shift-invert solves its "
-            f"residual {result.residual:.2e} is not below QSD_TOL = {QSD_TOL:g}"]
+            f"the QSD did not converge: after {result.iterations} kernel steps (Arnoldi "
+            f"runs and polish) its Collatz-Wielandt bracket [{low:.12g}, {high:.12g}] has "
+            f"relative width {(high - low) / result.lambda_:.2e}, above QSD_TOL = {QSD_TOL:g}"]
 
 
 def dense_perron(law, cone, L):
@@ -231,8 +256,8 @@ def test_random_law_qsd_matches_dense_eig(seed):
     # half-spaces, the QSD is the dense kernel's left Perron vector, it lies
     # on one lattice class only, and that class holds the largest root; on a
     # defective root (seed 17: one 4 x 4 Jordan block at 4/21; seed 33: the roots of
-    # (17x)^3 = 32, each ninefold) inverse iteration converges only algebraically, and
-    # the result must say so
+    # (17x)^3 = 32, each ninefold) no vector is accurate cell by cell, and the result
+    # must say so
     law, cone, L = padded_box_case(
         seed, keep=lambda law, cone, L: dense_perron(law, cone, L) is not None)
     grid, kernel, oracle, lam, cosine = dense_perron(law, cone, L)
@@ -241,7 +266,8 @@ def test_random_law_qsd_matches_dense_eig(seed):
     chosen = labels == labels[np.argmax(result.mu)]
     assert np.all(result.mu[~chosen] == 0.0)
     if cosine < 1e-10:
-        assert not result.converged and result.iterations == MAX_SOLVES
+        low, high = result.bracket
+        assert not result.converged and high - low > QSD_TOL * result.lambda_
         assert result.warnings[-1].startswith("the QSD did not converge")
         return
     assert abs(result.lambda_ - lam) <= 1e-12 * lam
