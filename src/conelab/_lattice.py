@@ -95,14 +95,10 @@ class Csr(NamedTuple):
     indptr: np.ndarray
     shape: tuple
 
-    def rows(self):
-        """Row index of each stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
     def rmatvec(self, v):
         """v @ A: a measure on the rows pushed to the columns."""
-        return np.bincount(self.indices, weights=self.data * v[self.rows()],
-                           minlength=self.shape[1])
+        weights = self.data * np.repeat(v, np.diff(self.indptr))   # v at each entry's row
+        return np.bincount(self.indices, weights=weights, minlength=self.shape[1])
 
 
 def make_grid(cone, L, law):

@@ -7,6 +7,8 @@ selector declares its rows (``Row``) and the exact-zero operands they read;
 one evaluator, ``_evaluate``, applies the structural-zero rule, measures the
 rows, and builds every VerificationReport.  The fixed-time rows of a periodic
 or sublattice walk say so in a note built from the model's period and index.
+A selector that reads the harmonic tables reads them before its first DP
+series, so whatever refuses the tables refuses before any DP runs.
 """
 
 from collections import namedtuple
@@ -165,23 +167,18 @@ class PipelineContext:
     def whitening(self):
         return whiten_model(self.cramer, self.cone)
 
-    def harmonic_hypotheses(self):
-        """Raise unless u has a closed form and the normalizer sum converges.  Both
-        depend on (law, cone) alone: ``harmonic`` checks them, and ``survival_tail``
-        before its DP series, which it reads before the tables."""
-        if self.whitening.cone_image is None:
-            raise ConfigError(f"no closed-form image cone: a non-diagonal whitening "
-                              f"matrix in d = {self.law.dim} leaves u undefined")
-        if not check_acute_cone_condition(self.cone, self.cramer.h)[0]:
-            raise NumericsError("acute-angle condition fails: the normalizer sum over "
-                                "the cone diverges")
-
     @cached_property
     def harmonic(self):
-        """Harmonic tables, from ``harmonic_window`` up until the tail bound passes,
-        built once ``harmonic_hypotheses`` hold."""
-        self.harmonic_hypotheses()
+        """Harmonic tables, from ``harmonic_window`` up until the tail bound passes.
+        Their hypotheses depend on (law, cone) alone and are checked first: u needs a
+        closed-form image cone, and the normalizer sum the acute-angle condition."""
         wd, cd, L = self.whitening, self.cramer, self.params.harmonic_window
+        if wd.cone_image is None:
+            raise ConfigError(f"no closed-form image cone: a non-diagonal whitening "
+                              f"matrix in d = {self.law.dim} leaves u undefined")
+        if not check_acute_cone_condition(self.cone, cd.h)[0]:
+            raise NumericsError("acute-angle condition fails: the normalizer sum over "
+                                "the cone diverges")
         return grow_window(lambda L: build_U_tables(build_V_tables(
             cd.tilted, self.cone, wd.cone_image, wd.M, L=float(L)), cd.h), L)
 
@@ -357,10 +354,8 @@ def verify_all(ctx):
 
 def _check_survival_tail(ctx):
     n_hi = ctx.params.n_hi
-    ctx.start("x0")             # the start, then (law, cone), before any DP series
-    ctx.harmonic_hypotheses()
-    series = ctx.series   # then a start that cannot survive is named before p is fitted
-    s = ctx.exponent
+    predicted = ctx.u_ratio
+    series, s = ctx.series, ctx.exponent
     fit = fit_tail(series)
     # octave slopes of b_n * n^s are s minus the dyadic exponent estimates;
     # their Richardson extrapolation, s minus the fitted exponent, should vanish
@@ -368,7 +363,7 @@ def _check_survival_tail(ctx):
     return _evaluate(ctx, [
         Row("survival_tail.flatness", 0.0, TOL_SLOPE, lambda: s - fit.exponent_hat,
             "absolute", reading=[f"octave slopes {s1:.4f}, {s2:.4f} of b_n * n^{s:.3f}"]),
-        Row("survival_tail.plateau_ratio", ctx.u_ratio, TOL_RATIO, lambda: (
+        Row("survival_tail.plateau_ratio", predicted, TOL_RATIO, lambda: (
             series.survival[n_hi] / ctx.series_ratio_start.survival[n_hi]))])
 
 
@@ -399,7 +394,7 @@ def _check_yaglom(ctx):
 
 
 def _check_exit_law(ctx):
-    tabs = ctx.harmonic         # before the zero operand's DP series
+    tabs = ctx.harmonic
 
     def tv():
         measured_law, _ = exit_position_law(ctx.series, ctx.params.n_hi)

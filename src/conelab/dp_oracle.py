@@ -55,31 +55,37 @@ class DpSeries:
 def dp_evolve(law, cone, x0, n_max, rescale_by=1.0, L=60, retain=()):
     """Evolve the killed measure for ``n_max`` steps from x0, a point of the open cone.
 
-    ``L`` is only a starting size: the first window, max|y| <= L', is the smallest that
-    holds x0 with L' >= L.  When a step's about-to-be-truncated mass (points leaving the
-    window while staying in the cone) reaches 1e-12 of the current rescaled survival,
-    ``_evolve`` raises WindowTooSmallError and ``grow_window``, the loop the harmonic tail
-    search retries through too, restarts the run from x0 on the window ceil(1.4 L) + pad.
-    That is capped at the sure reach ``walk_reach(x0, n_max, law)`` + 1, beyond which
-    nothing leaks, and at ``_lattice.budget_window`` for 8 (7 + d + tables) bytes a box
-    cell: d integer coordinates, the measure, its step buffer, the kernel's scratch, leak
-    and exit arrays, the grid's masks and one float a retained table (tracemalloc: 67 bytes
-    a cell in d = 2, 76 in d = 3, 8 more a table).  A start off the cone or a first window
-    past that cap is a ConfigError, a leak at the cap a WindowTooSmallError naming the
-    budget; the result equals a fresh run at the final window.
+    ``L`` is only a starting size: the first window, max|y| <= L, holds x0 inside it, and
+    a start at or past L begins on ``grown(|x0|)``, skipping the window |x0|, from whose
+    edge it leaks at step 1 (a start whose edge window would not leak lands on the larger
+    window).  When a step's about-to-be-truncated mass (points leaving the window while
+    staying in the cone) reaches 1e-12 of the current rescaled survival, ``_evolve`` raises
+    WindowTooSmallError and ``grow_window``, the loop the harmonic tail search retries
+    through too, restarts the run from x0 on ``grown(L)`` = ceil(1.4 L) + pad.  Each window
+    is capped at the sure reach ``walk_reach(x0, n_max, law)`` + 1, beyond which nothing
+    leaks, and at ``_lattice.budget_window`` for 8 (7 + d + tables) bytes a box cell: d
+    integer coordinates, the measure, its step buffer, the kernel's scratch, leak and exit
+    arrays, the grid's masks and one float a retained table (tracemalloc: 67 bytes a cell
+    in d = 2, 76 in d = 3, 8 more a table).  A start off the cone, or an L or |x0| past
+    that cap, is a ConfigError, a leak at the cap a WindowTooSmallError naming the budget;
+    the result equals a fresh run at the final window.
     """
     x0 = admit(cone, x0, "start")
-    L = max(L, int(np.max(np.abs(x0))))
+    far = int(np.max(np.abs(x0)))
     retain = set(int(n) for n in retain)
     pad = int(np.max(np.abs(law.support)))
     fits = budget_window(cone, pad, 8 * (7 + cone.dim + len(retain)))
-    if L > fits:
-        raise ConfigError(f"DP window L = {L} is past L = {fits}, the largest the "
-                          f"{_lattice.MAX_BYTES / 2**30:g} GiB budget holds")
+    if max(L, far) > fits:
+        raise ConfigError(f"DP window L = {max(L, far)} is past L = {fits}, the largest "
+                          f"the {_lattice.MAX_BYTES / 2**30:g} GiB budget holds")
     top = min(walk_reach(x0, n_max, law) + 1, fits)
+
+    def grown(L):
+        return min(int(np.ceil(1.4 * L)) + pad, top)
+
     return grow_window(lambda L: _evolve(
         KilledKernel(make_grid(cone, L, law), law), L, x0, n_max, rescale_by, retain,
-        min(int(np.ceil(1.4 * L)) + pad, top)), L)
+        grown(L)), L if far < L else grown(far))
 
 
 def _evolve(kernel, L, x0, n_max, rescale_by, retain, grown):

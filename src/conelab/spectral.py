@@ -195,10 +195,10 @@ def qsd_power_iteration(kernel, grid, cramer, L):
         root = kernel.rmatvec(mu).sum()
         if best is None or root > best[0]:
             best = root, mu
-    mu, rows = best[1], kernel.rows()
+    mu = best[1]
     on = mu > 0.0
     while True:     # nu(y) = (nu P)(y) / lambda: a cell no step of the support reaches has none
-        fed = on & (np.bincount(kernel.indices[on[rows]], minlength=len(mu)) > 0)
+        fed = on & (kernel.rmatvec(on.astype(float)) > 0.0)
         if np.array_equal(fed, on):
             break
         on = fed

@@ -514,13 +514,19 @@ def test_dp_past_the_budget_exits_3_naming_it(tmp_path, capsys, monkeypatch):
     path, out = tmp_path / "small.yaml", str(tmp_path / "out")
     path.write_text(NN4_YAML.replace("dp_window: 40", "dp_window: 5"))
     monkeypatch.setattr(_lattice, "MAX_BYTES", 120 * 7 ** 2)
-    for command in (["dp"], ["verify", "survival_tail"]):
+    for command in (["dp"], ["verify", "hazard"]):
         assert main([*command, "--config", str(path), "--out", out]) == 3
         err = capsys.readouterr().err
         assert "numerical error: DP window L = 5 leaks" in err and "GiB budget" in err
     monkeypatch.setattr(_lattice, "MAX_BYTES", 120 * 7 ** 2 - 1)
     assert main(["dp", "--config", str(path), "--out", out]) == 2
     assert "DP window L = 5 is past L = 4, the largest the" in capsys.readouterr().err
+    # survival_tail reads its harmonic prediction before its DP series, so at the
+    # first budget the harmonic window's refusal comes first, and no DP runs
+    monkeypatch.setattr(_lattice, "MAX_BYTES", 120 * 7 ** 2)
+    monkeypatch.setattr(analysis, "dp_evolve", lambda *a, **k: pytest.fail("the DP ran"))
+    assert main(["verify", "survival_tail", "--config", str(path), "--out", out]) == 2
+    assert "pipeline.harmonic_window = 72 is past 4.24264" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, message", [
@@ -1046,6 +1052,22 @@ def test_harmonic_hypotheses_fail_before_any_dp(seed, status, message, tmp_path,
     assert main(["verify", "all", "--config", str(path), "--out", str(tmp_path / "out")]) \
         == status
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selector", ["all", "survival_tail", "start_ratio"])
+def test_start_off_the_harmonic_window_fails_before_any_dp(selector, tmp_path, capsys,
+                                                           monkeypatch):
+    # (70, 70) lies in the cone but off the harmonic window, where U(x0) reads 0;
+    # each selector that reads U(x0) reads it before its first DP series (yaglom
+    # and exit_law read only U' and reach a verdict from there)
+    monkeypatch.setattr(analysis, "dp_evolve", lambda *a, **k: pytest.fail("the DP ran"))
+    path = tmp_path / "far.yaml"
+    path.write_text((CONFIGS / "nn4.yaml").read_text().replace("x0: [1, 1]\n  ratio",
+                                                               "x0: [70, 70]\n  ratio"))
+    assert main(["verify", selector, "--config", str(path), "--out", str(tmp_path / "out")]) \
+        == 2
+    assert "pipeline.x0 [70, 70] lies outside the harmonic window L = 72" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [0, 48, 56])

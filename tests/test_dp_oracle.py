@@ -468,6 +468,31 @@ def test_start_validation(nn4, quadrant):
     assert np.array_equal(series.tables[20], fresh.tables[20])
 
 
+def test_far_start_skips_its_edge_window(nn4, quadrant, cramer_nn4, monkeypatch):
+    # (70, 70) at L = 60 would sit on the edge of the window 70 and leak at step 1,
+    # so the run starts on the ladder's next rung, ceil(1.4 * 70) + 1 = 99, and
+    # builds no other window
+    windows, retain = [], VerifyParams().retained_times()
+
+    def recording(*args):
+        windows.append(args[1])
+        return make_grid(*args)
+
+    def run(L):
+        return dp_evolve(nn4, quadrant, [70, 70], 400, rescale_by=cramer_nn4.c, L=L,
+                         retain=retain)
+
+    monkeypatch.setattr(dp_oracle, "make_grid", recording)
+    series = run(60)
+    assert windows == [99] and series.L == 99
+    fresh = run(99)
+    assert windows == [99, 99] and fresh.L == 99
+    for field in ("survival", "exit_mass"):
+        assert np.array_equal(getattr(series, field), getattr(fresh, field))
+    for n in retain:
+        assert np.array_equal(series.tables[n], fresh.tables[n])
+
+
 @pytest.mark.parametrize("walk, cone, starts", [
     ("nn4", ConeSpec.orthant(2), [(1, 1), (3, 2), (5, 5)]),
     ("nn4", ConeSpec.wedge2d(0.75 * np.pi, 0.3), [(1, 1), (-1, 3), (4, 2)]),

@@ -187,3 +187,13 @@ def test_only_lattice_admits_a_point():
                    and ast.unparse(node.func) == "ConfigError" and node.args
                    and OFF_POINT.search(ast.unparse(node.args[0])))
     assert {site[:2] for site in sites} == {("_lattice", "admit")}, sites
+
+
+def test_harmonic_hypotheses_have_one_site():
+    """Only ``analysis.PipelineContext.harmonic`` refuses a (law, cone) outside the
+    harmonic tables' hypotheses: a selector that needs them reads the tables first,
+    and none checks the hypotheses by hand."""
+    for refusal in ("no closed-form image cone", "acute-angle condition fails"):
+        sites = _sites(lambda node: isinstance(node, ast.Raise)
+                       and refusal in ast.unparse(node))
+        assert [site[:2] for site in sites] == [("analysis", "harmonic")], (refusal, sites)
