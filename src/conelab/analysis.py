@@ -194,9 +194,14 @@ class PipelineContext:
         """``pipeline.<key>``, admitted on the cone by that name, and refused when every
         step from it leaves the cone, since its DP series would be 0 from step 1."""
         x0 = admit(self.cone, getattr(self.params, key), f"pipeline.{key}")
-        if not cone_contains(self.cone, x0 + self.law.support).any():
+        if not self._can_stay(x0[None])[0]:
             raise ConfigError(self._no_survivor(x0))
         return x0
+
+    def _can_stay(self, starts):
+        """Whether some step from each of the (N, d) ``starts`` stays in the cone."""
+        moved = (starts[:, None] + self.law.support).reshape(-1, self.law.dim)
+        return cone_contains(self.cone, moved).reshape(len(starts), -1).any(axis=1)
 
     def _surviving(self, key, retain=()):
         """The DP series from ``start(key)``, unless no path survives to n_hi: every row
@@ -221,15 +226,22 @@ class PipelineContext:
 
     @cached_property
     def scan_starts(self):
-        """``scan_grid``'s starts when the cone holds them all, else the points of
-        the cone's axis at their max-norm scales."""
+        """``scan_grid``'s starts when the cone holds them all, else the lattice
+        points nearest the cone's axis at their max-norm scales that ``start`` would
+        admit: in the open cone, with a step that stays in it (else survival reads 0
+        from n = 1)."""
         starts = np.array(scan_grid(self.law.dim))
         if cone_contains(self.cone, starts).all():
             return starts
-        cone, scales = self.cone, np.unique(starts.max(axis=1))
+        cone, scales = self.cone, sorted(set(starts.max(axis=1).tolist()))
         phi = cone.theta0 + cone.beta / 2.0
         axis = cone.normal if cone.kind == "halfspace" else np.array([np.cos(phi), np.sin(phi)])
-        return np.rint(np.outer(scales, axis / np.abs(axis).max())).astype(int)
+        starts = np.rint(np.outer(scales, axis / np.abs(axis).max())).astype(int)
+        starts = starts[cone_contains(cone, starts) & self._can_stay(starts)]
+        if len(starts) == 0:
+            raise ConfigError(f"the driftless scan has no start: no lattice point nearest "
+                              f"the {cone.kind} cone's axis has a step that stays in the cone")
+        return starts
 
     @cached_property
     def qsd(self):

@@ -9,20 +9,29 @@ The solve uses the paper's exponential tilt: P~(x, y) = P(x, y) e^(h.(y-x)) / c
 is the killed kernel of the driftless tilted law, nearly symmetric where P is
 badly non-normal, and nu P~ = (lambda / c) nu gives mu(y) ~ e^(-h.y) nu(y).
 No other eigenvalue exceeds the Perron root in modulus, so the root is the
-eigenvalue of largest real part, on bipartite kernels too.  A thick-restart
-Arnoldi iteration (Stewart's Krylov-Schur restart, SIAM J. Matrix Anal. Appl.
-2001) finds it matrix-free from ``KilledKernel.forward`` of the tilted law:
-``BASIS`` Krylov vectors of box size, restarted on the ``KEEP`` Ritz vectors
-of largest real part.  Its Ritz vector x is accurate in norm, not cell by
-cell, so a second run on the similar map v -> forward(v x) / x, started from
-ones, refines nu / x, whose cells are all near 1.  Inner products go through
-``einsum``, which numpy runs without BLAS: a threaded BLAS call can stall a
-process for most of a second, and its sums depend on the thread count.
+eigenvalue of largest real part.  A thick-restart Arnoldi iteration (Stewart's
+Krylov-Schur restart, SIAM J. Matrix Anal. Appl. 2001) finds it matrix-free
+from ``KilledKernel.forward`` of the tilted law: ``BASIS`` Krylov vectors,
+restarted on the ``KEEP`` Ritz vectors of largest real part.  Its Ritz vector
+x is accurate in norm, not cell by cell, so a second run on the similar map
+v -> A(v x) / x, started from ones, refines nu / x, whose cells are all near
+1.  Inner products go through ``einsum``, which numpy runs without BLAS: a
+threaded BLAS call can stall a process for most of a second, and its sums
+depend on the thread count.
 
-Steps never leave a coset of the group they generate, so the window splits
+Steps never leave a coset of the group G they generate, so the window splits
 into closed lattice classes, one per coset it meets.  Each class gets its own
-pair of runs, started from its indicator, so the other classes stay exactly 0;
-the QSD is the Perron vector of the class with the largest root.  Cells that
+pair of runs, so the other classes stay exactly 0; the QSD is the Perron
+vector of the class with the largest root.  A class splits further into p
+cyclic subclasses C0, ..., C(p-1), the cosets in it of the group D that the
+step differences generate (p = [G : D] is the walk's period): a step moves
+mass from each to the next, C(p-1) to C0.  So P~^p is block diagonal over them
+(Varga, Matrix Iterative Analysis, 2nd ed., sec. 4.2), and on C0 its root
+lambda^p stands alone in modulus where P~ has p roots lambda e^(2 pi i k / p).
+Both runs take A = P~^p on C0: their vectors hold C0's cells only, p times
+fewer than the class's, and each Arnoldi step is p forward steps of the box.
+With lambda = theta^(1/p), nu on each further subclass is nu on the one
+before it stepped forward once, over lambda.  Cells that
 no step from its support reaches are zeroed, since nu(y) = (nu P~)(y) c / lambda
 is 0 there, and ``POLISH`` damped steps (mu + mu P / lambda) / 2 shrink every
 other mode of the roundoff left.  The Collatz-Wielandt bracket, min and max of
@@ -45,7 +54,7 @@ BASIS = 20                 # Krylov vectors of an Arnoldi run
 KEEP = 6                   # Ritz vectors kept over a restart
 SCALE_TOL = 1e-10          # relative Ritz residual that ends the first run
 RITZ_TOL = 1e-15           # and the second
-MAX_STEPS = 4000           # kernel steps a run may take
+MAX_STEPS = 4000           # Arnoldi steps a run may take, p kernel steps each
 POLISH = 3                 # damped steps (mu + mu P / lambda) / 2 on the chosen class
 
 
@@ -55,7 +64,8 @@ class QsdResult:
     lambda_: float           # Perron root of the truncated kernel, in (0, 1)
     mu: np.ndarray           # probability over the window states (grid order)
     residual: float          # TV distance between mu evolved-and-renormalized and mu
-    iterations: int          # kernel steps: every Arnoldi run's, then the polish
+    iterations: int          # kernel steps: p an Arnoldi step (MAX_STEPS caps Arnoldi
+                             # steps a run), p - 1 to rebuild, then the polish
     bracket: tuple           # Collatz-Wielandt bounds (low, high) on the chosen class's root
     grid: object = None
     converged: bool = True
@@ -69,9 +79,12 @@ def truncated_kernel(law, cone, L):
     Rows sum to at most 1; the missing mass is the one-step kill probability
     (cone exit or window truncation).  The window must fit
     ``_lattice.budget_window`` at 8 (``BASIS`` + 24 + 2 |support|) bytes a box
-    cell: the Arnoldi basis, the runs' box arrays, the grid's coordinates and these
-    rows (tracemalloc: 37-49 floats a cell on d = 2 windows of nn4 and diagonal
-    steps, 45-50 on the octant, 63 with 12 steps).
+    cell: the Arnoldi basis on a whole class, as an aperiodic walk's is, the runs'
+    box arrays, the grid's coordinates and these rows.  A warm solve's tracemalloc
+    peak reads 28-34 floats a cell on d = 2 windows (L = 60 and 120) of the nn4,
+    diagonal and period-3 steps and 31-33 on the octant (L = 20 and 28), whose
+    bases hold one cyclic subclass; 50 for an aperiodic lazy nn4, 55-58 with 12
+    steps.
     """
     pad = int(np.max(np.abs(law.support)))
     if L < 4 * pad:
@@ -148,47 +161,67 @@ def _arnoldi(step, start, tol):
         H[:, kept:] = 0.0
 
 
-def _class_perron(kernel, cells):
+def _class_perron(kernel, cells, period):
     """(steps, nu): the left Perron vector of the kernel's forward step on the class
-    of flat box indices ``cells``, on the window states and zero off the class.
+    whose cyclic subclass C0 is the flat box indices ``cells``, on the window states
+    and zero off the class.
 
-    The first Arnoldi run, from the class's indicator, gives x; the second runs on
-    the similar map v -> forward(v x) / x from the same start, so its Ritz residual
-    bounds the error of nu / x, every cell of which is near 1.
+    Both Arnoldi runs map v on C0 through p = ``period`` forward steps, written back
+    and forth between two box buffers.  The first, from C0's indicator, gives x; the
+    second runs on the similar map v -> forward^p(v x) / x from the same start, so its
+    Ritz residual bounds the error of nu / x, every cell of which is near 1.
     """
     shape = kernel.grid.shape
-    start = np.zeros(kernel.grid.mask.size)
-    start[cells] = 1.0
+    boxes = [np.zeros(shape), np.empty(shape)]
 
-    def forward(v):
-        return kernel.forward(v.reshape(shape)).ravel()
+    def power(v):
+        # boxes[0] is 0 off C0: it starts so, and p steps from C0 land on C0 only
+        boxes[0].reshape(-1)[cells] = v
+        for _ in range(period):
+            kernel.forward(boxes[0], out=boxes[1])
+            boxes.reverse()
+        return boxes[0].reshape(-1)[cells]
 
-    _, x, first = _arnoldi(forward, start, SCALE_TOL)
+    start = np.ones(len(cells))
+    _, x, first = _arnoldi(power, start, SCALE_TOL)
     scale = np.abs(x, out=x)
     scale[scale == 0.0] = 1.0
-    _, w, second = _arnoldi(lambda v: forward(v * scale) / scale, start, RITZ_TOL)
-    nu = (w * scale)[kernel.states]
-    return first + second, nu * np.sign(nu.sum())
+    theta, w, second = _arnoldi(lambda v: power(v * scale) / scale, start, RITZ_TOL)
+    lam = max(theta, 0.0) ** (1.0 / period) or 1.0     # a nilpotent class rebuilds unscaled
+    nu = np.zeros(shape)
+    nu.reshape(-1)[cells] = w * scale
+    part = nu
+    for _ in range(period - 1):
+        part = kernel.forward(part) / lam
+        nu += part
+    nu = nu.reshape(-1)[kernel.states]
+    return period * (first + second) + period - 1, nu * np.sign(nu.sum())
 
 
 def qsd_power_iteration(kernel, grid, cramer, L):
     """Left Perron pair of ``kernel``, solved on its tilted counterpart.
 
-    Each lattice class is solved from its indicator by ``_class_perron``, so reruns
-    give the same bytes.  The class whose one-step mass lambda under ``kernel`` is
-    largest is kept; roundoff of either sign is clipped to 0, and lambda, the
-    Collatz-Wielandt bracket and the residual are measured on the final mu with
-    ``kernel`` itself.
+    Each lattice class is solved by ``_class_perron`` on the cyclic subclass of its
+    first cell, from that subclass's indicator, so reruns give the same bytes.
+    ``iterations`` counts kernel steps: p for each Arnoldi step (``MAX_STEPS`` caps
+    Arnoldi steps a run), p - 1 for the rebuild, then ``POLISH``.  The class whose
+    one-step mass lambda under ``kernel`` is largest is kept; roundoff of either sign
+    is clipped to 0, and lambda, the Collatz-Wielandt bracket and the residual are
+    measured on the final mu with ``kernel`` itself.
     """
     tilted = KilledKernel(grid, cramer.tilted)
     pts = grid.points()
-    labels, index = lattice_classes(cramer.tilted.support, pts)
+    support = cramer.tilted.support
+    labels, index = lattice_classes(support, pts)
+    phases, cosets = lattice_classes(support[1:] - support[0], pts)
     n_classes = int(labels.max()) + 1
     hy = pts @ cramer.h
     weight = np.exp(hy.min() - hy)
     steps, best = 0, None
     for k in range(n_classes):
-        used, nu = _class_perron(tilted, tilted.states[labels == k])
+        first = np.argmax(labels == k)
+        used, nu = _class_perron(tilted, tilted.states[phases == phases[first]],
+                                 cosets // index)
         steps += used
         mu = np.clip(nu * weight, 0.0, None)
         mu /= mu.sum()

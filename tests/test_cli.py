@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 from cases import small_law
+from test_imports import WEDGE_NN4_YAML
 
 from conelab import _lattice, analysis, harmonic, spectral
 from conelab.analysis import PipelineContext
@@ -507,6 +508,31 @@ def test_verify_rows_stay_finite_and_fail_without_mass(tmp_path, capsys, config,
         assert any(fragment in note for note in row["notes"]), row["notes"]
 
 
+@pytest.mark.parametrize("beta, status", [("0.5235987755982988", 1), ("0.01", 2)],
+                         ids=["wedge-30deg", "wedge-0.01"])
+def test_driftless_scan_drops_axis_starts_that_cannot_survive(tmp_path, capsys, beta, status):
+    # both wedges exclude scan_grid's starts, so the scan runs from the cone's axis.  On
+    # the 30-degree one every step from (1, 1) leaves the cone: that start is dropped,
+    # and the note's leak over the smallest survival stays finite.  On the 0.01 one no
+    # axis start keeps a step in the cone, and the config is refused by name
+    path, out = tmp_path / "wedge.yaml", tmp_path / "out"
+    path.write_text(WEDGE_NN4_YAML.replace("beta: 0.5235987755982988", f"beta: {beta}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # no division by zero on the way
+        assert main(["verify", "driftless_bound", "--config", str(path),
+                     "--out", str(out)]) == status
+    if status == 2:
+        assert "the driftless scan has no start" in capsys.readouterr().err
+        return
+    (row,) = map(strict_json, next(out.glob("verify_*.jsonl")).read_text().splitlines())
+    assert np.isfinite([row["predicted"], row["measured"], row["deviation"]]).all()
+    assert row["notes"][0] == ("the cone excludes scan_grid's starts; scanned from [[2, 2], "
+                               "[4, 4], [8, 8], [12, 12], [16, 16], [20, 20], [24, 24]] on "
+                               "its axis")
+    leak = row["notes"][-1].split(", ")[-1]
+    assert leak.endswith(" of the smallest read") and np.isfinite(float(leak.split()[0]))
+
+
 def test_dp_past_the_budget_exits_3_naming_it(tmp_path, capsys, monkeypatch):
     # six tables retained at n_hi = 72 cost 8 (7 + 2 + 6) = 120 bytes a cell, so a
     # budget of 7^2 cells holds the L = 5 box and no larger: the window leaks and
@@ -612,8 +638,8 @@ ARTIFACT_SHA256 = {
     "dp.csv": "c9dd1429e12f036d983b67bafa1fe85700ad7f14604f96039dbc8bb3595bcfc8",
     "dp_fit.json": "18a6ca45aa6274a84fe3606c95e87f49bdbee37cb85cc76b94e7b47c46fdcced",
     "harmonic.csv": "d6da9283d73bbdbd8cd46a9e3c810ce7a5654ba8aa3a047b0a818d4e7465e221",
-    "qsd.csv": "ec4d30c721c9457e1824af8d5100daea1a4cd5c60c205eb202e5fa64df0f0b6c",
-    "qsd_summary.json": "db3008e97e68271fce39eee06be5ff962791d801840ec00048270bac8b9ad749",
+    "qsd.csv": "baf9ab23fdaa65d047aa12a6a94b535ad5f60373720b1ee3d66b3cf3ee3c420f",
+    "qsd_summary.json": "6db8cd1411eb908d6b6dc4bcac5987fc7a0b573189c4a79cac00856bb976719b",
     "simulate.jsonl": "4aa1dd940b3da27c07c6c99019645a02ed8abdeb47d66fd02c755dc3a2790f56",
     "verify.jsonl": "873433ee5d0a8cb7f7f4732729cf4688fe9e103a94a91c9bda830c9919770aa8",
     "verify_summary.csv": "d5e6f8ce3880f41c813223b762882c30a4dabb3ae297a4d603a35c815d9ce516",
@@ -629,8 +655,8 @@ DIAGONAL_SHA256 = {
     "dp.csv": "497fcd7096fce25e31001122cd0b2f114bbd10532fd690444b50cfc92d485a9b",
     "dp_fit.json": "53044fe43e73f535a9a0bdf0efc714133f55d2368ecc5a69ed58458f6fccda41",
     "harmonic.csv": "19de753775a16cba1d251a5ec51ec6644b8877ab760ce028705f28405ae4a4fe",
-    "qsd.csv": "391aedfec654249d54c21d6a2c692f20426fe88a51189df706c9a1dc97728af3",
-    "qsd_summary.json": "104f9d8d832a2608dc17a2f11262dcc043dc8a57f6cf6fba6f25b5eff29f2c4a",
+    "qsd.csv": "60f5254c8e80feb22ea0039d642299d5ecf8f3dc252ce99f14753a59f0f66fca",
+    "qsd_summary.json": "c84405794ae786a607d3eb272f6bfa971fc95358a7f10d56edf365037bf5940f",
     "simulate.jsonl": "3e2aff5e0948b27ebfdb200dfcfe22779d2f0a47421186476cc96a902197a401",
     "verify.jsonl": "64b16c2dae2fd81e12d2bdec825a5ffc727366584656f40983a1b5adf9209658",
     "verify_summary.csv": "12ae1230b63058fd6e32e18fb506f2109f72f11336e5c94a5e4f637b339ffca0",
@@ -640,8 +666,8 @@ DIAGONAL_SHA256 = {
 WIDE_SHA256 = {
     "dp.csv": "ba6b31539f3371cfd772c0ef6eb353d32fb6a1a13ce594601aa0fd44dd34d967",
     "dp_fit.json": "d8a0bb95c118edad85dc7a565906818583edfb79d76e5198a8c939635db6b237",
-    "qsd.csv": "883824112fd5878b8b94851e390fe0e06f3dbbf4a153f55ab6fd996cae8dc54a",
-    "qsd_summary.json": "fa68cf1c1ff4aaf7ab744de0728ef9ba65b680f97a26de9d731ef2d49a4252ab",
+    "qsd.csv": "b055a00522ce950bcb0cd5190d8b077d4bbfe025236fcc46796553e1316d5021",
+    "qsd_summary.json": "1540ebc2f2432c255e08ab79a3479d47ec6d2e2a7eb4da34c3d7ded46e4850f4",
     "verify.jsonl": "6c6c2d7b8cdb8f07ebf48535cd6c397e7f57ece542850732cd591fc6601f4080",
     "verify_summary.csv": "8419dc6a3b8c113c9da1d2834b6080e854a933c55084da8e5d52ecb8c5ea11bd",
 }
@@ -886,13 +912,14 @@ def test_qsd_warnings_go_to_stderr(tmp_path, capsys):
 
 
 def test_unconverged_qsd_warns_on_stderr(config_path, tmp_path, capsys, monkeypatch):
-    # two kernel steps a run, then the polish: the bracket stays wide
+    # two Arnoldi steps a run, each two kernel steps of the period-2 walk, one kernel
+    # step that rebuilds the other parity class, then the polish: the bracket stays wide
     monkeypatch.setattr(spectral, "MAX_STEPS", 2)
     assert main(["qsd", "--config", str(config_path), "--out", str(tmp_path)]) == 0
     summary = json.loads(next(tmp_path.glob("qsd_summary_*.json")).read_text())
-    assert (summary["converged"], summary["iterations"]) == (False, 4 + spectral.POLISH)
+    assert (summary["converged"], summary["iterations"]) == (False, 9 + spectral.POLISH)
     low, high = summary["bracket"]
-    warning = (f"warning: the QSD did not converge: after {4 + spectral.POLISH} kernel steps "
+    warning = (f"warning: the QSD did not converge: after {9 + spectral.POLISH} kernel steps "
                f"(Arnoldi runs and polish) its Collatz-Wielandt bracket [{low:.12g}, "
                f"{high:.12g}] has relative width {(high - low) / summary['lambda']:.2e}, "
                "above QSD_TOL = 1e-10\n")

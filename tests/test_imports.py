@@ -1,6 +1,6 @@
-"""No command loads scipy, multiprocessing or concurrent.futures: the package
-runs on numpy alone and forks its children without a pool.  No module imports
-a name it never reads.
+"""No command loads scipy, multiprocessing, concurrent.futures or numpy.ma: the
+package runs on numpy alone, forks its children without a pool and masks no
+array.  No module imports a name it never reads.
 
 Each load check runs in a fresh interpreter, since the test session itself has
 imported scipy long before.
@@ -42,6 +42,13 @@ pipeline:
 simulate: {estimator: both, x0: [3, 3], n: 10, n_samples: 300}
 output: {dir: out}
 """
+# the same walk on a 30-degree wedge, which excludes scan_grid's starts: the driftless
+# scan runs from the cone's axis, where every step from (1, 1) leaves the cone
+WEDGE_NN4_YAML = SMALL_NN4_YAML.replace(
+    "cone: {kind: orthant, dim: 2}",
+    "cone: {kind: wedge2d, beta: 0.5235987755982988, theta0: 0.5235987755982988}").replace(
+    "pipeline:\n", "pipeline:\n  x0: [3, 3]\n  ratio_start: [4, 4]\n  bridge_endpoint: [4, 4]\n"
+    "  harmonic_window: 40\n") + "zchain: {x0: [3, 3]}\n"
 
 
 def _fresh(code):
@@ -61,48 +68,62 @@ SCIPY_FREE = (["cramer"], ["whiten"], ["dp"], ["simulate"], ["harmonic"], ["qsd"
 
 @pytest.fixture(scope="module")
 def loaded_after_each_command(tmp_path_factory):
-    """(argv, exit status, loaded modules) after import and after each command.
+    """(config, argv, exit status, loaded modules) after import and after each command
+    on each config, in one interpreter: a module stays listed from the command that
+    loads it on.
 
-    The modules listed are those under scipy, multiprocessing and
-    concurrent: scipy is not needed, and forked children replace the pool.
+    The modules listed are those under scipy, multiprocessing, concurrent and
+    numpy.ma: scipy is not needed, forked children replace the pool, and numpy.ma,
+    which a plain ``np.unique`` imports, costs import time and memory.
     """
     tmp_path = tmp_path_factory.mktemp("imports")
-    config = tmp_path / "nn4.yaml"
-    config.write_text(SMALL_NN4_YAML)
+    paths = {}
+    for name, text in (("nn4", SMALL_NN4_YAML), ("wedge", WEDGE_NN4_YAML)):
+        paths[name] = str(tmp_path / f"{name}.yaml")
+        Path(paths[name]).write_text(text)
     out = _fresh(f"""
         import contextlib, io, json, sys
         from conelab.cli import main
 
         def loaded():
             return sorted(m for m in sys.modules
-                          if m.split(".")[0] in ("scipy", "multiprocessing", "concurrent"))
+                          if m.split(".")[0] in ("scipy", "multiprocessing", "concurrent")
+                          or m.split(".")[:2] == ["numpy", "ma"])
 
-        print(json.dumps([["import"], None, loaded()]))
-        for argv in {SCIPY_FREE!r}:
-            try:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    status = main([*argv, "--config", {str(config)!r},
-                                   "--out", {str(tmp_path / "out")!r}])
-            except SystemExit as exc:
-                status = exc.code
-            print(json.dumps([argv, status, loaded()]))
+        print(json.dumps([None, ["import"], None, loaded()]))
+        for name, path in {paths!r}.items():
+            for argv in {SCIPY_FREE!r}:
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        status = main([*argv, "--config", path,
+                                       "--out", {str(tmp_path / "out")!r} + "_" + name])
+                except SystemExit as exc:
+                    status = exc.code
+                print(json.dumps([name, argv, status, loaded()]))
     """)
     rows = [json.loads(line) for line in out.strip().splitlines()]
-    assert [argv for argv, _, _ in rows] == [["import"], *map(list, SCIPY_FREE)]
+    assert [row[:2] for row in rows] == [[None, ["import"]], *(
+        [name, list(argv)] for name in paths for argv in SCIPY_FREE)]
     return rows
 
 
 def test_scipy_free_commands_stay_scipy_free(loaded_after_each_command):
-    for argv, status, modules in loaded_after_each_command:
-        assert not [m for m in modules if m.split(".")[0] == "scipy"], argv
+    for config, argv, status, modules in loaded_after_each_command:
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], (config, argv)
         # verify may exit 1 (the period-2 rows fail); every other command exits 0
         assert status in ((None,) if argv == ["import"] else
-                          (0, 1) if argv[0] == "verify" else (0,)), argv
+                          (0, 1) if argv[0] == "verify" else (0,)), (config, argv)
 
 
 def test_no_command_loads_a_process_pool(loaded_after_each_command):
-    for argv, _, modules in loaded_after_each_command:
-        assert modules == [], argv
+    for config, argv, _, modules in loaded_after_each_command:
+        assert not [m for m in modules if m.split(".")[0] in ("multiprocessing", "concurrent")
+                    ], (config, argv)
+
+
+def test_no_command_loads_numpy_ma(loaded_after_each_command):
+    for config, argv, _, modules in loaded_after_each_command:
+        assert not [m for m in modules if m.split(".")[:2] == ["numpy", "ma"]], (config, argv)
 
 
 def test_manifest_versions_name_conelab_and_numpy(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from cases import padded_box_case
 from conftest import mu_as_table, scipy_csr
 
-from conelab import _lattice
+from conelab import _lattice, spectral
 from conelab._lattice import KilledKernel, make_grid
 from conelab.cramer import solve_cramer_point
 from conelab.errors import ConfigError
@@ -14,6 +14,9 @@ from conelab.spectral import (BASIS, POLISH, QSD_TOL, qsd_for_model,
                               qsd_power_iteration, truncated_kernel, tv_distance_tables)
 
 ROOT3 = np.sqrt(3.0)
+# steps that cycle x1 + x2 mod 3: period 3 on the full lattice
+PERIOD_3 = StepLaw(support=np.array([[1, 0], [0, 1], [-1, -1]]),
+                   probs=np.array([0.25, 0.25, 0.5]))
 
 
 def test_small_window_row(nn4, quadrant):
@@ -250,15 +253,17 @@ def dense_perron(law, cone, L):
             return grid, kernel, oracle / oracle.sum(), lam, cosine
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", [*range(40), *(
+    pytest.param((PERIOD_3, ConeSpec.orthant(2), L), id=f"period3-{L}") for L in (8, 12))])
 def test_random_law_qsd_matches_dense_eig(seed):
     # over small positively spanning laws, on orthants, a tilted wedge and
-    # half-spaces, the QSD is the dense kernel's left Perron vector, it lies
-    # on one lattice class only, and that class holds the largest root; on a
+    # half-spaces, and the period-3 law, whose kernel has three roots of the
+    # Perron root's modulus, the QSD is the dense kernel's left Perron vector, it
+    # lies on one lattice class only, and that class holds the largest root; on a
     # defective root (seed 17: one 4 x 4 Jordan block at 4/21; seed 33: the roots of
     # (17x)^3 = 32, each ninefold) no vector is accurate cell by cell, and the result
     # must say so
-    law, cone, L = padded_box_case(
+    law, cone, L = seed if isinstance(seed, tuple) else padded_box_case(
         seed, keep=lambda law, cone, L: dense_perron(law, cone, L) is not None)
     grid, kernel, oracle, lam, cosine = dense_perron(law, cone, L)
     result = qsd_power_iteration(kernel, grid, solve_cramer_point(law), L)
@@ -273,3 +278,22 @@ def test_random_law_qsd_matches_dense_eig(seed):
     assert abs(result.lambda_ - lam) <= 1e-12 * lam
     assert 0.5 * np.abs(result.mu - oracle).sum() <= 1e-10
     assert chosen[np.argmax(oracle)]
+
+
+@pytest.mark.parametrize("walk, L, period", [("nn4", 20, 2), ("diagonal_law", 20, 2),
+                                             ("period3", 12, 3)])
+def test_arnoldi_runs_on_one_cyclic_subclass(request, monkeypatch, quadrant, walk, L, period):
+    # both runs of each lattice class hold one cyclic subclass of it, 1 / p of its
+    # cells: these windows split every class evenly
+    law = PERIOD_3 if walk == "period3" else request.getfixturevalue(walk)
+    sizes, arnoldi = [], spectral._arnoldi
+
+    def spy(step, start, tol):
+        sizes.append(start.size)
+        return arnoldi(step, start, tol)
+
+    monkeypatch.setattr(spectral, "_arnoldi", spy)
+    result = qsd_for_model(law, solve_cramer_point(law), quadrant, L)
+    labels, _ = lattice_classes(law.support, result.grid.points())
+    assert sizes == [n // period for n in np.bincount(labels) for _ in range(2)]
+    assert result.converged
