@@ -63,9 +63,7 @@ class WindowGrid:
 
     def contains(self, x):
         """Whether lattice point x is a window point: inside the box and on the mask."""
-        off = np.asarray(x, dtype=int) - self.lo
-        return bool(np.all(off >= 0) and np.all(off < np.asarray(self.shape))
-                    and self.mask[tuple(off)])
+        return self.value_at(self.mask, x) > 0.0
 
     def value_at(self, arr, x):
         """Value of a box array at lattice point x (0.0 outside the box)."""

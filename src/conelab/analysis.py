@@ -21,7 +21,7 @@ from ._lattice import admit, grow_window, walk_reach
 from .cramer import solve_cramer_point
 from .dp_oracle import (LEAK_TOL, bridge_value, conditional_law, dp_evolve,
                         exit_position_law, exit_profile, exit_time_pmf_rescaled,
-                        survival_scan)
+                        hazard_ratio, survival_scan)
 from .errors import ConfigError, NumericsError
 from .harmonic import build_U_tables, build_V_tables
 from .model import build_model, check_acute_cone_condition, cone_contains
@@ -389,8 +389,8 @@ def _check_start_ratio(ctx):
 def _check_hazard(ctx):
     zero = ctx.exit_pmf("x0")
     predicted = (1.0 - ctx.cramer.c) / ctx.cramer.c
-    return _evaluate(ctx, [Row("hazard.limit", predicted, TOL_RATIO, lambda: (
-        zero[0] / ctx.series.survival[ctx.params.n_hi]))], [zero])
+    return _evaluate(ctx, [Row("hazard.limit", predicted, TOL_RATIO,
+                               lambda: hazard_ratio(ctx.series, ctx.params.n_hi))], [zero])
 
 
 def _check_yaglom(ctx):

@@ -369,7 +369,7 @@ def _cmd_qsd(config, ctx):
           f"(survival rate c = {ctx.cramer.c:.9f}), residual = {result.residual:.2e}, "
           f"Collatz-Wielandt bracket [{low:.12g}, {high:.12g}] of relative width "
           f"{(high - low) / result.lambda_:.2e}, after {result.iterations} kernel steps "
-          "(Arnoldi runs and polish)")
+          "of Arnoldi runs")
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     d = ctx.law.dim

@@ -122,7 +122,8 @@ def build_V_tables(tilted, cone, cone_image, M, L):
                           f"largest the {_lattice.MAX_BYTES / 2**30:g} GiB budget holds")
     grid = make_grid(cone, L / row_norm, tilted)
     if grid.n_states == 0:
-        raise ConfigError("window contains no cone points; increase L")
+        raise ConfigError(f"pipeline.harmonic_window = {L:g} holds no cone points; "
+                          "increase it")
     u = np.zeros(grid.shape)    # u(M y) on the cone: the start on the window, data off it
     u[grid.in_cone] = u_eval_many(cone_image, grid.coords[grid.in_cone] @ M.T)
     u0, ring_u = u[grid.mask], np.where(grid.mask, 0.0, u)

@@ -22,20 +22,20 @@ depend on the thread count.
 Steps never leave a coset of the group G they generate, so the window splits
 into closed lattice classes, one per coset it meets.  Each class gets its own
 pair of runs, so the other classes stay exactly 0; the QSD is the Perron
-vector of the class with the largest root.  A class splits further into p
-cyclic subclasses C0, ..., C(p-1), the cosets in it of the group D that the
-step differences generate (p = [G : D] is the walk's period): a step moves
+vector of the class whose Arnoldi root is largest.  A class splits further
+into p cyclic subclasses C0, ..., C(p-1), the cosets in it of the group D that
+the step differences generate (p = [G : D] is the walk's period): a step moves
 mass from each to the next, C(p-1) to C0.  So P~^p is block diagonal over them
 (Varga, Matrix Iterative Analysis, 2nd ed., sec. 4.2), and on C0 its root
 lambda^p stands alone in modulus where P~ has p roots lambda e^(2 pi i k / p).
 Both runs take A = P~^p on C0: their vectors hold C0's cells only, p times
 fewer than the class's, and each Arnoldi step is p forward steps of the box.
 With lambda = theta^(1/p), nu on each further subclass is nu on the one
-before it stepped forward once, over lambda.  Cells that
-no step from its support reaches are zeroed, since nu(y) = (nu P~)(y) c / lambda
-is 0 there, and ``POLISH`` damped steps (mu + mu P / lambda) / 2 shrink every
-other mode of the roundoff left.  The Collatz-Wielandt bracket, min and max of
-(mu P)(y) / mu(y) over mu's support, then holds the class's root whatever mu
+before it stepped forward once, over lambda.  Only the chosen class's nu is
+mapped to mu; cells that no step from its support reaches are zeroed, since
+nu(y) = (nu P~)(y) c / lambda is 0 there.  The compressed rows of P are read
+for that and for the certificate only: the Collatz-Wielandt bracket, min and
+max of (mu P)(y) / mu(y) over mu's support, holds the class's root whatever mu
 is; the QSD is converged when its relative width is at most ``QSD_TOL``, so a
 defective root reads unconverged however small the Arnoldi residual.
 """
@@ -55,7 +55,6 @@ KEEP = 6                   # Ritz vectors kept over a restart
 SCALE_TOL = 1e-10          # relative Ritz residual that ends the first run
 RITZ_TOL = 1e-15           # and the second
 MAX_STEPS = 4000           # Arnoldi steps a run may take, p kernel steps each
-POLISH = 3                 # damped steps (mu + mu P / lambda) / 2 on the chosen class
 
 
 @dataclass
@@ -65,7 +64,7 @@ class QsdResult:
     mu: np.ndarray           # probability over the window states (grid order)
     residual: float          # TV distance between mu evolved-and-renormalized and mu
     iterations: int          # kernel steps: p an Arnoldi step (MAX_STEPS caps Arnoldi
-                             # steps a run), p - 1 to rebuild, then the polish
+                             # steps a run) and p - 1 to rebuild, summed over the classes
     bracket: tuple           # Collatz-Wielandt bounds (low, high) on the chosen class's root
     grid: object = None
     converged: bool = True
@@ -88,7 +87,8 @@ def truncated_kernel(law, cone, L):
     """
     pad = int(np.max(np.abs(law.support)))
     if L < 4 * pad:
-        raise ConfigError("window must be at least four step lengths wide")
+        raise ConfigError(f"QSD window L = {L} is below L = {4 * pad}, four step lengths "
+                          "of the walk")
     fits = budget_window(cone, pad, 8 * (BASIS + 24 + 2 * len(law.probs)))
     if L > fits:
         raise ConfigError(f"QSD window L = {L} is past L = {fits}, the largest the "
@@ -162,9 +162,9 @@ def _arnoldi(step, start, tol):
 
 
 def _class_perron(kernel, cells, period):
-    """(steps, nu): the left Perron vector of the kernel's forward step on the class
-    whose cyclic subclass C0 is the flat box indices ``cells``, on the window states
-    and zero off the class.
+    """(steps, nu, root): the left Perron vector of the kernel's forward step on the
+    class whose cyclic subclass C0 is the flat box indices ``cells``, on the window
+    states and zero off the class, and its root theta^(1/p), theta clipped at 0.
 
     Both Arnoldi runs map v on C0 through p = ``period`` forward steps, written back
     and forth between two box buffers.  The first, from C0's indicator, gives x; the
@@ -187,7 +187,8 @@ def _class_perron(kernel, cells, period):
     scale = np.abs(x, out=x)
     scale[scale == 0.0] = 1.0
     theta, w, second = _arnoldi(lambda v: power(v * scale) / scale, start, RITZ_TOL)
-    lam = max(theta, 0.0) ** (1.0 / period) or 1.0     # a nilpotent class rebuilds unscaled
+    root = max(theta, 0.0) ** (1.0 / period)
+    lam = root or 1.0                                   # a nilpotent class rebuilds unscaled
     nu = np.zeros(shape)
     nu.reshape(-1)[cells] = w * scale
     part = nu
@@ -195,7 +196,7 @@ def _class_perron(kernel, cells, period):
         part = kernel.forward(part) / lam
         nu += part
     nu = nu.reshape(-1)[kernel.states]
-    return period * (first + second) + period - 1, nu * np.sign(nu.sum())
+    return period * (first + second) + period - 1, nu * np.sign(nu.sum()), root
 
 
 def qsd_power_iteration(kernel, grid, cramer, L):
@@ -204,10 +205,10 @@ def qsd_power_iteration(kernel, grid, cramer, L):
     Each lattice class is solved by ``_class_perron`` on the cyclic subclass of its
     first cell, from that subclass's indicator, so reruns give the same bytes.
     ``iterations`` counts kernel steps: p for each Arnoldi step (``MAX_STEPS`` caps
-    Arnoldi steps a run), p - 1 for the rebuild, then ``POLISH``.  The class whose
-    one-step mass lambda under ``kernel`` is largest is kept; roundoff of either sign
-    is clipped to 0, and lambda, the Collatz-Wielandt bracket and the residual are
-    measured on the final mu with ``kernel`` itself.
+    Arnoldi steps a run) and p - 1 for the rebuild.  The class with the largest
+    Arnoldi root is kept, the first on a tie; its nu is tilted back to mu, roundoff
+    of either sign is clipped to 0, and lambda, the Collatz-Wielandt bracket and the
+    residual are measured on mu with one product of ``kernel`` itself.
     """
     tilted = KilledKernel(grid, cramer.tilted)
     pts = grid.points()
@@ -220,15 +221,12 @@ def qsd_power_iteration(kernel, grid, cramer, L):
     steps, best = 0, None
     for k in range(n_classes):
         first = np.argmax(labels == k)
-        used, nu = _class_perron(tilted, tilted.states[phases == phases[first]],
-                                 cosets // index)
+        used, nu, root = _class_perron(tilted, tilted.states[phases == phases[first]],
+                                       cosets // index)
         steps += used
-        mu = np.clip(nu * weight, 0.0, None)
-        mu /= mu.sum()
-        root = kernel.rmatvec(mu).sum()
         if best is None or root > best[0]:
-            best = root, mu
-    mu = best[1]
+            best = root, nu
+    mu = np.clip(best[1] * weight, 0.0, None)
     on = mu > 0.0
     while True:     # nu(y) = (nu P)(y) / lambda: a cell no step of the support reaches has none
         fed = on & (kernel.rmatvec(on.astype(float)) > 0.0)
@@ -236,10 +234,6 @@ def qsd_power_iteration(kernel, grid, cramer, L):
             break
         on = fed
     mu = np.where(on, mu, 0.0) / mu[on].sum()
-    for _ in range(POLISH):
-        evolved = kernel.rmatvec(mu)
-        mu = 0.5 * (mu + evolved / evolved.sum())
-    steps += POLISH
     evolved = kernel.rmatvec(mu)
     lam = float(evolved.sum())
     residual = float(0.5 * np.abs(evolved / lam - mu).sum())
@@ -253,8 +247,8 @@ def qsd_power_iteration(kernel, grid, cramer, L):
         f"the largest root, which contains {pts[np.argmax(mu)].tolist()}"]
     converged = width <= QSD_TOL
     if not converged:
-        warnings.append(f"the QSD did not converge: after {steps} kernel steps (Arnoldi runs "
-                        f"and polish) its Collatz-Wielandt bracket [{low:.12g}, {high:.12g}] "
+        warnings.append(f"the QSD did not converge: after {steps} kernel steps of Arnoldi "
+                        f"runs its Collatz-Wielandt bracket [{low:.12g}, {high:.12g}] "
                         f"has relative width {width:.2e}, above QSD_TOL = {QSD_TOL:g}")
     return QsdResult(L=float(L), lambda_=lam, mu=mu, residual=residual, iterations=steps,
                      bracket=(low, high), grid=grid, converged=converged, warnings=warnings)

@@ -106,6 +106,13 @@ def perfbench(monkeypatch):
 
 
 @pytest.fixture()
+def checks(monkeypatch):
+    """The benchmark's answer checker, ``perfbench/checks.py``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("checks")
+
+
+@pytest.fixture()
 def wide(perfbench):
     """The benchmark's ``WIDE`` pipeline overrides (1600 steps, n_hi 1200, L = 120 windows)."""
     return perfbench[0].WIDE

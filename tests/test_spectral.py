@@ -10,7 +10,7 @@ from conelab._lattice import KilledKernel, make_grid
 from conelab.cramer import solve_cramer_point
 from conelab.errors import ConfigError
 from conelab.model import ConeSpec, StepLaw, lattice_classes, span_obstruction
-from conelab.spectral import (BASIS, POLISH, QSD_TOL, qsd_for_model,
+from conelab.spectral import (BASIS, QSD_TOL, qsd_for_model,
                               qsd_power_iteration, truncated_kernel, tv_distance_tables)
 
 ROOT3 = np.sqrt(3.0)
@@ -131,26 +131,66 @@ def test_nn4_qsd_matches_closed_form(request, walk, L):
 
 @pytest.mark.parametrize("walk, L", [
     pytest.param(walk, L, id=f"{walk}-{L}")
-    for walk, L in (("nn4", 20), ("nn4", 60), ("nn4", 120), ("diagonal", 20), ("diagonal", 60))
+    for walk, L in (("nn4", 20), ("nn4", 60), ("nn4", 120), ("diagonal", 20), ("diagonal", 60),
+                    ("period3", 120), ("octant", 28))
 ])
-def test_qsd_root_is_bracketed_by_collatz_wielandt(request, walk, L, quadrant):
+def test_qsd_root_is_bracketed_by_collatz_wielandt(request, walk, L):
     # mu is a left Perron vector of the kernel on its closed class, so the ratios
     # (mu P)(y) / mu(y) over its support bracket the class's Perron root: a
-    # certificate of lambda that needs no residual, and the one the result reports;
-    # on nn4 the bracket holds the exact root c cos(pi / (L + 1))
-    model = request.getfixturevalue({"nn4": "ctx", "diagonal": "diag_ctx"}[walk])
-    kernel, grid = truncated_kernel(model.law, quadrant, L)
-    result = qsd_power_iteration(kernel, grid, model.cramer, L)
+    # certificate of lambda that needs no residual, and the one the result reports.
+    # mu is the second Arnoldi run's vector with no further kernel step, and the
+    # bracket is still roundoff-tight; on nn4 and the octant it holds the exact root
+    # c cos(pi / (L + 1))
+    law = PERIOD_3 if walk == "period3" else request.getfixturevalue(
+        {"nn4": "nn4", "diagonal": "diagonal_law", "octant": "octant_law"}[walk])
+    cramer = solve_cramer_point(law)
+    kernel, grid = truncated_kernel(law, ConeSpec.orthant(law.dim), L)
+    result = qsd_power_iteration(kernel, grid, cramer, L)
     on = result.mu > 0.0
     ratios = kernel.rmatvec(result.mu)[on] / result.mu[on]
     low, high = ratios.min(), ratios.max()
     assert result.bracket == (low, high)
     assert high - low <= 1e-13
     assert low <= result.lambda_ <= high
-    if walk == "nn4":
-        assert low <= model.cramer.c * np.cos(np.pi / (L + 1)) <= high
-    else:
+    if walk in ("nn4", "octant"):
+        assert low <= cramer.c * np.cos(np.pi / (L + 1)) <= high
+    elif walk == "diagonal":
         assert on.sum() == {20: 200, 60: 1800}[L]      # one parity class of the window
+
+
+@pytest.mark.parametrize("walk", ["nn4", "diagonal_law"])
+def test_compressed_rows_only_certify(request, monkeypatch, quadrant, walk):
+    # the Arnoldi roots choose the class, so the kernel's rows are read twice a
+    # solve: once to clear the cells no step feeds, once for lambda and the bracket
+    law = request.getfixturevalue(walk)
+    calls, rmatvec = [], _lattice.Csr.rmatvec
+
+    def spy(self, v):
+        calls.append(v.size)
+        return rmatvec(self, v)
+
+    monkeypatch.setattr(_lattice.Csr, "rmatvec", spy)
+    result = qsd_for_model(law, solve_cramer_point(law), quadrant, 20)
+    assert len(calls) == 2 and result.converged
+
+
+@pytest.mark.parametrize("dead", [0, 1])
+def test_a_nilpotent_class_is_never_kept(monkeypatch, diagonal_law, quadrant, diag_ctx, dead):
+    # a class whose Arnoldi root is 0 loses to a live one, whichever comes first: its
+    # root reads 0, not the unit scale that its rebuild divides by
+    class_perron, calls = spectral._class_perron, []
+
+    def spy(*args):
+        steps, nu, root = class_perron(*args)
+        calls.append(root)
+        return steps, nu, 0.0 if len(calls) - 1 == dead else root
+
+    monkeypatch.setattr(spectral, "_class_perron", spy)
+    result = qsd_for_model(diagonal_law, diag_ctx.cramer, quadrant, 20)
+    labels, _ = lattice_classes(diagonal_law.support, result.grid.points())
+    assert len(calls) == 2 and calls[dead] > 0.0
+    assert np.all(result.mu[labels == dead] == 0.0)
+    assert result.mu[labels != dead].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonal_qsd_sweep(diagonal_law, quadrant, diag_ctx):
@@ -204,7 +244,7 @@ def test_slow_octant_laws_report_convergence(steps, probs, converged):
     assert result.converged == converged
     low, high = result.bracket
     assert low <= result.lambda_ <= high
-    assert result.iterations <= 2 * grid.n_states + POLISH    # both runs exhaust the window
+    assert result.iterations <= 2 * grid.n_states    # both runs exhaust the window
     if converged:
         lam = np.linalg.eigvals(dense).real.max()
         assert abs(result.lambda_ - lam) <= 1e-10 * lam
@@ -225,8 +265,8 @@ def test_slow_octant_laws_report_convergence(steps, probs, converged):
         assert low <= lam <= high
         assert high - low > QSD_TOL * result.lambda_
         assert result.warnings == [
-            f"the QSD did not converge: after {result.iterations} kernel steps (Arnoldi "
-            f"runs and polish) its Collatz-Wielandt bracket [{low:.12g}, {high:.12g}] has "
+            f"the QSD did not converge: after {result.iterations} kernel steps of Arnoldi "
+            f"runs its Collatz-Wielandt bracket [{low:.12g}, {high:.12g}] has "
             f"relative width {(high - low) / result.lambda_:.2e}, above QSD_TOL = {QSD_TOL:g}"]
 
 
