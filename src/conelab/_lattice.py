@@ -17,13 +17,16 @@ window ``MAX_BYTES`` holds, and ``walk_reach`` how far a horizon reaches.
 window: a step moves mass by +z with probability p_z, mass landing off the
 mask is killed, and a cell whose step leaves the window while staying in the
 cone *leaks* (the window truncates it rather than the cone killing it); one
-whose step leaves the cone *exits*.  The
-DP evolution, the survival scan, the harmonic fixed point, the truncated QSD
-kernel, the exit-position law and the conditioned chain all step through it,
-by the flat offset k = z . strides of each step on the flattened box.  The
-padding makes that exact on the mask (see ``KilledKernel``).  ``shift_add``,
-a per-axis clipped shift, only maps a table between boxes of different
-shapes (``WindowGrid.place``).
+whose step leaves the cone *exits*.  The DP evolution, the survival scan, the
+harmonic fixed point, the truncated QSD kernel, the exit-position law and the
+conditioned chain all step through it, by the flat offset k = z . strides of
+each step on the flattened box.  The padding makes that exact on the mask (see
+``KilledKernel``).  ``shift_add``, a per-axis clipped shift, only maps a table
+between boxes of different shapes (``WindowGrid.place``).  Every sum over a
+window vector goes through ``dot`` or ``norm``, whose ``einsum`` numpy runs
+without BLAS: OpenBLAS threads a dot of over 10,000 elements, so its rounding
+would follow the thread count, and a cold process can stall while its threads
+wake.
 """
 
 from dataclasses import dataclass
@@ -172,6 +175,15 @@ def walk_reach(starts, n, law, tol=0.0):
     a = r + np.sqrt(r ** 2 + 2 * n * (law.probs @ (law.support - mu) ** 2) * ell)
     far = np.abs(np.reshape(starts, (-1, law.dim))).max(axis=0) + a + n * np.abs(mu)
     return min(sure, int(np.ceil(far.max())))
+
+
+def dot(a, b):
+    """The window vector ``a``, or each row of a stack of them, dotted with ``b``."""
+    return np.einsum("...i,i->...", a, b)
+
+
+def norm(a):
+    return np.sqrt(dot(a, a))
 
 
 def shift_add(out, arr, z, w):

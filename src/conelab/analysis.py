@@ -184,11 +184,12 @@ class PipelineContext:
 
     @cached_property
     def series(self):
-        return self._surviving("x0", self.params.retained_times())
+        return self._surviving("x0", self.params.n_max, self.params.retained_times())
 
     @cached_property
     def series_ratio_start(self):
-        return self._surviving("ratio_start")
+        """Evolved to n_hi only: every row reads it there, and none further."""
+        return self._surviving("ratio_start", self.params.n_hi)
 
     def start(self, key):
         """``pipeline.<key>``, admitted on the cone by that name, and refused when every
@@ -203,10 +204,10 @@ class PipelineContext:
         moved = (starts[:, None] + self.law.support).reshape(-1, self.law.dim)
         return cone_contains(self.cone, moved).reshape(len(starts), -1).any(axis=1)
 
-    def _surviving(self, key, retain=()):
-        """The DP series from ``start(key)``, unless no path survives to n_hi: every row
-        would read 0/0."""
-        series = dp_evolve(self.law, self.cone, self.start(key), self.params.n_max,
+    def _surviving(self, key, n_max, retain=()):
+        """The DP series from ``start(key)`` to ``n_max``, unless no path survives to
+        n_hi: every row would read 0/0."""
+        series = dp_evolve(self.law, self.cone, self.start(key), n_max,
                            rescale_by=self.cramer.c, L=self.params.dp_window, retain=retain)
         if series.survival[self.params.n_hi] == 0.0:
             raise ConfigError(self._no_survivor(series.x0))

@@ -209,7 +209,8 @@ def parse_run_config(path, seed=None, workers=None, out_dir=None):
 
     out = data.get("output", {}) or {}
     _require_keys(out, {"dir"}, "output")
-    out_path = Path(out_dir) if out_dir else Path(out.get("dir", "out"))
+    given = _read(Path, out.get("dir", "out"), "output.dir")
+    out_path = Path(out_dir) if out_dir else given
 
     return RunConfig(
         law=law, cone=cone, params=VerifyParams(**pipe), simulate=sim, zchain=zchain,
@@ -336,12 +337,15 @@ def _cmd_dp(config, ctx):
     print(f"window L = {series.L}{grown}; largest one-step leak {series.leak_max:.2e}")
     print(f"hazard ratio at n = {n_hi}: {hazard_ratio(series, n_hi):.6f}")
     fit = fit_tail(series)
-    print(f"tail fit: c_hat = {fit.c_hat:.6f}, exponent = {fit.exponent_hat:.4f}")
+    octaves = fit.diagnostics["dyadic_estimates"]
+    print(f"tail fit: c_hat = {fit.c_hat:.6f}, exponent = {fit.exponent_hat:.4f} "
+          f"from the octave estimates {octaves[0]:.4f}, {octaves[1]:.4f}")
     return EXIT_OK, [
         ("dp", "csv", (["n", "raw_survival_log", "rescaled_b_n"],
                        [n, series.raw_survival_log(n), series.survival])),
         ("dp_fit", "json", {"c_hat": fit.c_hat, "exponent_hat": fit.exponent_hat,
                             "constant_hat": fit.constant_hat,
+                            "dyadic_estimates": list(octaves),
                             "window": list(fit.window_used)}),
     ]
 

@@ -99,13 +99,10 @@ def _evolve(kernel, L, x0, n_max, rescale_by, retain, grown):
     exit_mass = np.zeros(n_max + 1)
     tables = {0: q.copy()} if 0 in retain else {}
     leak_max = 0.0
-    ring = np.flatnonzero(kernel.leak)          # the cells that can leak
-    ring_leak = kernel.leak.reshape(-1)[ring]
-    edge = np.flatnonzero(kernel.exit)          # the cells that can exit
-    edge_exit = kernel.exit.reshape(-1)[edge]
+    cells = np.flatnonzero(kernel.leak + kernel.exit)   # the cells that can leak or exit
+    rates = np.stack([kernel.leak.reshape(-1)[cells], kernel.exit.reshape(-1)[cells]])
     for n in range(1, n_max + 1):
-        leaked = float(q.reshape(-1)[ring] @ ring_leak) / rescale_by
-        exit_mass[n] = q.reshape(-1)[edge] @ edge_exit / rescale_by
+        leaked, exit_mass[n] = _lattice.dot(rates, q.reshape(-1)[cells]) / rescale_by
         out = kernel.forward(q, out=out)
         out /= rescale_by
         q, out = out, q

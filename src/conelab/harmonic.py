@@ -19,13 +19,13 @@ V is the unique solution of the killed-kernel fixed-point equation on a
 truncated window with u as far-field data on the one-step exterior ring.
 The window size L is a whitened radius: the window is the max-norm box
 |y|_inf <= L / |M|_inf every stage builds, the largest inside |M y|_inf <= L.
-The truncated kernel has spectral radius below one, so I - T is invertible;
-it is solved by BiCGSTAB, matrix-free through the kernel's step and started
-from u itself, so no sparse matrix is assembled and scipy is never imported.
-When u is itself discretely harmonic (the four-step reference walk on the
-quadrant), the start already meets the stopping rule and V is u on the
-window bit for bit.  V' starts from V instead when V is the closer
-start, as it is for a tilted law that is its own reversal up to rounding.
+The truncated kernel has spectral radius below one, so I - T is invertible; it is
+solved by BiCGSTAB, matrix-free through the kernel's step and started from u itself,
+so no sparse matrix is assembled, scipy is never imported and no sum goes through
+BLAS (see ``_lattice.dot``).  When u is itself discretely harmonic (the four-step
+reference walk on the quadrant), the start already meets the stopping rule and V is
+u on the window bit for bit.  V' starts from V instead when V is the closer start,
+as it is for a tilted law that is its own reversal up to rounding.
 """
 
 from dataclasses import dataclass
@@ -158,31 +158,31 @@ def _solve_killed_harmonic(kernel, ring_u, starts):
         return v - kernel.backward(box, out=stepped)[mask]
 
     b = kernel.backward(ring_u, out=stepped)[mask]
-    tol = SOLVE_TOL * float(np.linalg.norm(b))
+    tol = SOLVE_TOL * float(_lattice.norm(b))
     v, r = min(((np.array(v0, dtype=float), b - apply(v0)) for v0 in starts),
-               key=lambda pair: float(np.linalg.norm(pair[1])))
+               key=lambda pair: float(_lattice.norm(pair[1])))
     iterations = 0
-    while np.linalg.norm(r) > tol:       # restart from the true residual until it holds
+    while _lattice.norm(r) > tol:        # restart from the true residual until it holds
         r_hat, rho, alpha, omega = r.copy(), 1.0, 1.0, 1.0
         p = q = np.zeros_like(r)
-        while np.linalg.norm(r) > tol:
+        while _lattice.norm(r) > tol:
             iterations += 1
             if iterations > SOLVE_MAX_ITER:
                 raise NumericsError(
                     f"harmonic solve not converged in {SOLVE_MAX_ITER} iterations")
-            rho_new = float(r_hat @ r)
+            rho_new = float(_lattice.dot(r_hat, r))
             if rho_new == 0.0 or omega == 0.0:
                 break                    # breakdown: restart from the true residual
             p = r + (rho_new / rho) * (alpha / omega) * (p - omega * q)
             q = apply(p)
-            rq = float(r_hat @ q)
+            rq = float(_lattice.dot(r_hat, q))
             if rq == 0.0:
                 break
             alpha = rho_new / rq
             s = r - alpha * q
             t = apply(s)
-            tt = float(t @ t)
-            omega = float(t @ s) / tt if tt > 0.0 else 0.0
+            tt = float(_lattice.dot(t, t))
+            omega = float(_lattice.dot(t, s)) / tt if tt > 0.0 else 0.0
             v += alpha * p + omega * s
             r = s - omega * t
             rho = rho_new

@@ -15,9 +15,7 @@ from ``KilledKernel.forward`` of the tilted law: ``BASIS`` Krylov vectors,
 restarted on the ``KEEP`` Ritz vectors of largest real part.  Its Ritz vector
 x is accurate in norm, not cell by cell, so a second run on the similar map
 v -> A(v x) / x, started from ones, refines nu / x, whose cells are all near
-1.  Inner products go through ``einsum``, which numpy runs without BLAS: a
-threaded BLAS call can stall a process for most of a second, and its sums
-depend on the thread count.
+1.  Inner products go through ``_lattice.dot``, off BLAS.
 
 Steps never leave a coset of the group G they generate, so the window splits
 into closed lattice classes, one per coset it meets.  Each class gets its own
@@ -98,10 +96,6 @@ def truncated_kernel(law, cone, L):
     return kernel, grid
 
 
-def _norm(v):
-    return np.sqrt(np.einsum("i,i->", v, v))
-
-
 def _arnoldi(step, start, tol):
     """(theta, x, steps): the eigenvalue of largest real part of the linear map
     ``step`` on the Krylov space of ``start``, its Ritz vector and the steps taken.
@@ -117,19 +111,19 @@ def _arnoldi(step, start, tol):
     """
     V = np.zeros((BASIS + 1, start.size))
     H = np.zeros((BASIS + 1, BASIS))
-    V[0] = start / _norm(start)
+    V[0] = start / _lattice.norm(start)
     kept = steps = 0
     while True:
         j, invariant = kept, False
         while j < BASIS and steps < MAX_STEPS and not invariant:
             w = step(V[j])
             steps += 1
-            size = _norm(w)
+            size = _lattice.norm(w)
             for _ in range(2):
-                h = np.einsum("ij,j->i", V[:j + 1], w)
+                h = _lattice.dot(V[:j + 1], w)
                 w -= np.einsum("i,ij->j", h, V[:j + 1])
                 H[:j + 1, j] += h
-                beta = _norm(w)
+                beta = _lattice.norm(w)
                 if beta > size / np.sqrt(2.0):
                     break
                 size = beta

@@ -3,7 +3,7 @@ import pytest
 
 from conelab.analysis import (SELECTORS, PipelineContext, _report, fit_survival_series,
                               fit_tail, verify_all, verify_limits)
-from conelab.dp_oracle import halfspace_1d, hazard_ratio
+from conelab.dp_oracle import dp_evolve, halfspace_1d, hazard_ratio
 from conelab.errors import ConfigError
 from conelab.model import StepLaw
 
@@ -128,6 +128,31 @@ def test_parity_blocked_distributional_checks(ctx, tables_nn4):
     mu = tables_nn4.kappa * tables_nn4.Uprime[grid.mask]
     odd = (pts.sum(axis=1) % 2) == 1
     assert yag.measured == pytest.approx(mu[odd].sum(), abs=0.01)
+
+
+@pytest.mark.parametrize("family", ["ctx", "diag_ctx"])
+def test_ratio_start_series_stops_at_n_hi(request, family):
+    """The ratio-start series is read at n_hi only, so it is evolved no further: on its
+    window it equals a run to n_max up to n_hi, and so do the two rows that read it."""
+    ctx = request.getfixturevalue(family)
+    prm, short = ctx.params, ctx.series_ratio_start
+    assert short.n_max == prm.n_hi < prm.n_max
+    full = dp_evolve(ctx.law, ctx.cone, short.x0, prm.n_max, rescale_by=ctx.cramer.c,
+                     L=prm.dp_window)
+    assert full.L == short.L
+    assert np.array_equal(full.survival[:prm.n_hi + 1], short.survival)
+    assert np.array_equal(full.exit_mass[:prm.n_hi + 1], short.exit_mass)
+    rerun = PipelineContext(ctx.law, ctx.cone, prm)
+    for name in ("cramer", "whitening", "harmonic", "series"):
+        rerun.__dict__[name] = getattr(ctx, name)
+    rerun.__dict__["series_ratio_start"] = full
+
+    def rows(context):
+        return [(r.check, r.measured, r.passed, r.notes)
+                for selector in ("survival_tail", "start_ratio")
+                for r in verify_limits(context, selector)]
+
+    assert rows(rerun) == rows(ctx)
 
 
 def test_scale_invariance_of_normalized_checks(ctx, nn4, quadrant):

@@ -210,6 +210,19 @@ def test_malformed_config_exits_2(tmp_path, capsys, line, bad, named):
     assert "configuration error" in err and named in err
 
 
+@pytest.mark.parametrize("value", ["5", "null", "[out]"])
+def test_output_dir_that_is_no_path_exits_2(tmp_path, capsys, monkeypatch, value):
+    # a number, null or list once reached Path() and exited 4 with a traceback; the key
+    # is refused by name whether or not --out overrides it, before anything is written
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.yaml"
+    path.write_text(NN4_YAML.replace("output: {dir: out}", f"output: {{dir: {value}}}"))
+    for override in ([], ["--out", str(tmp_path / "out")]):
+        assert main(["cramer", "--config", str(path), *override]) == 2
+        assert "configuration error: output.dir: cannot read" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("name", [f"{section}.{key}" for section, keys in SECTIONS.items()
                                   for key in keys])
 def test_unreadable_value_names_its_key(tmp_path, capsys, name):
@@ -296,6 +309,12 @@ def test_dp_command_csv_contract(config_path, tmp_path, capsys):
     assert len(csv_files) == 1
     header = csv_files[0].read_text().splitlines()[0]
     assert header == "n,raw_survival_log,rescaled_b_n"
+    # the two octave exponent estimates the Richardson step combines, printed and kept
+    (fit_file,) = (tmp_path / "out").glob("dp_fit_*.json")
+    fit = json.loads(fit_file.read_text())
+    e1, e2 = fit["dyadic_estimates"]
+    assert fit["exponent_hat"] == 2.0 * e2 - e1
+    assert f"from the octave estimates {e1:.4f}, {e2:.4f}\n" in capsys.readouterr().out
 
 
 def test_qsd_command_csv_contract(config_path, tmp_path, capsys):
@@ -654,13 +673,13 @@ def test_artifacts_byte_identical(tmp_path, command, edits, status):
 ARTIFACT_SHA256 = {
     "cramer.json": "2cb9b13ec27c0a86e924e994b307ceb8ff39aa904b8da4cb09a064366cd3397c",
     "dp.csv": "c9dd1429e12f036d983b67bafa1fe85700ad7f14604f96039dbc8bb3595bcfc8",
-    "dp_fit.json": "18a6ca45aa6274a84fe3606c95e87f49bdbee37cb85cc76b94e7b47c46fdcced",
+    "dp_fit.json": "14f65b580dceedd62f914d1f2d4769e7d14fd484caac1b8559a5a06c89a36729",
     "harmonic.csv": "d6da9283d73bbdbd8cd46a9e3c810ce7a5654ba8aa3a047b0a818d4e7465e221",
     "qsd.csv": "c7c4258d55fefefe77b4c9a0071a6110e22a67dfb60c276261ca2e4986befe11",
     "qsd_summary.json": "d9d0c99f429c1221f57f76830e92810280ccda392c087ea2fcafdcfd0d7c3074",
     "simulate.jsonl": "4aa1dd940b3da27c07c6c99019645a02ed8abdeb47d66fd02c755dc3a2790f56",
-    "verify.jsonl": "873433ee5d0a8cb7f7f4732729cf4688fe9e103a94a91c9bda830c9919770aa8",
-    "verify_summary.csv": "d5e6f8ce3880f41c813223b762882c30a4dabb3ae297a4d603a35c815d9ce516",
+    "verify.jsonl": "91e99a1d5ecab08a737a240cfc5be4d4c770e974fcad9923b366fa0fdb75d110",
+    "verify_summary.csv": "c39eedf50d8b2a68c6f053193cc3955820055d509b1003ed905ebcae74dda02c",
     "whiten.json": "518d548e0fc910af3ad80207286ef8c6579dbfe9c130261e0674deaf6b7c068e",
     "zchain.json": "0b1f1c83378d51a3b1185bda8bcf95a1f63dc44689ae249559c003af53f72b75",
 }
@@ -671,23 +690,23 @@ ARTIFACT_SHA256 = {
 DIAGONAL_SHA256 = {
     "cramer.json": "f90a0d60d3a0420bd14eef03b5563900b993da6ef47069ca3bd1165949031c37",
     "dp.csv": "497fcd7096fce25e31001122cd0b2f114bbd10532fd690444b50cfc92d485a9b",
-    "dp_fit.json": "53044fe43e73f535a9a0bdf0efc714133f55d2368ecc5a69ed58458f6fccda41",
-    "harmonic.csv": "19de753775a16cba1d251a5ec51ec6644b8877ab760ce028705f28405ae4a4fe",
+    "dp_fit.json": "a5015677e6ef71cad21fcb8899003567aef9f9aa13964a626f487d74a7a0476a",
+    "harmonic.csv": "b5ace6876bec48be29f78161880627c601dce0040ce56e2306a0e5d640c45e3c",
     "qsd.csv": "7597f7107e83f247dba9600d1a22e84d7c070a35c6e3a97b33fa1d9ef891c7fb",
     "qsd_summary.json": "3e0af09880a120d401d45789acdc4ef3c61900533798748e92aae16077f7831a",
     "simulate.jsonl": "3e2aff5e0948b27ebfdb200dfcfe22779d2f0a47421186476cc96a902197a401",
-    "verify.jsonl": "64b16c2dae2fd81e12d2bdec825a5ffc727366584656f40983a1b5adf9209658",
-    "verify_summary.csv": "12ae1230b63058fd6e32e18fb506f2109f72f11336e5c94a5e4f637b339ffca0",
+    "verify.jsonl": "84cf3ec4016c9281938b7f1f18be75af5a2236f792598ea245dfb7196fb40d49",
+    "verify_summary.csv": "3ecf28e7bd4214e9980daa8e688c2e31d507eacef4d2b470d6d6b0cdbcc2583a",
     "whiten.json": "708ee4dd22865db53f2b5c1cfc8d97f41db4c049a4f87ed74c5bbd1a9b8480ab",
-    "zchain.json": "3fa7e11fea0809af6a41da7bd2e08267ee15b8295bf696d1c43f1abfcba1aa1d",
+    "zchain.json": "1d22ad99ad58ede90412a80d07ba63e49221c7c787a3313749725b8f8995f277",
 }
 WIDE_SHA256 = {
     "dp.csv": "ba6b31539f3371cfd772c0ef6eb353d32fb6a1a13ce594601aa0fd44dd34d967",
-    "dp_fit.json": "d8a0bb95c118edad85dc7a565906818583edfb79d76e5198a8c939635db6b237",
+    "dp_fit.json": "4bef2985d0abbf3bc6ea85206c47aee7cc0c3236bd3193a41c68280707ba4554",
     "qsd.csv": "522d3e97232a13395e0db0ef5ef4c4c3f7f7ea799b963a18d3abc97ca2f6a375",
     "qsd_summary.json": "f324fd7152c721024595c93aed65cbaedb1cd6ad80ee1c726334d63777c3f9c0",
-    "verify.jsonl": "6c6c2d7b8cdb8f07ebf48535cd6c397e7f57ece542850732cd591fc6601f4080",
-    "verify_summary.csv": "8419dc6a3b8c113c9da1d2834b6080e854a933c55084da8e5d52ecb8c5ea11bd",
+    "verify.jsonl": "dbcb6ac739f99a7820b1972dcb7954d28b1e0101a5e7e2d31bf62d5aea1be293",
+    "verify_summary.csv": "611795fd400a38d756089f6a7e7c8930673b769eb79a407a903de9d533a9814a",
 }
 EIGHT_COMMANDS = ("cramer", "whiten", "harmonic", "dp", "qsd", "zchain", "simulate", "verify")
 

@@ -1,6 +1,7 @@
 """No command loads scipy, multiprocessing, concurrent.futures or numpy.ma: the
 package runs on numpy alone, forks its children without a pool and masks no
-array.  No module imports a name it never reads.
+array.  No module imports a name it never reads, and no window sum goes through
+BLAS, whose rounding follows its thread count.
 
 Each load check runs in a fresh interpreter, since the test session itself has
 imported scipy long before.
@@ -51,9 +52,10 @@ WEDGE_NN4_YAML = SMALL_NN4_YAML.replace(
     "  harmonic_window: 40\n") + "zchain: {x0: [3, 3]}\n"
 
 
-def _fresh(code):
-    """Run ``code`` in a new interpreter that imports conelab from this tree."""
-    env = dict(os.environ)
+def _fresh(code, **variables):
+    """Run ``code`` in a new interpreter that imports conelab from this tree, with the
+    environment ``variables`` set."""
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -218,3 +220,65 @@ def test_harmonic_hypotheses_have_one_site():
         sites = _sites(lambda node: isinstance(node, ast.Raise)
                        and refusal in ast.unparse(node))
         assert [site[:2] for site in sites] == [("analysis", "harmonic")], (refusal, sites)
+
+
+# sha256 of the diagonal walk's harmonic tables past OpenBLAS's 10,000-element
+# threading cut (harmonic window 120: 13,225 states), and of the octant walk's DP exit
+# mass, whose sums spanned as many cells
+THREAD_PROBE = """
+    import hashlib
+    import numpy as np
+    from conelab.analysis import PipelineContext, VerifyParams
+    from conelab.dp_oracle import dp_evolve
+    from conelab.model import ConeSpec, StepLaw
+
+    def sha(*arrays):
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    diagonal = StepLaw(support=np.array([[1, 1], [-1, -1], [1, -1], [-1, 1]]),
+                       probs=np.array([1 / 8, 3 / 8, 1 / 4, 1 / 4]))
+    tabs = PipelineContext(diagonal, ConeSpec.orthant(2),
+                           VerifyParams(harmonic_window=120.0)).harmonic
+    assert tabs.grid.n_states > 10_000
+    print(sha(tabs.V, tabs.Vprime, tabs.Uprime), tabs.convergence_residual.hex())
+    octant = StepLaw(support=np.vstack([np.eye(3, dtype=int), -np.eye(3, dtype=int)]),
+                     probs=np.array([1 / 12] * 3 + [3 / 12] * 3))
+    series = dp_evolve(octant, ConeSpec.orthant(3), (1, 1, 1), 80,
+                       rescale_by=np.sqrt(3) / 2, L=60)
+    print(sha(series.survival, series.exit_mass))
+"""
+
+
+def test_window_sums_do_not_depend_on_the_blas_thread_count():
+    """The same bytes under one BLAS thread and two: every window sum goes through
+    ``_lattice.dot``, and through BLAS these sums were rounded per thread count."""
+    one, two = (_fresh(THREAD_PROBE, OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2))
+    assert one == two
+
+
+BLAS_CALLS = ("np.linalg.norm", "np.dot", "np.vdot", "np.inner")
+
+
+def _function(module, name):
+    tree = ast.parse((Path(conelab.__file__).parent / f"{module}.py").read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+@pytest.mark.parametrize("module, name", [("harmonic", "_solve_killed_harmonic"),
+                                          ("dp_oracle", "_evolve")])
+def test_window_sums_go_through_lattice_dot(module, name):
+    """No ``@`` and no BLAS reduction: the function sums through ``_lattice.dot``."""
+    func = _function(module, name)
+    calls = [ast.unparse(node.func) for node in ast.walk(func) if isinstance(node, ast.Call)]
+    matmuls = [ast.unparse(node) for node in ast.walk(func)
+               if isinstance(node, (ast.BinOp, ast.AugAssign))
+               and isinstance(node.op, ast.MatMult)]
+    assert matmuls == [] and [c for c in calls if c in BLAS_CALLS] == []
+    assert {"_lattice.dot", "_lattice.norm"} & set(calls)
+
+
+def test_spectral_keeps_no_norm_of_its_own():
+    tree = ast.parse((Path(conelab.__file__).parent / "spectral.py").read_text())
+    assert "_norm" not in {node.name for node in ast.walk(tree)
+                           if isinstance(node, ast.FunctionDef)}
